@@ -25,6 +25,8 @@ import subprocess
 import time
 from typing import Any, Mapping
 
+from repro.util.options import env_flag
+
 TRAJECTORY_SCHEMA = 1
 
 #: History cap per bench — enough for years of CI at several runs/day
@@ -34,8 +36,7 @@ MAX_RUNS = 400
 
 def enabled() -> bool:
     """Trajectory appending is on unless ``REPRO_TRAJECTORY`` says off."""
-    return os.environ.get("REPRO_TRAJECTORY", "").strip().lower() \
-        not in ("0", "false", "no", "off")
+    return env_flag("REPRO_TRAJECTORY", True)
 
 
 def trajectory_dir() -> str:

@@ -12,10 +12,12 @@ from typing import Any, Iterable, Type
 
 from repro.cca.component import Component
 from repro.cca.port import Port
+from repro.cca.portproxy import PortProxy
 from repro.cca.services import Services
 from repro.errors import CCAError, PortTypeError
 from repro.mpi import sanitizer as _tsan
 from repro.obs import trace as _trace
+from repro.util import arming as _arming
 from repro.util.logging import get_logger
 
 _log = get_logger("cca.framework")
@@ -97,6 +99,8 @@ class Framework:
         self._services: dict[str, Services] = {}
         # (user, uses_port) -> (provider, provides_port)
         self._connections: dict[tuple[str, str], tuple[str, str]] = {}
+        #: profiler every port call is reported to (see record_port_calls)
+        self.port_recorder: Any | None = None
 
     # -- lifecycle ------------------------------------------------------------
     def instantiate(self, class_name: str, instance_name: str) -> Component:
@@ -181,7 +185,7 @@ class Framework:
         if (user, uses_port) in self._connections:
             raise CCAError(
                 f"{user}.{uses_port} is already connected")
-        u_srv._attach(uses_port, port)
+        u_srv._attach(uses_port, port, f"{provider}:{provides_port}")
         self._connections[(user, uses_port)] = (provider, provides_port)
 
     def disconnect(self, user: str, uses_port: str) -> None:
@@ -199,6 +203,13 @@ class Framework:
         """``(provider, provides_port)`` wired to ``user.uses_port``, or
         None when unconnected."""
         return self._connections.get((user, uses_port))
+
+    def record_port_calls(self, recorder: Any | None) -> None:
+        """Report every port call of this assembly to ``recorder``
+        (``begin(key) -> token`` / ``end(key, token)``, see
+        :mod:`repro.cca.portproxy`); ``None`` stops reporting."""
+        self.port_recorder = recorder
+        _arming.bump()
 
     # -- checkpoint/restart -------------------------------------------------------
     def capture_state(self) -> dict[str, dict]:
@@ -254,6 +265,10 @@ class Framework:
             raise CCAError(
                 f"{instance_name!r} provides no {port_name!r} port")
         port, ptype = srv.provides[port_name]
+        # the entry call is profiled like any other port call
+        if self.port_recorder is not None:
+            port = PortProxy(port, f"{instance_name}:{port_name}",
+                             self.port_recorder)
         go = getattr(port, "go", None)
         if go is None:
             raise PortTypeError(

@@ -2,20 +2,20 @@
 
 The paper's future work item (4): "By using TAU, we intend to characterize
 the performance characteristics of individual components and their
-assemblies."  This module is that capability for our framework: it wraps
-every provides-port of an assembly in a transparent proxy that records
-per-method call counts and cumulative CPU self-time, attributed to the
-providing component — so a run produces the per-component cost breakdown
-TAU would.
+assemblies."  This module is that capability for our framework: it
+registers a recorder with the framework's port-interception seam
+(:mod:`repro.cca.portproxy`) that accumulates per-method call counts and
+CPU self-time, attributed to the providing component — so a run
+produces the per-component cost breakdown TAU would.
 
 Since ISSUE 2 the bookkeeping lives in the :mod:`repro.obs` subsystem:
 each :class:`Profiler` owns a :class:`repro.obs.metrics.MetricsRegistry`
-and the proxies (shared with :mod:`repro.cca.portproxy`) feed two
-metrics, ``cca.port.calls`` and ``cca.port.self_cpu_seconds``, labelled
-by port method.  The :attr:`Profiler.stats` dict and text
-:meth:`Profiler.report` are *views* over that registry, and when
-:mod:`repro.obs.trace` is enabled the same proxies also emit per-call
-spans — one instrumentation point, three outputs.
+and the port proxies feed two metrics, ``cca.port.calls`` and
+``cca.port.self_cpu_seconds``, labelled by port method.  The
+:attr:`Profiler.stats` dict and text :meth:`Profiler.report` are *views*
+over that registry, and when :mod:`repro.obs.trace` is enabled the same
+proxies also emit per-call spans — one instrumentation point, three
+outputs.
 
 Usage::
 
@@ -25,10 +25,10 @@ Usage::
     framework.go("Driver")
     print(profiler.report())
 
-Instrumentation must happen *after* assembly (wrapping replaces the port
-objects that future ``connect`` calls would hand out) and costs one extra
-call frame per port method — which is itself a nice demonstration that
-layered indirection stays cheap.
+Instrumentation may happen before or after assembly — ports are proxied
+when a component checks them out, not when they are wired — and costs
+one extra call frame per port method, which is itself a nice
+demonstration that layered indirection stays cheap.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass
 
 from repro.cca.framework import Framework
-from repro.cca.portproxy import TracingPortProxy
 from repro.obs.metrics import MetricsRegistry
 
 #: Registry metric names the profiler records under (label: ``method``).
@@ -67,7 +66,7 @@ class Profiler:
         # [key, accumulated child cpu] per live call, innermost last
         self._stack: list[list] = []
 
-    # -- recorder protocol (called by TracingPortProxy) --------------------
+    # -- recorder protocol (called by PortProxy) --------------------
     def begin(self, key: str) -> float:
         self._stack.append([key, 0.0])
         return time.thread_time()
@@ -141,24 +140,12 @@ def leaked_ports(framework: Framework) -> dict[str, dict[str, int]]:
 
 def instrument(framework: Framework,
                profiler: Profiler | None = None) -> Profiler:
-    """Wrap every provides-port of every instantiated component and
-    re-wire existing connections through the proxies.
+    """Report every port call of ``framework``'s assembly (and its
+    ``go`` entry) to a profiler.
 
     Returns the :class:`Profiler` accumulating the statistics (in its
     :attr:`~Profiler.registry`).
     """
     profiler = profiler if profiler is not None else Profiler()
-    for name in framework.instance_names():
-        services = framework.services_of(name)
-        for port_name, (port, ptype) in list(services.provides.items()):
-            if isinstance(port, TracingPortProxy):
-                continue  # already instrumented
-            label = f"{name}:{port_name}"
-            proxy = TracingPortProxy(port, label, recorder=profiler)
-            services.provides[port_name] = (proxy, ptype)
-    # existing connections still hold raw port objects: swap them
-    for (user, uses_port), (provider, provides_port) in \
-            framework.connections().items():
-        proxy, _ = framework.services_of(provider).provides[provides_port]
-        framework.services_of(user)._attach(uses_port, proxy)
+    framework.record_port_calls(profiler)
     return profiler

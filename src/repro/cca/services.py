@@ -10,11 +10,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.cca.port import Port
-from repro.cca.portproxy import TracingPortProxy
+from repro.cca.portproxy import intercept
 from repro.errors import CCAError, PortNotConnectedError, PortTypeError
-from repro.mpi import sanitizer as _tsan
-from repro.obs import trace as _trace
-from repro.resilience import faults as _faults
+from repro.util import arming as _arming
 from repro.util.options import Options
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,7 +27,12 @@ class Services:
         self.instance_name = instance_name
         self.provides: dict[str, tuple[Port, str]] = {}
         self.uses: dict[str, str] = {}
-        self._connections: dict[str, Port] = {}
+        # uses port -> (provider's port object, "provider:provides_port")
+        self._connections: dict[str, tuple[Port, str]] = {}
+        # uses port -> what get_port hands out (the provider's port or one
+        # PortProxy), valid while _generation matches repro.util.arming
+        self._resolved: dict[str, Port] = {}
+        self._generation = _arming.generation
         self.parameters = Options()
         # uses-port checkout balance: +1 per get_port, -1 per release_port
         self._checked_out: dict[str, int] = {}
@@ -62,36 +65,35 @@ class Services:
 
         This is the indirection every inter-component call pays — the
         Python analog of CCAFFEINE's virtual-function-call overhead.
+        With no instrument armed it is one dict hit plus the checkout
+        count, and returns the very object the provider exported.
         """
+        if self._generation != _arming.generation:
+            self._resolved.clear()
+            self._generation = _arming.generation
+        try:
+            port = self._resolved[port_name]
+        except KeyError:
+            port = self._resolve(port_name)
+        self._checked_out[port_name] = \
+            self._checked_out.get(port_name, 0) + 1
+        return port
+
+    def _resolve(self, port_name: str) -> Port:
+        """The slow path of :meth:`get_port`: validate, run the
+        interception seam once, and cache its answer."""
         if port_name not in self.uses:
             raise CCAError(
                 f"{self.instance_name}: {port_name!r} was never registered "
                 f"as a uses port")
         try:
-            port = self._connections[port_name]
+            port, label = self._connections[port_name]
         except KeyError:
             raise PortNotConnectedError(
                 f"{self.instance_name}: uses port {port_name!r} is not "
                 f"connected") from None
-        self._checked_out[port_name] = \
-            self._checked_out.get(port_name, 0) + 1
-        wired = self._framework._connections.get(
-            (self.instance_name, port_name))
-        label = (f"{wired[0]}:{wired[1]}" if wired
-                 else f"{self.instance_name}:{port_name}")
-        # While fault injection is armed, wrap ports whose label the plan
-        # targets — the disabled cost is this flag check.
-        if _faults.on and _faults.wraps_label(label):
-            port = _faults.FaultPortProxy(port, label)
-        # While the race sanitizer is armed, record calls against the
-        # provider port's identity (catches instances shared across
-        # rank-threads) — the disabled cost is this flag check.
-        if _tsan.on and not isinstance(port, _tsan.SanitizerPortProxy):
-            port = _tsan.SanitizerPortProxy(port, label)
-        # While tracing is on, hand out a span-emitting proxy labelled by
-        # the *providing* side — the disabled cost is this flag check.
-        if _trace.on and not isinstance(port, TracingPortProxy):
-            return TracingPortProxy(port, label)
+        port = intercept(port, label, self._framework.port_recorder)
+        self._resolved[port_name] = port
         return port
 
     def release_port(self, port_name: str) -> None:
@@ -143,8 +145,9 @@ class Services:
         return self._framework.comm
 
     # -- internal wiring (called by the framework) -------------------------------
-    def _attach(self, port_name: str, port: Port) -> None:
-        self._connections[port_name] = port
+    def _attach(self, port_name: str, port: Port, label: str) -> None:
+        self._connections[port_name] = (port, label)
 
     def _detach(self, port_name: str) -> None:
         self._connections.pop(port_name, None)
+        self._resolved.pop(port_name, None)

@@ -23,10 +23,10 @@ paths run unchanged over any of:
     per-rank tracebacks pickled back into
     :class:`~repro.mpi.launcher.RankFailure`.  Escapes the GIL: real
     cores, real wall-clock speedups.
-``mpiexec``
-    A thin external-launcher/mpi4py backend
-    (:mod:`repro.exec.mpiexec`) for actual clusters; raises a clear
-    error when mpi4py or an ``mpiexec`` binary is absent.
+
+A site with a real MPI adds its own transport through :func:`register`
+— the hook a mpi4py bridge would use; none ships, because no host or CI
+leg we have could run it.
 
 Selection order: the ``backend=`` keyword of ``mpirun`` /
 ``run_scmd`` / ``run_supervised``, else the ``REPRO_BACKEND``
@@ -46,7 +46,7 @@ DEFAULT_BACKEND = "threads"
 
 #: name -> lazily-instantiated backend factory.  Factories (not
 #: instances) are registered so importing this package stays cheap and
-#: optional dependencies (mpi4py) are only probed on first use.
+#: a backend's dependencies are only probed on first use.
 _FACTORIES: dict[str, Callable[[], ExecBackend]] = {}
 _INSTANCES: dict[str, ExecBackend] = {}
 
@@ -105,13 +105,8 @@ def _register_builtins() -> None:
         from repro.exec.mp import MPBackend
         return MPBackend()
 
-    def _mpiexec() -> ExecBackend:
-        from repro.exec.mpiexec import MpiexecBackend
-        return MpiexecBackend()
-
     register("threads", _threads)
     register("mp", _mp)
-    register("mpiexec", _mpiexec)
 
 
 _register_builtins()

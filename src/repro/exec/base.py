@@ -26,8 +26,6 @@ class ExecBackend:
 
     #: registry name; also what cache keys and job records carry.
     name: str = "?"
-    #: one-line description for CLIs and error messages.
-    description: str = ""
 
     def available(self) -> tuple[bool, str]:
         """(usable-here?, reason-when-not)."""

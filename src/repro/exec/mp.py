@@ -67,6 +67,7 @@ from repro.obs import trace as _obs
 from repro.obs.metrics import get_registry as _obs_registry
 from repro.resilience import faults as _faults
 from repro.util import logging as rlog
+from repro.util.options import env_flag
 
 _POLL_INTERVAL = 0.05
 #: grace period between "worker process is dead" and "synthesize its
@@ -415,8 +416,7 @@ class MPComm(CollectiveMixin):
 def _obs_ship_enabled() -> bool:
     """``REPRO_OBS_SHIP=0`` disables worker observability shipping (the
     overhead bench uses it to isolate the shipping cost)."""
-    return os.environ.get("REPRO_OBS_SHIP", "1").strip().lower() not in (
-        "0", "false", "no", "off")
+    return env_flag("REPRO_OBS_SHIP", True)
 
 
 def _child_obs_setup(trace_ctx: dict | None) -> None:
@@ -502,7 +502,7 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
     """Worker-process body for one rank (post-fork)."""
     # The sanitizer's shadow state is meaningless here: this process IS
     # the private address space.  Disarm locally (fork-isolated write).
-    _tsan.on = False
+    _tsan.deactivate()
     _child_obs_setup(trace_ctx)
     # SAMR patch arrays go into shared segments for this rank's lifetime.
     from repro.samr import dataobject as _dobj
@@ -559,8 +559,6 @@ class MPBackend(ExecBackend):
     """P forked worker processes (see module docstring)."""
 
     name = "mp"
-    description = ("forked worker processes + shared-memory arrays "
-                   "(real cores)")
 
     def available(self) -> tuple[bool, str]:
         if "fork" not in multiprocessing.get_all_start_methods():

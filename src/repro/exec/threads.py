@@ -30,8 +30,6 @@ class ThreadsBackend(ExecBackend):
     """P rank-threads in this process (see module docstring)."""
 
     name = "threads"
-    description = ("in-process rank-threads, virtual clocks "
-                   "(deterministic; default)")
 
     def run(self, nprocs: int, main: Callable[..., Any],
             args: Sequence[Any] = (), machine: MachineModel = LOCALHOST,

@@ -10,7 +10,7 @@ processors is a transport choice made at launch time through the
   clocks (:mod:`repro.exec.threads`);
 * ``mp`` — real worker processes with shared-memory array transport
   (:mod:`repro.exec.mp`);
-* ``mpiexec`` — an external mpi4py launch (:mod:`repro.exec.mpiexec`).
+* anything a site adds with :func:`repro.exec.register`.
 
 Shared-state hazard (``threads`` backend only): real MPI ranks get
 private address spaces; rank-threads do **not**.  Module-level mutable
@@ -34,7 +34,7 @@ from repro.mpi.perfmodel import MachineModel, LOCALHOST
 class RankFailure(MPIError):
     """One or more ranks raised; carries per-rank tracebacks.
 
-    Under the ``mp``/``mpiexec`` backends the original exception objects
+    Under the ``mp`` backend the original exception objects
     died with their worker processes; what crosses back is the pickled
     traceback *text* (a :class:`RemoteRankError` carrying
     ``remote_traceback``), rendered here exactly like a local one.
@@ -90,8 +90,8 @@ def mpirun(
     where ``virtual_time`` is the rank's final clock — the number the
     scaling benches report.
 
-    ``backend`` selects the execution transport (``"threads"``, ``"mp"``,
-    ``"mpiexec"``); ``None`` defers to the ``REPRO_BACKEND`` environment
+    ``backend`` selects the execution transport (``"threads"``, ``"mp"``);
+    ``None`` defers to the ``REPRO_BACKEND`` environment
     variable, then the ``threads`` default.  Same components, same SCMD
     code paths — only the transport changes.
     """

@@ -36,11 +36,12 @@ What gets shadowed
 * **Patch arrays**: :meth:`repro.samr.dataobject.DataObject.array`
   records an access keyed by the backing ndarray — per-rank storage
   never conflicts, a DataObject leaked across ranks does.
-* **Port calls through a shared component**: armed
-  :meth:`repro.cca.services.Services.get_port` hands out a
-  :class:`SanitizerPortProxy` that records each call against the
-  provider port's identity; per-rank frameworks produce distinct ports,
-  so only genuinely shared instances collide.
+* **Port calls through a shared component**: while armed, the port
+  interception seam (:mod:`repro.cca.portproxy`) records each call
+  against the provider port's identity — two rank-threads calling
+  through the *same* port object means the component instance itself is
+  shared across ranks; per-rank frameworks produce distinct ports, so
+  only genuinely shared instances collide.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ import traceback
 from typing import Any
 
 from repro.errors import DataRaceError
+from repro.util import arming as _arming
 from repro.util import logging as rlog
+from repro.util.options import env_flag
 
 #: Master switch.  Hot paths read this module attribute directly
 #: (``if sanitizer.on:``) — the disabled cost is this one check.
@@ -132,6 +135,7 @@ def configure() -> None:
     global on
     with _lock:
         on = True
+    _arming.bump()
 
 
 def deactivate() -> None:
@@ -139,6 +143,7 @@ def deactivate() -> None:
     with _lock:
         on = False
         _state = None
+    _arming.bump()
 
 
 def active() -> bool:
@@ -239,143 +244,44 @@ def last_sync_of(rank: int) -> str:
 
 
 # -------------------------------------------------------- shadow containers
-class ShadowDict(dict):
-    """dict whose mutators record a sanitized write."""
+def _shadow(base: type, mutators: tuple[str, ...]) -> type:
+    """A ``base`` subclass (``Shadow<Base>``) whose ``mutators`` record a
+    sanitized write, keyed by the ``key=`` it was built with, before
+    doing what ``base`` does."""
+    default_key = f"<{base.__name__}>"
 
-    __slots__ = ("_tsan_key",)
-
-    def __init__(self, *args: Any, key: str = "<dict>", **kw: Any) -> None:
-        super().__init__(*args, **kw)
+    def __init__(self, *args: Any, key: str = default_key, **kw: Any) -> None:
+        base.__init__(self, *args, **kw)
         self._tsan_key = key
 
-    def _w(self) -> None:
-        if on:
-            record_write(self._tsan_key)
+    def recording(name: str):
+        forward = getattr(base, name)
 
-    def __setitem__(self, k, v):
-        self._w()
-        super().__setitem__(k, v)
+        def mutator(self, *args: Any, **kw: Any) -> Any:
+            if on:
+                record_write(self._tsan_key)
+            return forward(self, *args, **kw)
 
-    def __delitem__(self, k):
-        self._w()
-        super().__delitem__(k)
+        mutator.__name__ = name
+        return mutator
 
-    def update(self, *a, **kw):
-        self._w()
-        super().update(*a, **kw)
-
-    def setdefault(self, k, default=None):
-        self._w()
-        return super().setdefault(k, default)
-
-    def pop(self, *a):
-        self._w()
-        return super().pop(*a)
-
-    def popitem(self):
-        self._w()
-        return super().popitem()
-
-    def clear(self):
-        self._w()
-        super().clear()
+    namespace = {"__module__": __name__, "__init__": __init__,
+                 "__doc__": f"{base.__name__} whose mutators record a "
+                            f"sanitized write.",
+                 # class-level fallback: unpickling fills a container
+                 # before its instance state exists
+                 "_tsan_key": default_key}
+    namespace.update((name, recording(name)) for name in mutators)
+    return type(f"Shadow{base.__name__.capitalize()}", (base,), namespace)
 
 
-class ShadowList(list):
-    """list whose mutators record a sanitized write."""
-
-    _tsan_key = "<list>"
-
-    def __init__(self, *args: Any, key: str = "<list>") -> None:
-        super().__init__(*args)
-        self._tsan_key = key
-
-    def _w(self) -> None:
-        if on:
-            record_write(self._tsan_key)
-
-    def __setitem__(self, i, v):
-        self._w()
-        super().__setitem__(i, v)
-
-    def __delitem__(self, i):
-        self._w()
-        super().__delitem__(i)
-
-    def __iadd__(self, other):
-        self._w()
-        return super().__iadd__(other)
-
-    def append(self, v):
-        self._w()
-        super().append(v)
-
-    def extend(self, it):
-        self._w()
-        super().extend(it)
-
-    def insert(self, i, v):
-        self._w()
-        super().insert(i, v)
-
-    def pop(self, i=-1):
-        self._w()
-        return super().pop(i)
-
-    def remove(self, v):
-        self._w()
-        super().remove(v)
-
-    def clear(self):
-        self._w()
-        super().clear()
-
-    def sort(self, **kw):
-        self._w()
-        super().sort(**kw)
-
-    def reverse(self):
-        self._w()
-        super().reverse()
-
-
-class ShadowSet(set):
-    """set whose mutators record a sanitized write."""
-
-    _tsan_key = "<set>"
-
-    def __init__(self, *args: Any, key: str = "<set>") -> None:
-        super().__init__(*args)
-        self._tsan_key = key
-
-    def _w(self) -> None:
-        if on:
-            record_write(self._tsan_key)
-
-    def add(self, v):
-        self._w()
-        super().add(v)
-
-    def update(self, *a):
-        self._w()
-        super().update(*a)
-
-    def discard(self, v):
-        self._w()
-        super().discard(v)
-
-    def remove(self, v):
-        self._w()
-        super().remove(v)
-
-    def pop(self):
-        self._w()
-        return super().pop()
-
-    def clear(self):
-        self._w()
-        super().clear()
-
+ShadowDict = _shadow(dict, ("__setitem__", "__delitem__", "update",
+                            "setdefault", "pop", "popitem", "clear"))
+ShadowList = _shadow(list, ("__setitem__", "__delitem__", "__iadd__",
+                            "append", "extend", "insert", "pop", "remove",
+                            "clear", "sort", "reverse"))
+ShadowSet = _shadow(set, ("add", "update", "discard", "remove", "pop",
+                          "clear"))
 
 _SHADOW_TYPES = {dict: ShadowDict, list: ShadowList, set: ShadowSet}
 
@@ -393,43 +299,9 @@ def instrument_class(cls: type) -> None:
         setattr(cls, name, shadow(value, key=key))
 
 
-# ------------------------------------------------------------- port proxy
-class SanitizerPortProxy:
-    """Forwarding proxy recording calls against the provider port's
-    identity — two rank-threads calling through the *same* port object
-    means the component instance itself is shared across ranks."""
-
-    def __init__(self, target: Any, label: str) -> None:
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_label", label)
-
-    def __getattr__(self, name: str) -> Any:
-        target = object.__getattribute__(self, "_target")
-        value = getattr(target, name)
-        if not callable(value):
-            return value
-        label = object.__getattribute__(self, "_label")
-        # the access key is fixed per (port, method): build it once here,
-        # and cache the wrapper on the proxy so repeated lookups (one per
-        # RHS evaluation on the Table 4 hot path) skip __getattr__
-        key = f"port {label}.{name}() [instance id 0x{id(target):x}]"
-
-        def wrapped(*args: Any, **kwargs: Any) -> Any:
-            if on:
-                record_write(key)
-            return value(*args, **kwargs)
-
-        object.__setattr__(self, name, wrapped)
-        return wrapped
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        setattr(object.__getattribute__(self, "_target"), name, value)
-
-
 def _activate_from_env() -> None:
     """``REPRO_TSAN=1`` arms the sanitizer for the whole process."""
-    flag = os.environ.get("REPRO_TSAN", "").strip().lower()
-    if flag in {"1", "true", "yes", "on"}:
+    if env_flag("REPRO_TSAN", False):
         configure()
 
 

@@ -81,6 +81,7 @@ from repro.obs.trace import (
     instant,
     span,
 )
+from repro.util.options import env_flag
 from repro.util.timing import Stopwatch
 
 __all__ = [
@@ -125,8 +126,7 @@ def tracing(path: str | None = None, metrics_path: str | None = None,
 def _activate_from_env() -> None:
     """``REPRO_TRACE=1`` turns tracing on for the whole process and
     registers an at-exit export — zero application-code changes."""
-    flag = os.environ.get("REPRO_TRACE", "").strip().lower()
-    if flag in ("", "0", "false", "no", "off"):
+    if not env_flag("REPRO_TRACE", False):
         return
     trace.start()
     trace_path = os.environ.get("REPRO_TRACE_PATH", "trace.json")

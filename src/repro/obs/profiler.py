@@ -52,6 +52,7 @@ from contextlib import contextmanager
 from typing import Iterable, NamedTuple
 
 from repro.obs import trace as _trace
+from repro.util.options import env_flag
 
 #: Master switch mirror (True while a module-level sampler is running).
 on: bool = False
@@ -351,8 +352,7 @@ def _activate_from_env() -> None:
     """``REPRO_PROFILE=1`` arms the flight recorder for the whole process
     and registers an at-exit folded-stack export — the same zero-code
     discipline as ``REPRO_TRACE``."""
-    flag = os.environ.get("REPRO_PROFILE", "").strip().lower()
-    if flag in ("", "0", "false", "no", "off"):
+    if not env_flag("REPRO_PROFILE", False):
         return
     interval = float(os.environ.get("REPRO_PROFILE_INTERVAL",
                                     str(DEFAULT_INTERVAL)))

@@ -29,6 +29,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterable, NamedTuple
 
+from repro.util import arming as _arming
 from repro.util.logging import get_rank
 
 #: Master switch.  Hot paths read this module attribute directly
@@ -138,12 +139,14 @@ def start(clear: bool = True) -> None:
         _generation += 1
         _t0 = time.perf_counter()
     on = True
+    _arming.bump()
 
 
 def stop() -> None:
     """Disable tracing; collected events stay readable via :func:`events`."""
     global on
     on = False
+    _arming.bump()
 
 
 def enabled() -> bool:

@@ -13,10 +13,10 @@ module-attribute read.  When armed via :func:`configure`, a
 * **message drop / delay** — :meth:`repro.mpi.comm.Comm.send` consults
   :func:`on_send`; drops are counted and the message silently discarded,
   delays inflate the virtual-time flight cost;
-* **exception injection in a named component method** —
-  :meth:`repro.cca.services.Services.get_port` wraps the matching
-  provider port in a :class:`FaultPortProxy` that raises on the
-  configured N-th call of the named method.
+* **exception injection in a named component method** — the port
+  interception seam (:mod:`repro.cca.portproxy`) calls
+  :func:`on_port_call` before each method of the port the plan targets
+  (:func:`wraps_label`); it raises on the configured N-th call.
 
 Every decision is a pure function of ``(seed, event identity, event
 counter)``, so the same plan against the same program injects the same
@@ -30,6 +30,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.errors import InjectedFault
+from repro.util import arming as _arming
 
 #: Master switch.  Hot paths read this module attribute directly
 #: (``if faults.on:``); it is True exactly while a plan is configured.
@@ -58,7 +59,7 @@ class FaultPlan:
     #: probability that any one send is delayed
     delay_prob: float = 0.0
     #: inject into this port call: ``"Provider:port.method"`` (the
-    #: TracingPortProxy label convention), "" = no method injection
+    #: port span naming convention), "" = no method injection
     inject_method: str = ""
     #: raise on the N-th matching call (1-based)
     inject_call: int = 1
@@ -91,6 +92,7 @@ def configure(plan: FaultPlan) -> None:
         _plan = plan
         _counters = _Counters()
         on = True
+    _arming.bump()
 
 
 def deactivate() -> None:
@@ -99,6 +101,7 @@ def deactivate() -> None:
     with _lock:
         on = False
         _plan = None
+    _arming.bump()
 
 
 def plan() -> FaultPlan | None:
@@ -223,35 +226,6 @@ def on_send(src: int, dest: int, tag: int) -> object | float:
 
 
 # -- hook: CCA port-call path -------------------------------------------------
-class FaultPortProxy:
-    """Forwarding wrapper that raises on the configured method call.
-
-    Mirrors :class:`repro.cca.portproxy.TracingPortProxy` (attribute
-    forwarding, method wrapping) but is resilience-owned so the CCA layer
-    keeps a single ``if faults.on`` check.
-    """
-
-    def __init__(self, target, label: str) -> None:
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_label", label)
-
-    def __getattr__(self, name: str):
-        value = getattr(object.__getattribute__(self, "_target"), name)
-        if not callable(value):
-            return value
-        key = f"{object.__getattribute__(self, '_label')}.{name}"
-
-        def wrapped(*args, **kwargs):
-            if on:
-                on_port_call(key)
-            return value(*args, **kwargs)
-
-        return wrapped
-
-    def __setattr__(self, name: str, value) -> None:
-        setattr(object.__getattribute__(self, "_target"), name, value)
-
-
 def wraps_label(label: str) -> bool:
     """Does the armed plan target a method of the port ``label``?"""
     p = _plan

@@ -188,7 +188,7 @@ def _add_submit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fault", default="",
                    help="fault-injection spec (key=value[,key=value...])")
     p.add_argument("--backend", default="",
-                   help="execution backend: threads | mp | mpiexec "
+                   help="execution backend: threads | mp "
                         "(default: the service default, $REPRO_BACKEND "
                         "then threads); unknown names are rejected at "
                         "admission (RA419)")

@@ -109,7 +109,17 @@ class Options:
         return f"Options({self._data!r})"
 
 
+def env_flag(name: str, default: bool) -> bool:
+    """A boolean environment variable, spelled as :meth:`Options.get_bool`
+    accepts (``1/true/yes/on``, ``0/false/no/off``, any case); unset or
+    empty gives ``default``, anything else raises :class:`ValueError`."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    return Options({name: raw}).get_bool(name)
+
+
 def fast_mode() -> bool:
     """True when the ``REPRO_FAST`` environment flag requests scaled-down
     problem sizes (used by tests and smoke benches)."""
-    return os.environ.get("REPRO_FAST", "").strip() not in ("", "0", "false")
+    return env_flag("REPRO_FAST", False)

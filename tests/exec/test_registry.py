@@ -17,7 +17,7 @@ from repro.exec import (
 def test_builtins_registered():
     names = backend_names()
     assert names[0] == DEFAULT_BACKEND == "threads"
-    assert set(names) >= {"threads", "mp", "mpiexec"}
+    assert names == ["threads", "mp"]
 
 
 def test_resolve_default_is_threads(monkeypatch):
@@ -86,11 +86,24 @@ def test_require_available_names_usable_backends():
     assert "threads" in msg  # points at what *does* work
 
 
-def test_mpiexec_unavailable_without_mpi4py():
-    backend = get_backend("mpiexec")
-    ok, reason = backend.available()
-    if ok:  # environment actually has mpi4py: nothing to assert here
-        pytest.skip("mpi4py is importable in this environment")
-    assert "mpi4py" in reason
-    with pytest.raises(BackendUnavailableError, match="mpi4py"):
-        backend.require_available()
+def test_registered_backend_unavailable_on_this_host():
+    """What a site's MPI bridge looks like where its MPI is missing:
+    resolvable (and did-you-mean-able) by name, refused on use."""
+    class NoMPIHere(ExecBackend):
+        name = "sitempi"
+
+        def available(self):
+            return False, "mpi4py is not importable"
+
+    try:
+        register("sitempi", NoMPIHere)
+        assert "sitempi" in backend_names()
+        with pytest.raises(MPIError, match="did you mean 'sitempi'"):
+            resolve_name("sitmpi")
+        backend = get_backend("sitempi")
+        with pytest.raises(BackendUnavailableError, match="mpi4py"):
+            backend.require_available()
+    finally:
+        from repro import exec as E
+        E._FACTORIES.pop("sitempi", None)
+        E._INSTANCES.pop("sitempi", None)

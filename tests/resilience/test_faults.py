@@ -123,12 +123,15 @@ def test_port_call_injection_fires_on_the_nth_call():
     assert faults.injected_counts()["method_exceptions"] == 1
 
 
-def _strip_sanitizer(port):
-    # under REPRO_TSAN=1 get_port adds a sanitizer proxy even with
-    # faults off; these tests only assert the *fault* layer is absent
-    from repro.mpi import sanitizer
+def _strip_proxy(port):
+    # under REPRO_TSAN=1 / REPRO_TRACE=1 get_port hands out a PortProxy
+    # even with faults off; these tests only assert the *fault* hook is
+    # absent from its chain
+    from repro.cca.portproxy import PortProxy
 
-    if isinstance(port, sanitizer.SanitizerPortProxy):
+    if isinstance(port, PortProxy):
+        *_, inject = object.__getattribute__(port, "_chain")
+        assert not inject
         return object.__getattribute__(port, "_target")
     return port
 
@@ -136,11 +139,11 @@ def _strip_sanitizer(port):
 def test_port_wrap_only_for_targeted_label():
     fw = _echo_assembly()
     faults.configure(faults.FaultPlan(inject_method="Other:out.echo"))
-    port = _strip_sanitizer(fw.services_of("U").get_port("in"))
+    port = _strip_proxy(fw.services_of("U").get_port("in"))
     assert isinstance(port, _EchoPort)  # untargeted port stays raw
 
 
 def test_disabled_injection_returns_raw_port():
     fw = _echo_assembly()
-    port = _strip_sanitizer(fw.services_of("U").get_port("in"))
+    port = _strip_proxy(fw.services_of("U").get_port("in"))
     assert isinstance(port, _EchoPort)  # no proxy when faults.on is False

@@ -94,3 +94,56 @@ def test_fast_mode_env(monkeypatch):
     assert not fast_mode()
     monkeypatch.delenv("REPRO_FAST")
     assert not fast_mode()
+
+
+@pytest.mark.parametrize("default", [False, True])
+@pytest.mark.parametrize("raw,expected", [
+    ("1", True), ("true", True), ("True", True), ("YES", True),
+    (" on ", True),
+    ("0", False), ("false", False), ("False", False), ("no", False),
+    ("OFF", False),
+    ("", None), (None, None),
+])
+def test_env_flag_spellings(monkeypatch, raw, expected, default):
+    from repro.util.options import env_flag
+
+    if raw is None:
+        monkeypatch.delenv("REPRO_TSAN", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_TSAN", raw)
+    want = default if expected is None else expected
+    assert env_flag("REPRO_TSAN", default) is want
+
+
+def test_env_flag_garbage_raises(monkeypatch):
+    from repro.util.options import env_flag
+
+    monkeypatch.setenv("REPRO_TSAN", "ture")
+    with pytest.raises(ValueError, match="REPRO_TSAN"):
+        env_flag("REPRO_TSAN", False)
+
+
+@pytest.mark.parametrize("raw", ["off", "no", "False", "0"])
+def test_fast_mode_off_spellings(monkeypatch, raw):
+    """REPRO_FAST=off used to read as *on* (only ""/"0"/"false" were
+    excluded, case-sensitively)."""
+    from repro.util import fast_mode
+
+    monkeypatch.setenv("REPRO_FAST", raw)
+    assert not fast_mode()
+
+
+def test_flag_sites_share_the_parse(monkeypatch):
+    """The six call sites answer through env_flag: one spelling flips
+    them all the same way."""
+    from repro.bench import trajectory
+    from repro.exec import mp
+
+    monkeypatch.setenv("REPRO_TRAJECTORY", "No")
+    monkeypatch.setenv("REPRO_OBS_SHIP", "Off")
+    assert not trajectory.enabled()
+    assert not mp._obs_ship_enabled()
+    monkeypatch.setenv("REPRO_TRAJECTORY", "yes")
+    monkeypatch.setenv("REPRO_OBS_SHIP", "ON")
+    assert trajectory.enabled()
+    assert mp._obs_ship_enabled()
