@@ -193,11 +193,12 @@ def run_ignition0d_batch(conditions: list[dict[str, float]],
     :func:`run_ignition0d` / the rc-script assembly produces for the
     same condition: the batch replays exactly the driver's arithmetic
     (the ``Initializer`` fill, ``ProblemModeler.configure`` density, a
-    fresh CVODE per output interval via
-    :func:`repro.chemistry.zerod.advance_batch`).  That equivalence is
-    what lets :mod:`repro.serve` answer per-job requests from a
-    coalesced solve — and cache the demultiplexed results under the same
-    keys a sequential run would produce.
+    fresh CVODE per output interval) with the conditions as the columns
+    of one batched solve (:func:`repro.chemistry.zerod.advance_batch`),
+    and no column's arithmetic depends on its neighbours.  That
+    equivalence is what lets :mod:`repro.serve` answer per-job requests
+    from a coalesced solve — and cache the demultiplexed results under
+    the same keys a sequential run would produce.
     """
     from repro.chemistry.h2_air import h2_air_phi
     from repro.chemistry.zerod import advance_batch

@@ -101,10 +101,11 @@ class _LibraryCase:
         self.nfe = 0
 
     def integrate_cell(self) -> None:
-        cv = CVode(self.reactor.rhs, 0.0, self.y_init.copy(),
+        # a batch of one cell, as CvodeComponent hands it to the solver
+        cv = CVode(self.reactor.rhs, 0.0, self.y_init[:, None],
                    rtol=self.rtol, atol=self.atol, method="bdf")
         cv.integrate_to(self.t_end)
-        self.nfe += cv.stats.nfe
+        self.nfe += int(cv.stats.nfe[0])
 
 
 def _timed_interleaved(comp: _ComponentCase, lib: _LibraryCase,

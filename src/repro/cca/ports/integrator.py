@@ -36,9 +36,17 @@ class ODESolverPort(Port):
     interface ``CvodeComponent`` provides."""
 
     def integrate(self, t0: float, y0: np.ndarray, t1: float) -> np.ndarray:
-        """Integrate dy/dt = f(t, y) from t0 to t1 and return y(t1)."""
+        """Integrate dy/dt = f(t, y) from t0 to t1 and return y(t1).
+
+        ``y0`` is ``(n_state, B)`` — one independent system per column,
+        each integrated on its own adaptive trajectory — and the result
+        has the same shape; a single 1-D state ``(n_state,)`` returns
+        ``(n_state,)``.  A column's result does not depend on which
+        other columns share the call.
+        """
         raise NotImplementedError
 
     def last_nfe(self) -> int:
-        """RHS evaluations consumed by the most recent ``integrate``."""
+        """RHS evaluations consumed by the most recent ``integrate``,
+        summed over its columns (each column counts its own)."""
         raise NotImplementedError

@@ -29,9 +29,23 @@ class PatchRHSPort(Port):
 
 class VectorRHSPort(Port):
     """Pointwise source terms for the implicit subsystem (family (e)) —
-    what ``ThermoChemistry`` provides to ``CvodeComponent``."""
+    what ``ThermoChemistry`` provides to ``CvodeComponent``.
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+    The interface hands the kernel a block, not a point: the state
+    carries a trailing cell axis and every cell is an independent system.
+    """
+
+    def rhs(self, t: float | np.ndarray, y: np.ndarray) -> np.ndarray:
+        """dy/dt for a block of cells.
+
+        ``y`` has shape ``(n_state, B)`` — one column per cell — and
+        ``t`` is a scalar or the ``(B,)`` time of each column; returns
+        ``(n_state, B)``.  A single 1-D state ``(n_state,)`` is accepted
+        and returns ``(n_state,)``.  A column's result must not depend,
+        bit for bit, on which other columns share the call (the solver
+        evaluates whatever subset of cells is still iterating, and
+        repeats a cell's column for its finite-difference Jacobian).
+        """
         raise NotImplementedError
 
     def n_state(self) -> int:

@@ -4,6 +4,15 @@ This is the computational heart of the ``ThermoChemistry`` component: given
 temperature and concentrations over a batch of cells it returns net molar
 production rates.  Everything is NumPy-vectorized over the cell axis so a
 patch's worth of chemistry is one call.
+
+**Column independence.**  A cell's result must not depend, bit for bit,
+on which other cells share the call (the batched CVODE, SCMD
+decomposition-independence and the serve cache all rely on it).  Every
+operation here is therefore elementwise along the cell axes, and every
+reduction over species or reactions is an explicit accumulation in index
+order (:func:`species_sum`) — never ``np.dot`` / ``einsum`` /
+``tensordot`` / ``sum(axis=0)``, whose summation order changes with the
+array shape.
 """
 
 from __future__ import annotations
@@ -16,6 +25,27 @@ from repro.chemistry.nasa7 import R_UNIVERSAL
 from repro.chemistry.reaction import P_REF, Reaction
 from repro.chemistry.species import Species
 from repro.errors import ChemistryError
+
+
+def species_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading (species / reaction) axis, one add per row in
+    index order — the same float operations per cell whatever the shape
+    of the trailing cell axes."""
+    acc = terms[0]
+    for k in range(1, len(terms)):
+        acc = acc + terms[k]
+    return acc
+
+
+def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``out[m] = sum_k weights[k, m] * values[k]`` accumulated in index
+    order (the :func:`species_sum` of the products, without holding them
+    all): ``weights`` is (K, M), ``values`` (K, ...), ``out`` (M, ...)."""
+    column = (slice(None),) + (None,) * (values.ndim - 1)
+    acc = np.zeros((weights.shape[1],) + values.shape[1:])
+    for k in range(len(weights)):
+        acc += weights[k][column] * values[k]
+    return acc
 
 
 class Mechanism:
@@ -61,6 +91,44 @@ class Mechanism:
         self.nu_net = self.nu_prod - self.nu_react
         #: Molecular weights [kg/mol], shape (nspecies,).
         self.weights = np.array([sp.weight for sp in self.species])
+        # species-axis NASA-7 tables: (nsp, 7) per range, (nsp,) switch
+        self._nasa_low = np.array([sp.thermo.low for sp in self.species])
+        self._nasa_high = np.array([sp.thermo.high for sp in self.species])
+        self._nasa_t_mid = np.array([sp.thermo.t_mid for sp in self.species])
+        # reaction-axis rate tables (see progress_rates)
+        self._rate_A = np.array([rxn.rate.A for rxn in self.reactions])
+        self._rate_b = np.array([rxn.rate.b for rxn in self.reactions])
+        self._rate_Ea_R = np.array([rxn.rate.Ea / R_UNIVERSAL
+                                    for rxn in self.reactions])
+        self._delta_nu = np.array([float(rxn.delta_nu())
+                                   for rxn in self.reactions])
+        self._reversible = np.array([rxn.reversible
+                                     for rxn in self.reactions], dtype=bool)
+        self._react_slots = self._slot_table(
+            [rxn.reactants for rxn in self.reactions])
+        self._prod_slots = self._slot_table(
+            [rxn.products for rxn in self.reactions])
+        #: reactions with a third body, and their collision efficiencies
+        self._third_body = [j for j, rxn in enumerate(self.reactions)
+                            if rxn.has_third_body]
+        self._efficiency = np.ones((len(self._third_body), ns))
+        for row, j in enumerate(self._third_body):
+            for nm, eff in self.reactions[j].third_body.items():
+                self._efficiency[row, self._index[nm]] = eff
+
+    def _slot_table(self, sides: Sequence[dict[str, int]]) -> np.ndarray:
+        """One side of every reaction as ``(slots, nr)`` species indices,
+        a species of coefficient ν filling ν slots; unused slots hold
+        ``n_species``, the row of ones :meth:`progress_rates` appends to
+        the concentrations."""
+        width = max((sum(side.values()) for side in sides), default=0)
+        table = np.full((width, len(sides)), len(self.species), dtype=int)
+        for j, side in enumerate(sides):
+            slot = 0
+            for nm, nu in side.items():
+                table[slot:slot + nu, j] = self._index[nm]
+                slot += nu
+        return table
 
     # -- bookkeeping ---------------------------------------------------------
     @property
@@ -96,11 +164,53 @@ class Mechanism:
         return Mechanism(self.name, self.species,
                          [rxn.scaled(factor) for rxn in self.reactions])
 
+    # -- species-axis NASA-7 (all species in one Horner pass) ------------------
+    def _nasa_coeffs(self, T: np.ndarray) -> np.ndarray:
+        """Range-selected coefficients, shape ``(nsp, 7) + T.shape``."""
+        cells = (None,) * T.ndim
+        use_high = T >= self._nasa_t_mid[(slice(None), None) + cells]
+        table = (slice(None), slice(None)) + cells
+        return np.where(use_high, self._nasa_high[table],
+                        self._nasa_low[table])
+
+    # The four evaluators keep the expression order of
+    # :class:`~repro.chemistry.nasa7.Nasa7` term for term, so each species
+    # row is bitwise the per-species value.
+    def cp_R(self, T: np.ndarray | float) -> np.ndarray:
+        """cp/R of every species, shape ``(nsp,) + T.shape``."""
+        T = np.asarray(T, dtype=float)
+        a = self._nasa_coeffs(T)
+        return a[:, 0] + T * (a[:, 1] + T * (a[:, 2] + T * (a[:, 3]
+                                                            + T * a[:, 4])))
+
+    def h_RT(self, T: np.ndarray | float) -> np.ndarray:
+        """h/(RT) of every species, shape ``(nsp,) + T.shape``."""
+        T = np.asarray(T, dtype=float)
+        a = self._nasa_coeffs(T)
+        return (a[:, 0] + T * (a[:, 1] / 2 + T * (a[:, 2] / 3 + T * (
+            a[:, 3] / 4 + T * a[:, 4] / 5))) + a[:, 5] / T)
+
+    def s_R(self, T: np.ndarray | float) -> np.ndarray:
+        """s/R (standard state) of every species."""
+        T = np.asarray(T, dtype=float)
+        a = self._nasa_coeffs(T)
+        return (a[:, 0] * np.log(T) + T * (a[:, 1] + T * (a[:, 2] / 2 + T * (
+            a[:, 3] / 3 + T * a[:, 4] / 4))) + a[:, 6])
+
+    def g_RT(self, T: np.ndarray | float) -> np.ndarray:
+        """g/(RT) = h/(RT) - s/R of every species."""
+        return self.h_RT(T) - self.s_R(T)
+
+    def per_species(self, values: np.ndarray, like: np.ndarray) -> np.ndarray:
+        """``(nsp,)`` constants shaped to broadcast against ``like``'s
+        trailing cell axes (``like`` has shape ``(nsp, ...)``)."""
+        return values.reshape((-1,) + (1,) * (np.ndim(like) - 1))
+
     # -- mixture thermodynamics (mass basis, vectorized over cells) ----------
     def mean_weight(self, Y: np.ndarray) -> np.ndarray:
         """Mixture molecular weight [kg/mol]; ``Y`` shape (nsp, ...)."""
-        return 1.0 / np.einsum("i...,i->...", np.asarray(Y),
-                               1.0 / self.weights)
+        Y = np.asarray(Y)
+        return 1.0 / species_sum(Y * self.per_species(1.0 / self.weights, Y))
 
     def density(self, T: np.ndarray, P: np.ndarray | float,
                 Y: np.ndarray) -> np.ndarray:
@@ -116,14 +226,17 @@ class Mechanism:
 
     def concentrations(self, rho: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Molar concentrations [mol/m^3], shape (nsp, ...)."""
-        return (np.asarray(rho) * np.asarray(Y)
-                / self.weights.reshape((-1,) + (1,) * (np.ndim(Y) - 1)))
+        Y = np.asarray(Y)
+        return np.asarray(rho) * Y / self.per_species(self.weights, Y)
+
+    def cp_mass_species(self, T: np.ndarray) -> np.ndarray:
+        """Per-species specific heats cp [J/(kg K)], shape (nsp, ...)."""
+        cp = self.cp_R(T)
+        return cp * R_UNIVERSAL / self.per_species(self.weights, cp)
 
     def cp_mass(self, T: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Mixture specific heat at constant pressure [J/(kg K)]."""
-        cps = np.stack([sp.thermo.cp_mol(T) / sp.weight
-                        for sp in self.species])
-        return np.einsum("i...,i...->...", np.asarray(Y), cps)
+        return species_sum(np.asarray(Y) * self.cp_mass_species(T))
 
     def cv_mass(self, T: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Mixture specific heat at constant volume [J/(kg K)]."""
@@ -132,64 +245,66 @@ class Mechanism:
 
     def h_mass_species(self, T: np.ndarray) -> np.ndarray:
         """Per-species specific enthalpies [J/kg], shape (nsp, ...)."""
-        return np.stack([sp.thermo.h_mol(T) / sp.weight
-                         for sp in self.species])
+        T = np.asarray(T, dtype=float)
+        h = self.h_RT(T) * R_UNIVERSAL * T
+        return h / self.per_species(self.weights, h)
 
     def u_mass_species(self, T: np.ndarray) -> np.ndarray:
         """Per-species specific internal energies [J/kg]."""
         T = np.asarray(T, dtype=float)
         h = self.h_mass_species(T)
-        return h - R_UNIVERSAL * T / self.weights.reshape(
-            (-1,) + (1,) * (np.ndim(T)))
+        return h - R_UNIVERSAL * T / self.per_species(self.weights, h)
 
     def h_mass(self, T: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Mixture specific enthalpy [J/kg]."""
-        return np.einsum("i...,i...->...", np.asarray(Y),
-                         self.h_mass_species(T))
+        return species_sum(np.asarray(Y) * self.h_mass_species(T))
 
     # -- kinetics -------------------------------------------------------------
     def progress_rates(self, T: np.ndarray, C: np.ndarray) -> np.ndarray:
         """Net rate of progress per reaction [mol/(m^3 s)].
 
         ``T`` shape (...,), ``C`` shape (nsp, ...).  Reverse rates follow
-        from NASA-7 equilibrium constants.
+        from NASA-7 equilibrium constants.  All reactions are evaluated
+        together on ``(nr, ...)`` arrays; only the few third-body and
+        falloff reactions get a line of their own.
         """
         T = np.asarray(T, dtype=float)
         C = np.maximum(np.asarray(C, dtype=float), 0.0)
-        g_RT = np.stack([sp.thermo.g_RT(T) for sp in self.species])
-        RT_over_P = R_UNIVERSAL * T / P_REF
-        q = np.zeros((self.n_reactions,) + T.shape)
-        for j, rxn in enumerate(self.reactions):
-            kf = rxn.rate.k(T)
-            conc_m = None
-            if rxn.has_third_body:
-                conc_m = C.sum(axis=0).astype(float)
-                for nm, eff in rxn.third_body.items():
-                    conc_m = conc_m + (eff - 1.0) * C[self._index[nm]]
-            if rxn.falloff is not None:
-                kf = rxn.falloff.blend(kf, T, conc_m)
-            fwd = kf
-            for nm, nu in rxn.reactants.items():
-                fwd = fwd * C[self._index[nm]] ** nu
-            rate = fwd
-            if rxn.reversible:
-                dg = (self.nu_net[:, j][(...,) + (None,) * T.ndim]
-                      * g_RT).sum(axis=0)
-                ln_kc = -dg - rxn.delta_nu() * np.log(RT_over_P)
-                kr = kf * np.exp(-np.clip(ln_kc, -600, 600))
-                rev = kr
-                for nm, nu in rxn.products.items():
-                    rev = rev * C[self._index[nm]] ** nu
-                rate = rate - rev
-            if rxn.has_third_body and rxn.falloff is None:
-                rate = rate * conc_m
-            q[j] = rate
+        per_rxn = (slice(None),) + (None,) * T.ndim
+        log_T = np.log(T)
+        # k = A T^b exp(-Ea/RT), the transcendental on a fresh array
+        kf = self._rate_A[per_rxn] * np.exp(
+            self._rate_b[per_rxn] * log_T - self._rate_Ea_R[per_rxn] / T)
+        conc_m = None
+        if self._third_body:
+            conc_m = _weighted_sum(self._efficiency.T, C)
+            for row, j in enumerate(self._third_body):
+                falloff = self.reactions[j].falloff
+                if falloff is not None:
+                    kf[j] = falloff.blend(kf[j], T, conc_m[row])
+        # equilibrium: ln Kc = -Σ ν g/RT - Δν ln(RT/P_ref)
+        dg = _weighted_sum(self.nu_net, self.g_RT(T))
+        ln_kc = -dg - self._delta_nu[per_rxn] * np.log(
+            R_UNIVERSAL * T / P_REF)
+        kr = kf * np.exp(-np.clip(ln_kc, -600, 600))
+        kr[~self._reversible] = 0.0
+        # mass action: each side's concentrations, one slot at a time
+        C1 = np.concatenate((C, np.ones((1,) + C.shape[1:])))
+        fwd = kf
+        for slot in self._react_slots:
+            fwd = fwd * C1[slot]
+        rev = kr
+        for slot in self._prod_slots:
+            rev = rev * C1[slot]
+        q = fwd - rev
+        for row, j in enumerate(self._third_body):
+            if self.reactions[j].falloff is None:
+                q[j] *= conc_m[row]
         return q
 
     def wdot(self, T: np.ndarray, C: np.ndarray) -> np.ndarray:
         """Net molar production rates [mol/(m^3 s)], shape (nsp, ...)."""
-        q = self.progress_rates(T, C)
-        return np.tensordot(self.nu_net, q, axes=([1], [0]))
+        return _weighted_sum(self.nu_net.T, self.progress_rates(T, C))
 
     def __repr__(self) -> str:
         return (f"Mechanism({self.name}: {self.n_species} species, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chemistry.mechanism import Mechanism
+from repro.chemistry.mechanism import Mechanism, species_sum
 from repro.chemistry.nasa7 import R_UNIVERSAL
 from repro.errors import ChemistryError
 
@@ -29,7 +29,7 @@ class ConstantPressureReactor:
             raise ChemistryError(f"non-positive pressure {pressure}")
         self.mech = mech
         self.pressure = float(pressure)
-        self.nfe = 0  #: number of RHS evaluations (Table 4's NFE)
+        self.nfe = 0  #: number of RHS calls (Table 4's NFE)
 
     @property
     def n_state(self) -> int:
@@ -42,20 +42,32 @@ class ConstantPressureReactor:
     def unpack(self, y: np.ndarray) -> tuple[float, np.ndarray]:
         return float(y[0]), np.asarray(y[1:])
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """dy/dt = G(y) at constant pressure."""
+    def rhs(self, t, y: np.ndarray) -> np.ndarray:
+        """dy/dt = G(y) at constant pressure; ``y`` is one state or one
+        column per cell, ``(ns + 1, B)``."""
         self.nfe += 1
-        mech = self.mech
-        T = max(float(y[0]), 50.0)
-        Y = np.clip(y[1:], 0.0, None)
-        rho = mech.density(T, self.pressure, Y)
-        C = mech.concentrations(rho, Y)
-        wdot = mech.wdot(T, C)
-        dY = wdot * mech.weights / rho
-        h = mech.h_mass_species(T)
-        cp = mech.cp_mass(T, Y)
-        dT = -float(np.dot(h, wdot * mech.weights)) / (rho * cp)
-        return np.concatenate(([dT], dY))
+        y = np.asarray(y, dtype=float)
+        dT, dY = constant_pressure_source(self.mech, self.pressure,
+                                          np.maximum(y[0], 50.0), y[1:])
+        return np.concatenate((dT[None], dY))
+
+
+def constant_pressure_source(mech: Mechanism, pressure: float, T, Y
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """``(dT/dt, dY/dt)`` of adiabatic constant-pressure chemistry,
+    vectorized over trailing cell axes: ``T`` shape (...), ``Y`` shape
+    (nsp, ...).  Shared by :class:`ConstantPressureReactor` and the
+    ``ThermoChemistry`` component."""
+    T = np.asarray(T, dtype=float)
+    Y = np.clip(np.asarray(Y, dtype=float), 0.0, None)
+    rho = mech.density(T, pressure, Y)
+    C = mech.concentrations(rho, Y)
+    mass_rate = mech.wdot(T, C) * mech.per_species(mech.weights, Y)
+    dY = mass_rate / rho
+    h = mech.h_mass_species(T)
+    cp = mech.cp_mass(T, Y)
+    dT = -species_sum(h * mass_rate) / (rho * cp)
+    return dT, dY
 
 
 class ConstantVolumeReactor:
@@ -75,6 +87,7 @@ class ConstantVolumeReactor:
         #: fixed density set by the initial fill [kg/m^3]
         self.rho = float(mech.density(T0, P0, state0[1:]))
         self._y0 = np.concatenate((state0, [P0]))
+        self._rhs = constant_volume_rhs(mech, self.rho)
         self.nfe = 0
 
     @property
@@ -87,64 +100,77 @@ class ConstantVolumeReactor:
     def unpack(self, y: np.ndarray) -> tuple[float, np.ndarray, float]:
         return float(y[0]), np.asarray(y[1:-1]), float(y[-1])
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """dy/dt = G(y) at constant mass and volume."""
+    def rhs(self, t, y: np.ndarray) -> np.ndarray:
+        """dy/dt = G(y) at constant mass and volume; ``y`` is one state
+        or one column per cell, ``(ns + 2, B)``."""
         self.nfe += 1
-        mech = self.mech
-        T = max(float(y[0]), 50.0)
-        Y = np.clip(y[1:-1], 0.0, None)
-        rho = self.rho
-        C = mech.concentrations(rho, Y)
-        wdot = mech.wdot(T, C)
-        dY = wdot * mech.weights / rho
-        u = mech.u_mass_species(T)
-        cv = mech.cv_mass(T, Y)
-        dT = -float(np.dot(u, wdot * mech.weights)) / (rho * cv)
-        dP = self.dPdt(T, Y, dT, dY)
-        return np.concatenate(([dT], dY, [dP]))
+        return self._rhs(t, y)
 
-    def dPdt(self, T: float, Y: np.ndarray, dT: float,
-             dY: np.ndarray) -> float:
-        """Pressure evolution for the rigid adiabatic vessel.
 
-        From P = ρ R T / W̄ with ρ fixed:
-        dP/dt = ρ R (dT/dt / W̄ + T Σ_i (dY_i/dt) / W_i).
-        This is exactly what the paper's ``dPdt`` component supplies to the
-        heat equation through the ``problemModeler`` adaptor.
-        """
-        mech = self.mech
-        inv_W = float(np.dot(Y, 1.0 / mech.weights))
-        dinv_W = float(np.dot(dY, 1.0 / mech.weights))
-        return self.rho * R_UNIVERSAL * (dT * inv_W + T * dinv_W)
+def constant_volume_source(mech: Mechanism, rho, y: np.ndarray
+                           ) -> tuple[np.ndarray, ...]:
+    """``(T, Y, dT/dt, dY/dt)`` of the rigid adiabatic vessel — the
+    constant-volume heat equation (cv and internal energies) over
+    ``y = [T, Y..., P]``, one state or one column per cell with a
+    matching per-column ``rho``.
+
+    The one place this arithmetic lives: :func:`constant_volume_dydt`
+    and the ``ProblemModeler`` component both call it and then add their
+    pressure closure.
+    """
+    y = np.asarray(y, dtype=float)
+    T = np.maximum(y[0], 50.0)
+    Y = np.clip(y[1:-1], 0.0, None)
+    C = mech.concentrations(rho, Y)
+    mass_rate = mech.wdot(T, C) * mech.per_species(mech.weights, Y)
+    dY = mass_rate / rho
+    u = mech.u_mass_species(T)
+    cv = mech.cv_mass(T, Y)
+    dT = -species_sum(u * mass_rate) / (rho * cv)
+    return T, Y, dT, dY
+
+
+def rigid_vessel_dpdt(mech: Mechanism, rho, T, Y: np.ndarray, dT,
+                      dY: np.ndarray):
+    """Pressure evolution for the rigid adiabatic vessel.
+
+    From P = ρ R T / W̄ with ρ fixed:
+    dP/dt = ρ R (dT/dt / W̄ + T Σ_i (dY_i/dt) / W_i).
+    This is exactly what the paper's ``dPdt`` component supplies to the
+    heat equation through the ``problemModeler`` adaptor.
+    """
+    inv_weights = mech.per_species(1.0 / mech.weights, Y)
+    inv_W = species_sum(Y * inv_weights)
+    dinv_W = species_sum(dY * inv_weights)
+    return rho * R_UNIVERSAL * (dT * inv_W + T * dinv_W)
+
+
+def constant_volume_dydt(mech: Mechanism, rho, y: np.ndarray) -> np.ndarray:
+    """dy/dt of rigid adiabatic vessels of fixed density over
+    ``y = [T, Y..., P]``: one state with a scalar ``rho``, or one column
+    per vessel, ``(ns + 2, B)``, with ``rho`` a scalar or ``(B,)``.
+
+    Shares :func:`constant_volume_source` and :func:`rigid_vessel_dpdt`
+    with the assembled component path (``ProblemModeler`` + ``DPDt``),
+    and both are column independent (see
+    :mod:`repro.chemistry.mechanism`), so a column solved against this
+    function is bitwise identical to the same condition solved through
+    the CCA assembly — the contract the :mod:`repro.serve` batch planner
+    relies on when it answers a job from a coalesced solve instead of a
+    framework run.
+    """
+    T, Y, dT, dY = constant_volume_source(mech, rho, y)
+    dP = rigid_vessel_dpdt(mech, rho, T, Y, dT, dY)
+    return np.concatenate((dT[None], dY, dP[None]))
 
 
 def constant_volume_rhs(mech: Mechanism, rho: float):
-    """``f(t, y) -> dy/dt`` for one rigid adiabatic vessel of fixed
-    density ``rho`` over ``y = [T, Y..., P]``.
-
-    This closure performs *operation-for-operation* the same float
-    arithmetic as the assembled component path
-    (:class:`repro.components.problem_modeler.ProblemModeler`'s RHS plus
-    the ``DPDt`` closure), so a solve against it is bitwise identical to
-    a solve through the CCA assembly — the contract the
-    :mod:`repro.serve` batch planner relies on when it answers a job
-    from a coalesced solve instead of a framework run.
-    """
+    """``f(t, y) -> dy/dt`` closing :func:`constant_volume_dydt` over one
+    fixed vessel density."""
     rho = float(rho)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        T = max(float(y[0]), 50.0)
-        Y = np.clip(y[1:-1], 0.0, None)
-        C = mech.concentrations(rho, Y)
-        wdot = mech.wdot(T, C)
-        dY = wdot * mech.weights / rho
-        u = mech.u_mass_species(np.asarray(T, dtype=float))
-        cv = mech.cv_mass(T, Y)
-        dT = -float(np.dot(u, wdot * mech.weights)) / (rho * cv)
-        inv_W = float(np.dot(Y, 1.0 / mech.weights))
-        dinv_W = float(np.dot(dY, 1.0 / mech.weights))
-        dP = rho * R_UNIVERSAL * (dT * inv_W + T * dinv_W)
-        return np.concatenate(([dT], dY, [dP]))
+    def rhs(t, y: np.ndarray) -> np.ndarray:
+        return constant_volume_dydt(mech, rho, y)
 
     return rhs
 
@@ -169,19 +195,16 @@ def advance_batch(mech: Mechanism, rhos: np.ndarray, states: np.ndarray,
                   atol: float = 1e-12,
                   method: str = "bdf") -> BatchAdvanceResult:
     """Advance a batch of independent constant-volume reactors from
-    ``t0`` to ``t1`` in one call.
+    ``t0`` to ``t1`` in one batched stiff solve.
 
     ``states`` has shape ``(B, n_species + 2)`` — one ``[T, Y..., P]``
     row per condition — and ``rhos`` the matching fixed vessel
-    densities.  Every condition keeps its *own* adaptive solver
-    trajectory (a fresh CVODE per row, exactly as
-    :class:`~repro.components.cvode_component.CvodeComponent` creates a
-    fresh integrator per ``integrate`` call), so the result of each row
-    is bitwise identical to solving that condition alone; what the batch
-    amortizes is everything around the solve — one mechanism build, one
-    process, one scheduling decision for B requests.  A future
-    lockstep-vectorized Newton (ROADMAP item 1) can slot in behind this
-    signature without changing callers.
+    densities.  The rows become the columns of one
+    :class:`~repro.integrators.cvode.CVode`; every condition keeps its
+    own adaptive step/order trajectory there, and column independence
+    makes each row bitwise identical to solving that condition alone
+    (as :class:`~repro.components.cvode_component.CvodeComponent` does
+    per ``integrate`` call).
     """
     states = np.asarray(states, dtype=float)
     rhos = np.asarray(rhos, dtype=float)
@@ -193,17 +216,12 @@ def advance_batch(mech: Mechanism, rhos: np.ndarray, states: np.ndarray,
             f"rhos must be ({states.shape[0]},), got {rhos.shape}")
     from repro.integrators.cvode import CVode
 
-    out = np.empty_like(states)
-    nfe = np.zeros(states.shape[0], dtype=int)
-    nsteps = np.zeros(states.shape[0], dtype=int)
-    for i in range(states.shape[0]):
-        cv = CVode(constant_volume_rhs(mech, rhos[i]), float(t0),
-                   np.asarray(states[i], dtype=float), rtol=rtol, atol=atol,
-                   method=method)
-        out[i] = cv.integrate_to(float(t1))
-        nfe[i] = cv.stats.nfe
-        nsteps[i] = cv.stats.nsteps
-    return BatchAdvanceResult(out, nfe, nsteps)
+    cv = CVode(lambda t, y, rho: constant_volume_dydt(mech, rho, y),
+               float(t0), np.ascontiguousarray(states.T), args=(rhos,),
+               rtol=rtol, atol=atol, method=method)
+    out = cv.integrate_to(float(t1))
+    return BatchAdvanceResult(np.ascontiguousarray(out.T), cv.stats.nfe,
+                              cv.stats.nsteps)
 
 
 def _pack_state(mech: Mechanism, T0: float,

@@ -5,7 +5,10 @@ time-advances the system as it ignites.  This is a thin wrapper around the
 Cvode integrator library."  (paper §4.1)  Our wrapped "library" is
 :class:`repro.integrators.cvode.CVode`.
 
-Provides ``solver`` (ODESolverPort); uses ``rhs`` (VectorRHSPort).
+Provides ``solver`` (ODESolverPort); uses ``rhs`` (VectorRHSPort).  One
+``integrate`` call is one batched solve over the columns of ``y0`` — a
+single state, or every hot cell of a chemistry half-step — each column on
+its own adaptive trajectory.
 Parameters: ``rtol``, ``atol``, ``method`` (``bdf``/``adams``).
 """
 
@@ -28,18 +31,20 @@ class _Solver(ODESolverPort):
     def integrate(self, t0: float, y0: np.ndarray, t1: float) -> np.ndarray:
         rhs_port = self.owner.services.get_port("rhs")
         p = self.owner.services.parameters
+        y0 = np.asarray(y0, dtype=float)
+        # a single state is a batch of one: the port's RHS is batched
         cv = CVode(
             rhs_port.rhs,
             t0,
-            np.asarray(y0, dtype=float),
+            y0.reshape(len(y0), -1),
             rtol=p.get_float("rtol", 1e-8),
             atol=p.get_float("atol", 1e-12),
             method=p.get_str("method", "bdf"),
         )
-        y = cv.integrate_to(t1)
-        self._last_nfe = cv.stats.nfe
-        self.total_nfe += cv.stats.nfe
-        self.total_steps += cv.stats.nsteps
+        y = cv.integrate_to(t1).reshape(y0.shape)
+        self._last_nfe = int(cv.stats.nfe.sum())
+        self.total_nfe += self._last_nfe
+        self.total_steps += int(cv.stats.nsteps.sum())
         return y
 
     def last_nfe(self) -> int:

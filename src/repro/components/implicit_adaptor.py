@@ -3,12 +3,16 @@
 "The ImplicitIntegrator component is an Adaptor that calls on the Implicit
 Integration subsystem for all cells and all patches."  (paper §4.2)
 
-For every owned patch of the flame DataObject it extracts the pointwise
-state ``[T, Y...]`` and hands it to the connected ODESolverPort (the
-``CvodeComponent`` / ``ThermoChemistry`` pair).  Two fidelity modes:
+It extracts the pointwise state ``[T, Y...]`` of the flame DataObject and
+hands it to the connected ODESolverPort (the ``CvodeComponent`` /
+``ThermoChemistry`` pair).  Two fidelity modes:
 
 * ``mode = "cvode"`` (default) — one stiff integration per cell, the
-  paper's scheme.
+  paper's scheme: the cells at or above ``skip_below_T`` of *all* owned
+  patches become the columns of one ``solver.integrate(t, Y_hot, t + dt)``
+  call.  Each column keeps its own adaptive trajectory and its result
+  does not depend on which cells share the call, so the field is the same
+  however the mesh is split across patches and ranks.
 * ``mode = "batch"`` — vectorized explicit sub-stepping of the chemical
   source over whole patches; used by the scaling benches where the paper
   itself notes "the compute time per mesh point ... can be predicted"
@@ -87,19 +91,25 @@ class ImplicitIntegrator(Component):
         solver = self.services.get_port("solver")
         t_threshold = float(
             self.services.get_parameter("skip_below_T", 0.0))
+        # gather the hot cells of every owned patch into the columns of
+        # one batched solve; cold cells (chemistry frozen) stay untouched
+        blocks = []
         for patch in dobj.owned_patches():
             interior = dobj.interior(patch)
-            nvar, nx, ny = interior.shape
-            # interior is a strided view; reshape would copy silently, so
-            # work on an explicit copy and write the block back at the end
-            flat = np.ascontiguousarray(interior).reshape(nvar, -1)
-            for c in range(flat.shape[1]):
-                if flat[0, c] < t_threshold:
-                    continue  # cold cell: chemistry frozen (cheap skip)
-                y0 = flat[:, c].copy()
-                flat[:, c] = solver.integrate(t, y0, t + dt)
-                port.cells_integrated += 1
-            interior[...] = flat.reshape(nvar, nx, ny)
+            hot = interior[0] >= t_threshold
+            if hot.any():
+                blocks.append((interior, hot))
+        if not blocks:
+            return
+        y0 = np.concatenate([interior[:, hot] for interior, hot in blocks],
+                            axis=1)
+        y1 = solver.integrate(t, y0, t + dt)
+        port.cells_integrated += y0.shape[1]
+        start = 0
+        for interior, hot in blocks:
+            stop = start + int(hot.sum())
+            interior[:, hot] = y1[:, start:stop]
+            start = stop
 
     # -- vectorized bench mode: explicit sub-stepped source -----------------
     def _advance_batch(self, dobj: DataObject, t: float, dt: float,

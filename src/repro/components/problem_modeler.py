@@ -21,7 +21,7 @@ import numpy as np
 from repro.cca.component import Component
 from repro.cca.ports.physics import DPDtPort
 from repro.cca.ports.rhs import VectorRHSPort
-from repro.chemistry.nasa7 import R_UNIVERSAL
+from repro.chemistry.zerod import constant_volume_source, rigid_vessel_dpdt
 from repro.errors import CCAError
 
 
@@ -29,13 +29,10 @@ class _DPDtImpl(DPDtPort):
     def __init__(self, owner: "DPDt") -> None:
         self.owner = owner
 
-    def dpdt(self, rho: float, T: float, Y: np.ndarray, dT: float,
-             dY: np.ndarray) -> float:
+    def dpdt(self, rho, T, Y: np.ndarray, dT, dY: np.ndarray):
         """dP/dt = ρ R (Ṫ/W̄ + T d(1/W̄)/dt) for fixed ρ (rigid walls)."""
         mech = self.owner.services.get_port("chem").mechanism()
-        inv_W = float(np.dot(Y, 1.0 / mech.weights))
-        dinv_W = float(np.dot(dY, 1.0 / mech.weights))
-        return rho * R_UNIVERSAL * (dT * inv_W + T * dinv_W)
+        return rigid_vessel_dpdt(mech, rho, T, Y, dT, dY)
 
 
 class DPDt(Component):
@@ -48,7 +45,8 @@ class DPDt(Component):
 
 
 class _ModelRHS(VectorRHSPort):
-    """Constant-volume RHS assembled from the chemistry + dPdt ports.
+    """Constant-volume RHS assembled from the chemistry + dPdt ports,
+    over one state or one column per cell (all sharing the vessel density).
 
     Carries one extra, narrower-interface method (``configure``) that
     fixes the vessel density from the initial fill — drivers call it once
@@ -66,25 +64,16 @@ class _ModelRHS(VectorRHSPort):
         mech = self.owner.services.get_port("chem").mechanism()
         return mech.n_species + 2
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(self, t, y: np.ndarray) -> np.ndarray:
         self.nfe += 1
         owner = self.owner
-        chem = owner.services.get_port("chem")
-        mech = chem.mechanism()
-        T = max(float(y[0]), 50.0)
-        Y = np.clip(y[1:-1], 0.0, None)
+        mech = owner.services.get_port("chem").mechanism()
         rho = owner.rho
         if rho is None:
             raise CCAError("ProblemModeler: call set_initial_density first")
-        C = mech.concentrations(rho, Y)
-        wdot = mech.wdot(T, C)
-        dY = wdot * mech.weights / rho
-        # constant-volume heat equation: cv and internal energies
-        u = mech.u_mass_species(np.asarray(T, dtype=float))
-        cv = mech.cv_mass(T, Y)
-        dT = -float(np.dot(u, wdot * mech.weights)) / (rho * cv)
+        T, Y, dT, dY = constant_volume_source(mech, rho, y)
         dP = owner.services.get_port("dpdt").dpdt(rho, T, Y, dT, dY)
-        return np.concatenate(([dT], dY, [dP]))
+        return np.concatenate((dT[None], dY, dP[None]))
 
 
 class ProblemModeler(Component):

@@ -28,6 +28,7 @@ from repro.cca.ports.rhs import VectorRHSPort
 from repro.chemistry.h2_air import h2_air_mechanism
 from repro.chemistry.h2_lite import h2_lite_mechanism
 from repro.chemistry.mechanism import Mechanism
+from repro.chemistry.zerod import constant_pressure_source
 from repro.errors import CCAError
 
 _MECHS = {
@@ -37,19 +38,18 @@ _MECHS = {
 
 
 class _Source(VectorRHSPort):
-    """Constant-pressure reactor RHS over y = [T, Y_0..Y_{ns-1}]."""
+    """Constant-pressure reactor RHS over y = [T, Y_0..Y_{ns-1}], one
+    column per cell (``y`` shape ``(ns + 1, B)``, or a single 1-D state)."""
 
     def __init__(self, owner: "ThermoChemistry") -> None:
         self.owner = owner
-        self.nfe = 0
+        self.nfe = 0  #: calls (each may carry many cells)
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(self, t, y: np.ndarray) -> np.ndarray:
         self.nfe += 1
-        mech = self.owner.mech
-        T = max(float(y[0]), 50.0)
-        Y = np.clip(y[1:], 0.0, None)
-        dT, dY = self.owner.source_terms(np.array(T), Y)
-        return np.concatenate(([float(dT)], dY))
+        y = np.asarray(y, dtype=float)
+        dT, dY = self.owner.source_terms(np.maximum(y[0], 50.0), y[1:])
+        return np.concatenate((dT[None], dY))
 
     def n_state(self) -> int:
         return self.owner.mech.n_species + 1
@@ -134,16 +134,4 @@ class ThermoChemistry(Component):
 
         ``T`` shape (...), ``Y`` shape (nsp, ...).
         """
-        mech = self.mech
-        T = np.asarray(T, dtype=float)
-        Y = np.clip(np.asarray(Y, dtype=float), 0.0, None)
-        rho = mech.density(T, self.pressure, Y)
-        C = mech.concentrations(rho, Y)
-        wdot = mech.wdot(T, C)
-        shape = (-1,) + (1,) * T.ndim
-        dY = wdot * mech.weights.reshape(shape) / rho
-        h = mech.h_mass_species(T)
-        cp = mech.cp_mass(T, Y)
-        dT = -np.einsum("i...,i...->...", h,
-                        wdot * mech.weights.reshape(shape)) / (rho * cp)
-        return dT, dY
+        return constant_pressure_source(self.mech, self.pressure, T, Y)

@@ -14,25 +14,17 @@ Three layers, composable but separable:
   periodically, detects failures and restarts from the latest valid
   checkpoint with bounded retries.
 
-This package root stays import-light (errors/samr/numpy only): the CCA
+This package root stays import-light (errors/util only): the CCA
 services layer and the MPI communicator import :mod:`.faults` for their
-hot-path hooks, so pulling in :mod:`repro.cca` here would be a cycle.
-The hooks and runner modules (which do use cca) are imported lazily by
-the drivers and the CLI.
+hot-path hooks, and :mod:`.checkpoint` imports :mod:`repro.samr`, which
+imports the communicator — so the checkpoint names below resolve on first
+use instead of at package load (an eager import closes that cycle
+whenever ``repro.samr`` or ``repro.mpi`` is the first import).  The hooks
+and runner modules (which use cca) are imported by the drivers and the
+CLI.
 """
 
 from repro.resilience import faults
-from repro.resilience.checkpoint import (
-    APP_FORMAT_VERSION,
-    AppCheckpoint,
-    checkpoint_steps,
-    is_valid_step,
-    latest_valid_step,
-    load_app_checkpoint,
-    prune_old_steps,
-    save_app_checkpoint,
-    step_prefix,
-)
 from repro.resilience.faults import DROP, FaultPlan
 from repro.resilience.protocol import Checkpointable, is_checkpointable
 
@@ -52,3 +44,11 @@ __all__ = [
     "save_app_checkpoint",
     "step_prefix",
 ]
+
+
+def __getattr__(name: str):
+    # the checkpoint names of __all__, resolved on first use (see above)
+    if name in __all__:
+        from repro.resilience import checkpoint
+        return getattr(checkpoint, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

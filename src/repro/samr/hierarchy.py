@@ -12,6 +12,7 @@ regridding cycle itself lives in :mod:`repro.samr.regrid`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import MeshError
@@ -21,6 +22,10 @@ from repro.samr.boxlist import intersect_all, is_disjoint
 from repro.samr.level import Level
 from repro.samr.loadbalance import balance_greedy
 from repro.samr.patch import Patch
+
+
+#: process-unique hierarchy numbers (``next`` on a count is atomic)
+_SERIALS = itertools.count()
 
 
 class Hierarchy:
@@ -68,6 +73,10 @@ class Hierarchy:
         self.nranks = nranks
         self.balancer = balancer
         self._next_patch_id = 0
+        # names this hierarchy to the sanitizer: ``id(self)`` would be
+        # reused once a hierarchy is freed, and two ranks' successive
+        # hierarchies would then look like one shared allocator
+        self._serial = next(_SERIALS)
         base_domain = Box.from_shape(base_shape)
         dx0 = tuple(e / n for e, n in zip(self.extent, base_shape))
         self.levels: list[Level] = [Level(0, base_domain, dx0)]
@@ -78,7 +87,8 @@ class Hierarchy:
         # shared across rank-threads would race on this allocator, so the
         # armed sanitizer clock-checks it (disabled cost: one flag check).
         if _tsan.on:
-            _tsan.record_write(f"Hierarchy patch-id allocator 0x{id(self):x}")
+            _tsan.record_write(
+                f"Hierarchy patch-id allocator #{self._serial}")
         pid = self._next_patch_id
         self._next_patch_id += 1
         return pid

@@ -250,3 +250,28 @@ def test_reactor_rejects_bad_inputs():
         r.initial_state(300.0, np.ones(3))
     with pytest.raises(ChemistryError):
         ConstantVolumeReactor(m, -5.0, 101325.0, _stoich_vec(m))
+
+
+def test_a_cells_rates_do_not_depend_on_its_batch():
+    """Column independence of the kinetics kernel: a cell evaluated
+    alone, in a batch, or inside a patch-shaped array gives the same
+    bits (the contract the batched CVode and the serve cache build on)."""
+    m = h2_air_mechanism()
+    rng = np.random.default_rng(7)
+    B = 24
+    T = rng.uniform(300.0, 2600.0, B)
+    Y = rng.uniform(0.0, 1.0, (m.n_species, B))
+    Y /= Y.sum(axis=0)
+    rho = m.density(T, 101325.0, Y)
+    C = m.concentrations(rho, Y)
+    wdot = m.wdot(T, C)
+    cp = m.cp_mass(T, Y)
+    for j in range(B):
+        one = slice(j, j + 1)
+        assert np.array_equal(m.wdot(T[one], C[:, one])[:, 0], wdot[:, j])
+        assert m.density(T[one], 101325.0, Y[:, one])[0] == rho[j]
+        assert m.cp_mass(T[one], Y[:, one])[0] == cp[j]
+    assert np.array_equal(
+        m.wdot(T.reshape(4, 6), C.reshape(-1, 4, 6)).reshape(-1, B), wdot)
+    assert np.array_equal(m.wdot(T[::-1].copy(), C[:, ::-1].copy()),
+                          wdot[:, ::-1])

@@ -141,7 +141,7 @@ def test_max_step_respected():
 def test_interpolation_within_history():
     cv = CVode(lambda t, y: y, 0.0, np.array([1.0]), rtol=1e-9, atol=1e-12)
     cv.integrate_to(1.0)
-    mid = (cv._ts[1] + cv._ts[0]) / 2
+    mid = (cv._ts[1, 0] + cv._ts[0, 0]) / 2
     assert cv.interpolate(mid)[0] == pytest.approx(np.exp(mid), rel=1e-6)
     with pytest.raises(IntegratorError):
         cv.interpolate(cv.t + 100.0)

@@ -158,3 +158,38 @@ def test_parallel_regrid_three_ranks():
     res = mpirun(3, main, machine=ZERO_COST)
     assert all(r[0] == 2 for r in res)
     assert res[0][1] == res[1][1] == res[2][1]  # identical metadata
+
+
+def test_successive_hierarchies_are_distinct_allocators_to_the_sanitizer():
+    """Each rank builds, drops and rebuilds hierarchies of its own, with
+    no message between them.  CPython hands a freed hierarchy's address
+    to the next one, so a sanitizer key made of ``id(hierarchy)`` turned
+    two ranks' successive hierarchies into one "shared" allocator and
+    reported a race that is not there."""
+    import threading
+
+    from repro.mpi import sanitizer
+
+    # rank 1 starts after rank 0 has freed its hierarchies; an Event is
+    # invisible to the sanitizer, so no happens-before edge excuses a
+    # shared key
+    handoff = threading.Event()
+
+    def main(comm):
+        if comm.rank == 1:
+            assert handoff.wait(60.0)
+        for _ in range(50):
+            h = Hierarchy((8, 8), nranks=comm.size)
+            h.build_base_level()
+            del h
+        handoff.set()
+        return comm.rank
+
+    was = sanitizer.on
+    sanitizer.configure()
+    try:
+        assert mpirun(2, main, machine=ZERO_COST,
+                      backend="threads") == [0, 1]
+    finally:
+        if not was:
+            sanitizer.deactivate()

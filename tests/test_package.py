@@ -36,6 +36,30 @@ def test_all_exports_resolve(name):
         assert hasattr(mod, symbol), f"{name}.{symbol} missing"
 
 
+def _all_subpackages():
+    import pkgutil
+
+    return sorted(m.name for m in pkgutil.iter_modules(
+        repro.__path__, prefix="repro.") if m.ispkg)
+
+
+@pytest.mark.parametrize("name", _all_subpackages())
+def test_subpackage_imports_first_in_a_fresh_interpreter(name):
+    """No subpackage may depend on another having been imported before
+    it (``import repro.samr`` first used to close an import cycle
+    through ``repro.resilience``'s eager re-exports)."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", f"import {name}"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_error_hierarchy_roots():
     assert issubclass(errors.CCAError, errors.ReproError)
     assert issubclass(errors.MPIError, errors.ReproError)
