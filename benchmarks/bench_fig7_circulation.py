@@ -6,15 +6,20 @@ maximum deposition is closest to the analytic estimate for the deepest
 hierarchy.
 """
 
+import time
+
 from repro.bench import run_fig7, save_json, save_report
 from repro.util.options import fast_mode
 
 
 def test_fig7_circulation_convergence(benchmark):
+    t0 = time.perf_counter()
     result = benchmark.pedantic(run_fig7, rounds=1, iterations=1)
+    wall_s = time.perf_counter() - t0
     path = save_report("fig7_circulation", result["report"])
     json_path = save_json("fig7_circulation", {
         "figure": "fig7",
+        "wall_s": wall_s,  # the 1-, 2- and 3-level shock runs together
         "monotone": result["monotone"],
         "finest_gap": result["finest_gap"],
         "curves": {str(nlev): c for nlev, c in result["curves"].items()},

@@ -15,8 +15,11 @@ implementation of that substrate:
   error estimation and Berger-Rigoutsos point clustering.
 * :mod:`repro.samr.prolong` / :mod:`repro.samr.restrict` — inter-level
   transfer operators.
+* :mod:`repro.samr.schedule` — the geometry of ghost fill and
+  restriction on one level, built once per regrid.
 * :mod:`repro.samr.ghost` — intra-level and coarse-fine ghost-cell
-  exchange (local copies or SCMD message passing).
+  exchange and restriction (local copies or SCMD message passing),
+  replaying the level's schedule.
 * :mod:`repro.samr.loadbalance` — domain decomposition / load balancing.
 * :mod:`repro.samr.regrid` — the prolongation/regeneration cycle described
   in the paper's §3.

@@ -10,6 +10,7 @@ of a patch allocates storage for it.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterator
 
 import numpy as np
@@ -24,6 +25,10 @@ from repro.samr.patch import Patch
 #: :func:`repro.exec.shm.shm_allocator` in its workers so patch storage
 #: lives in shared-memory segments.
 _array_allocator: Callable = None  # type: ignore[assignment]
+
+
+#: process-unique DataObject numbers (``next`` on a count is atomic)
+_SERIALS = itertools.count()
 
 
 def set_array_allocator(allocator: Callable | None) -> None:
@@ -75,6 +80,10 @@ class DataObject:
             f"v{k}" for k in range(nvar)]
         self.dtype = dtype
         self._data: dict[int, np.ndarray] = {}
+        # names this object's buffers to the sanitizer: ``id(array)`` would
+        # be reused once an array is freed, and two ranks' successive
+        # DataObjects would then look like one shared buffer
+        self._serial = next(_SERIALS)
         self.sync_allocation()
 
     # -- storage management ------------------------------------------------
@@ -111,13 +120,13 @@ class DataObject:
         try:
             arr = self._data[pid]
             # While the race sanitizer is armed, record the access keyed
-            # by the backing buffer: per-rank DataObjects never collide,
-            # one leaked across rank-threads does.  Disabled cost: this
-            # flag check.
+            # by the DataObject that owns the buffer: per-rank DataObjects
+            # never collide, one leaked across rank-threads does.
+            # Disabled cost: this flag check.
             if _tsan.on:
                 _tsan.record_write(
                     f"patch array {self.name}[{pid}] "
-                    f"buffer 0x{id(arr):x}")
+                    f"of DataObject #{self._serial}")
             return arr
         except KeyError:
             raise MeshError(

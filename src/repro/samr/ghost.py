@@ -5,10 +5,14 @@ physical boundaries.
 patches and the packing/unpacking of data before/after message passing."
 (paper §4, Data Object subsystem)
 
-The exchange is SCMD: patch metadata is replicated, so every rank computes
+The exchange is SCMD: patch metadata is replicated, so every rank derives
 the same global transfer schedule and exchanges only the payloads it owns
-via one ``alltoall``.  With ``comm=None`` (or a single rank) everything
-degenerates to local copies.
+via one ``alltoall`` per kind of transfer.  With ``comm=None`` (or a
+single rank) everything degenerates to local copies.
+
+This module only *moves data*.  What moves where is geometry, built once
+per regrid by :mod:`repro.samr.schedule` and looked up through
+:meth:`Hierarchy.transfer_schedule`; each call here replays it.
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ import numpy as np
 from repro.errors import MeshError
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_registry as _obs_registry
-from repro.samr.box import Box
-from repro.samr.boxlist import subtract_all
 from repro.samr.dataobject import DataObject
 from repro.samr.patch import Patch
 from repro.samr.prolong import prolong_bilinear
 from repro.samr.restrict import restrict_average
+from repro.samr.schedule import CoarseFineTask, Route
 
 #: Physical-boundary fill callback: ``bc(patch, ghosted_array, axis, side)``
 #: where ``side`` is 0 (low face) or 1 (high face).
@@ -51,51 +54,18 @@ def exchange_ghosts(
        (default: zero-gradient extrapolation).
     """
     t0 = time.perf_counter() if _obs.on else 0.0
-    hierarchy = dobj.hierarchy
-    lvl = hierarchy.level(level)
-    domain = hierarchy.domain_at(level)
-    rank = 0 if comm is None else comm.rank
-
-    if level > 0:
-        _coarse_fine_fill(dobj, level, comm)
-
-    # ---- same-level copies -------------------------------------------------
-    sends: list[list] = [[] for _ in range(comm.size)] if comm else []
-    for dst in lvl.patches:
-        halo = dst.ghost_box.intersection(domain)
-        for src in lvl.patches:
-            if src.id == dst.id:
-                continue
-            region = src.box.intersection(halo)
-            if region.empty:
-                continue
-            if src.owner == rank and dst.owner == rank:
-                dobj.array(dst)[(slice(None), *dst.slices_for(region))] = \
-                    dobj.array(src)[(slice(None), *src.slices_for(region))]
-            elif src.owner == rank and comm is not None:
-                payload = np.ascontiguousarray(
-                    dobj.array(src)[(slice(None), *src.slices_for(region))])
-                sends[dst.owner].append((dst.id, region.lo, region.hi, payload))
-    if comm is not None and comm.size > 1:
-        incoming = comm.alltoall(sends)
-        for batch in incoming:
-            for dst_id, lo, hi, payload in batch:
-                dst = lvl.patch_by_id(dst_id)
-                region = Box(lo, hi)
-                dobj.array(dst)[(slice(None), *dst.slices_for(region))] = payload
-
-    # ---- physical boundaries -----------------------------------------------
+    schedule = dobj.hierarchy.transfer_schedule(
+        level, 0 if comm is None else comm.rank)
+    shipped = 0
+    if level > 0:  # level 0 has no such collective to take part in
+        shipped += fill_from_coarse(
+            dobj, schedule.tasks, schedule.coarse_fine, comm)
+    shipped += _move(dobj, schedule.siblings, comm)
     fill = bc or zero_gradient_bc
-    for patch in dobj.owned_patches(level):
-        arr = dobj.array(patch)
-        for axis in range(domain.ndim):
-            if patch.box.lo[axis] == domain.lo[axis]:
-                fill(patch, arr, axis, 0)
-            if patch.box.hi[axis] == domain.hi[axis]:
-                fill(patch, arr, axis, 1)
+    for patch, axis, side in schedule.boundaries:
+        fill(patch, dobj.array(patch), axis, side)
 
     if _obs.on:
-        shipped = sum(p.nbytes for batch in sends for *_m, p in batch)
         args = {"level": level, "nbytes": shipped}
         if comm is not None:
             args["vt"] = comm.clock
@@ -123,141 +93,62 @@ def zero_gradient_bc(patch: Patch, arr: np.ndarray, axis: int, side: int) -> Non
         arr[tuple(sl)] = edge
 
 
-# --------------------------------------------------------------- coarse-fine
-def _coarse_fine_fill(dobj: DataObject, level: int, comm=None) -> None:
-    """Interpolate fine-patch ghost regions from the next coarser level."""
-    hierarchy = dobj.hierarchy
-    ratio = hierarchy.ratio
-    lvl = hierarchy.level(level)
-    coarse_lvl = hierarchy.level(level - 1)
-    domain = hierarchy.domain_at(level)
-    rank = 0 if comm is None else comm.rank
-    nranks = 1 if comm is None else comm.size
+# -------------------------------------------------------------------- replay
+def _move(dobj: DataObject, route: Route, comm,
+          transform: Callable[[np.ndarray], np.ndarray] | None = None,
+          target: Callable | None = None) -> int:
+    """Replay one route: every block is read from its source patch's
+    array, passed through ``transform`` and stored in
+    ``target(dst)[dst_index]`` (default: the destination patch's array) —
+    this rank's own transfers directly, the others through one
+    ``alltoall`` of ``(*header, block)`` messages.  Returns the payload
+    bytes this rank shipped."""
+    target = target or dobj.array
 
-    # Global schedule: (fine patch, fine ghost region, padded coarse region)
-    tasks: list[tuple[Patch, Box, Box]] = []
-    for fine in lvl.patches:
-        halo = fine.ghost_box.intersection(domain)
-        regions = subtract_all([halo], [p.box for p in lvl.patches])
-        for region in regions:
-            need = region.coarsen(ratio).grow(1)
-            tasks.append((fine, region, need))
+    def read(src: Patch, index: tuple) -> np.ndarray:
+        block = dobj.array(src)[index]
+        return block if transform is None else transform(block)
 
-    # Payload routing: each coarse patch owner ships its overlap with every
-    # "need" region to the fine patch owner.
-    sends: list[list] = [[] for _ in range(nranks)]
-    local: dict[tuple[int, int], list] = {}
-    for t, (fine, region, need) in enumerate(tasks):
-        for cp in coarse_lvl.patches:
-            overlap = cp.box.intersection(need)
-            if overlap.empty or cp.owner != rank:
-                continue
-            block = np.ascontiguousarray(
-                dobj.array(cp)[(slice(None), *cp.slices_for(overlap))])
-            if fine.owner == rank:
-                local.setdefault((t, fine.id), []).append((overlap, block))
-            else:
-                sends[fine.owner].append((t, overlap.lo, overlap.hi, block))
-    if comm is not None and comm.size > 1:
-        incoming = comm.alltoall(sends)
-        for batch in incoming:
-            for t, lo, hi, block in batch:
-                fine = tasks[t][0]
-                local.setdefault((t, fine.id), []).append((Box(lo, hi), block))
-
-    # Assemble each padded coarse buffer and interpolate into the ghost
-    # region of the owned fine patch.
-    for t, (fine, region, need) in enumerate(tasks):
-        if fine.owner != rank:
-            continue
-        pieces = local.get((t, fine.id), [])
-        buf = np.full((dobj.nvar, *need.shape), np.nan)
-        for overlap, block in pieces:
-            buf[(slice(None), *overlap.slices(origin=need.lo))] = block
-        _fill_holes_nearest(buf)
-        fine_block = prolong_bilinear(buf, ratio)
-        # fine_block covers need-interior refined; select our region
-        covered = Box(
-            tuple((l + 1) * ratio for l in need.lo),
-            tuple((h - 1 + 1) * ratio - 1 for h in need.hi),
-        )
-        sel = region.slices(origin=covered.lo)
-        dobj.array(fine)[(slice(None), *fine.slices_for(region))] = \
-            fine_block[(slice(None), *sel)]
+    for src, src_index, dst, dst_index in route.local:
+        target(dst)[dst_index] = read(src, src_index)
+    if comm is None or comm.size == 1:
+        return 0
+    sends = [[(*header, np.ascontiguousarray(read(src, index)))
+              for header, src, index in route.sends.get(dest, ())]
+             for dest in range(comm.size)]
+    for batch in comm.alltoall(sends):
+        for *header, block in batch:
+            dst, dst_index = route.recv[tuple(header)]
+            target(dst)[dst_index] = block
+    return sum(block.nbytes for batch in sends for *_header, block in batch)
 
 
-def _fill_holes_nearest(buf: np.ndarray) -> None:
-    """Replace NaNs by sweeping each axis forward/backward with the nearest
-    valid value (handles pad cells beyond the coarse level or domain)."""
-    if not np.isnan(buf).any():
-        return
-    for axis in range(1, buf.ndim):
-        for idx in range(1, buf.shape[axis]):
-            cur = np.take(buf, idx, axis=axis)
-            prev = np.take(buf, idx - 1, axis=axis)
-            mask = np.isnan(cur) & ~np.isnan(prev)
-            if mask.any():
-                sl = [slice(None)] * buf.ndim
-                sl[axis] = idx
-                view = buf[tuple(sl)]
-                view[mask] = prev[mask]
-        for idx in range(buf.shape[axis] - 2, -1, -1):
-            cur = np.take(buf, idx, axis=axis)
-            nxt = np.take(buf, idx + 1, axis=axis)
-            mask = np.isnan(cur) & ~np.isnan(nxt)
-            if mask.any():
-                sl = [slice(None)] * buf.ndim
-                sl[axis] = idx
-                view = buf[tuple(sl)]
-                view[mask] = nxt[mask]
-    if np.isnan(buf).any():
-        raise MeshError("coarse-fine assembly left unfilled cells")
+def fill_from_coarse(dobj: DataObject, tasks: list[CoarseFineTask],
+                     route: Route, comm=None) -> int:
+    """Carry out a :func:`repro.samr.schedule.coarse_fine_plan`: assemble
+    each task's padded coarse buffer, interpolate it (monotone bilinear)
+    and store the selected region in the fine patch.  Returns the payload
+    bytes this rank shipped."""
+    bufs = [np.empty((dobj.nvar, *task.shape)) for task in tasks]
+    shipped = _move(dobj, route, comm, target=bufs.__getitem__)
+    ratio = dobj.hierarchy.ratio
+    for task, buf in zip(tasks, bufs):
+        if task.holes is not None:
+            holes, sources = task.holes
+            buf[holes] = buf[sources]
+        dobj.array(task.fine)[task.dest] = \
+            prolong_bilinear(buf, ratio)[task.select]
+    return shipped
 
 
-# --------------------------------------------------------------- restriction
 def restrict_level(dobj: DataObject, fine_level: int, comm=None) -> None:
     """Average fine interiors down onto the underlying coarse patches
     ("injection" step after advancing a fine level)."""
     hierarchy = dobj.hierarchy
+    if fine_level < 1:
+        raise MeshError(f"no level below level {fine_level} to restrict to")
+    schedule = hierarchy.transfer_schedule(
+        fine_level, 0 if comm is None else comm.rank)
     ratio = hierarchy.ratio
-    lvl = hierarchy.level(fine_level)
-    coarse_lvl = hierarchy.level(fine_level - 1)
-    rank = 0 if comm is None else comm.rank
-    nranks = 1 if comm is None else comm.size
-
-    sends: list[list] = [[] for _ in range(nranks)]
-    for fine in lvl.patches:
-        if fine.owner != rank:
-            continue
-        fbox = fine.box
-        cbox_full = fbox.coarsen(ratio)
-        for cp in coarse_lvl.patches:
-            cov = cp.box.intersection(cbox_full)
-            if cov.empty:
-                continue
-            fcov = cov.refine(ratio).intersection(fbox)
-            # only restrict complete coarse cells
-            cov = _complete_coarse(fcov, ratio)
-            if cov.empty:
-                continue
-            fcov = cov.refine(ratio)
-            block = restrict_average(
-                dobj.array(fine)[(slice(None), *fine.slices_for(fcov))], ratio)
-            if cp.owner == rank:
-                dobj.array(cp)[(slice(None), *cp.slices_for(cov))] = block
-            else:
-                sends[cp.owner].append((cp.id, cov.lo, cov.hi, block))
-    if comm is not None and comm.size > 1:
-        incoming = comm.alltoall(sends)
-        for batch in incoming:
-            for cid, lo, hi, block in batch:
-                cp = coarse_lvl.patch_by_id(cid)
-                cov = Box(lo, hi)
-                dobj.array(cp)[(slice(None), *cp.slices_for(cov))] = block
-
-
-def _complete_coarse(fine_box: Box, ratio: int) -> Box:
-    """Largest coarse box whose full refinement fits inside ``fine_box``."""
-    lo = tuple(-((-l) // ratio) for l in fine_box.lo)  # ceil division
-    hi = tuple((h + 1) // ratio - 1 for h in fine_box.hi)
-    return Box(lo, hi)
+    _move(dobj, schedule.restriction, comm,
+          transform=lambda block: restrict_average(block, ratio))

@@ -22,6 +22,7 @@ from repro.samr.boxlist import intersect_all, is_disjoint
 from repro.samr.level import Level
 from repro.samr.loadbalance import balance_greedy
 from repro.samr.patch import Patch
+from repro.samr.schedule import TransferSchedule
 
 
 #: process-unique hierarchy numbers (``next`` on a count is atomic)
@@ -77,6 +78,7 @@ class Hierarchy:
         # reused once a hierarchy is freed, and two ranks' successive
         # hierarchies would then look like one shared allocator
         self._serial = next(_SERIALS)
+        self._schedules: dict[tuple[int, int], TransferSchedule] = {}
         base_domain = Box.from_shape(base_shape)
         dx0 = tuple(e / n for e, n in zip(self.extent, base_shape))
         self.levels: list[Level] = [Level(0, base_domain, dx0)]
@@ -132,10 +134,28 @@ class Hierarchy:
 
     def domain_at(self, n: int) -> Box:
         """The full domain box in level ``n``'s index space."""
-        box = self.levels[0].domain
-        for _ in range(n):
-            box = box.refine(self.ratio)
-        return box
+        if n < len(self.levels):
+            return self.levels[n].domain
+        finest = self.levels[-1]
+        return finest.domain.refine(self.ratio ** (n - finest.number))
+
+    def transfer_schedule(self, level: int, rank: int = 0) -> TransferSchedule:
+        """``rank``'s ghost-fill / restriction plan for ``level``.
+
+        Built on first use and replayed until the level's patches, or
+        those of the level below, differ *by value* from the ones it was
+        built from — there is nothing to invalidate by hand.  One entry
+        per ``(level, rank)``.
+        """
+        lvl = self.level(level)
+        patches = tuple(lvl.patches)
+        coarse = tuple(self.levels[level - 1].patches) if level else None
+        schedule = self._schedules.get((level, rank))
+        if (schedule is None or schedule.patches != patches
+                or schedule.coarse != coarse):
+            schedule = self._schedules[level, rank] = TransferSchedule(
+                patches, coarse, lvl.domain, self.ratio, rank)
+        return schedule
 
     def dx(self, n: int) -> tuple[float, ...]:
         return tuple(d / self.ratio**n for d in self.levels[0].dx)

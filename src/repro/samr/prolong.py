@@ -54,12 +54,16 @@ def prolong_bilinear(coarse: np.ndarray, ratio: int,
     sy = _slope(coarse[..., 1:-1, 2:], c, coarse[..., 1:-1, :-2], limited)
     # offsets of fine-cell centers inside a coarse cell, in coarse units
     off = (np.arange(ratio) + 0.5) / ratio - 0.5
-    fine = (
-        np.repeat(np.repeat(c, ratio, axis=-2), ratio, axis=-1)
-        + np.kron(sx, off[:, None] * np.ones((1, ratio)))
-        + np.kron(sy, np.ones((ratio, 1)) * off[None, :])
-    )
-    return fine
+
+    def blocks(a: np.ndarray) -> np.ndarray:
+        """``a`` with a length-1 fine axis after each of the last two."""
+        return a[..., :, None, :, None]
+
+    # (c + sx*xi) + sy*eta on axes (..., nx, ratio, ny, ratio)
+    fine = ((blocks(c) + blocks(sx) * off[:, None, None])
+            + blocks(sy) * off)
+    return fine.reshape(*c.shape[:-2], c.shape[-2] * ratio,
+                        c.shape[-1] * ratio)
 
 
 def _slope(up: np.ndarray, mid: np.ndarray, dn: np.ndarray,

@@ -26,8 +26,9 @@ from repro.samr.box import Box
 from repro.samr.clustering import cluster_flags
 from repro.samr.dataobject import DataObject
 from repro.samr.flagging import assemble_level_flags, buffer_flags
+from repro.samr.ghost import fill_from_coarse
 from repro.samr.hierarchy import Hierarchy
-from repro.samr.prolong import prolong_bilinear
+from repro.samr.schedule import coarse_fine_plan
 
 #: ``flag_fn(level) -> {patch_id: bool interior array}`` for owned patches.
 FlagFn = Callable[[int], dict[int, np.ndarray]]
@@ -97,8 +98,12 @@ def regrid(
         hierarchy.set_level_boxes(lev, boxes)
         for dobj in dataobjs:
             dobj.sync_allocation()
+        # every new patch interior, prolonged from the rebuilt level below
+        seed = coarse_fine_plan(
+            [(fine, fine.box) for fine in hierarchy.level(lev).patches],
+            hierarchy.level(lev - 1).patches, hierarchy.ratio, rank)
         for d, dobj in enumerate(dataobjs):
-            _seed_from_coarse(dobj, lev, comm)
+            fill_from_coarse(dobj, *seed, comm)
             _copy_old_overlaps(dobj, lev, old_data[d], comm)
         if hierarchy.level(lev).patches:
             top = lev
@@ -131,58 +136,6 @@ def _snapshot_level(hierarchy: Hierarchy, dataobjs: Sequence[DataObject],
         for patch in list(dobj.owned_patches(lev)):
             out[d].append((patch.box, dobj.interior(patch).copy()))
     return out
-
-
-def _seed_from_coarse(dobj: DataObject, lev: int, comm=None) -> None:
-    """Fill new level ``lev`` interiors by prolongation from ``lev-1``."""
-    hierarchy = dobj.hierarchy
-    ratio = hierarchy.ratio
-    coarse_lvl = hierarchy.level(lev - 1)
-    rank = 0 if comm is None else comm.rank
-    nranks = 1 if comm is None else comm.size
-
-    tasks = []  # (fine patch, padded coarse need box)
-    for fine in hierarchy.level(lev).patches:
-        need = fine.box.coarsen(ratio).grow(1).intersection(
-            hierarchy.domain_at(lev - 1).grow(1))
-        tasks.append((fine, need))
-
-    sends: list[list] = [[] for _ in range(nranks)]
-    local: dict[int, list] = {}
-    for t, (fine, need) in enumerate(tasks):
-        for cp in coarse_lvl.patches:
-            overlap = cp.box.intersection(need)
-            if overlap.empty or cp.owner != rank:
-                continue
-            block = np.ascontiguousarray(
-                dobj.array(cp)[(slice(None), *cp.slices_for(overlap))])
-            if fine.owner == rank:
-                local.setdefault(t, []).append((overlap, block))
-            else:
-                sends[fine.owner].append((t, overlap.lo, overlap.hi, block))
-    if comm is not None and comm.size > 1:
-        incoming = comm.alltoall(sends)
-        for batch in incoming:
-            for t, lo, hi, block in batch:
-                local.setdefault(t, []).append((Box(lo, hi), block))
-
-    from repro.samr.ghost import _fill_holes_nearest
-
-    for t, (fine, need) in enumerate(tasks):
-        if fine.owner != rank:
-            continue
-        buf = np.full((dobj.nvar, *need.shape), np.nan)
-        for overlap, block in local.get(t, []):
-            buf[(slice(None), *overlap.slices(origin=need.lo))] = block
-        _fill_holes_nearest(buf)
-        fine_block = prolong_bilinear(buf, ratio)
-        covered = Box(
-            tuple((l + 1) * ratio for l in need.lo),
-            tuple(h * ratio - 1 for h in need.hi),
-        )
-        sel = fine.box.slices(origin=covered.lo)
-        dobj.array(fine)[(slice(None), *fine.interior_slices())] = \
-            fine_block[(slice(None), *sel)]
 
 
 def _copy_old_overlaps(dobj: DataObject, lev: int,

@@ -193,3 +193,36 @@ def test_successive_hierarchies_are_distinct_allocators_to_the_sanitizer():
     finally:
         if not was:
             sanitizer.deactivate()
+
+
+def test_successive_dataobjects_are_distinct_buffers_to_the_sanitizer():
+    """The same drill for patch arrays: rank 1 allocates its DataObjects
+    after rank 0 freed 50 of the same name over a mesh of its own, with no
+    message between them.  A sanitizer key made of ``id(array)`` matched
+    rank 1's arrays to rank 0's freed ones and reported a race."""
+    import threading
+
+    from repro.mpi import sanitizer
+
+    handoff = threading.Event()  # invisible to the sanitizer, as above
+
+    def main(comm):
+        if comm.rank == 1:
+            assert handoff.wait(60.0)
+        h = Hierarchy((8, 8))
+        h.build_base_level()
+        for _ in range(50):
+            d = DataObject("f", h, nvar=1)
+            d.array(h.level(0).patches[0])[...] = comm.rank
+            del d
+        handoff.set()
+        return comm.rank
+
+    was = sanitizer.on
+    sanitizer.configure()
+    try:
+        assert mpirun(2, main, machine=ZERO_COST,
+                      backend="threads") == [0, 1]
+    finally:
+        if not was:
+            sanitizer.deactivate()
