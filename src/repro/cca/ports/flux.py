@@ -30,4 +30,13 @@ class FluxPort(Port):
 
     def flux(self, prim_l: PrimTuple, prim_r: PrimTuple,
              gamma: float) -> np.ndarray:
+        """Normal-direction flux for a batch of faces.
+
+        ``prim_l`` and ``prim_r`` are ``(rho, u_normal, u_tangential, p,
+        zeta)`` tuples of equal-shape arrays, one entry per face; returns
+        shape ``(5,) + face shape``.  The faces arrive as one flat batch
+        gathered from every patch and both sweeps of an RHS evaluation,
+        so a face's flux must not depend, bit for bit, on which other
+        faces share the call.
+        """
         raise NotImplementedError

@@ -1,14 +1,15 @@
 """Right-hand-side ports.
 
 Family (d): "Ports that accept an array from a patch" — RHS evaluation is
-patch-at-a-time.  Family (e): vector RHS for implicit integration.  Plus
-the eigenvalue-estimation port the explicit subsystem uses for dynamic
+patch-at-a-time, or over a list of patches whose kernel work is batched.
+Family (e): vector RHS for implicit integration.  Plus the
+eigenvalue-estimation port the explicit subsystem uses for dynamic
 time-step sizing.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -25,6 +26,21 @@ class PatchRHSPort(Port):
                  ghosted: np.ndarray) -> np.ndarray:
         """dU/dt over the patch interior, given the ghosted field array."""
         raise NotImplementedError
+
+    def evaluate_patches(self, t: float, patches: Sequence["Patch"],
+                         arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """dU/dt over the interiors of several patches in one call.
+
+        ``arrays[k]`` is the ghosted field array of ``patches[k]``; the
+        k-th return value is what ``evaluate(t, patches[k], arrays[k])``
+        returns — bit for bit, whichever other patches share the call (an
+        SCMD rank passes the patches it owns, so this is what makes a run
+        independent of the decomposition).  A provider whose kernel is
+        cheaper on one long batch overrides this; the default evaluates
+        patch by patch.
+        """
+        return [self.evaluate(t, patch, ghosted)
+                for patch, ghosted in zip(patches, arrays)]
 
 
 class VectorRHSPort(Port):

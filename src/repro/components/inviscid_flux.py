@@ -5,6 +5,10 @@ InviscidFlux component supplies the right-hand-side of the equation,
 patch-by-patch.  InviscidFlux component uses a States component to set up
 the Riemann problem at each cell interface which is then passed to the
 GodunovFlux component for the Riemann solution."  (paper §4.3)
+
+The interface states are still set up patch by patch; the Riemann problems
+of all patches handed over in one ``evaluate_patches`` call go to the flux
+component as one batch.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 from repro.cca.component import Component
 from repro.cca.ports.flux import StatesPort
 from repro.cca.ports.rhs import PatchRHSPort
-from repro.hydro.fluxes import euler_rhs
+from repro.hydro.fluxes import euler_rhs_patches
 from repro.hydro.reconstruction import muscl_interface_states
 
 
@@ -43,17 +47,19 @@ class _InviscidRHS(PatchRHSPort):
         self.nfe = 0
 
     def evaluate(self, t: float, patch, ghosted: np.ndarray) -> np.ndarray:
-        self.nfe += 1
-        owner = self.owner
-        gamma = float(owner.services.get_port("gas").get("gamma", 1.4))
-        flux_port = owner.services.get_port("flux")
-        states_port = owner.services.get_port("states")
-        hierarchy = owner.services.get_port("mesh").hierarchy()
-        dx, dy = hierarchy.dx(patch.level)
-        return euler_rhs(
-            ghosted, dx, dy, gamma,
+        return self.evaluate_patches(t, [patch], [ghosted])[0]
+
+    def evaluate_patches(self, t: float, patches, arrays) -> list[np.ndarray]:
+        self.nfe += len(patches)
+        services = self.owner.services
+        gamma = float(services.get_port("gas").get("gamma", 1.4))
+        flux_port = services.get_port("flux")
+        states_port = services.get_port("states")
+        hierarchy = services.get_port("mesh").hierarchy()
+        return euler_rhs_patches(
+            arrays, [hierarchy.dx(patch.level) for patch in patches], gamma,
             flux_fn=flux_port.flux,
-            nghost=patch.nghost,
+            nghost=hierarchy.nghost,
             reconstruct_fn=states_port.interface_states,
         )
 

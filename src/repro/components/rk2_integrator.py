@@ -115,11 +115,12 @@ class ExplicitIntegratorRK2(Component):
             unpack_interiors(dobj, y)
             for lev in range(h.nlevels):
                 data_port.exchange_ghosts(dobj.name, lev)
-            parts = [
-                rhs_port.evaluate(tt, patch, dobj.array(patch)).ravel()
-                for patch in dobj.owned_patches()
-            ]
-            return np.concatenate(parts) if parts else np.zeros(0)
+            patches = list(dobj.owned_patches())
+            parts = rhs_port.evaluate_patches(
+                tt, patches, [dobj.array(patch) for patch in patches])
+            if not parts:
+                return np.zeros(0)
+            return np.concatenate([part.ravel() for part in parts])
 
         y0 = pack_interiors(dobj)
         y1 = rk2_step(rhs_vec, t, y0, dt)

@@ -12,10 +12,11 @@ the paper highlights).
 * :mod:`repro.hydro.limiters` — slope limiters.
 * :mod:`repro.hydro.reconstruction` — MUSCL interface states.
 * :mod:`repro.hydro.riemann_exact` — the exact gamma-law Riemann solver
-  (Toro's two-shock/two-rarefaction Newton iteration), vectorized.
+  (Toro's two-shock/two-rarefaction Newton iteration) over a flat batch
+  of faces, each solved independently of the others.
 * :mod:`repro.hydro.godunov` / :mod:`repro.hydro.efm` — interface fluxes.
-* :mod:`repro.hydro.fluxes` — dimension-by-dimension RHS assembly on a
-  ghosted patch.
+* :mod:`repro.hydro.fluxes` — dimension-by-dimension RHS assembly on
+  ghosted patches, one flux call for the faces of all of them.
 * :mod:`repro.hydro.bc` — reflecting / outflow / inflow ghost fills.
 * :mod:`repro.hydro.diagnostics` — vorticity and interfacial circulation
   (the paper's Fig 7 observable).
@@ -39,7 +40,7 @@ from repro.hydro.reconstruction import muscl_interface_states
 from repro.hydro.riemann_exact import riemann_exact, sample_riemann
 from repro.hydro.godunov import godunov_flux
 from repro.hydro.efm import efm_flux
-from repro.hydro.fluxes import euler_rhs, cfl_dt
+from repro.hydro.fluxes import euler_rhs, euler_rhs_patches, cfl_dt
 from repro.hydro.bc import fill_reflecting, fill_outflow, fill_inflow
 from repro.hydro.diagnostics import vorticity, interface_circulation
 
@@ -65,6 +66,7 @@ __all__ = [
     "godunov_flux",
     "efm_flux",
     "euler_rhs",
+    "euler_rhs_patches",
     "cfl_dt",
     "fill_reflecting",
     "fill_outflow",

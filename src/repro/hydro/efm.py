@@ -14,13 +14,15 @@ left state and the leftward half-Maxwellian flux of the right state:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 _SQRT_PI = np.sqrt(np.pi)
 
 
 def _half_flux(rho, u, v, p, zeta, gamma, sign: int) -> np.ndarray:
     """One-sided kinetic flux: sign=+1 for F⁺, -1 for F⁻."""
+    # SciPy costs every process ~0.3 s at import; only EFM runs pay it
+    from scipy.special import erf
+
     beta = rho / (2.0 * p)            # 1 / (2 R T)
     s = u * np.sqrt(beta)
     A = 0.5 * (1.0 + sign * erf(s))   # half-range mass fraction

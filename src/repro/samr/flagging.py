@@ -11,7 +11,6 @@ SAMR choice.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import MeshError
 from repro.samr.box import Box
@@ -100,8 +99,20 @@ def buffer_flags(flags: np.ndarray, n: int) -> np.ndarray:
         raise MeshError("buffer width must be non-negative")
     if n == 0 or not flags.any():
         return flags.copy()
-    structure = ndimage.generate_binary_structure(flags.ndim, flags.ndim)
-    return ndimage.binary_dilation(flags, structure=structure, iterations=n)
+    # the n-fold full-connectivity dilation is a (2n+1)^d box, which is
+    # separable: OR the field with itself shifted by up to n along each
+    # axis in turn (cells shifted in from outside the array are unflagged)
+    out = flags.astype(bool)
+    for axis in range(out.ndim):
+        src = out
+        out = src.copy()
+        for shift in range(1, min(n, src.shape[axis] - 1) + 1):
+            lo = [slice(None)] * src.ndim
+            hi = [slice(None)] * src.ndim
+            lo[axis], hi[axis] = slice(None, -shift), slice(shift, None)
+            out[tuple(hi)] |= src[tuple(lo)]
+            out[tuple(lo)] |= src[tuple(hi)]
+    return out
 
 
 def assemble_level_flags(

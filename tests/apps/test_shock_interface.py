@@ -71,6 +71,30 @@ def test_amr_run_refines_waves():
     assert res["total_cells"] > 48 * 24
 
 
+@pytest.mark.parametrize("scheme, provider", [("godunov", "GodunovFlux"),
+                                              ("efm", "EFMFlux")])
+def test_one_flux_call_per_rhs_evaluation(scheme, provider):
+    """Both RK2 stages hand the faces of every patch of both levels to the
+    flux component in one call; the adaptor still counts patches."""
+    fw = Framework()
+    build_shock_interface(fw, nx=32, ny=16, max_levels=2, regrid_interval=3,
+                          initial_regrids=1, t_end_over_tau=0.2,
+                          flux_scheme=scheme)
+    res = fw.go("Driver")
+    assert res["nlevels"] == 2
+
+    def port(instance, name):
+        return fw.services_of(instance).provides[name][0]
+
+    integrator = port("ExplicitIntegratorRK2", "integrator")
+    assert integrator.nfe == 2 * res["steps"]
+    assert port(provider, "flux").ncalls == integrator.nfe
+    assert port("InviscidFlux", "rhs").nfe > 2 * integrator.nfe
+    # the States component still reconstructs patch by patch, per sweep
+    assert port("States", "states").ncalls == \
+        2 * port("InviscidFlux", "rhs").nfe
+
+
 def test_amr_circulation_close_to_equivalent_uniform():
     """A 2-level AMR run should land near the uniform run at the same
     effective resolution (the refined region covers the active waves)."""

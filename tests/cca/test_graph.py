@@ -49,6 +49,20 @@ def test_wiring_summary_counts():
     assert s2["dangling_uses"] == 1
 
 
+def test_only_the_networkx_graph_needs_networkx(monkeypatch):
+    """networkx is an optional (``test`` extra) dependency: without it the
+    DOT text and the census still work and ``assembly_graph`` says what
+    is missing."""
+    import sys
+
+    monkeypatch.setitem(sys.modules, "networkx", None)  # import fails
+    fw = assembled()
+    assert '"r" -> "g"' in to_dot(fw)
+    assert wiring_summary(fw)["connections"] == 1
+    with pytest.raises(ImportError, match="assembly_graph needs networkx"):
+        assembly_graph(fw)
+
+
 def test_full_application_graphs():
     from repro.apps.ignition0d import build_ignition0d
     from repro.apps.shock_interface import build_shock_interface

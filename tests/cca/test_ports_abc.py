@@ -39,6 +39,10 @@ ALL_PORTS = [
 ]
 
 
+#: the one declared method that is not abstract (tested on its own below)
+BATCH_DEFAULT = (PatchRHSPort, "evaluate_patches")
+
+
 @pytest.mark.parametrize("port_cls", ALL_PORTS,
                          ids=[c.__name__ for c in ALL_PORTS])
 def test_port_type_is_own_name(port_cls):
@@ -56,13 +60,30 @@ def test_abstract_methods_raise(port_cls):
     instance = port_cls()
     for name, member in inspect.getmembers(port_cls,
                                            predicate=inspect.isfunction):
-        if name.startswith("_") or name == "port_type":
+        if name.startswith("_") or name == "port_type" \
+                or (port_cls, name) == BATCH_DEFAULT:
             continue
         sig = inspect.signature(member)
         nargs = len(sig.parameters) - 1  # drop self
         args = [None] * nargs
         with pytest.raises(NotImplementedError):
             getattr(instance, name)(*args)
+
+
+def test_patch_rhs_batch_default_loops_evaluate():
+    """``evaluate_patches`` is the one port method with a default: a
+    provider that only implements ``evaluate`` is called patch by patch,
+    a bare port still raises."""
+    with pytest.raises(NotImplementedError):
+        PatchRHSPort().evaluate_patches(0.0, ["p"], ["a"])
+
+    class PatchByPatch(PatchRHSPort):
+        def evaluate(self, t, patch, ghosted):
+            return (t, patch, ghosted)
+
+    assert PatchByPatch().evaluate_patches(0.5, ["p", "q"], ["a", "b"]) == \
+        [(0.5, "p", "a"), (0.5, "q", "b")]
+    assert PatchByPatch().evaluate_patches(0.5, [], []) == []
 
 
 def test_subclass_of_standard_port_keeps_type():

@@ -11,6 +11,8 @@ from repro.hydro import (
     cfl_dt,
     efm_flux,
     euler_rhs,
+    euler_rhs_patches,
+    godunov_flux,
     fill_inflow,
     fill_outflow,
     fill_reflecting,
@@ -121,8 +123,6 @@ def fill_bc_sod(Ug, g=2):
 def test_sod_evolution_matches_exact(flux):
     """March the Sod problem to t = 0.2 and compare with the exact star
     state in the plateau region."""
-    from repro.hydro import godunov_flux
-
     nx, g = 100, 2
     dx = 1.0 / nx
     fx = godunov_flux if flux == "godunov" else efm_flux
@@ -182,6 +182,47 @@ def test_rhs_zero_for_uniform_flow():
 def test_rhs_needs_two_ghosts():
     with pytest.raises(HydroError):
         euler_rhs(np.zeros((5, 8, 8)), 0.1, 0.1, GAMMA, nghost=1)
+
+
+def _front_patch(rng, nx, ny, g):
+    """A ghosted patch with an oblique front between two uniform gases
+    (faces with equal states on either side of it) and a noisy corner."""
+    i, j = np.meshgrid(np.arange(nx + 2 * g), np.arange(ny + 2 * g),
+                       indexing="ij")
+    behind = i + 0.4 * j < 0.5 * (nx + ny)
+    rho = np.where(behind, 2.0, 1.0)
+    u = np.where(behind, 0.8, 0.0)
+    v = np.where(behind, -0.1, 0.0)
+    p = np.where(behind, 2.5, 1.0)
+    zeta = (j > ny // 2).astype(float)
+    rho[:g + 3, :g + 3] += 0.3 * rng.random((g + 3, g + 3))
+    u[:g + 3, :g + 3] += rng.normal(0.0, 0.5, (g + 3, g + 3))
+    return prim_to_cons(rho, u, v, p, zeta, GAMMA)
+
+
+@pytest.mark.parametrize("nghost", [2, 3])
+@pytest.mark.parametrize("flux", [godunov_flux, efm_flux])
+def test_patches_in_one_flux_call_equal_patch_by_patch(flux, nghost):
+    rng = np.random.default_rng(5)
+    sizes = [(13, 14), (6, 21), (9, 4)]
+    spacings = [(0.1, 0.05), (0.05, 0.025), (0.2, 0.3)]
+    Us = [_front_patch(rng, nx, ny, nghost) for nx, ny in sizes]
+    batches = []
+
+    def counted(prim_l, prim_r, gamma):
+        batches.append(prim_l[0].shape)
+        return flux(prim_l, prim_r, gamma)
+
+    together = euler_rhs_patches(Us, spacings, GAMMA, flux_fn=counted,
+                                 limiter="mc", nghost=nghost)
+    # one flat batch: the x- and y-sweep faces of every patch
+    assert batches == [(sum((nx + 1) * ny + nx * (ny + 1)
+                            for nx, ny in sizes),)]
+    for U, (nx, ny), (dx, dy), dU in zip(Us, sizes, spacings, together):
+        assert dU.shape == (5, nx, ny)
+        assert np.array_equal(dU, euler_rhs(U, dx, dy, GAMMA, flux_fn=flux,
+                                            limiter="mc", nghost=nghost))
+    assert euler_rhs_patches([], [], GAMMA) == []
 
 
 def test_cfl_dt_scales():

@@ -98,6 +98,29 @@ def test_buffer_flags_dilates():
         buffer_flags(f, -1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+       n=st.integers(0, 3), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_buffer_flags_is_scipy_full_connectivity_dilation(shape, n, density,
+                                                          seed):
+    """The shifted-slice OR that replaced it (SciPy is no longer imported
+    at start-up) against ``binary_dilation`` itself: 1-3-D, flags on the
+    border, axes shorter than the buffer."""
+    from scipy import ndimage
+
+    flags = np.random.default_rng(seed).random(shape) < density
+    before = flags.copy()
+    expected = flags if n == 0 else ndimage.binary_dilation(
+        flags, structure=ndimage.generate_binary_structure(flags.ndim,
+                                                           flags.ndim),
+        iterations=n)
+    out = buffer_flags(flags, n)
+    assert out.dtype == bool and out is not flags
+    assert np.array_equal(out, expected)
+    assert np.array_equal(flags, before)
+
+
 def test_assemble_level_flags_dense():
     h, d = make_field_hierarchy()
     p = h.level(0).patches[0]

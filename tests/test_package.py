@@ -43,20 +43,34 @@ def _all_subpackages():
         repro.__path__, prefix="repro.") if m.ispkg)
 
 
-@pytest.mark.parametrize("name", _all_subpackages())
-def test_subpackage_imports_first_in_a_fresh_interpreter(name):
-    """No subpackage may depend on another having been imported before
-    it (``import repro.samr`` first used to close an import cycle
-    through ``repro.resilience``'s eager re-exports)."""
+def _fresh_python(code):
     import os
     import subprocess
     import sys
 
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", f"import {name}"],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", _all_subpackages())
+def test_subpackage_imports_first_in_a_fresh_interpreter(name):
+    """No subpackage may depend on another having been imported before
+    it (``import repro.samr`` first used to close an import cycle
+    through ``repro.resilience``'s eager re-exports)."""
+    proc = _fresh_python(f"import {name}")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_entry_points_import_neither_scipy_nor_networkx():
+    """Start-up budget: SciPy (EFM's ``erf``) and networkx
+    (``assembly_graph``) are imported by the calls that need them, not by
+    every process that imports an entry point."""
+    proc = _fresh_python(
+        "import repro.apps, repro.serve, repro.mpi, sys; "
+        "assert not {'scipy', 'networkx'} "
+        "& {m.split('.')[0] for m in sys.modules}")
     assert proc.returncode == 0, proc.stderr
 
 
