@@ -26,6 +26,7 @@ class _Solver(ODESolverPort):
         self.owner = owner
         self._last_nfe = 0
         self.total_nfe = 0
+        self.total_nje = 0
         self.total_steps = 0
 
     def integrate(self, t0: float, y0: np.ndarray, t1: float) -> np.ndarray:
@@ -42,9 +43,11 @@ class _Solver(ODESolverPort):
             method=p.get_str("method", "bdf"),
         )
         y = cv.integrate_to(t1).reshape(y0.shape)
-        self._last_nfe = int(cv.stats.nfe.sum())
+        stats = cv.stats
+        self._last_nfe = int(stats.nfe.sum())
         self.total_nfe += self._last_nfe
-        self.total_steps += int(cv.stats.nsteps.sum())
+        self.total_nje += int(stats.nje.sum())
+        self.total_steps += int(stats.nsteps.sum())
         return y
 
     def last_nfe(self) -> int:
@@ -67,9 +70,12 @@ class CvodeComponent(Component):
     def checkpoint_state(self) -> dict:
         return {"last_nfe": self.solver._last_nfe,
                 "total_nfe": self.solver.total_nfe,
+                "total_nje": self.solver.total_nje,
                 "total_steps": self.solver.total_steps}
 
     def restore_state(self, state: dict) -> None:
         self.solver._last_nfe = int(state["last_nfe"])
         self.solver.total_nfe = int(state["total_nfe"])
+        # absent from checkpoints written before the counter existed
+        self.solver.total_nje = int(state.get("total_nje", 0))
         self.solver.total_steps = int(state["total_steps"])

@@ -7,8 +7,11 @@ the paper wraps as ``CvodeComponent``:
 
 * **BDF mode** (stiff): variable-order (1-5), variable-step backward
   differentiation formulas on a non-uniform time grid, solved by modified
-  Newton iteration with a finite-difference dense Jacobian that is reused
-  across steps until convergence degrades.
+  Newton iteration with a finite-difference dense Jacobian.  The Jacobian
+  is differenced once at the initial point and kept — whatever happens to
+  the step size — until it is over 20 attempts old or a Newton iteration
+  fails to converge on it (CVODE's ``jok``: ``I - gamma J`` is re-formed
+  from the saved ``J`` on every attempt, only ``J`` itself is expensive).
 * **Adams mode** (non-stiff): variable-order (1-5) Adams-Moulton
   predictor-corrector solved by functional iteration.
 
@@ -17,7 +20,12 @@ Local error is controlled in the weighted RMS norm
 proportional step controller; order ramps up as history accrues and backs
 off on repeated failures — the same control structure as CVODE, with the
 Nordsieck array replaced by an explicit solution history (whose
-divided-difference predictors are algebraically equivalent).
+divided-difference predictors are algebraically equivalent).  CVODE's
+array starts as ``[y0, h f0]``; the history starts with the two nodes
+that say the same thing, ``(t0, y0)`` and ``(t0 - h0, y0 - h0 f0)``, so
+the first step predicts ``y0 + h f0`` and is judged by the second-order
+estimate of every later order-1 step.  An order-q predictor always has
+q + 1 nodes under it.
 
 **Batched layout.**  The state is ``(n, B)``: ``B`` independent systems
 ("columns" — the cells of a chemistry half-step) of ``n`` unknowns each.
@@ -62,6 +70,10 @@ _MAX_NEWTON = 4
 _MAX_FUNCTIONAL = 10
 _MAX_STEP_FAILS = 12
 _HIST = _MAX_ORDER + 2   # history entries kept per column, newest first
+#: ``CVodeStats`` field -> the ``kind="cvode"`` counter it feeds
+_PUBLISHED = {"nsteps": "integrator.steps", "nfe": "integrator.rhs_evals",
+              "nje": "integrator.jac_evals", "nerrfail": "integrator.err_fails",
+              "nconvfail": "integrator.conv_fails"}
 
 
 @dataclass
@@ -203,9 +215,10 @@ class CVode:
     max_order:
         Cap on the method order (<= 5).
     h0:
-        Optional initial step; otherwise chosen from the initial slope.
+        Optional initial step (positive); otherwise chosen from the
+        initial slope and, in BDF mode, the initial second derivative.
     max_step:
-        Optional upper bound on the internal step size.
+        Optional (positive) upper bound on the internal step size.
     args:
         Per-column constants of a batched solve (e.g. each vessel's
         density): arrays with a trailing axis of length ``B``, handed to
@@ -231,6 +244,11 @@ class CVode:
         if np.any(self.atol <= 0):
             raise IntegratorError("atol must be positive")
         self.max_order = max_order
+        if h0 is not None and not 0 < h0 < np.inf:
+            raise IntegratorError(
+                f"h0 must be positive and finite, got {h0}")
+        if max_step is not None and not max_step > 0:
+            raise IntegratorError(f"max_step must be positive, got {max_step}")
         self.max_step = max_step
 
         y0 = np.array(y0, dtype=float)
@@ -254,22 +272,33 @@ class CVode:
         # reads past derivatives
         self._ts = np.zeros((_HIST, B))
         self._ys = np.zeros((_HIST, n, B))
-        self._nhist = np.ones(B, dtype=int)
         self._ts[0] = t0
         self._ys[0] = y0
-        f0 = self._f(np.arange(B), self._ts[0], y0)
-        if method == "adams":
-            self._fs = np.zeros((_HIST, n, B))
-            self._fs[0] = f0
+        self._t_start = self._ts[0].copy()
+        cols = np.arange(B)
+        f0 = self._f(cols, self._ts[0], y0)
         self._order = np.ones(B, dtype=int)
+        self._fails = np.zeros(B, dtype=int)   # of the step in progress
+        # modified Newton: Jacobians are kept until they go stale.  The
+        # first one is differenced here, where it also bounds the first
+        # step, instead of at the first attempt's predictor
+        self._jac_ok = np.full(B, method == "bdf")
+        self._jac_age = np.zeros(B, dtype=int)
+        self._jac = (self._fd_jacobians(cols, self._ts[0], y0)
+                     if method == "bdf" else np.zeros((B, n, n)))
         self._h = (np.full(B, float(h0)) if h0 is not None
                    else self._initial_step(y0, f0))
-        self._fails = np.zeros(B, dtype=int)   # of the step in progress
-        # modified Newton: Jacobians are kept until they go stale
-        self._jac = np.zeros((B, n, n))
-        self._jac_ok = np.zeros(B, dtype=bool)
-        self._jac_age = np.zeros(B, dtype=int)
-        self._gamma_prev = np.ones(B)
+        # the Nordsieck array's ``h f0``, as a history node: the line
+        # through (t0, y0) with slope f0, sampled one first step back
+        # (over the spacing as rounded)
+        self._ts[1] = self._ts[0] - self._h
+        self._ys[1] = y0 - (self._ts[0] - self._ts[1]) * f0
+        self._nhist = np.full(B, 2)
+        if method == "adams":
+            self._fs = np.zeros((_HIST, n, B))
+            self._fs[:2] = f0
+        # totals already sent to the metrics registry
+        self._published = dict.fromkeys(_PUBLISHED, 0)
 
     # -- public API ------------------------------------------------------------
     def _out(self, a: np.ndarray):
@@ -322,7 +351,7 @@ class CVode:
             raise IntegratorError(
                 f"cannot integrate backwards ({t_end[j]} < {self._ts[0, j]})")
         t0 = time.perf_counter() if _obs.on else 0.0
-        nsteps0, nfe0 = self._stats.nsteps.sum(), self._stats.nfe.sum()
+        rounds = 0
         while True:
             # columns drop out of the lockstep as they arrive
             idx = np.flatnonzero(self._ts[0] < t_end)
@@ -332,16 +361,23 @@ class CVode:
             room = np.maximum(t_end[idx] - self._ts[0, idx], 1e-300)
             self._h[idx] = np.minimum(self._h[idx], room)
             self._attempt(idx)
+            rounds += 1
         out = self.interpolate(t_end)
         if _obs.on:
-            dsteps = int(self._stats.nsteps.sum() - nsteps0)
-            dnfe = int(self._stats.nfe.sum() - nfe0)
+            # what this solver has done since it last reported — from its
+            # construction on, whose RHS and Jacobian evaluations belong
+            # to the first call
+            totals = {name: int(getattr(self._stats, name).sum())
+                      for name in _PUBLISHED}
+            new = {name: totals[name] - self._published[name]
+                   for name in _PUBLISHED}
+            self._published = totals
             _obs.complete("cvode.integrate_to", "integrator", t0,
                           t_end=float(t_end.max()), columns=self.B,
-                          nsteps=dsteps, nfe=dnfe)
+                          rounds=rounds, **new)
             reg = _obs_registry()
-            reg.counter("integrator.steps", kind="cvode").inc(dsteps)
-            reg.counter("integrator.rhs_evals", kind="cvode").inc(dnfe)
+            for name, counter in _PUBLISHED.items():
+                reg.counter(counter, kind="cvode").inc(new[name])
         return out
 
     def integrate_to_event(self, t_max: float,
@@ -387,8 +423,9 @@ class CVode:
         """Dense output via each column's current history polynomial."""
         t = np.broadcast_to(np.asarray(t, dtype=float), (self.B,))
         count = np.minimum(self._order + 1, self._nhist)
-        # the history runs newest first
-        lo, hi = self._ts[count - 1, np.arange(self.B)], self._ts[0]
+        # the history runs newest first; the seeded node is not history
+        hi = self._ts[0]
+        lo = np.maximum(self._ts[count - 1, np.arange(self.B)], self._t_start)
         outside = np.flatnonzero(~((lo - 1e-12 <= t) & (t <= hi + 1e-12)))
         if outside.size:
             j = outside[0]
@@ -425,11 +462,23 @@ class CVode:
         return np.sqrt(total / self.n)
 
     def _initial_step(self, y0: np.ndarray, f0: np.ndarray) -> np.ndarray:
-        """Conservative first-step guess from the initial slope."""
+        """First-step guess: 1% of the solution's own time scale
+        ``||y|| / ||f||`` and, in BDF mode, no more than half the step
+        ``sqrt(2 / ||y''||)`` whose order-1 local error ``h^2 y'' / 2``
+        meets the tolerance (CVODE's ``CVHin`` and its bias).
+        ``y'' = J f0`` comes from the Jacobians already in hand; ``f_t``
+        is left out, the value being only an upper bound."""
         d0 = self._wrms(y0, y0)
         d1 = self._wrms(f0, y0)
         with np.errstate(divide="ignore", invalid="ignore"):
             h = np.where((d0 > 1e-5) & (d1 > 1e-5), 0.01 * d0 / d1, 1e-6)
+            if self.method == "bdf":
+                # sum over the unknowns in index order (column independence)
+                ypp = self._jac[:, :, 0].T * f0[0]
+                for j in range(1, self.n):
+                    ypp += self._jac[:, :, j].T * f0[j]
+                # fmin: a NaN curvature bounds nothing
+                h = np.fmin(h, 0.5 * np.sqrt(2.0 / self._wrms(ypp, y0)))
         if self.max_step is not None:
             h = np.minimum(h, self.max_step)
         return np.maximum(h, 1e-14)
@@ -441,7 +490,8 @@ class CVode:
         that fail it or fail to converge, and returns the mask (over
         ``idx``) of columns that advanced."""
         h = self._h[idx]
-        # invariant: order <= history length (it only rises with history)
+        # invariant: order < history length (it only rises with history),
+        # so an order-q predictor is never built from fewer than q + 1 nodes
         k = self._order[idx]
         nhist = self._nhist[idx]
         ts = self._ts[:, idx]
@@ -449,7 +499,7 @@ class CVode:
         t_new = ts[0] + h
         # predictors at orders k-1, k, k+1 feed the order-selection logic
         orders = k + np.array([[-1], [0], [1]])
-        usable = (orders >= 1) & (orders <= self.max_order) & (orders <= nhist)
+        usable = (orders >= 1) & (orders <= self.max_order) & (orders < nhist)
         weights = _lagrange_weights(ts, np.minimum(orders + 1, nhist), t_new)
         preds = _combine(weights, ys)
         y_pred = preds[1]
@@ -543,7 +593,7 @@ class CVode:
             c_new -= c[i]
         gamma = 1.0 / c_new
         psi = -gamma * _combine(c[:, None], ys)[0]
-        self._refresh_jacobians(idx, t_new, y_pred, gamma)
+        self._refresh_jacobians(idx, t_new, y_pred)
         newton = -gamma[:, None, None] * self._jac[idx]
         diag = np.arange(self.n)
         newton[:, diag, diag] += 1.0
@@ -574,14 +624,14 @@ class CVode:
         return y, converged, retry
 
     def _refresh_jacobians(self, idx: np.ndarray, t: np.ndarray,
-                           y: np.ndarray, gamma: np.ndarray) -> None:
-        """Recompute the Jacobian of every column whose copy is missing,
-        over 20 attempts old, or from a ``gamma`` over 30% away from the
-        last attempt's — all of them in one RHS call."""
-        drifted = np.abs(gamma / self._gamma_prev[idx] - 1.0) > 0.3
-        stale = ~self._jac_ok[idx] | (self._jac_age[idx] > 20) | drifted
+                           y: np.ndarray) -> None:
+        """Recompute the Jacobian of every column whose copy is missing
+        (dropped after a convergence failure) or over 20 attempts old —
+        all of them in one RHS call.  A change of ``gamma`` alone is no
+        reason: the Newton matrix is re-formed from the saved Jacobian
+        on every attempt."""
+        stale = ~self._jac_ok[idx] | (self._jac_age[idx] > 20)
         self._jac_age[idx] = np.where(stale, 0, self._jac_age[idx] + 1)
-        self._gamma_prev[idx] = gamma
         s = np.flatnonzero(stale)
         if s.size:
             cols = idx[s]

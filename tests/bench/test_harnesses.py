@@ -71,3 +71,6 @@ def test_fig3_fig4_snapshots():
     assert snaps[0]["T_max"] > 1000.0
     assert res["refined"]
     assert "census" in snaps[-1]
+    # the paper's scheme: the chemistry went through per-cell CVODE
+    cvode = res["cvode"]
+    assert 0 < cvode["jac_evals"] < cvode["steps"] < cvode["rhs_evals"]

@@ -125,6 +125,15 @@ def test_cvode_component_integrates_decaying_mode():
     assert solver.last_nfe() > 0
     assert np.isfinite(y1).all()
     assert y1[1:-1].sum() == pytest.approx(1.0, abs=1e-8)
+    # the call accounting survives a checkpoint, Jacobians included
+    assert solver.total_nje >= 1 and solver.total_nfe == solver.last_nfe()
+    state = f.get_component("cv").checkpoint_state()
+    restored = build_0d_core().get_component("cv")
+    restored.restore_state(state)
+    assert restored.checkpoint_state() == state
+    del state["total_nje"]      # a checkpoint from before the counter
+    restored.restore_state(state)
+    assert restored.solver.total_nje == 0
 
 
 def test_dpdt_matches_finite_difference():
