@@ -35,18 +35,33 @@ class ChemistryPort(Port):
 
 
 class TransportPort(Port):
-    """Mixture-averaged transport properties (the DRFM interface)."""
+    """Mixture-averaged transport properties (the DRFM interface).
 
-    def diffusion_coefficients(self, T: np.ndarray,
-                               P: np.ndarray | float) -> np.ndarray:
+    The provider keeps no scratch of its own (one provider may serve
+    several callers): a caller that wants a call to allocate nothing
+    passes the memory in.  ``out`` is NumPy's ``out`` — the array the
+    result is computed into and returned; without it the result is a
+    fresh array (a scalar for scalar input).  ``work`` is float scratch
+    of shape ``(k, *T.shape)`` with at least the stated number of rows,
+    whose contents are garbage afterwards.  Neither may overlap the
+    inputs.
+    """
+
+    def diffusion_coefficients(self, T: np.ndarray, P: np.ndarray | float,
+                               out: np.ndarray | None = None) -> np.ndarray:
+        """D_i [m^2/s], shape ``(nsp, *T.shape)``."""
         raise NotImplementedError
 
-    def conductivity(self, T: np.ndarray) -> np.ndarray:
+    def conductivity(self, T: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """lambda [W/(m K)], shape ``T.shape``."""
         raise NotImplementedError
 
     def max_diffusion_coefficient(self, T: np.ndarray,
-                                  P: np.ndarray | float,
-                                  Y: np.ndarray) -> float:
+                                  P: np.ndarray | float, Y: np.ndarray,
+                                  work: np.ndarray | None = None) -> float:
+        """Largest of the D_i and the thermal diffusivity over the cells
+        given; ``work`` 2 nsp + 2 rows."""
         raise NotImplementedError
 
 

@@ -22,9 +22,19 @@ if TYPE_CHECKING:  # pragma: no cover
 class PatchRHSPort(Port):
     """Evaluate and assemble the RHS "one patch at a time" (family (d))."""
 
-    def evaluate(self, t: float, patch: "Patch",
-                 ghosted: np.ndarray) -> np.ndarray:
-        """dU/dt over the patch interior, given the ghosted field array."""
+    def evaluate(self, t: float, patch: "Patch", ghosted: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """dU/dt over the patch interior, given the ghosted field array.
+
+        ``out`` is NumPy's ``out``: an array of the interior's shape
+        (``(nvar, nx, ny)``, not overlapping ``ghosted``) that the result
+        is computed into and that is returned — an integrator passes its
+        slice of the packed RHS vector and nothing is copied.  Without it
+        the result is a fresh array.  Either way the caller owns what it
+        gets back: a provider may keep scratch between calls, but no
+        result is a view of it, so evaluating another patch leaves
+        earlier results alone.
+        """
         raise NotImplementedError
 
     def evaluate_patches(self, t: float, patches: Sequence["Patch"],

@@ -27,14 +27,21 @@ from repro.chemistry.species import Species
 from repro.errors import ChemistryError
 
 
-def species_sum(terms: np.ndarray) -> np.ndarray:
+def species_sum(terms: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Sum over the leading (species / reaction) axis, one add per row in
     index order — the same float operations per cell whatever the shape
-    of the trailing cell axes."""
-    acc = terms[0]
+    of the trailing cell axes.  ``out``, an array of a row's shape (not
+    itself one of rows 2..), takes the accumulation."""
+    if out is None:  # ``+``, not ``np.add``: a 0-D state adds scalars
+        acc = terms[0]
+        for k in range(1, len(terms)):
+            acc = acc + terms[k]
+        return acc
+    np.copyto(out, terms[0])
     for k in range(1, len(terms)):
-        acc = acc + terms[k]
-    return acc
+        out += terms[k]
+    return out
 
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -46,6 +53,59 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     for k in range(len(weights)):
         acc += weights[k][column] * values[k]
     return acc
+
+
+def _rows(work: np.ndarray | None, start: int, stop: int
+          ) -> np.ndarray | None:
+    """Rows ``start:stop`` of a ``(k, *cells)`` work array, if there is one."""
+    return None if work is None else work[start:stop]
+
+
+# The three NASA-7 kernels keep the expression order of
+# :class:`~repro.chemistry.nasa7.Nasa7` term for term (up to commuting an
+# add or a multiply), so each species row is bitwise the per-species
+# value.  ``a`` is a range's ``(nsp, 7, 1, ...)`` coefficient columns.
+def _cp_R(a: np.ndarray, T: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a0 + T (a1 + T (a2 + T (a3 + T a4)))`` into ``out``."""
+    np.multiply(T, a[:, 4], out=out)
+    for k in (3, 2, 1):
+        out += a[:, k]
+        out *= T
+    out += a[:, 0]
+    return out
+
+
+def _h_RT(a: np.ndarray, T: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a0 + T (a1/2 + T (a2/3 + T (a3/4 + T a4/5))) + a5/T``."""
+    np.multiply(T, a[:, 4], out=out)
+    out /= 5
+    for k in (3, 2, 1):
+        out += a[:, k] / (k + 1)
+        out *= T
+    out += a[:, 0]
+    out += a[:, 5] / T
+    return out
+
+
+def _s_R(a: np.ndarray, T: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a0 ln T + T (a1 + T (a2/2 + T (a3/3 + T a4/4))) + a6``."""
+    np.multiply(T, a[:, 4], out=out)
+    out /= 4
+    for k in (3, 2):
+        out += a[:, k] / k
+        out *= T
+    out += a[:, 1]
+    out *= T
+    out += a[:, 0] * np.log(T)
+    out += a[:, 6]
+    return out
+
+
+def _g_RT(a: np.ndarray, T: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``h/(RT) - s/R``."""
+    _h_RT(a, T, out)
+    out -= _s_R(a, T, np.empty_like(out))
+    return out
 
 
 class Mechanism:
@@ -91,10 +151,14 @@ class Mechanism:
         self.nu_net = self.nu_prod - self.nu_react
         #: Molecular weights [kg/mol], shape (nspecies,).
         self.weights = np.array([sp.weight for sp in self.species])
+        self._inv_weights = 1.0 / self.weights
         # species-axis NASA-7 tables: (nsp, 7) per range, (nsp,) switch
         self._nasa_low = np.array([sp.thermo.low for sp in self.species])
         self._nasa_high = np.array([sp.thermo.high for sp in self.species])
         self._nasa_t_mid = np.array([sp.thermo.t_mid for sp in self.species])
+        #: below the first / from the second on, one range serves all species
+        self._nasa_switch = (float(self._nasa_t_mid.min()),
+                             float(self._nasa_t_mid.max()))
         # reaction-axis rate tables (see progress_rates)
         self._rate_A = np.array([rxn.rate.A for rxn in self.reactions])
         self._rate_b = np.array([rxn.rate.b for rxn in self.reactions])
@@ -165,41 +229,57 @@ class Mechanism:
                          [rxn.scaled(factor) for rxn in self.reactions])
 
     # -- species-axis NASA-7 (all species in one Horner pass) ------------------
-    def _nasa_coeffs(self, T: np.ndarray) -> np.ndarray:
-        """Range-selected coefficients, shape ``(nsp, 7) + T.shape``."""
-        cells = (None,) * T.ndim
-        use_high = T >= self._nasa_t_mid[(slice(None), None) + cells]
-        table = (slice(None), slice(None)) + cells
-        return np.where(use_high, self._nasa_high[table],
-                        self._nasa_low[table])
-
-    # The four evaluators keep the expression order of
-    # :class:`~repro.chemistry.nasa7.Nasa7` term for term, so each species
-    # row is bitwise the per-species value.
-    def cp_R(self, T: np.ndarray | float) -> np.ndarray:
-        """cp/R of every species, shape ``(nsp,) + T.shape``."""
+    def _nasa(self, kernel, T: np.ndarray | float,
+              out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
+        """``kernel`` on the temperature range each cell lies in, shape
+        ``(nsp,) + T.shape``: one pass over the coefficient columns of
+        the range all cells share, else the low range everywhere and the
+        high range again on the compressed cells that some species has
+        switched in (``work`` holds those) — the same float operations
+        per cell either way, and no per-cell coefficient gather."""
         T = np.asarray(T, dtype=float)
-        a = self._nasa_coeffs(T)
-        return a[:, 0] + T * (a[:, 1] + T * (a[:, 2] + T * (a[:, 3]
-                                                            + T * a[:, 4])))
+        if out is None:
+            out = np.empty((self.n_species,) + T.shape)
+        column = (slice(None), slice(None)) + (None,) * T.ndim
+        low, high = self._nasa_low[column], self._nasa_high[column]
+        first, last = self._nasa_switch
+        hot = T >= first
+        n_hot = np.count_nonzero(hot)
+        if n_hot == 0:
+            return kernel(low, T, out)
+        if n_hot == T.size and (first == last or T.min() >= last):
+            return kernel(high, T, out)
+        kernel(low, T, out)
+        T_hot = T[hot]
+        size = self.n_species * n_hot
+        high_hot = (np.empty(size) if work is None
+                    else work.reshape(-1)[:size]).reshape(-1, n_hot)
+        kernel(self._nasa_high[:, :, None], T_hot, high_hot)
+        if first != last:
+            # a cell takes a species' high range from that species' switch
+            high_hot = np.where(T_hot >= self._nasa_t_mid[:, None], high_hot,
+                                out[:, hot])
+        out[:, hot] = high_hot
+        return out
+
+    def cp_R(self, T: np.ndarray | float, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+        """cp/R of every species, shape ``(nsp,) + T.shape``; ``work``
+        (nsp rows) is used when ``T`` straddles a range switch."""
+        return self._nasa(_cp_R, T, out, work)
 
     def h_RT(self, T: np.ndarray | float) -> np.ndarray:
         """h/(RT) of every species, shape ``(nsp,) + T.shape``."""
-        T = np.asarray(T, dtype=float)
-        a = self._nasa_coeffs(T)
-        return (a[:, 0] + T * (a[:, 1] / 2 + T * (a[:, 2] / 3 + T * (
-            a[:, 3] / 4 + T * a[:, 4] / 5))) + a[:, 5] / T)
+        return self._nasa(_h_RT, T)
 
     def s_R(self, T: np.ndarray | float) -> np.ndarray:
         """s/R (standard state) of every species."""
-        T = np.asarray(T, dtype=float)
-        a = self._nasa_coeffs(T)
-        return (a[:, 0] * np.log(T) + T * (a[:, 1] + T * (a[:, 2] / 2 + T * (
-            a[:, 3] / 3 + T * a[:, 4] / 4))) + a[:, 6])
+        return self._nasa(_s_R, T)
 
     def g_RT(self, T: np.ndarray | float) -> np.ndarray:
         """g/(RT) = h/(RT) - s/R of every species."""
-        return self.h_RT(T) - self.s_R(T)
+        return self._nasa(_g_RT, T)
 
     def per_species(self, values: np.ndarray, like: np.ndarray) -> np.ndarray:
         """``(nsp,)`` constants shaped to broadcast against ``like``'s
@@ -207,16 +287,29 @@ class Mechanism:
         return values.reshape((-1,) + (1,) * (np.ndim(like) - 1))
 
     # -- mixture thermodynamics (mass basis, vectorized over cells) ----------
-    def mean_weight(self, Y: np.ndarray) -> np.ndarray:
-        """Mixture molecular weight [kg/mol]; ``Y`` shape (nsp, ...)."""
+    # ``out`` is NumPy's own: the array the result is computed into (and
+    # returned).  ``work`` is float scratch of shape ``(k, *cells)`` with
+    # at least the stated number of rows; given both, a call allocates
+    # nothing of cell size.  Without them the same ufunc calls allocate
+    # their results, scalars in, scalar out.
+    def mean_weight(self, Y: np.ndarray, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
+        """Mixture molecular weight [kg/mol]; ``Y`` shape (nsp, ...),
+        ``work`` nsp rows."""
         Y = np.asarray(Y)
-        return 1.0 / species_sum(Y * self.per_species(1.0 / self.weights, Y))
+        terms = np.multiply(Y, self.per_species(self._inv_weights, Y),
+                            out=_rows(work, 0, len(Y)))
+        return np.divide(1.0, species_sum(terms, out=out), out=out)
 
-    def density(self, T: np.ndarray, P: np.ndarray | float,
-                Y: np.ndarray) -> np.ndarray:
-        """Ideal-gas density [kg/m^3]."""
-        W = self.mean_weight(Y)
-        return np.asarray(P) * W / (R_UNIVERSAL * np.asarray(T))
+    def density(self, T: np.ndarray, P: np.ndarray | float, Y: np.ndarray,
+                out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
+        """Ideal-gas density [kg/m^3]; ``work`` nsp rows."""
+        W = self.mean_weight(Y, out=out, work=work)
+        # W is in ``out`` by now; ``[0, ...]`` is a view even of 0-d cells
+        RT = np.multiply(R_UNIVERSAL, T,
+                         out=None if work is None else work[0, ...])
+        return np.divide(np.multiply(P, W, out=out), RT, out=out)
 
     def pressure(self, T: np.ndarray, rho: np.ndarray,
                  Y: np.ndarray) -> np.ndarray:
@@ -229,14 +322,24 @@ class Mechanism:
         Y = np.asarray(Y)
         return np.asarray(rho) * Y / self.per_species(self.weights, Y)
 
-    def cp_mass_species(self, T: np.ndarray) -> np.ndarray:
-        """Per-species specific heats cp [J/(kg K)], shape (nsp, ...)."""
-        cp = self.cp_R(T)
-        return cp * R_UNIVERSAL / self.per_species(self.weights, cp)
+    def cp_mass_species(self, T: np.ndarray, out: np.ndarray | None = None,
+                        work: np.ndarray | None = None) -> np.ndarray:
+        """Per-species specific heats cp [J/(kg K)], shape (nsp, ...);
+        ``work`` nsp rows."""
+        cp = self.cp_R(T, out=out, work=work)
+        cp *= R_UNIVERSAL
+        cp /= self.per_species(self.weights, cp)
+        return cp
 
-    def cp_mass(self, T: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Mixture specific heat at constant pressure [J/(kg K)]."""
-        return species_sum(np.asarray(Y) * self.cp_mass_species(T))
+    def cp_mass(self, T: np.ndarray, Y: np.ndarray,
+                out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
+        """Mixture specific heat at constant pressure [J/(kg K)];
+        ``work`` 2 nsp rows."""
+        n = self.n_species
+        cp = self.cp_mass_species(T, out=_rows(work, 0, n),
+                                  work=_rows(work, n, 2 * n))
+        return species_sum(np.multiply(Y, cp, out=cp), out=out)
 
     def cv_mass(self, T: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Mixture specific heat at constant volume [J/(kg K)]."""

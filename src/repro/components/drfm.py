@@ -18,14 +18,15 @@ class _Transport(TransportPort):
     def __init__(self, owner: "DRFMComponent") -> None:
         self.owner = owner
 
-    def diffusion_coefficients(self, T, P):
-        return self.owner.transport.diffusion_coefficients(T, P)
+    def diffusion_coefficients(self, T, P, out=None):
+        return self.owner.transport.diffusion_coefficients(T, P, out=out)
 
-    def conductivity(self, T):
-        return self.owner.transport.conductivity(T)
+    def conductivity(self, T, out=None):
+        return self.owner.transport.conductivity(T, out=out)
 
-    def max_diffusion_coefficient(self, T, P, Y):
-        return self.owner.transport.max_diffusion_coefficient(T, P, Y)
+    def max_diffusion_coefficient(self, T, P, Y, work=None):
+        return self.owner.transport.max_diffusion_coefficient(T, P, Y,
+                                                              work=work)
 
 
 class DRFMComponent(Component):

@@ -29,26 +29,42 @@ from repro.obs import trace as _obs
 from repro.obs.metrics import get_registry as _obs_registry
 from repro.samr.dataobject import DataObject
 from repro.samr.ghost import restrict_level
+from repro.util.arena import Arena
 
 
-def pack_interiors(dobj: DataObject) -> np.ndarray:
-    """Flatten owned-patch interiors into one vector (stable patch order)."""
-    parts = [dobj.interior(p).ravel() for p in dobj.owned_patches()]
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
+def pack_interiors(dobj: DataObject,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Flatten owned-patch interiors into one vector (stable patch
+    order), ``out`` if given."""
+    views = [dobj.interior(p) for p in dobj.owned_patches()]
+    if out is None:
+        out = np.empty(sum(view.size for view in views))
+    for view, segment in zip(views, _segments(views, out)):
+        segment[...] = view
+    return out
+
 
 def unpack_interiors(dobj: DataObject, y: np.ndarray) -> None:
     """Scatter a packed vector back into owned-patch interiors."""
-    off = 0
-    for p in dobj.owned_patches():
-        view = dobj.interior(p)
-        n = view.size
-        view[...] = y[off:off + n].reshape(view.shape)
-        off += n
-    if off != y.size:
+    views = [dobj.interior(p) for p in dobj.owned_patches()]
+    for view, segment in zip(views, _segments(views, y)):
+        view[...] = segment
+
+
+def _segments(views: Sequence[np.ndarray], y: np.ndarray
+              ) -> list[np.ndarray]:
+    """The packed vector ``y`` as one view per patch interior, each in
+    its interior's shape; the length is checked before anything is
+    handed out (and so before anything is written)."""
+    total = sum(view.size for view in views)
+    if y.shape != (total,):
         raise CCAError(
-            f"state vector length {y.size} != owned interior size {off}")
+            f"state vector length {y.size} != owned interior size {total}")
+    segments, start = [], 0
+    for view in views:
+        segments.append(y[start:start + view.size].reshape(view.shape))
+        start += view.size
+    return segments
 
 
 class _RKCIntegrator(IntegratorPort):
@@ -79,6 +95,7 @@ class ExplicitIntegrator(Component):
     def set_services(self, services) -> None:
         self.services = services
         self.port = _RKCIntegrator(self)
+        self._arena = Arena()  # packed state, RHS and RKC stage vectors
         services.register_uses_port("rhs", "PatchRHSPort")
         services.register_uses_port("bound", "SpectralBoundPort")
         services.register_uses_port("mesh", "MeshPort")
@@ -111,21 +128,31 @@ class ExplicitIntegrator(Component):
         data_port = self.services.get_port("data")
         h = dobj.hierarchy
 
+        patches = list(dobj.owned_patches())
+        interiors = [dobj.interior(patch) for patch in patches]
+        n = sum(view.size for view in interiors)
+        y0, f0, f_stage, stage_work = self._arena.carve(
+            (n,), (n,), (n,), (4, n))
+        pack_interiors(dobj, out=y0)
+
         def rhs_vec(tt: float, y: np.ndarray) -> np.ndarray:
+            """The RHS at ``y0`` gets a buffer of its own (every stage
+            reads it) and the patches still hold what ``y0`` was packed
+            from; a stage's RHS is consumed before the next is asked
+            for, so those share one."""
             port.nfe += 1
-            unpack_interiors(dobj, y)
+            if y is y0:
+                f = f0
+            else:
+                f = f_stage
+                unpack_interiors(dobj, y)
             for lev in range(h.nlevels):
                 data_port.exchange_ghosts(dobj.name, lev)
-            out_parts = []
-            for patch in dobj.owned_patches():
-                ghosted = dobj.array(patch)
-                out_parts.append(
-                    rhs_port.evaluate(tt, patch, ghosted).ravel())
-            return (np.concatenate(out_parts) if out_parts
-                    else np.zeros(0))
+            for patch, f_part in zip(patches, _segments(interiors, f)):
+                rhs_port.evaluate(tt, patch, dobj.array(patch), out=f_part)
+            return f
 
-        y0 = pack_interiors(dobj)
-        y1 = rkc_step(rhs_vec, t, y0, dt, rho, stages=s)
+        y1 = rkc_step(rhs_vec, t, y0, dt, rho, stages=s, work=stage_work)
         unpack_interiors(dobj, y1)
         comm = self.services.get_comm()
         for lev in range(h.nlevels - 1, 0, -1):

@@ -46,8 +46,13 @@ class _InviscidRHS(PatchRHSPort):
         self.owner = owner
         self.nfe = 0
 
-    def evaluate(self, t: float, patch, ghosted: np.ndarray) -> np.ndarray:
-        return self.evaluate_patches(t, [patch], [ghosted])[0]
+    def evaluate(self, t: float, patch, ghosted: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        rhs = self.evaluate_patches(t, [patch], [ghosted])[0]
+        if out is None:
+            return rhs
+        out[...] = rhs
+        return out
 
     def evaluate_patches(self, t: float, patches, arrays) -> list[np.ndarray]:
         self.nfe += len(patches)

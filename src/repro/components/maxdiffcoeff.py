@@ -17,6 +17,7 @@ import numpy as np
 from repro.cca.component import Component
 from repro.cca.ports.rhs import SpectralBoundPort
 from repro.integrators.spectral import gershgorin_diffusion
+from repro.util.arena import Arena
 
 
 class _Bound(SpectralBoundPort):
@@ -36,6 +37,7 @@ class MaxDiffCoeffEvaluator(Component):
 
     def set_services(self, services) -> None:
         self.services = services
+        self._arena = Arena()  # the property pass's scratch, all patches
         services.register_uses_port("mesh", "MeshPort")
         services.register_uses_port("data", "DataObjectPort")
         services.register_uses_port("transport", "TransportPort")
@@ -54,10 +56,12 @@ class MaxDiffCoeffEvaluator(Component):
         d_local = 0.0
         for patch in dobj.owned_patches():
             arr = dobj.interior(patch)
-            T = arr[0]
-            Y = np.clip(arr[1:], 0.0, None)
-            d_local = max(d_local,
-                          transport.max_diffusion_coefficient(T, P, Y))
+            nsp, cells = arr.shape[0] - 1, arr.shape[1:]
+            Y, work = self._arena.carve((nsp,) + cells,
+                                        (2 * nsp + 2,) + cells)
+            np.clip(arr[1:], 0.0, None, out=Y)
+            d_local = max(d_local, transport.max_diffusion_coefficient(
+                arr[0], P, Y, work=work))
         comm = self.services.get_comm()
         if comm is not None and comm.size > 1:
             from repro.mpi.comm import Op

@@ -339,9 +339,12 @@ class MPComm(CollectiveMixin):
                     label: str = "collective") -> Any:
         """Gather-to-local-root rendezvous: every member ships its
         contribution (and entry clock) to comm rank 0, which runs
-        ``finish`` exactly once and broadcasts ``(result, exit_clock)``.
-        Same contract as the threads rendezvous: everyone leaves at
-        ``max(entry clocks) + comm_cost`` holding the shared result."""
+        ``finish`` exactly once and posts each member its own
+        ``(share(member), exit_clock)`` — an ``alltoall`` row, a
+        ``scatter`` item, ``None`` to the non-roots of a ``gather`` — not
+        the whole outcome.  Same contract as the threads rendezvous:
+        everyone leaves at ``max(entry clocks) + comm_cost`` holding its
+        share."""
         t0 = time.perf_counter() if _obs.on else 0.0
         self._sync()
         self._coll_seq += 1
@@ -353,15 +356,13 @@ class MPComm(CollectiveMixin):
             contribs[0] = contribution
             entry_max = max([clk for _, clk in others.values()]
                             + [self._state.clock])
-            result, cost = finish(contribs)
+            share, cost = finish(contribs)
             exit_clock = entry_max + cost
-            # one envelope per member: a shm segment is single-consumer
-            # (the receiver unlinks it at attach), so the result cannot
-            # ride one shared envelope
             for member in range(1, self.size):
-                wire, _ = _shm.encode_message((result, exit_clock))
+                wire, _ = _shm.encode_message((share(member), exit_clock))
                 station.post(self._members[member],
                              ("collr", self.id, seq, wire))
+            result = share(0)
         else:
             wire, _ = _shm.encode_message(
                 (self.rank, contribution, self._state.clock))

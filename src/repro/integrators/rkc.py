@@ -72,11 +72,19 @@ def _cheb_row(s: int, w0: float) -> tuple[list[float], list[float], list[float]]
 
 
 def rkc_step(rhs: RHS, t: float, y: np.ndarray, dt: float, rho: float,
-             stages: int | None = None) -> np.ndarray:
+             stages: int | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
     """One second-order RKC step from ``t`` to ``t + dt``.
 
     ``rho`` is an upper bound on the spectral radius of df/dy; ``stages``
     overrides the automatic stage-count selection.
+
+    The step computes in ``work``, a float array of shape
+    ``(4,) + y.shape`` (a fresh one if not given), and returns a view of
+    it.  ``y`` and the arrays ``rhs`` returns are only read.  Every stage
+    uses the RHS at ``y`` again, so the array the first call returned
+    must outlive the step; each later one is done with before ``rhs`` is
+    called again, so ``rhs`` may hand those back in one reused buffer.
     """
     s = stages if stages is not None else stages_for(dt, rho)
     if s < 2:
@@ -91,10 +99,16 @@ def rkc_step(rhs: RHS, t: float, y: np.ndarray, dt: float, rho: float,
     b[0] = b[2]
     b[1] = 1.0 / w0
 
+    if work is None:
+        work = np.empty((4,) + np.shape(y))
+    # one product at a time, and the three stage vectors in rotation
+    term, *ring = (work[k, ...] for k in range(4))
     f0 = rhs(t, y)
     y_jm2 = y
     mu1_t = b[1] * w1
-    y_jm1 = y + mu1_t * dt * f0
+    y_jm1 = ring[0]
+    np.multiply(f0, mu1_t * dt, out=y_jm1)
+    y_jm1 += y
     c_jm2, c_jm1 = 0.0, mu1_t
     for j in range(2, s + 1):
         mu = 2.0 * b[j] * w0 / b[j - 1]
@@ -103,8 +117,14 @@ def rkc_step(rhs: RHS, t: float, y: np.ndarray, dt: float, rho: float,
         a_jm1 = 1.0 - b[j - 1] * T[j - 1]
         gamma_t = -a_jm1 * mu_t
         f = rhs(t + c_jm1 * dt, y_jm1)
-        y_j = ((1.0 - mu - nu) * y + mu * y_jm1 + nu * y_jm2
-               + mu_t * dt * f + gamma_t * dt * f0)
+        # (1 - mu - nu) y + mu y_jm1 + nu y_jm2 + mu_t dt f + gamma_t dt f0,
+        # summed left to right
+        y_j = ring[(j - 1) % 3]
+        np.multiply(y, 1.0 - mu - nu, out=y_j)
+        y_j += np.multiply(y_jm1, mu, out=term)
+        y_j += np.multiply(y_jm2, nu, out=term)
+        y_j += np.multiply(f, mu_t * dt, out=term)
+        y_j += np.multiply(f0, gamma_t * dt, out=term)
         c_j = mu * c_jm1 + nu * c_jm2 + mu_t + gamma_t
         y_jm2, y_jm1 = y_jm1, y_j
         c_jm2, c_jm1 = c_jm1, c_j

@@ -9,9 +9,11 @@ them once, against a minimal contract the transport must provide:
 * ``self.machine`` — the :class:`~repro.mpi.perfmodel.MachineModel`
   charging communication costs;
 * ``self._collective(contribution, finish, label)`` — the rendezvous
-  primitive: every member contributes, ``finish(contribs) -> (result,
+  primitive: every member contributes, ``finish(contribs) -> (share,
   comm_cost)`` runs exactly once somewhere, every member leaves at
-  ``max(entry clocks) + comm_cost`` holding the shared result.
+  ``max(entry clocks) + comm_cost`` holding ``share(rank)`` — its own
+  part of the outcome, so a transport that ships results between
+  processes sends member *r* only what member *r* returns.
 
 :class:`repro.mpi.comm.Comm` implements ``_collective`` as an
 in-process condition-variable rendezvous (the ``threads`` backend);
@@ -28,6 +30,17 @@ from typing import Any
 from repro.errors import MPIError
 
 
+def _everyone(value: Any):
+    """The share of a collective whose members all get ``value``."""
+    return lambda rank: value
+
+
+def _only(root: int, value: Any):
+    """The share of a collective that leaves ``value`` at ``root`` and
+    ``None`` everywhere else."""
+    return lambda rank: value if rank == root else None
+
+
 class CollectiveMixin:
     """Transport-independent MPI-1 collectives (see module docstring)."""
 
@@ -38,7 +51,7 @@ class CollectiveMixin:
         machine, size = self.machine, self.size
 
         def finish(_contribs):
-            return None, machine.barrier_time(size)
+            return _everyone(None), machine.barrier_time(size)
 
         self._collective(None, finish, label="barrier")
 
@@ -51,20 +64,20 @@ class CollectiveMixin:
 
         def finish(contribs):
             value, nbytes = contribs[root]
-            return value, machine.bcast_time(size, nbytes)
+            return _everyone(value), machine.bcast_time(size, nbytes)
 
         return self._collective(payload, finish, label="bcast")
 
     def reduce(self, obj: Any, op=None, root: int = 0) -> Any:
         """Reduce to ``root``; non-roots return ``None``."""
-        result = self._reduce_common(obj, op, allreduce=False)
-        return result if self.rank == root else None
+        return self._reduce_common(obj, op, root)
 
     def allreduce(self, obj: Any, op=None) -> Any:
         """Reduce and distribute the result to every member."""
-        return self._reduce_common(obj, op, allreduce=True)
+        return self._reduce_common(obj, op, None)
 
-    def _reduce_common(self, obj: Any, op, allreduce: bool) -> Any:
+    def _reduce_common(self, obj: Any, op, root: int | None) -> Any:
+        """``root`` None: everyone gets the result (allreduce)."""
         from repro.mpi.comm import Op as _Op, _isolate
 
         op = _Op.SUM if op is None else op
@@ -78,12 +91,12 @@ class CollectiveMixin:
                 value, nb = contribs[rank]
                 nbytes = max(nbytes, nb)
                 acc = value if acc is None else op.apply(acc, value)
-            cost = (machine.allreduce_time(size, nbytes) if allreduce
-                    else machine.reduce_time(size, nbytes))
-            return acc, cost
+            if root is None:
+                return _everyone(acc), machine.allreduce_time(size, nbytes)
+            return _only(root, acc), machine.reduce_time(size, nbytes)
 
         return self._collective(
-            payload, finish, label="allreduce" if allreduce else "reduce")
+            payload, finish, label="allreduce" if root is None else "reduce")
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one object per member to ``root`` (rank-ordered list)."""
@@ -95,10 +108,9 @@ class CollectiveMixin:
         def finish(contribs):
             nbytes = max(nb for _, nb in contribs.values())
             values = [contribs[r][0] for r in range(size)]
-            return values, machine.gather_time(size, nbytes)
+            return _only(root, values), machine.gather_time(size, nbytes)
 
-        result = self._collective(payload, finish, label="gather")
-        return result if self.rank == root else None
+        return self._collective(payload, finish, label="gather")
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one object per member to everyone."""
@@ -110,7 +122,7 @@ class CollectiveMixin:
         def finish(contribs):
             nbytes = max(nb for _, nb in contribs.values())
             values = [contribs[r][0] for r in range(size)]
-            return values, machine.allgather_time(size, nbytes)
+            return _everyone(values), machine.allgather_time(size, nbytes)
 
         return self._collective(payload, finish, label="allgather")
 
@@ -129,11 +141,10 @@ class CollectiveMixin:
         def finish(contribs):
             items = contribs[root]
             nbytes = max(nb for _, nb in items) if items else 0
-            values = {r: items[r][0] for r in range(size)}
-            return values, machine.gather_time(size, nbytes)
+            return (lambda rank: items[rank][0],
+                    machine.gather_time(size, nbytes))
 
-        values = self._collective(payload, finish, label="scatter")
-        return values[self.rank]
+        return self._collective(payload, finish, label="scatter")
 
     def alltoall(self, objs: list[Any]) -> list[Any]:
         """Personalized all-to-all: rank i's ``objs[j]`` lands at rank j."""
@@ -146,11 +157,8 @@ class CollectiveMixin:
 
         def finish(contribs):
             nbytes = max(nb for items in contribs.values() for _, nb in items)
-            table = {
-                dest: [contribs[src][dest][0] for src in range(size)]
-                for dest in range(size)
-            }
-            return table, machine.alltoall_time(size, nbytes)
+            return (lambda dest: [contribs[src][dest][0]
+                                  for src in range(size)],
+                    machine.alltoall_time(size, nbytes))
 
-        table = self._collective(payload, finish, label="alltoall")
-        return table[self.rank]
+        return self._collective(payload, finish, label="alltoall")

@@ -137,7 +137,8 @@ class _CollSlot:
         self.size = size
         self.cond = threading.Condition()
         self.entries: dict[int, tuple[Any, float]] = {}
-        self.result: Any = None
+        #: rank -> that member's part of the outcome (set by ``finish``)
+        self.share: Callable[[int], Any] | None = None
         self.exit_clock = 0.0
         self.done = False
         self.read = 0
@@ -409,8 +410,8 @@ class Comm(CollectiveMixin):
                     finish: Callable[[dict[int, Any]], tuple[Any, float]],
                     label: str = "collective") -> Any:
         """Generic rendezvous: every member contributes, the last arrival
-        runs ``finish(contribs) -> (result, comm_cost)``, everyone leaves at
-        ``max(entry clocks) + comm_cost`` with the shared result."""
+        runs ``finish(contribs) -> (share, comm_cost)``, everyone leaves at
+        ``max(entry clocks) + comm_cost`` with ``share(rank)``."""
         t0 = time.perf_counter() if _obs.on else 0.0
         self._sync()
         self._coll_seq += 1
@@ -426,8 +427,8 @@ class Comm(CollectiveMixin):
             if len(slot.entries) == slot.size:
                 contribs = {r: p for r, (p, _) in slot.entries.items()}
                 entry_max = max(c for _, c in slot.entries.values())
-                result, cost = finish(contribs)
-                slot.result = result
+                share, cost = finish(contribs)
+                slot.share = share
                 slot.exit_clock = entry_max + cost
                 slot.done = True
                 slot.cond.notify_all()
@@ -446,7 +447,7 @@ class Comm(CollectiveMixin):
                           vt=self._state.clock)
             _obs_registry().counter("mpi.collectives", op=label,
                                     rank=self.global_rank).inc()
-        return slot.result
+        return slot.share(self.rank)
 
     # barrier/bcast/reduce/allreduce/gather/allgather/scatter/alltoall are
     # inherited from CollectiveMixin, driven by _collective above.

@@ -54,8 +54,13 @@ class MixtureTransport:
                 f"no transport data for species {missing}")
         self._d_ref = np.array([_D_REF_300K[nm] for nm in mech.names])
 
-    def diffusion_coefficients(self, T: np.ndarray,
-                               P: np.ndarray | float) -> np.ndarray:
+    # ``out`` / ``work`` as in :class:`~repro.chemistry.mechanism.Mechanism`:
+    # given both, a call allocates nothing of cell size.  The powers are
+    # ``np.power`` calls, never a scalar's ``**`` (libm's pow, which may
+    # round the last bit the other way): a temperature alone gets the
+    # bits it gets in any batch.
+    def diffusion_coefficients(self, T: np.ndarray, P: np.ndarray | float,
+                               out: np.ndarray | None = None) -> np.ndarray:
         """Mixture-averaged D_i [m^2/s], shape ``(nsp, *T.shape)``.
 
         "The species are assumed to diffuse independently into the mixture
@@ -63,27 +68,58 @@ class MixtureTransport:
         species is mixture averaged."  (paper §4.2)
         """
         T = np.asarray(T, dtype=float)
-        scale = (T / _T_REF) ** _D_EXPONENT * (_P_REF / np.asarray(P))
-        return self._d_ref.reshape((-1,) + (1,) * T.ndim) * scale
+        if out is None:
+            out = np.empty((len(self._d_ref),) + T.shape)
+        # the (T, P) scale shared by all species is built in row 0 and
+        # becomes D_0 last
+        scale = self._scale(T, P, out[0, ...])
+        np.multiply(self.mech.per_species(self._d_ref[1:], out), scale,
+                    out=out[1:])
+        scale *= self._d_ref[0]
+        return out
 
-    def conductivity(self, T: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _scale(T: np.ndarray, P: np.ndarray | float,
+               out: np.ndarray | None) -> np.ndarray:
+        """``(T / T_ref)^1.7 (P_ref / P)``, what every D_i scales with."""
+        scale = np.divide(T, _T_REF, out=out)
+        scale = np.power(scale, _D_EXPONENT, out=out)
+        return np.multiply(scale, _P_REF / np.asarray(P), out=out)
+
+    def conductivity(self, T: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
         """Thermal conductivity lambda(T) [W/(m K)]."""
-        T = np.asarray(T, dtype=float)
-        return _LAMBDA_REF * (T / _T_REF) ** _LAMBDA_EXPONENT
+        lam = np.divide(T, _T_REF, out=out)
+        lam = np.power(lam, _LAMBDA_EXPONENT, out=out)
+        return np.multiply(_LAMBDA_REF, lam, out=out)
 
     def thermal_diffusivity(self, T: np.ndarray, P: np.ndarray | float,
-                            Y: np.ndarray) -> np.ndarray:
-        """alpha = lambda / (rho cp) [m^2/s]."""
-        rho = self.mech.density(T, P, Y)
-        cp = self.mech.cp_mass(T, Y)
-        return self.conductivity(T) / (rho * cp)
+                            Y: np.ndarray, out: np.ndarray | None = None,
+                            work: np.ndarray | None = None) -> np.ndarray:
+        """alpha = lambda / (rho cp) [m^2/s]; ``work`` 2 nsp + 1 rows."""
+        rows = 2 * self.mech.n_species
+        rho = self.mech.density(T, P, Y, work=work,
+                                out=None if work is None else work[rows, ...])
+        cp = self.mech.cp_mass(T, Y, out=out, work=work)
+        rho_cp = np.multiply(rho, cp, out=None if work is None else rho)
+        return np.divide(self.conductivity(T, out=out), rho_cp, out=out)
 
     def max_diffusion_coefficient(self, T: np.ndarray,
-                                  P: np.ndarray | float,
-                                  Y: np.ndarray) -> float:
+                                  P: np.ndarray | float, Y: np.ndarray,
+                                  work: np.ndarray | None = None) -> float:
         """The domain-wide bound the ``MaxDiffCoeffEvaluator`` component
         hands the RKC integrator: max over species diffusivities and the
-        thermal diffusivity."""
-        d = self.diffusion_coefficients(T, P)
-        alpha = self.thermal_diffusivity(T, P, Y)
-        return float(max(d.max(), np.asarray(alpha).max()))
+        thermal diffusivity; ``work`` 2 nsp + 2 rows.
+
+        Rounding is monotone, so the largest ``D_i`` is the largest
+        reference value times the largest scale — the same float as the
+        maximum of the ``(nsp, cells)`` products, without forming them.
+        """
+        rows = 2 * self.mech.n_species
+        alpha = self.thermal_diffusivity(
+            T, P, Y, work=work,
+            out=None if work is None else work[rows + 1, ...])
+        a_max = np.asarray(alpha).max()
+        scale = self._scale(np.asarray(T, dtype=float), P,
+                            None if work is None else work[rows, ...])
+        return float(max(self._d_ref.max() * np.asarray(scale).max(), a_max))

@@ -55,11 +55,10 @@ def test_div_flux_conserves_interior_sum_for_zero_flux_edges():
     assert div[0].sum() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_diffusion_component_wrong_variable_count():
+def _diffusion_component():
     from repro.cca import BuilderService, Framework
     from repro.components import (DRFMComponent, DiffusionPhysics,
                                   GrACEComponent, ThermoChemistry)
-    from repro.samr import Box, Patch
 
     f = Framework()
     (BuilderService(f)
@@ -71,7 +70,24 @@ def test_diffusion_component_wrong_variable_count():
      .connect("diff", "transport", "drfm", "transport")
      .connect("diff", "chem", "tc", "chemistry")
      .connect("diff", "mesh", "mesh", "mesh"))
-    comp = f.get_component("diff")
+    return f.get_component("diff")
+
+
+def test_diffusion_component_wrong_variable_count():
+    from repro.samr import Box, Patch
+
     patch = Patch(0, Box((0, 0), (3, 3)), 0, nghost=2)
     with pytest.raises(CCAError, match="species"):
-        comp.evaluate(patch, np.zeros((3, 8, 8)))
+        _diffusion_component().evaluate(patch, np.zeros((3, 8, 8)))
+
+
+def test_diffusion_component_needs_a_ghost_ring():
+    """With ``nghost == 0`` the stencil has nothing to difference against;
+    the slice arithmetic used to return an empty ``(nvar, 0, 0)`` array."""
+    from repro.samr import Box, Patch
+
+    comp = _diffusion_component()
+    nvar = comp.services.get_port("chem").mechanism().n_species + 1
+    patch = Patch(0, Box((0, 0), (3, 3)), 0, nghost=0)
+    with pytest.raises(CCAError, match="needs at least one ghost ring"):
+        comp.evaluate(patch, np.ones((nvar, 4, 4)))

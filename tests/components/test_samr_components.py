@@ -164,6 +164,27 @@ def test_rkc_rejects_multiple_dataobjects():
         integ.advance([dobj, dobj], 0.0, 1e-6)
 
 
+@pytest.mark.parametrize("wrong_by", [-5, 5])
+def test_unpack_interiors_checks_the_length_before_it_writes(wrong_by):
+    """A short vector used to die in ``reshape`` half-way through the
+    patches, a long one raised with every patch already overwritten."""
+    from repro.components.explicit_integrator import (pack_interiors,
+                                                      unpack_interiors)
+    f = diffusion_stack(nx=16, max_levels=2)
+    mesh, data, dobj = declare_flame(f, T_hot=1200.0)
+    f.services_of("regrid").provides["regrid"][0].regrid()
+    assert len(list(dobj.owned_patches())) > 1
+    before = pack_interiors(dobj)
+    with pytest.raises(CCAError, match="state vector length"):
+        unpack_interiors(dobj, np.full(before.size + wrong_by, -1.0))
+    assert np.array_equal(pack_interiors(dobj), before)
+    with pytest.raises(CCAError, match="state vector length"):
+        pack_interiors(dobj, out=np.empty(before.size + wrong_by))
+    # and the round trip of the right length still is one
+    unpack_interiors(dobj, before[::-1].copy())
+    assert np.array_equal(pack_interiors(dobj), before[::-1])
+
+
 # --------------------------------------------------------- ErrorEstAndRegrid
 def test_regrid_component_refines_hotspot():
     f = diffusion_stack(nx=16, max_levels=2)

@@ -125,6 +125,64 @@ def test_split_and_nested_collectives():
     assert out == mpirun(4, main, machine=ZERO_COST, backend="threads")
 
 
+def test_a_member_is_posted_its_own_share_of_a_collective():
+    """Rank 0 runs ``finish`` and posts results; what it packs for member
+    *r* is what member *r* returns — one ``alltoall`` row, one ``scatter``
+    item, nothing to a ``gather``'s non-roots — not the whole outcome to
+    everyone (P times the bytes)."""
+    from repro.exec import shm
+
+    item = 64 * 1024    # bytes per array, far above the pickle framing
+
+    def block(src, dest):
+        return np.full(item // 8, 10.0 * src + dest)
+
+    def main(comm):
+        packed = []
+        encode = shm.encode_message
+
+        def counting(obj):
+            envelope, nbytes = encode(obj)
+            packed.append(nbytes)
+            return envelope, nbytes
+
+        shm.encode_message = counting
+        try:
+            calls = [
+                lambda: comm.alltoall([block(comm.rank, dest)
+                                       for dest in range(comm.size)]),
+                lambda: comm.scatter([block(0, dest)
+                                      for dest in range(comm.size)]
+                                     if comm.rank == 0 else None, root=0),
+                lambda: comm.gather(block(comm.rank, 0), root=0),
+                lambda: comm.reduce(block(comm.rank, 0), op=Op.SUM, root=0),
+            ]
+            results, posted = [], []
+            for call in calls:
+                del packed[:]
+                results.append(call())
+                posted.append(list(packed))
+        finally:
+            shm.encode_message = encode
+        return results, posted
+
+    out = run(4, main)
+    threads = mpirun(4, main, machine=ZERO_COST, backend="threads")
+    slack = 2048
+    for (results, posted), (want, _) in zip(out, threads):
+        for got, expected in zip(results, want):
+            np.testing.assert_equal(got, expected)
+    # rank 0 packs one envelope per other member, in member order
+    alltoall, scatter, gather, reduce = out[0][1]
+    assert len(alltoall) == len(scatter) == len(gather) == len(reduce) == 3
+    assert all(4 * item <= n <= 4 * item + slack for n in alltoall)
+    assert all(item <= n <= item + slack for n in scatter)
+    assert all(n <= slack for n in gather + reduce)
+    # the others pack their contribution and nothing else
+    for _, posted in out[1:]:
+        assert [len(p) for p in posted] == [1, 1, 1, 1]
+
+
 # -------------------------------------------------------------------- failure
 def test_exception_carries_remote_traceback():
     def main(comm):
