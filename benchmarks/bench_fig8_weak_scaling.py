@@ -27,11 +27,12 @@ def test_fig8_constant_workload_flat(benchmark):
     })
     benchmark.extra_info["report"] = path
     benchmark.extra_info["json"] = json_path
-    # flat curves: max/min over the P sweep stays near 1 for every size
-    # (the sweep caps at P = 16 — see repro.bench.scaling for the
-    # one-core emulation caveat beyond that)
+    # flat curves: compute is counted and a rank talks to its neighbours
+    # only, so max/min over the P sweep is the halo messages and the
+    # log2(P) reductions over the per-rank work — a few percent at 20^2,
+    # per mille at 175^2 — on any host, the same on every run
     for n_local, ratio in result["flatness"].items():
-        assert ratio < 1.6, f"size {n_local}: T varies {ratio:.2f}x over P"
+        assert ratio < 1.07, f"size {n_local}: T varies {ratio:.3f}x over P"
     # curves are ordered by per-rank problem size
     results = result["results"]
     for a, b in zip(results, results[1:]):

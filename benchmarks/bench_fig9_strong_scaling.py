@@ -36,8 +36,8 @@ def test_fig9_strong_scaling_knee(benchmark):
         assert times[-1] < times[0]
     # the large problem scales better than the small one at the highest P
     assert result["worst_large"] > result["worst_small"]
-    # the small problem's efficiency clearly degrades (the paper's knee) —
-    # our Python per-rank overhead makes the knee deeper than the paper's
-    # 73%, the *ordering and existence* of the knee is the claim
-    assert result["worst_small"] < 0.9
-    assert result["worst_large"] > 0.3
+    # the small problem's efficiency clearly degrades (the paper's knee:
+    # 73 % at P = 48; ours 74 % there at full scale, 84 % at the fast
+    # mode's P = 8) while the large one stays near the ideal curve
+    assert 0.6 < result["worst_small"] < 0.9
+    assert result["worst_large"] > 0.8

@@ -44,12 +44,11 @@ def test_table5_weak_scaling_statistics(benchmark):
         assert r.worst_imbalance >= 1.0
     # homogeneity: stdev well below the mean for every size
     for r in results:
-        assert r.stdev < 0.25 * r.mean
+        assert r.stdev < 0.05 * r.mean
     # run time tracks per-rank problem size (monotone in cell count)
     means = [r.mean for r in results]
     assert all(b > a for a, b in zip(means, means[1:]))
-    # ratios lean toward the cell-count ratio (Python fixed overhead
-    # pulls small sizes below the ideal square law; cache effects can
-    # push slightly above it)
+    # ratios sit just under the cell-count ratio: the work is counted per
+    # cell, the communication a smaller share of the larger mesh
     for _b, _a, got, expect in result["ratios"]:
-        assert 1.3 < got <= expect * 1.4
+        assert 0.95 * expect < got <= expect

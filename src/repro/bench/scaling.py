@@ -8,9 +8,11 @@ the load-balancer.  ...  Each mesh point has 9 variables on it."
 (paper §5.2)
 
 The SCMD substitution: P rank-threads run the full component assembly on a
-strip-decomposed mesh; run time is each rank's *virtual clock* — its own
-CPU time for compute plus CPlant-model alpha-beta time for every ghost
-exchange and reduction the assembly actually performs.
+strip-decomposed mesh; run time is each rank's *virtual clock* — the work
+its integrators counted (cells x RKC stages, chemistry RHS evaluations) at
+the CPlant preset's prices plus CPlant-model alpha-beta time for every
+neighbour ghost message and reduction the assembly actually performs.
+Nothing the host measures enters it: two calls return ``==`` times.
 
 * ``run_fig8`` / ``run_table5`` — constant per-processor workload
   (n_local x n_local per rank; the global mesh grows with P).
@@ -112,13 +114,8 @@ def run_fig8(fast: bool | None = None) -> dict:
     if fast:
         size_procs = {20: [1, 2, 4], 40: [1, 2, 4]}
     else:
-        # The paper's per-rank sizes.  The sweep caps at P = 16
-        # rank-threads: beyond that, all ranks time-sharing one physical
-        # core makes each rank's measured CPU time absorb its siblings'
-        # cache interference — an emulation artifact (real CPlant nodes
-        # have private caches), not a property of the communication
-        # model, whose log2(P) collective growth is separately verified
-        # by the tests in tests/mpi/test_virtual_time.py out to P = 48.
+        # The paper's per-rank sizes, to P = 16; the sweep to the paper's
+        # P = 48 waits for the real chemistry scheme (ROADMAP item 1).
         size_procs = {50: [1, 4, 16], 100: [1, 4, 16], 175: [1, 4, 16]}
     results: list[WeakScalingResult] = []
     for n_local, procs in size_procs.items():

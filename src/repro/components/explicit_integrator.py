@@ -155,6 +155,8 @@ class ExplicitIntegrator(Component):
         y1 = rkc_step(rhs_vec, t, y0, dt, rho, stages=s, work=stage_work)
         unpack_interiors(dobj, y1)
         comm = self.services.get_comm()
+        if comm is not None:  # the step's compute, counted
+            comm.charge("cell_stage", (port.nfe - nfe0) * (n // dobj.nvar))
         for lev in range(h.nlevels - 1, 0, -1):
             restrict_level(dobj, lev, comm=comm)
             data_port.exchange_ghosts(dobj.name, lev)

@@ -123,9 +123,14 @@ class ExplicitIntegratorRK2(Component):
             return np.concatenate([part.ravel() for part in parts])
 
         y0 = pack_interiors(dobj)
+        nfe0 = port.nfe
         y1 = rk2_step(rhs_vec, t, y0, dt)
         unpack_interiors(dobj, y1)
         comm = self.services.get_comm()
+        if comm is not None:  # the step's compute, counted
+            faces = sum((nx + 1) * ny + nx * (ny + 1) for nx, ny in (
+                patch.box.shape for patch in dobj.owned_patches()))
+            comm.charge("flux_face", (port.nfe - nfe0) * faces)
         for lev in range(h.nlevels - 1, 0, -1):
             restrict_level(dobj, lev, comm=comm)
             data_port.exchange_ghosts(dobj.name, lev)

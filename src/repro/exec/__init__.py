@@ -17,9 +17,9 @@ paths run unchanged over any of:
     numbers are GIL-bound.
 ``mp``
     Real ``multiprocessing`` worker processes
-    (:mod:`repro.exec.mp`): message traffic over OS pipes, large array
+    (:mod:`repro.exec.mp`): message traffic over OS pipes, bulk array
     payloads through ``multiprocessing.shared_memory`` segments
-    (zero-copy receive), SAMR patch arrays allocated in shared memory,
+    (zero-copy receive, swept when the world ends),
     per-rank tracebacks pickled back into
     :class:`~repro.mpi.launcher.RankFailure`.  Escapes the GIL: real
     cores, real wall-clock speedups.

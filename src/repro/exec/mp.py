@@ -1,4 +1,4 @@
-"""The ``mp`` backend: real worker processes, shared-memory arrays.
+"""The ``mp`` backend: real worker processes, pipes and shared memory.
 
 Where the ``threads`` backend emulates "P processors" with rank-threads
 and virtual clocks, this backend actually forks P worker processes —
@@ -8,8 +8,11 @@ violate).  The pieces:
 
 * **Transport** — each rank owns a ``multiprocessing.Queue`` inbox;
   envelopes are produced by :func:`repro.exec.shm.encode_message`, so
-  small messages ride the pipe in-band while large array payloads move
-  through shared-memory segments with a zero-copy receive.
+  halo- and reduction-sized messages ride the pipe in-band while bulk
+  array payloads move through shared-memory segments with a zero-copy
+  receive.  Segments are named by world and rank; what a killed or
+  aborted world leaves behind is unlinked when :meth:`MPBackend.run`
+  returns, not when the launching interpreter exits.
 * **Communicator** — :class:`MPComm` mirrors
   :class:`repro.mpi.comm.Comm` method-for-method (p2p, probes,
   requests, split/dup, virtual clocks, fault hooks); the collective
@@ -45,6 +48,7 @@ closures, which cannot cross a ``spawn`` boundary).  Platforms without
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -59,7 +63,7 @@ from repro.exec import shm as _shm
 from repro.exec.base import ExecBackend
 from repro.mpi.collectives import CollectiveMixin
 from repro.mpi.comm import (ANY_SOURCE, ANY_TAG, Comm, Request, Status,
-                            _Message, _RankState)
+                            _ClockMixin, _Message, _RankState)
 from repro.mpi.perfmodel import MachineModel, LOCALHOST
 from repro.mpi import sanitizer as _tsan
 from repro.obs import profiler as _profiler
@@ -76,6 +80,9 @@ _DEATH_GRACE = 1.0
 #: the world communicator's id on this backend (ids are strings derived
 #: deterministically, no central allocator — see MPComm.split).
 WORLD_ID = "w"
+#: numbers the worlds this process launches (``next`` on a count is
+#: atomic): with the pid it makes a world's segment names its own.
+_WORLD_SERIALS = itertools.count()
 
 
 class _Station:
@@ -97,12 +104,13 @@ class _Station:
     """
 
     def __init__(self, rank: int, nprocs: int, inboxes: list, abort,
-                 machine: MachineModel) -> None:
+                 machine: MachineModel, segment_prefix: str) -> None:
         self.rank = rank
         self.nprocs = nprocs
         self.inboxes = inboxes
         self.abort = abort
         self.machine = machine
+        self.segment_names = _shm.segment_names(segment_prefix)
         self._p2p: dict[str, list[_Message]] = {}
         self._coll: dict[tuple[str, int], dict[int, tuple[Any, float]]] = {}
         self._collr: dict[tuple[str, int], tuple[Any, float]] = {}
@@ -115,6 +123,11 @@ class _Station:
     def next_serial(self) -> int:
         self._send_serial += 1
         return self._send_serial
+
+    def encode(self, obj: Any) -> tuple[Any, int]:
+        """``(envelope, nbytes)`` of ``obj``, its segment (if it needs
+        one) named as this rank's."""
+        return _shm.encode_message(obj, self.segment_names)
 
     def post(self, dest_global: int, item: tuple) -> None:
         self.inboxes[dest_global].put(item)
@@ -194,7 +207,7 @@ class _Station:
             self._pump(_POLL_INTERVAL)
 
 
-class MPComm(CollectiveMixin):
+class MPComm(_ClockMixin, CollectiveMixin):
     """One rank's communicator on the ``mp`` backend.
 
     API-compatible with :class:`repro.mpi.comm.Comm` (the SCMD layer
@@ -212,7 +225,7 @@ class MPComm(CollectiveMixin):
         self._members = members
         self._coll_seq = 0
         self._split_seq = 0
-        self._state = _RankState()
+        self._state = _RankState(station.machine)
 
     @property
     def world(self) -> "MPComm":  # minimal World-ish surface
@@ -225,24 +238,7 @@ class MPComm(CollectiveMixin):
     def check_alive(self) -> None:
         self._station.check_alive()
 
-    # -- virtual time -----------------------------------------------------
-    def _sync(self) -> None:
-        self._state.sync_compute(self._station.machine)
-
-    @property
-    def clock(self) -> float:
-        self._sync()
-        return self._state.clock
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise MPIError("cannot advance the clock backwards")
-        self._sync()
-        self._state.clock += seconds
-
-    def reset_clock(self) -> None:
-        self._sync()
-        self._state.clock = 0.0
+    # clock / advance / charge / reset_clock come from _ClockMixin
 
     # -- point-to-point ---------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
@@ -261,7 +257,7 @@ class MPComm(CollectiveMixin):
                 f"send dest {dest} out of range for size {self.size}")
         t0 = time.perf_counter() if _obs.on else 0.0
         self._sync()
-        env, nbytes = _shm.encode_message(obj)
+        env, nbytes = self._station.encode(obj)
         machine = self._station.machine
         avail = self._state.clock + machine.p2p_time(nbytes)
         if _faults.on:
@@ -359,12 +355,12 @@ class MPComm(CollectiveMixin):
             share, cost = finish(contribs)
             exit_clock = entry_max + cost
             for member in range(1, self.size):
-                wire, _ = _shm.encode_message((share(member), exit_clock))
+                wire, _ = station.encode((share(member), exit_clock))
                 station.post(self._members[member],
                              ("collr", self.id, seq, wire))
             result = share(0)
         else:
-            wire, _ = _shm.encode_message(
+            wire, _ = station.encode(
                 (self.rank, contribution, self._state.clock))
             station.post(self._members[0], ("coll", self.id, seq, wire))
             result, exit_clock = station.wait_result(self.id, seq)
@@ -444,14 +440,14 @@ def _child_obs_setup(trace_ctx: dict | None) -> None:
             interval=inherited.interval if inherited is not None else None)
 
 
-def _ship_obs(rank: int) -> Any:
+def _ship_obs(rank: int, names) -> Any:
     """Drain this worker's observability state into a blob envelope
     (``None`` when there is nothing to ship or shipping is disabled).
 
     The payload — span events, a metrics-registry snapshot, rank-tagged
     profiler samples — is pickled once and spooled through the shm
     transport when large, so a trace-heavy rank cannot clog the result
-    pipe."""
+    pipe; the segment takes the next of ``names``."""
     if not _obs_ship_enabled():
         return None
     prof = _profiler.stop() if _profiler.on else None
@@ -466,7 +462,8 @@ def _ship_obs(rank: int) -> Any:
                               for s in prof.samples()]
     try:
         return _shm.encode_blob(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+            names=names)
     except Exception:  # unpicklable span arg: drop the rank's payload
         return None
 
@@ -498,18 +495,15 @@ def _fold_obs(records: dict[int, tuple]) -> None:
 
 def _worker(rank: int, nprocs: int, machine: MachineModel,
             main: Callable[..., Any], args: Sequence[Any],
-            inboxes: list, result_q, abort_evt,
+            inboxes: list, result_q, abort_evt, segment_prefix: str,
             trace_ctx: dict | None = None) -> None:
     """Worker-process body for one rank (post-fork)."""
     # The sanitizer's shadow state is meaningless here: this process IS
     # the private address space.  Disarm locally (fork-isolated write).
     _tsan.deactivate()
     _child_obs_setup(trace_ctx)
-    # SAMR patch arrays go into shared segments for this rank's lifetime.
-    from repro.samr import dataobject as _dobj
-    _dobj.set_array_allocator(_shm.shm_allocator)
-
-    station = _Station(rank, nprocs, inboxes, abort_evt, machine)
+    station = _Station(rank, nprocs, inboxes, abort_evt, machine,
+                       f"{segment_prefix}{rank}-")
     comm = MPComm(station, WORLD_ID, rank, nprocs, rank,
                   list(range(nprocs)))
     record: tuple
@@ -524,7 +518,7 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
             abort_evt.set()
             record = ("err", rank, type(exc).__name__, str(exc),
                       traceback.format_exc(), _counts())
-        obs_env = _ship_obs(rank)
+        obs_env = _ship_obs(rank, station.segment_names)
     record = record + (obs_env,)
     # Flush any still-buffered inter-rank messages before reporting:
     # Queue.put hands items to a feeder thread, and a receiver may be
@@ -543,10 +537,6 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
     result_q.put(blob)
     result_q.close()
     result_q.join_thread()
-    # Unlink this rank's shared patch segments explicitly: os._exit
-    # skips finalizers, and unreleased names would survive as tracker
-    # "leak" warnings at session shutdown.
-    _shm.release_owned()
     # Hard exit: skip the parent's inherited atexit handlers (obs
     # flushers, bench ledger writers) — this is a rank, not the session.
     os._exit(0)
@@ -583,9 +573,9 @@ class MPBackend(ExecBackend):
 
         ctx = multiprocessing.get_context("fork")
         # Spawn the resource tracker *before* forking so every worker
-        # shares one tracker process — segments stranded by an abort are
-        # then reclaimed when the whole family exits, and a worker's
-        # early exit cannot unlink a sibling's in-flight segment.
+        # shares one tracker process — a worker's early exit cannot
+        # unlink a sibling's in-flight segment, and segments stranded by
+        # a killed *parent* are reclaimed when the whole family exits.
         from multiprocessing import resource_tracker
         resource_tracker.ensure_running()
 
@@ -594,11 +584,13 @@ class MPBackend(ExecBackend):
         abort_evt = ctx.Event()
         fault_base = _counts()
         trace_ctx = _obs.current_context() if _obs.on else None
+        segment_prefix = f"repro-{os.getpid()}-{next(_WORLD_SERIALS)}-"
 
         procs = [
             ctx.Process(target=_worker,
                         args=(rank, nprocs, machine, main, tuple(args),
-                              inboxes, result_q, abort_evt, trace_ctx),
+                              inboxes, result_q, abort_evt, segment_prefix,
+                              trace_ctx),
                         name=f"rank-{rank}", daemon=True)
             for rank in range(nprocs)
         ]
@@ -642,11 +634,12 @@ class MPBackend(ExecBackend):
             for q in inboxes + [result_q]:
                 q.cancel_join_thread()
                 q.close()
-
-        # Fold worker obs payloads before anything can raise: failed
-        # runs keep their partial traces, and skipping a decode would
-        # leak the payload's shm segment.
-        _fold_obs(records)
+            # Fold worker obs payloads before anything can raise (failed
+            # runs keep their partial traces), then unlink what nobody
+            # consumed: messages in flight to a killed or aborted rank
+            # would otherwise outlive the world by the parent's lifetime.
+            _fold_obs(records)
+            _shm.sweep(segment_prefix)
 
         if _faults.on and fault_base is not None:
             _faults.merge_counts(

@@ -1,55 +1,58 @@
-"""Shared-memory array plumbing for the ``mp`` backend.
+"""Shared-memory message transport for the ``mp`` backend.
 
-Two jobs, one mechanism (POSIX shared memory via
-:mod:`multiprocessing.shared_memory`):
+Messages are pickled with protocol 5 (:func:`encode_message` /
+:func:`decode_message`).  Below :func:`min_shm_bytes` of array payload
+the pickle rides the pipe in-band; above it every contiguous array buffer
+is collected out-of-band and packed into *one* POSIX shared segment per
+message, which the receiver maps and reconstructs the arrays over as
+zero-copy views — the only copy is the sender's packing copy, the
+isolation copy the ``threads`` backend's ``_isolate`` makes anyway.  A
+segment costs a create, a map, two resource-tracker messages, an attach
+and an unlink whatever its size, so it pays only for bulk moves (patch
+migration, trace payloads): halo- and reduction-sized messages stay on
+the pipe.  Patch storage itself is private to its rank — no process ever
+attaches another's patches.
 
-**Message transport** (:func:`encode_message` / :func:`decode_message`).
-Messages are pickled with protocol 5; every contiguous array buffer is
-collected out-of-band and packed into *one* shared segment per message.
-The receiver maps the segment and reconstructs the arrays as zero-copy
-views over it — the only copy in the whole exchange is the sender's
-packing copy, which is exactly the isolation copy the ``threads``
-backend's ``_isolate`` makes anyway.  Compared to shipping arrays
-through a pipe (serialize, kernel round-trip, deserialize) this removes
-two copies and the per-byte syscall traffic from ghost exchange,
-prolong/restrict and array reductions.  Small messages (buffer payload
-under :func:`min_shm_bytes`) stay in-band: a segment per tiny message
-would cost more in ``shm_open`` calls than it saves.
+Lifetime discipline (one creator, exactly one consumer per segment): the
+sender closes its mapping right after packing; the receiver unlinks the
+name immediately after attaching, so the kernel frees the pages as soon
+as the reconstructed arrays die.  The attached mapping itself is kept
+alive by the arrays' buffer chain (ndarray -> memoryview -> mmap); the
+now-redundant segment file descriptor is closed eagerly (mmap holds its
+own dup) so a long run cannot exhaust fds.
 
-**Patch storage** (:func:`shm_allocator` +
-:func:`repro.samr.dataobject.set_array_allocator`).  Worker ranks of the
-``mp`` backend allocate SAMR patch arrays inside shared segments
-(:class:`ShmArray`), so a rank's field state is visible to sibling
-processes at a known name — received ghost regions are written straight
-into shared storage, and checkpoint/diagnostic consumers can map a
-rank's patches without a pipe round-trip.
-
-Lifetime discipline (one creator, exactly one consumer per message
-segment): the sender closes its mapping right after packing; the
-receiver unlinks the name immediately after attaching, so the kernel
-frees the pages as soon as the reconstructed arrays die.  The attached
-mapping itself is kept alive by the arrays' buffer chain (ndarray ->
-memoryview -> mmap); the now-redundant segment file descriptor is
-closed eagerly (mmap holds its own dup) so a long run cannot exhaust
-fds.  Segments stranded by an aborted world are reclaimed by the
-``multiprocessing`` resource tracker at interpreter exit — the ``mp``
-backend starts the tracker *before* forking so every worker shares one
-tracker process.
+A segment whose consumer never comes — the receiver was killed, the world
+aborted with the message in flight — is found by name: the ranks of one
+world name their segments under one prefix (the ``names`` iterator the
+encoders take) and :func:`sweep` unlinks whatever is left under it when
+the world is torn down, while the launching process is still alive.  The
+``multiprocessing`` resource tracker (started *before* the fork, so every
+worker shares it) remains the backstop for a killed parent.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
-import weakref
 from multiprocessing import shared_memory
-from typing import Any, Callable
+from typing import Any, Iterator
 
-import numpy as np
-
-#: in-band fallback threshold: messages whose out-of-band buffer payload
-#: totals fewer bytes than this ride the pipe as a plain pickle.
-DEFAULT_MIN_SHM_BYTES = 4096
+#: In-band fallback threshold: messages whose out-of-band buffer payload
+#: totals fewer bytes than this ride the pipe as a plain pickle.  It is the
+#: measured crossover of the one-way hop between two forked processes
+#: (2-core host, in-band / segment, microseconds):
+#:
+#: ======  =======  =======
+#: bytes   in-band  segment
+#: ======  =======  =======
+#: 16 KiB       87      241
+#: 64 KiB      121      285
+#: 256 KiB     587      496
+#: 1 MiB     2 063    1 147
+#: 4 MiB     9 808    3 580
+#: ======  =======  =======
+DEFAULT_MIN_SHM_BYTES = 256 * 1024
 
 
 def min_shm_bytes() -> int:
@@ -59,6 +62,43 @@ def min_shm_bytes() -> int:
         return int(raw) if raw else DEFAULT_MIN_SHM_BYTES
     except ValueError:
         return DEFAULT_MIN_SHM_BYTES
+
+
+def segment_names(prefix: str) -> Iterator[str]:
+    """``<prefix>0``, ``<prefix>1``, ... — the names one creator gives its
+    segments so that :func:`sweep` can find the ones nobody consumed."""
+    return (f"{prefix}{n}" for n in itertools.count())
+
+
+def _create(size: int, names: Iterator[str] | None
+            ) -> shared_memory.SharedMemory:
+    return shared_memory.SharedMemory(
+        name=next(names) if names is not None else None, create=True,
+        size=size)
+
+
+def _unlink(name: str) -> None:
+    """Unlink segment ``name`` if it still exists."""
+    try:
+        seg = shared_memory.SharedMemory(name=name)
+    except (FileNotFoundError, OSError):
+        return
+    seg.close()
+    try:
+        seg.unlink()
+    except (FileNotFoundError, OSError):
+        pass
+
+
+def sweep(prefix: str) -> None:
+    """Unlink every segment named under ``prefix`` (a no-op where shared
+    memory is not a directory to list)."""
+    try:
+        left = [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
+    except OSError:
+        return
+    for name in left:
+        _unlink(name)
 
 
 def _detach(seg: shared_memory.SharedMemory) -> None:
@@ -83,110 +123,9 @@ def _detach(seg: shared_memory.SharedMemory) -> None:
     seg._mmap = None
 
 
-#: live allocator-owned segments of this process, by name — so a worker
-#: can unlink everything explicitly before ``os._exit`` (which skips
-#: finalizers and would otherwise leave the resource tracker muttering
-#: about "leaked" segments at shutdown).
-_OWNED: dict[str, shared_memory.SharedMemory] = {}
-
-
-def release_owned() -> None:
-    """Unlink every still-live allocator segment (worker shutdown path).
-
-    The arrays over these segments may still exist; their mappings stay
-    valid — only the names are released so the kernel can reclaim the
-    pages once the process dies.
-    """
-    for name, seg in list(_OWNED.items()):
-        _OWNED.pop(name, None)
-        try:
-            seg.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-        _detach(seg)
-
-
-class _SegmentHolder:
-    """Keeps one owned segment alive; unlinks it when the last array
-    referencing it dies (via :func:`weakref.finalize`)."""
-
-    def __init__(self, seg: shared_memory.SharedMemory) -> None:
-        self.seg = seg
-        self.name = seg.name
-        _OWNED[seg.name] = seg
-        weakref.finalize(self, _reclaim, seg)
-
-
-def _reclaim(seg: shared_memory.SharedMemory) -> None:
-    # NB: keyed by the *reported* name (``seg.name``) — on POSIX the
-    # raw ``seg._name`` carries a leading slash and would never match.
-    if _OWNED.pop(seg.name, None) is None \
-            and getattr(seg, "_mmap", None) is None:
-        return  # already released explicitly via release_owned()
-    try:
-        seg.unlink()
-    except (FileNotFoundError, OSError):
-        pass
-    try:
-        seg.close()
-    except BufferError:
-        # a straggler view is mid-teardown: quiesce the object and let
-        # the mapping close with the buffer chain
-        _detach(seg)
-
-
-class ShmArray(np.ndarray):
-    """ndarray whose buffer lives in a shared-memory segment.
-
-    Behaves exactly like ``ndarray`` (views propagate the segment
-    reference; pickling plain-ifies to a normal in-band array).  The
-    backing segment is unlinked automatically once the last view dies.
-    """
-
-    _segment: _SegmentHolder | None = None
-
-    def __array_finalize__(self, obj: Any) -> None:
-        self._segment = getattr(obj, "_segment", None)
-
-    def __reduce__(self):
-        # pickle as a plain ndarray: the segment is process-local state
-        return np.asarray(self).copy().__reduce__()
-
-    @property
-    def segment_name(self) -> str | None:
-        """The backing segment's name, or None for a detached copy."""
-        return self._segment.name if self._segment is not None else None
-
-
-def shm_empty(shape: tuple[int, ...], dtype: Any = np.float64) -> ShmArray:
-    """A new uninitialized :class:`ShmArray` of ``shape``/``dtype``."""
-    dtype = np.dtype(dtype)
-    nbytes = max(1, int(np.prod(shape)) * dtype.itemsize)
-    seg = shared_memory.SharedMemory(create=True, size=nbytes)
-    holder = _SegmentHolder(seg)
-    arr = np.frombuffer(seg.buf, dtype=dtype, count=int(np.prod(shape)))
-    arr = arr.reshape(shape).view(ShmArray)
-    arr._segment = holder
-    return arr
-
-
-def shm_full(shape: tuple[int, ...], fill: float,
-             dtype: Any = np.float64) -> ShmArray:
-    """A new :class:`ShmArray` filled with ``fill`` — signature-matched
-    to :func:`repro.samr.dataobject.set_array_allocator`."""
-    arr = shm_empty(shape, dtype)
-    arr.fill(fill)
-    return arr
-
-
-def shm_allocator(shape: tuple[int, ...], fill: float,
-                  dtype: Any = np.float64) -> np.ndarray:
-    """The allocator the ``mp`` worker installs for SAMR patch storage."""
-    return shm_full(shape, fill, dtype)
-
-
 # ---------------------------------------------------------------- blobs
-def encode_blob(data: bytes, min_bytes: int | None = None) -> Any:
+def encode_blob(data: bytes, min_bytes: int | None = None,
+                names: Iterator[str] | None = None) -> Any:
     """``("blob", data)`` or, above the shm threshold,
     ``("blob-shm", name, nbytes)`` with the bytes spooled into a shared
     segment.
@@ -199,7 +138,7 @@ def encode_blob(data: bytes, min_bytes: int | None = None) -> Any:
     limit = min_shm_bytes() if min_bytes is None else min_bytes
     if len(data) < limit:
         return ("blob", data)
-    seg = shared_memory.SharedMemory(create=True, size=len(data))
+    seg = _create(len(data), names)
     seg.buf[:len(data)] = data
     name = seg.name
     seg.close()
@@ -224,8 +163,10 @@ def decode_blob(envelope: Any) -> bytes:
 
 
 # ---------------------------------------------------------------- messages
-def encode_message(obj: Any) -> tuple[Any, int]:
-    """``(envelope, nbytes)`` for one cross-process message.
+def encode_message(obj: Any, names: Iterator[str] | None = None
+                   ) -> tuple[Any, int]:
+    """``(envelope, nbytes)`` for one cross-process message; a segment, if
+    one is needed, takes the next of ``names`` (default: a random name).
 
     The envelope is either ``("pickle", blob)`` or ``("shm", pickle5,
     segment_name, [(offset, nbytes), ...])``.  ``nbytes`` counts the
@@ -244,7 +185,7 @@ def encode_message(obj: Any) -> tuple[Any, int]:
     if not views or total < min_shm_bytes():
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         return ("pickle", blob), len(blob)
-    seg = shared_memory.SharedMemory(create=True, size=total)
+    seg = _create(total, names)
     layout: list[tuple[int, int]] = []
     pos = 0
     for view in views:
@@ -261,18 +202,8 @@ def encode_message(obj: Any) -> tuple[Any, int]:
 
 def discard_message(envelope: Any) -> None:
     """Free an envelope that will never be decoded (a dropped send)."""
-    if not envelope or envelope[0] != "shm":
-        return
-    name = envelope[2]
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError):
-        return
-    seg.close()
-    try:
-        seg.unlink()
-    except (FileNotFoundError, OSError):
-        pass
+    if envelope and envelope[0] == "shm":
+        _unlink(envelope[2])
 
 
 def decode_message(envelope: Any) -> Any:
@@ -290,6 +221,3 @@ def decode_message(envelope: Any) -> Any:
     _detach(seg)
     bufs = [base[pos:pos + nb] for pos, nb in layout]
     return pickle.loads(data, buffers=bufs)
-
-
-Allocator = Callable[[tuple[int, ...], float, Any], np.ndarray]

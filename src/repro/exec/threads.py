@@ -3,9 +3,10 @@
 This is the toolkit's original execution substrate, moved out of
 :mod:`repro.mpi.launcher` unchanged in semantics: P rank-threads inside
 one Python process, each owning a :class:`~repro.mpi.comm.Comm` onto a
-shared :class:`~repro.mpi.comm.World`; compute time is charged from each
-thread's CPU clock, communication from the machine model.  Deterministic
-shape, instant start-up, full support for the vector-clock race
+shared :class:`~repro.mpi.comm.World`; compute time is charged from the
+work the integrators count (or, under a model without prices, each
+thread's CPU clock), communication from the machine model.  Deterministic
+clocks, instant start-up, full support for the vector-clock race
 sanitizer (the only backend with a shared address space to sanitize) —
 and GIL-bound wall-clock, which is exactly what the ``mp`` backend
 exists to escape.

@@ -9,12 +9,14 @@ that execution model inside a single Python process:
 * :class:`repro.mpi.comm.Comm` implements the MPI-1 subset the applications
   need — blocking/non-blocking point-to-point, the standard collectives,
   and communicator splitting (used to scope *cohort* communicators).
-* Virtual time: every rank owns a clock advanced by (a) its own per-thread
-  CPU time for compute sections and (b) a latency/bandwidth
-  :class:`repro.mpi.perfmodel.MachineModel` for communication.  This lets a
-  single core emulate the 48-node CPlant runs of the paper's §5.2 while the
-  actual message traffic (ghost exchanges, reductions) is genuinely
-  exercised.
+* Virtual time: every rank owns a clock advanced by (a) the work its
+  integrators count, at the prices of the
+  :class:`repro.mpi.perfmodel.MachineModel` (a model without prices
+  measures the rank-thread's CPU time instead) and (b) that model's
+  latency/bandwidth costs for communication.  This lets a single core
+  emulate the 48-node CPlant runs of the paper's §5.2, the same on every
+  host and every run, while the actual message traffic (ghost exchanges,
+  reductions) is genuinely exercised.
 * :mod:`repro.mpi.sanitizer` — a vector-clock race detector for the
   rank-threads' shared address space, armed via ``REPRO_TSAN=1``
   (flag-check-only cost when off).

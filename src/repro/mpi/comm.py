@@ -10,15 +10,18 @@ Virtual time
 ------------
 Each *rank* (not each communicator) owns a clock, advanced by:
 
-* compute — the rank-thread's own CPU time (``time.thread_time``) accrued
-  since the previous MPI call, scaled by the machine model;
+* compute — counted work the integrators :meth:`~_ClockMixin.charge` at
+  the machine model's prices (or, for a model without prices, the
+  rank-thread's own ``time.thread_time`` accrued since the previous MPI
+  call: the measured mode);
 * communication — alpha-beta costs from :class:`~repro.mpi.perfmodel.MachineModel`.
 
 A blocking receive completes at ``max(receiver clock, sender clock at send
 + flight time)``; collectives synchronize every participant at
-``max(entry clocks) + tree cost``.  The result is a deterministic-shape
-emulation of a distributed-memory machine good enough to reproduce the
-paper's scaling studies (§5.2) on one core.
+``max(entry clocks) + tree cost``.  With a priced model nothing the host
+does reaches the clock, so a program whose receives name their sources
+reads the same virtual times on every run and every host — the emulation
+of a distributed-memory machine the paper's scaling studies (§5.2) need.
 
 Threading rules: a ``Comm`` must only be used from the thread that owns its
 rank.  All blocking waits poll with a short timeout so a crashed peer
@@ -118,16 +121,54 @@ class _Message:
 class _RankState:
     """Per-rank virtual clock shared by all communicators of that rank."""
 
-    def __init__(self) -> None:
+    def __init__(self, machine: MachineModel) -> None:
+        self.machine = machine
         self.clock = 0.0
         self.mark = time.thread_time()
 
-    def sync_compute(self, machine: MachineModel) -> None:
+    def sync(self) -> None:
+        """Measured mode only: accrue the thread's CPU time since the
+        last call.  A priced model's compute arrives through ``charge``."""
+        if self.machine.prices is not None:
+            return
         now = time.thread_time()
         delta = now - self.mark
         self.mark = now
         if delta > 0.0:
-            self.clock += machine.compute_time(delta)
+            self.clock += self.machine.compute_time(delta)
+
+
+class _ClockMixin:
+    """A communicator's virtual-time surface over its rank's
+    ``self._state`` — one implementation for every backend."""
+
+    _state: _RankState
+
+    def _sync(self) -> None:
+        self._state.sync()
+
+    @property
+    def clock(self) -> float:
+        """The rank's current virtual time, compute charged up to now."""
+        self._sync()
+        return self._state.clock
+
+    def advance(self, seconds: float) -> None:
+        """Manually charge virtual seconds (perf-model-only workloads)."""
+        if seconds < 0:
+            raise MPIError("cannot advance the clock backwards")
+        self._sync()
+        self._state.clock += seconds
+
+    def charge(self, kind: str, units: float) -> None:
+        """Charge ``units`` of counted work (see ``WorkPrices``); free
+        under a model that measures compute instead."""
+        self.advance(self._state.machine.work_time(kind, units))
+
+    def reset_clock(self) -> None:
+        """Zero this rank's virtual clock (bench warm-up boundary)."""
+        self._sync()
+        self._state.clock = 0.0
 
 
 class _CollSlot:
@@ -162,7 +203,7 @@ class World:
         self._comm_sizes: dict[int, int] = {0: size}
         self._next_comm_id = 1
         self._send_serial = 0
-        self.rank_states = [_RankState() for _ in range(size)]
+        self.rank_states = [_RankState(machine) for _ in range(size)]
 
     # -- plumbing ------------------------------------------------------------
     def box(self, comm_id: int, dest: int) -> tuple[list, threading.Condition]:
@@ -239,7 +280,7 @@ class Request:
         return False
 
 
-class Comm(CollectiveMixin):
+class Comm(_ClockMixin, CollectiveMixin):
     """One rank's view of a communicator (the ``threads`` backend).
 
     The default communicator (``comm_id == 0``) is the world communicator
@@ -265,27 +306,7 @@ class Comm(CollectiveMixin):
         """The machine model charging this comm's communication costs."""
         return self.world.machine
 
-    # -- virtual time ----------------------------------------------------------
-    def _sync(self) -> None:
-        self._state.sync_compute(self.world.machine)
-
-    @property
-    def clock(self) -> float:
-        """The rank's current virtual time, compute charged up to now."""
-        self._sync()
-        return self._state.clock
-
-    def advance(self, seconds: float) -> None:
-        """Manually charge virtual seconds (perf-model-only workloads)."""
-        if seconds < 0:
-            raise MPIError("cannot advance the clock backwards")
-        self._sync()
-        self._state.clock += seconds
-
-    def reset_clock(self) -> None:
-        """Zero this rank's virtual clock (bench warm-up boundary)."""
-        self._sync()
-        self._state.clock = 0.0
+    # clock / advance / charge / reset_clock come from _ClockMixin
 
     # -- point-to-point ----------------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:

@@ -8,7 +8,7 @@ processors is a transport choice made at launch time through the
 
 * ``threads`` (default) — rank-threads inside this process with virtual
   clocks (:mod:`repro.exec.threads`);
-* ``mp`` — real worker processes with shared-memory array transport
+* ``mp`` — real worker processes, pipes plus shared memory for bulk arrays
   (:mod:`repro.exec.mp`);
 * anything a site adds with :func:`repro.exec.register`.
 

@@ -3,8 +3,11 @@
 The substitution documented in DESIGN.md: we do not have the paper's CPlant
 cluster (433 MHz Alpha EV56, 1 Gb/s Myrinet on 32-bit PCI) or the Beowulf
 (1 GHz Pentium III, 100 bT fast Ethernet), so communication cost is charged
-from an explicit alpha-beta model and compute cost from the rank-thread's
-own CPU time (optionally rescaled to the target machine's speed).
+from an explicit alpha-beta model and compute cost from *counted* work —
+cells x RKC stages, chemistry RHS column-evaluations, flux faces — at the
+model's :class:`WorkPrices`.  A model without prices falls back to the
+rank-thread's measured CPU time: that mode tells how fast this host is,
+the counted one how the algorithm scales, on any host and the same twice.
 
 The model is deliberately simple — postal latency ``alpha`` plus inverse
 bandwidth ``beta = 1/bw`` per byte, with log2(P)-tree collectives — because
@@ -20,6 +23,18 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
+class WorkPrices:
+    """Seconds of compute per counted unit of work, by kind: one cell
+    through one RKC stage (``cell_stage``), one chemistry RHS
+    column-evaluation (``chem_rhs``), one face through the flux call of a
+    hydro RHS evaluation (``flux_face``)."""
+
+    cell_stage: float
+    chem_rhs: float
+    flux_face: float
+
+
+@dataclass(frozen=True)
 class MachineModel:
     """An alpha-beta-gamma communication/compute cost model.
 
@@ -32,10 +47,14 @@ class MachineModel:
     bandwidth:
         Point-to-point bandwidth in bytes/second (``beta = 1/bandwidth``).
     flop_scale:
-        Multiplier applied to locally-measured CPU seconds to express them
-        in target-machine seconds.  1.0 means "this machine".
+        Multiplier applied to compute seconds (priced or measured) to
+        express them in target-machine seconds.  1.0 means "this machine".
     reduce_flop_cost:
         Seconds per reduced byte (the ``gamma`` term of reductions).
+    prices:
+        What counted work costs.  ``None`` selects the measured mode: the
+        integrators' charges are free and the clock accrues the
+        rank-thread's own ``time.thread_time`` instead.
     """
 
     name: str
@@ -43,6 +62,7 @@ class MachineModel:
     bandwidth: float
     flop_scale: float = 1.0
     reduce_flop_cost: float = 0.0
+    prices: WorkPrices | None = None
 
     # -- point-to-point ----------------------------------------------------
     def p2p_time(self, nbytes: int) -> float:
@@ -104,9 +124,25 @@ class MachineModel:
 
     # -- compute ------------------------------------------------------------
     def compute_time(self, cpu_seconds: float) -> float:
-        """Map locally measured CPU seconds onto the modeled machine."""
+        """Map this host's CPU seconds onto the modeled machine."""
         return cpu_seconds * self.flop_scale
 
+    def work_time(self, kind: str, units: float) -> float:
+        """Cost of ``units`` of counted work of ``kind`` (a
+        :class:`WorkPrices` field); 0.0 in the measured mode."""
+        if self.prices is None:
+            return 0.0
+        return self.compute_time(units * getattr(self.prices, kind))
+
+
+#: What a unit of work costs on the host these numbers were frozen on
+#: (2 cores, the benchmark suite's readings at commit 4b0ae62): a rank's
+#: 8.2 ms explicit step over 128 x 64 cells x 2 stages,
+#: ``chemistry.wdot_us_per_cell`` 1.28 and
+#: ``hydro.godunov_flux_us_per_face`` 0.57.  Constants, not measurements:
+#: a priced model's clock reads the same on every host.
+HOST_PRICES = WorkPrices(cell_stage=0.5e-6, chem_rhs=1.3e-6,
+                         flux_face=0.57e-6)
 
 #: Sandia CPlant: 433 MHz Alpha EV56 nodes, Myrinet through 32-bit PCI.
 #: Myrinet user-level latency was ~15-20 us; 32-bit 33 MHz PCI caps
@@ -117,6 +153,7 @@ CPLANT = MachineModel(
     bandwidth=100e6,
     flop_scale=1.0,
     reduce_flop_cost=2e-9,
+    prices=HOST_PRICES,
 )
 
 #: The Beowulf used for the flame run: 1 GHz PIII, 100 bT switched Ethernet
@@ -127,6 +164,7 @@ BEOWULF = MachineModel(
     bandwidth=11e6,
     flop_scale=1.0,
     reduce_flop_cost=2e-9,
+    prices=HOST_PRICES,
 )
 
 #: This machine: generous shared-memory-like transport.  Used by tests.
@@ -135,7 +173,9 @@ LOCALHOST = MachineModel(
     latency=1e-6,
     bandwidth=5e9,
     flop_scale=1.0,
+    prices=HOST_PRICES,
 )
 
-#: Free communication — isolates pure algorithmic behaviour in unit tests.
+#: Free communication, measured compute — isolates pure algorithmic
+#: behaviour in unit tests, and is the model the wall-clock benchmarks name.
 ZERO_COST = MachineModel(name="zero-cost", latency=0.0, bandwidth=float("inf"))

@@ -66,7 +66,9 @@ def imbalance(values: Sequence[float]) -> float:
     mean = sum(values) / len(values)
     if mean == 0.0:
         return 1.0
-    return max(values) / mean
+    # a maximum is never below the mean: only the rounding of the sum can
+    # say so (48 equal clocks read 0.9999999999999988), and must not
+    return max(1.0, max(values) / mean)
 
 
 def summarize(values: Sequence[float]) -> dict[str, float]:

@@ -97,35 +97,39 @@ class _ActiveStack:
     sampling profiler reads it from its own thread (list append/pop and
     slice-copy are atomic under the GIL, so no per-span locking)."""
 
-    __slots__ = ("thread_name", "rank", "frames")
+    __slots__ = ("thread", "rank", "frames")
 
-    def __init__(self, thread_name: str) -> None:
-        self.thread_name = thread_name
+    def __init__(self, thread: threading.Thread) -> None:
+        self.thread = thread
         self.rank: int | None = None
         self.frames: list[tuple[str, str]] = []   # (name, cat), root first
 
 
 #: thread ident -> that thread's live span stack (threads register on
-#: first span; a reused ident simply overwrites the dead thread's entry).
+#: first span).  Idents are recycled: an entry speaks for its ident only
+#: while the thread that registered it lives, and is dropped after.
 _active: dict[int, _ActiveStack] = {}
 
 
 def _stack_of() -> _ActiveStack:
     st = getattr(_tls, "stack", None)
     if st is None:
-        st = _tls.stack = _ActiveStack(threading.current_thread().name)
+        st = _tls.stack = _ActiveStack(threading.current_thread())
         with _lock:
             _active[threading.get_ident()] = st
     return st
 
 
 def active_stacks() -> list[tuple[int, str, int | None, tuple]]:
-    """Snapshot of every registered thread's live span stack:
+    """Snapshot of every registered *living* thread's span stack:
     ``(thread ident, thread name, rank, ((name, cat), ...))`` tuples,
     root span first.  Safe to call from any thread."""
     with _lock:
+        for ident in [i for i, st in _active.items()
+                      if not st.thread.is_alive()]:
+            del _active[ident]
         items = list(_active.items())
-    return [(ident, st.thread_name, st.rank, tuple(st.frames))
+    return [(ident, st.thread.name, st.rank, tuple(st.frames))
             for ident, st in items]
 
 

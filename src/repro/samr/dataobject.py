@@ -20,31 +20,8 @@ from repro.mpi import sanitizer as _tsan
 from repro.samr.hierarchy import Hierarchy
 from repro.samr.patch import Patch
 
-#: Pluggable patch-array allocator: ``(shape, fill, dtype) -> ndarray``.
-#: ``np.full`` by default; the ``mp`` execution backend installs
-#: :func:`repro.exec.shm.shm_allocator` in its workers so patch storage
-#: lives in shared-memory segments.
-_array_allocator: Callable = None  # type: ignore[assignment]
-
-
 #: process-unique DataObject numbers (``next`` on a count is atomic)
 _SERIALS = itertools.count()
-
-
-def set_array_allocator(allocator: Callable | None) -> None:
-    """Install a patch-array allocator (``None`` restores ``np.full``).
-
-    Affects arrays allocated from here on; existing DataObjects keep
-    their storage.
-    """
-    global _array_allocator
-    _array_allocator = allocator
-
-
-def _allocate(shape: tuple, fill: float, dtype) -> np.ndarray:
-    if _array_allocator is not None:
-        return _array_allocator(shape, fill, dtype)
-    return np.full(shape, fill, dtype=dtype)
 
 
 class DataObject:
@@ -97,8 +74,8 @@ class DataObject:
                 del self._data[pid]
         for pid, patch in live.items():
             if pid not in self._data:
-                self._data[pid] = _allocate(
-                    (self.nvar, *patch.array_shape), fill, self.dtype)
+                self._data[pid] = np.full(
+                    (self.nvar, *patch.array_shape), fill, dtype=self.dtype)
 
     def owned_patches(self, level: int | None = None) -> Iterator[Patch]:
         """Owned patches, optionally restricted to one level."""

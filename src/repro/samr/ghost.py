@@ -6,9 +6,12 @@ patches and the packing/unpacking of data before/after message passing."
 (paper §4, Data Object subsystem)
 
 The exchange is SCMD: patch metadata is replicated, so every rank derives
-the same global transfer schedule and exchanges only the payloads it owns
-via one ``alltoall`` per kind of transfer.  With ``comm=None`` (or a
-single rank) everything degenerates to local copies.
+the same global transfer schedule and talks only to its neighbours in it —
+per kind of transfer one buffered send to each rank it owes blocks and one
+receive from each rank that owes it any, on :data:`TRANSFER_TAG`.  A rank
+with no neighbour sends and waits for nothing; no transfer is a world
+collective.  With ``comm=None`` (or a single rank) everything degenerates
+to local copies.
 
 This module only *moves data*.  What moves where is geometry, built once
 per regrid by :mod:`repro.samr.schedule` and looked up through
@@ -30,6 +33,13 @@ from repro.samr.patch import Patch
 from repro.samr.prolong import prolong_bilinear
 from repro.samr.restrict import restrict_average
 from repro.samr.schedule import CoarseFineTask, Route
+
+#: The tag every replayed transfer travels on, reserved on whatever
+#: communicator the replay is handed (user tags are >= 0).  One is enough:
+#: receives name their source, and messages of one ``(source, tag)`` are
+#: FIFO, so transfers replayed back to back — another route, another
+#: DataObject — cannot take each other's messages.
+TRANSFER_TAG = -2
 
 #: Physical-boundary fill callback: ``bc(patch, ghosted_array, axis, side)``
 #: where ``side`` is 0 (low face) or 1 (high face).
@@ -96,31 +106,38 @@ def zero_gradient_bc(patch: Patch, arr: np.ndarray, axis: int, side: int) -> Non
 # -------------------------------------------------------------------- replay
 def _move(dobj: DataObject, route: Route, comm,
           transform: Callable[[np.ndarray], np.ndarray] | None = None,
-          target: Callable | None = None) -> int:
-    """Replay one route: every block is read from its source patch's
-    array, passed through ``transform`` and stored in
+          target: Callable | None = None,
+          source: Callable | None = None) -> int:
+    """Replay one route: every block is read from ``source(src)`` (default:
+    the source patch's array), passed through ``transform`` and stored in
     ``target(dst)[dst_index]`` (default: the destination patch's array) —
-    this rank's own transfers directly, the others through one
-    ``alltoall`` of ``(*header, block)`` messages.  Returns the payload
-    bytes this rank shipped."""
+    this rank's own transfers directly, the others as one ``(*header,
+    block)`` list sent to each rank owed blocks, then one received from
+    each rank owing some.  Sources are named and taken in rank order, so
+    neither the result nor the virtual clock depends on arrival order.
+    Returns the payload bytes this rank shipped."""
     target = target or dobj.array
+    source = source or dobj.array
 
     def read(src: Patch, index: tuple) -> np.ndarray:
-        block = dobj.array(src)[index]
+        block = source(src)[index]
         return block if transform is None else transform(block)
 
     for src, src_index, dst, dst_index in route.local:
         target(dst)[dst_index] = read(src, src_index)
     if comm is None or comm.size == 1:
         return 0
-    sends = [[(*header, np.ascontiguousarray(read(src, index)))
-              for header, src, index in route.sends.get(dest, ())]
-             for dest in range(comm.size)]
-    for batch in comm.alltoall(sends):
-        for *header, block in batch:
+    shipped = 0
+    for dest in sorted(route.sends):
+        batch = [(*header, np.ascontiguousarray(read(src, index)))
+                 for header, src, index in route.sends[dest]]
+        comm.isend(batch, dest, tag=TRANSFER_TAG)
+        shipped += sum(block.nbytes for *_header, block in batch)
+    for owing in sorted(route.sources):
+        for *header, block in comm.recv(owing, tag=TRANSFER_TAG):
             dst, dst_index = route.recv[tuple(header)]
             target(dst)[dst_index] = block
-    return sum(block.nbytes for batch in sends for *_header, block in batch)
+    return shipped
 
 
 def fill_from_coarse(dobj: DataObject, tasks: list[CoarseFineTask],

@@ -26,9 +26,9 @@ from repro.samr.box import Box
 from repro.samr.clustering import cluster_flags
 from repro.samr.dataobject import DataObject
 from repro.samr.flagging import assemble_level_flags, buffer_flags
-from repro.samr.ghost import fill_from_coarse
+from repro.samr.ghost import _move, fill_from_coarse
 from repro.samr.hierarchy import Hierarchy
-from repro.samr.schedule import coarse_fine_plan
+from repro.samr.schedule import coarse_fine_plan, surviving_overlaps
 
 #: ``flag_fn(level) -> {patch_id: bool interior array}`` for owned patches.
 FlagFn = Callable[[int], dict[int, np.ndarray]]
@@ -88,23 +88,12 @@ def regrid(
         new_boxes[lev + 1] = [b.refine(hierarchy.ratio) for b in boxes]
 
     # -- step 2: rebuild levels coarsest-first ------------------------------
-    rank = 0 if comm is None else comm.rank
     top = 0
     for lev in range(1, max_new + 1):
         boxes = new_boxes.get(lev, [])
         if not boxes:
             break
-        old_data = _snapshot_level(hierarchy, dataobjs, lev)
-        hierarchy.set_level_boxes(lev, boxes)
-        for dobj in dataobjs:
-            dobj.sync_allocation()
-        # every new patch interior, prolonged from the rebuilt level below
-        seed = coarse_fine_plan(
-            [(fine, fine.box) for fine in hierarchy.level(lev).patches],
-            hierarchy.level(lev - 1).patches, hierarchy.ratio, rank)
-        for d, dobj in enumerate(dataobjs):
-            fill_from_coarse(dobj, *seed, comm)
-            _copy_old_overlaps(dobj, lev, old_data[d], comm)
+        _rebuild_level(hierarchy, dataobjs, lev, boxes, comm)
         if hierarchy.level(lev).patches:
             top = lev
     hierarchy.drop_levels_above(top)
@@ -125,50 +114,30 @@ def regrid(
 
 
 # ---------------------------------------------------------------- helpers
-def _snapshot_level(hierarchy: Hierarchy, dataobjs: Sequence[DataObject],
-                    lev: int) -> list[list[tuple[Box, np.ndarray]]]:
-    """Keep (box, interior copy) of owned patches of ``lev`` per DataObject
-    before the level is destroyed."""
-    out: list[list[tuple[Box, np.ndarray]]] = [[] for _ in dataobjs]
-    if lev >= hierarchy.nlevels:
-        return out
-    for d, dobj in enumerate(dataobjs):
-        for patch in list(dobj.owned_patches(lev)):
-            out[d].append((patch.box, dobj.interior(patch).copy()))
-    return out
+def _rebuild_level(hierarchy: Hierarchy, dataobjs: Sequence[DataObject],
+                   lev: int, boxes: Sequence[Box], comm=None) -> None:
+    """Replace level ``lev`` by patches over ``boxes``: every new interior
+    is prolonged from the (already rebuilt) level below, then overwritten
+    with the surviving data of the old level wherever the two overlap.
 
-
-def _copy_old_overlaps(dobj: DataObject, lev: int,
-                       old: list[tuple[Box, np.ndarray]], comm=None) -> None:
-    """Overwrite prolonged data with surviving same-resolution data.
-
-    ``old`` holds this rank's pre-regrid patches; overlaps with new patches
-    owned elsewhere are shipped point-to-point via one alltoall.
+    The overlaps are one more route of the transfer schedule
+    (:func:`repro.samr.schedule.surviving_overlaps`) — built once,
+    replayed per DataObject from the old arrays, neighbour to neighbour.
     """
-    hierarchy = dobj.hierarchy
-    lvl = hierarchy.level(lev)
     rank = 0 if comm is None else comm.rank
-    nranks = 1 if comm is None else comm.size
-
-    sends: list[list] = [[] for _ in range(nranks)]
-    for old_box, data in old:
-        for new_patch in lvl.patches:
-            overlap = old_box.intersection(new_patch.box)
-            if overlap.empty:
-                continue
-            block = data[(slice(None), *overlap.slices(origin=old_box.lo))]
-            if new_patch.owner == rank:
-                dobj.array(new_patch)[
-                    (slice(None), *new_patch.slices_for(overlap))] = block
-            else:
-                sends[new_patch.owner].append(
-                    (new_patch.id, overlap.lo, overlap.hi,
-                     np.ascontiguousarray(block)))
-    if comm is not None and comm.size > 1:
-        incoming = comm.alltoall(sends)
-        for batch in incoming:
-            for pid, lo, hi, block in batch:
-                new_patch = lvl.patch_by_id(pid)
-                overlap = Box(lo, hi)
-                dobj.array(new_patch)[
-                    (slice(None), *new_patch.slices_for(overlap))] = block
+    old_patches = (tuple(hierarchy.level(lev).patches)
+                   if lev < hierarchy.nlevels else ())
+    # the old arrays live on for as long as these references do
+    old_arrays = [{p: dobj.array(p) for p in old_patches if p.owner == rank}
+                  for dobj in dataobjs]
+    hierarchy.set_level_boxes(lev, boxes)
+    for dobj in dataobjs:
+        dobj.sync_allocation()
+    new_patches = hierarchy.level(lev).patches
+    seed = coarse_fine_plan(
+        [(fine, fine.box) for fine in new_patches],
+        hierarchy.level(lev - 1).patches, hierarchy.ratio, rank)
+    survivors = surviving_overlaps(old_patches, new_patches, rank)
+    for dobj, arrays in zip(dataobjs, old_arrays):
+        fill_from_coarse(dobj, *seed, comm)
+        _move(dobj, survivors, comm, source=arrays.__getitem__)

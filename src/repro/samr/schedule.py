@@ -12,7 +12,8 @@ covers — and kept as ready-made NumPy index tuples.
 
 Patch metadata is replicated, so every rank derives the same global
 schedule and keeps its own view of it: the moves it makes alone, the
-messages it sends, and where each message it receives belongs.
+blocks it owes each neighbour, which neighbours owe it any and where each
+block it receives belongs.
 :meth:`repro.samr.hierarchy.Hierarchy.transfer_schedule` caches one
 schedule per ``(level, rank)`` and compares the patches it was built from
 *by value*, so whatever changes a level — ``regrid``,
@@ -46,8 +47,12 @@ class Route:
     ``local`` holds ``(src, src_index, dst, dst_index)`` moves between two
     patches of this rank; ``sends[rank]`` the ``(header, src, src_index)``
     blocks owed to another rank, in schedule order; ``recv[header]`` the
-    ``(dst, dst_index)`` of each block another rank owes this one.  A
-    header is the ``(id, lo, hi)`` that travels with the block.
+    ``(dst, dst_index)`` of each block another rank owes this one and
+    ``sources`` the ranks that owe it any.  A header is the ``(id, lo,
+    hi)`` that travels with the block.  Every rank builds its view from
+    the same replicated patch list, so ``b in a.sends`` on rank *a* exactly
+    when ``a in b.sources`` on rank *b*: a route is replayed as one message
+    per neighbour and nobody waits for a rank that owes it nothing.
     """
 
     def __init__(self, rank: int) -> None:
@@ -55,6 +60,7 @@ class Route:
         self.local: list[tuple] = []
         self.sends: dict[int, list[tuple]] = {}
         self.recv: dict[tuple, tuple] = {}
+        self.sources: set[int] = set()
 
     def add(self, src: Patch, src_index: Index, dst_owner: int, dst,
             dst_index: Index, header: tuple) -> None:
@@ -66,6 +72,7 @@ class Route:
                     (header, src, src_index))
         elif dst_owner == self.rank:
             self.recv[header] = (dst, dst_index)
+            self.sources.add(src.owner)
 
 
 class CoarseFineTask(NamedTuple):
@@ -117,6 +124,24 @@ def coarse_fine_plan(targets: Sequence[tuple[Patch, Box]],
                 _index(region.slices(origin=fine_lo)),
                 _index(fine.slices_for(region))))
     return tasks, route
+
+
+def surviving_overlaps(old: Sequence[Patch], new: Sequence[Patch],
+                       rank: int) -> Route:
+    """The route that carries a level's surviving data into the patches
+    that replace it: wherever an ``old`` patch and a ``new`` one overlap,
+    the old interior block goes to the new patch's owner under the header
+    ``(new id, lo, hi)``.  Both lists are replicated like all patch
+    metadata, so every rank derives its view of the same route."""
+    route = Route(rank)
+    for src in old:
+        for dst in new:
+            overlap = src.box.intersection(dst.box)
+            if not overlap.empty:
+                route.add(src, _index(src.slices_for(overlap)), dst.owner,
+                          dst, _index(dst.slices_for(overlap)),
+                          (dst.id, overlap.lo, overlap.hi))
+    return route
 
 
 def _hole_gather(covered: np.ndarray) -> tuple[Index, Index] | None:

@@ -4,6 +4,7 @@ at reduced scale.  (The full-scale claims are asserted in benchmarks/.)"""
 
 import pytest
 
+from repro.bench.scaling import _FIG8_CACHE
 from repro.bench import (
     run_fig3_fig4,
     run_fig6,
@@ -20,12 +21,33 @@ def fig8():
 
 
 def test_fig8_flat_and_ordered(fig8):
+    """Compute is counted and a rank talks to its neighbours only, so a
+    curve rises with P by the two halo messages and the log2(P) reduction
+    and nothing else: a few percent, the smaller the per-rank mesh the
+    more — on any host, the same on every run."""
     assert "Fig 8" in fig8["report"]
-    for ratio in fig8["flatness"].values():
-        assert ratio < 1.6
+    assert fig8["flatness"][40] < 1.03
+    assert fig8["flatness"][40] < fig8["flatness"][20] < 1.07
     results = fig8["results"]
     assert results[0].n_local < results[1].n_local
     assert max(results[0].times) < min(results[1].times)
+    for r in results:
+        assert r.times == sorted(r.times)  # comm only ever adds
+        assert r.worst_imbalance == pytest.approx(1.0, abs=1e-3)
+
+
+def test_scaling_times_repeat_exactly(fig8):
+    """The virtual clock holds nothing the host measured: a second sweep
+    returns ``==`` times."""
+    _FIG8_CACHE.clear()
+    again = run_fig8(fast=True)
+    assert [r.times for r in again["results"]] == \
+        [r.times for r in fig8["results"]]
+    assert run_table5(fast=True)["ratios"] == \
+        run_table5(fig8["results"])["ratios"]
+    first, second = run_fig9(fast=True), run_fig9(fast=True)
+    for n_global, curve in first["curves"].items():
+        assert curve["times"] == second["curves"][n_global]["times"]
 
 
 def test_table5_statistics(fig8):
@@ -34,18 +56,22 @@ def test_table5_statistics(fig8):
     for r in res["results"]:
         assert r.stdev < r.mean
         assert r.median == pytest.approx(r.mean, rel=0.3)
-    for _b, _a, got, _exp in res["ratios"]:
-        assert got > 1.2  # bigger per-rank meshes take longer
+    for _b, _a, got, expected in res["ratios"]:
+        # run time tracks the per-rank cell count (paper: 3.68 / 3.14
+        # against 4.0 / 3.06), a little under it for the fixed comm cost
+        assert 0.9 * expected < got < expected
 
 
 def test_fig9_efficiency_ordering():
     res = run_fig9(fast=True)
     assert "Fig 9" in res["report"]
-    assert 0.0 < res["worst_small"] < 1.2
+    assert 0.7 < res["worst_small"] < 0.9   # the knee (paper: 73 % at 48)
     assert res["worst_large"] > res["worst_small"]
     for c in res["curves"].values():
-        assert c["efficiency"][0] == pytest.approx(1.0)
-        assert c["times"][-1] < c["times"][0]
+        assert c["efficiency"][0] == 1.0
+        # more ranks: always faster, never more efficient
+        assert c["times"] == sorted(c["times"], reverse=True)
+        assert c["efficiency"] == sorted(c["efficiency"], reverse=True)
 
 
 def test_fig7_convergence_direction():

@@ -53,25 +53,30 @@ def test_send_recv_small_object():
     assert run(2, main)[1] == {"a": 1, "b": [1, 2]}
 
 
-def test_send_recv_large_array_via_shared_memory():
-    """A >4 KiB array takes the shared-segment path; the receiver gets
-    an exact, isolated copy (mutating it cannot reach the sender)."""
+@pytest.mark.parametrize("side", ["pipe", "segment"])
+def test_send_recv_array_either_side_of_the_segment_threshold(side):
+    """One element under the threshold the array rides the pipe, at it a
+    shared segment; either way the receiver gets an exact, isolated copy
+    (mutating it cannot reach the sender)."""
+    from repro.exec.shm import min_shm_bytes
+
+    n = min_shm_bytes() // 8 - (1 if side == "pipe" else 0)
 
     def main(comm):
-        data = np.arange(8192.0) + comm.rank
+        data = np.arange(float(n)) + comm.rank
         if comm.rank == 0:
             comm.send(data, dest=1)
             comm.barrier()
             return float(data.sum())
         got = comm.recv(source=0)
-        ok = bool(np.array_equal(got, np.arange(8192.0)))
+        ok = bool(np.array_equal(got, np.arange(float(n))))
         got[:] = -1.0  # must not corrupt anything anywhere
         comm.barrier()
         return ok
 
     total, ok = run(2, main)
     assert ok is True
-    assert total == float(np.arange(8192.0).sum())
+    assert total == float(np.arange(float(n)).sum())
 
 
 def test_sendrecv_and_any_source():
@@ -141,8 +146,8 @@ def test_a_member_is_posted_its_own_share_of_a_collective():
         packed = []
         encode = shm.encode_message
 
-        def counting(obj):
-            envelope, nbytes = encode(obj)
+        def counting(obj, names=None):
+            envelope, nbytes = encode(obj, names)
             packed.append(nbytes)
             return envelope, nbytes
 
@@ -211,6 +216,70 @@ def test_sigkill_surfaces_as_worker_death():
     with pytest.raises(RankFailure) as excinfo:
         run(2, main)
     assert "WorkerDied" in str(excinfo.value)
+
+
+# ------------------------------------------------- segments outlive nobody
+MIB = np.ones(1 << 17)   # 1 MiB of float64: a segment per message
+
+
+def _shm_listing():
+    return sorted(os.listdir("/dev/shm"))
+
+
+def test_sigkilled_worker_leaves_no_segment_behind():
+    """Two ranks keep 1 MiB messages in flight to each other and one is
+    SIGKILLed mid-exchange: the world fails, and what its ranks had
+    created and nobody consumed is gone when ``mpirun`` returns — while
+    this process, whose resource tracker would reclaim it at exit, is
+    still running."""
+    def main(comm):
+        peer = 1 - comm.rank
+        for i in range(40):
+            comm.isend(MIB, peer)
+            comm.isend(MIB, peer)
+            if comm.rank == 1 and i == 10:
+                os.kill(os.getpid(), signal.SIGKILL)
+            comm.recv(peer)
+
+    before = _shm_listing()
+    with pytest.raises(RankFailure) as excinfo:
+        run(2, main)
+    assert "WorkerDied" in str(excinfo.value)
+    assert _shm_listing() == before
+
+
+def test_aborted_world_leaves_no_segment_behind():
+    def main(comm):
+        comm.isend(MIB, 1 - comm.rank)   # never received
+        comm.barrier()
+        if comm.rank == 0:
+            raise ValueError("boom with a segment in flight")
+        comm.recv(0, tag=99)             # blocks until the abort
+
+    before = _shm_listing()
+    with pytest.raises(RankFailure, match="boom with a segment"):
+        run(2, main)
+    assert _shm_listing() == before
+
+
+def test_dropped_send_leaves_no_segment_behind():
+    """A fault plan that drops every send: each segment is discarded by
+    its own sender the moment the send is dropped."""
+    from repro.resilience import faults
+
+    def main(comm):
+        comm.send(MIB, 1 - comm.rank)
+        comm.barrier()                   # both sends dropped by now
+        return _shm_listing()
+
+    before = _shm_listing()
+    faults.configure(faults.FaultPlan(drop_prob=1.0))
+    try:
+        during = run(2, main)
+    finally:
+        faults.deactivate()
+    assert during == [before, before]
+    assert _shm_listing() == before
 
 
 # ------------------------------------------------------------------ sanitizer

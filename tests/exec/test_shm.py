@@ -1,71 +1,16 @@
-"""Shared-memory plumbing: ShmArray allocation, message encode/decode."""
+"""Shared-memory plumbing: message encode/decode either side of the
+threshold, world-scoped segment names and the sweep."""
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.exec import shm
-from repro.samr import dataobject as dobj
 
-
-# ------------------------------------------------------------- allocation
-def test_shm_array_behaves_like_ndarray():
-    arr = shm.shm_full((3, 4), 2.5)
-    assert isinstance(arr, shm.ShmArray)
-    assert arr.shape == (3, 4) and arr.dtype == np.float64
-    np.testing.assert_array_equal(arr, np.full((3, 4), 2.5))
-    arr[1, 2] = -1.0
-    assert arr.sum() == 2.5 * 12 - 2.5 - 1.0
-    assert arr.segment_name  # backed by a live named segment
-
-
-def test_views_share_the_segment():
-    arr = shm.shm_empty((8,))
-    arr[:] = np.arange(8.0)
-    view = arr[2:6]
-    assert isinstance(view, shm.ShmArray)
-    assert view.segment_name == arr.segment_name
-    view[:] = 0.0
-    assert arr[3] == 0.0  # genuinely one buffer
-
-
-def test_pickling_plainifies():
-    import pickle
-
-    arr = shm.shm_full((5,), 7.0)
-    clone = pickle.loads(pickle.dumps(arr))
-    np.testing.assert_array_equal(clone, arr)
-    # the round-tripped array is ordinary in-band storage
-    assert not isinstance(clone, shm.ShmArray) \
-        or clone.segment_name is None
-
-
-def test_segment_released_when_last_view_dies():
-    arr = shm.shm_empty((4,))
-    name = arr.segment_name
-    assert name in shm._OWNED
-    del arr
-    assert name not in shm._OWNED
-
-
-def test_release_owned_is_idempotent():
-    arr = shm.shm_empty((4,))
-    name = arr.segment_name
-    shm.release_owned()
-    assert name not in shm._OWNED
-    shm.release_owned()  # second call: nothing to do, no raise
-    del arr  # finalizer must notice the explicit release and stay quiet
-
-
-def test_dataobject_allocator_hook():
-    try:
-        dobj.set_array_allocator(shm.shm_allocator)
-        arr = dobj._allocate((2, 3), 1.5, np.float64)
-        assert isinstance(arr, shm.ShmArray)
-        np.testing.assert_array_equal(arr, np.full((2, 3), 1.5))
-    finally:
-        dobj.set_array_allocator(None)
-    plain = dobj._allocate((2, 3), 1.5, np.float64)
-    assert not isinstance(plain, shm.ShmArray)
+#: float64 counts one element under / at the segment threshold
+BELOW = shm.min_shm_bytes() // 8 - 1
+AT = shm.min_shm_bytes() // 8
 
 
 # ---------------------------------------------------------------- messages
@@ -78,11 +23,22 @@ def test_small_message_stays_in_band():
     np.testing.assert_array_equal(out["arr"], np.arange(4.0))
 
 
-def test_large_array_rides_shared_memory():
-    payload = {"a": np.arange(4096.0), "b": np.ones((64, 64))}
+def test_just_below_the_threshold_rides_the_pipe():
+    """A halo row (tens of KB) is far below it; so is anything up to the
+    last byte under the threshold."""
+    for n in (10 * 1024 // 8, BELOW):
+        env, nbytes = shm.encode_message(np.arange(float(n)))
+        assert env[0] == "pickle"
+        assert nbytes == len(env[1]) >= 8 * n
+        np.testing.assert_array_equal(shm.decode_message(env),
+                                      np.arange(float(n)))
+
+
+def test_at_the_threshold_rides_shared_memory():
+    payload = {"a": np.arange(float(AT // 2)), "b": np.ones(AT - AT // 2)}
     env, nbytes = shm.encode_message(payload)
     assert env[0] == "shm"
-    assert nbytes >= 4096 * 8 + 64 * 64 * 8  # buffers + pickle stream
+    assert nbytes >= 8 * AT  # buffers + pickle stream
     out = shm.decode_message(env)
     np.testing.assert_array_equal(out["a"], payload["a"])
     np.testing.assert_array_equal(out["b"], payload["b"])
@@ -105,10 +61,33 @@ def test_threshold_env_override(monkeypatch):
 def test_discard_frees_an_unconsumed_segment():
     from multiprocessing import shared_memory
 
-    env, _ = shm.encode_message(np.arange(4096.0))
+    env, _ = shm.encode_message(np.arange(float(AT)))
     assert env[0] == "shm"
     shm.discard_message(env)
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=env[2])
     shm.discard_message(env)  # already gone: silent
     shm.discard_message(("pickle", b"x"))  # in-band: nothing to free
+
+
+# ------------------------------------------------------ names and the sweep
+def test_named_segments_are_swept_by_prefix():
+    """Segments take the creator's names; ``sweep`` unlinks what is left
+    under a prefix and nothing else."""
+    prefix = f"repro-test-{os.getpid()}-"
+    mine, other = shm.segment_names(prefix + "0-"), shm.segment_names(
+        f"repro-test-other-{os.getpid()}-")
+    before = set(os.listdir("/dev/shm"))
+    try:
+        env, _ = shm.encode_message(np.arange(float(AT)), mine)
+        blob = shm.encode_blob(b"x" * 64, min_bytes=16, names=mine)
+        kept, _ = shm.encode_message(np.arange(float(AT)), other)
+        assert (env[2], blob[1]) == (prefix + "0-0", prefix + "0-1")
+        assert set(os.listdir("/dev/shm")) - before == {
+            env[2], blob[1], kept[2]}
+        shm.sweep(prefix)
+        assert set(os.listdir("/dev/shm")) - before == {kept[2]}
+        shm.sweep(prefix)  # nothing left: silent
+    finally:
+        shm.discard_message(kept)
+    assert set(os.listdir("/dev/shm")) == before

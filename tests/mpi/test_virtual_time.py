@@ -109,6 +109,32 @@ def test_compute_is_charged_automatically():
     assert clock > 0.0
 
 
+def test_a_priced_model_charges_counted_work_and_no_host_time():
+    """CPLANT carries work prices: CPU burnt between MPI calls does not
+    reach the clock, ``charge`` does, at the price times ``flop_scale`` —
+    the same number on any host.  A model without prices (the measured
+    mode above) takes the charge for free."""
+    import dataclasses
+
+    def main(comm):
+        x = np.random.default_rng(0).random(200_000)
+        for _ in range(5):
+            x = np.sqrt(x * x + 1.0)
+        idle = comm.clock
+        comm.charge("cell_stage", 1000)
+        comm.charge("flux_face", 10)
+        return idle, comm.clock
+
+    slow = dataclasses.replace(CPLANT, flop_scale=3.0)
+    for machine in (CPLANT, slow):
+        ((idle, clock),) = mpirun(1, main, machine=machine)
+        assert idle == 0.0
+        assert clock == machine.flop_scale * 1000 * CPLANT.prices.cell_stage \
+            + machine.flop_scale * 10 * CPLANT.prices.flux_face
+    assert ZERO_COST.prices is None
+    assert ZERO_COST.work_time("chem_rhs", 10**9) == 0.0
+
+
 def test_flop_scale_rescales_compute():
     def main(comm):
         comm.reset_clock()

@@ -52,6 +52,9 @@ def test_imbalance_ratio_max_over_avg():
 def test_imbalance_degenerate_inputs():
     assert imbalance([]) == 1.0
     assert imbalance([0.0, 0.0]) == 1.0
+    # equal clocks (what a counted virtual clock produces): the rounded
+    # mean of 48 of them lies above the value itself
+    assert imbalance([3.349554288] * 48) == 1.0
 
 
 def test_summarize_block():

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import repro
+import repro.obs as obs
 from repro.obs import profiler, trace
 from repro.obs.profiler import Sample, SamplingProfiler
 
@@ -70,6 +71,38 @@ def test_sampler_thread_collects_python_frames():
     busy_samples = [s for s in samples if s.thread == "busy-worker"]
     assert busy_samples
     assert any("busy" in f for s in busy_samples for f in s.frames)
+
+
+def test_sampler_never_names_a_thread_after_a_dead_one():
+    """Thread idents are recycled.  Fifty traced rank-threads come and go,
+    then a thread that never opens a span takes one of their idents: its
+    samples carry its own name and no rank, not the dead thread's."""
+    from repro.util.logging import rank_context
+
+    def traced_rank(rank):
+        with rank_context(rank), trace.span("step", cat="driver"):
+            pass
+
+    with obs.tracing():
+        for rank in range(50):
+            dead = threading.Thread(target=traced_rank, args=(rank,),
+                                    name=f"dead-rank-{rank}")
+            dead.start()
+            dead.join()
+        stop = threading.Event()
+        worker = threading.Thread(target=stop.wait, name="busy-worker")
+        worker.start()
+        try:
+            prof = SamplingProfiler(interval=0.002)
+            prof._sample_once()
+        finally:
+            stop.set()
+            worker.join()
+    by_thread = {s.thread: s.rank for s in prof.samples()}
+    assert not [name for name in by_thread if name.startswith("dead-rank")]
+    assert by_thread["busy-worker"] is None
+    assert not [st for _ident, name, *st in trace.active_stacks()
+                if name.startswith("dead-rank")]
 
 
 def test_sampler_attributes_open_spans_and_rank():

@@ -4,9 +4,17 @@ box algebra, a NaN sweep over the data and ``np.kron`` on every call.
 Kept as the oracle the schedule tests compare against with ``==`` — the
 replayed schedule must move exactly the same bits.  Not part of the
 package; do not "fix" it to match.
+
+It is also the last place a transfer is a world ``alltoall``: the
+package replays its schedule neighbour to neighbour, and
+``rebuild_level`` below keeps regrid's copy of surviving data
+(``_snapshot_level`` / ``_copy_old_overlaps``, verbatim from commit
+4b0ae62) as the oracle for that.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -14,10 +22,12 @@ from repro.errors import MeshError
 from repro.samr.box import Box
 from repro.samr.boxlist import subtract_all
 from repro.samr.dataobject import DataObject
-from repro.samr.ghost import zero_gradient_bc
+from repro.samr.ghost import fill_from_coarse, zero_gradient_bc
+from repro.samr.hierarchy import Hierarchy
 from repro.samr.patch import Patch
 from repro.samr.prolong import _slope
 from repro.samr.restrict import restrict_average
+from repro.samr.schedule import coarse_fine_plan
 
 
 def prolong_bilinear(coarse: np.ndarray, ratio: int,
@@ -223,3 +233,69 @@ def _complete_coarse(fine_box: Box, ratio: int) -> Box:
     lo = tuple(-((-l) // ratio) for l in fine_box.lo)  # ceil division
     hi = tuple((h + 1) // ratio - 1 for h in fine_box.hi)
     return Box(lo, hi)
+
+
+# ------------------------------------------------- regrid: surviving data
+def rebuild_level(hierarchy, dataobjs, lev, boxes, comm=None) -> None:
+    """One level of ``regrid`` step 2 as it was at 4b0ae62: snapshot, new
+    boxes, seed from the level below, copy the old overlaps back."""
+    rank = 0 if comm is None else comm.rank
+    old_data = _snapshot_level(hierarchy, dataobjs, lev)
+    hierarchy.set_level_boxes(lev, boxes)
+    for dobj in dataobjs:
+        dobj.sync_allocation()
+    seed = coarse_fine_plan(
+        [(fine, fine.box) for fine in hierarchy.level(lev).patches],
+        hierarchy.level(lev - 1).patches, hierarchy.ratio, rank)
+    for d, dobj in enumerate(dataobjs):
+        fill_from_coarse(dobj, *seed, comm)
+        _copy_old_overlaps(dobj, lev, old_data[d], comm)
+
+
+def _snapshot_level(hierarchy: Hierarchy, dataobjs: Sequence[DataObject],
+                    lev: int) -> list[list[tuple[Box, np.ndarray]]]:
+    """Keep (box, interior copy) of owned patches of ``lev`` per DataObject
+    before the level is destroyed."""
+    out: list[list[tuple[Box, np.ndarray]]] = [[] for _ in dataobjs]
+    if lev >= hierarchy.nlevels:
+        return out
+    for d, dobj in enumerate(dataobjs):
+        for patch in list(dobj.owned_patches(lev)):
+            out[d].append((patch.box, dobj.interior(patch).copy()))
+    return out
+
+
+def _copy_old_overlaps(dobj: DataObject, lev: int,
+                       old: list[tuple[Box, np.ndarray]], comm=None) -> None:
+    """Overwrite prolonged data with surviving same-resolution data.
+
+    ``old`` holds this rank's pre-regrid patches; overlaps with new patches
+    owned elsewhere are shipped point-to-point via one alltoall.
+    """
+    hierarchy = dobj.hierarchy
+    lvl = hierarchy.level(lev)
+    rank = 0 if comm is None else comm.rank
+    nranks = 1 if comm is None else comm.size
+
+    sends: list[list] = [[] for _ in range(nranks)]
+    for old_box, data in old:
+        for new_patch in lvl.patches:
+            overlap = old_box.intersection(new_patch.box)
+            if overlap.empty:
+                continue
+            block = data[(slice(None), *overlap.slices(origin=old_box.lo))]
+            if new_patch.owner == rank:
+                dobj.array(new_patch)[
+                    (slice(None), *new_patch.slices_for(overlap))] = block
+            else:
+                sends[new_patch.owner].append(
+                    (new_patch.id, overlap.lo, overlap.hi,
+                     np.ascontiguousarray(block)))
+    if comm is not None and comm.size > 1:
+        incoming = comm.alltoall(sends)
+        for batch in incoming:
+            for pid, lo, hi, block in batch:
+                new_patch = lvl.patch_by_id(pid)
+                overlap = Box(lo, hi)
+                dobj.array(new_patch)[
+                    (slice(None), *new_patch.slices_for(overlap))] = block

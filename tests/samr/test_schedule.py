@@ -237,8 +237,8 @@ def test_field_and_counters_on_one_and_two_ranks_threads_and_mp():
 
 
 class _CountingComm:
-    """Forwards to a communicator and adds up the array bytes this rank
-    hands to ``alltoall``."""
+    """Forwards to a communicator and notes the array bytes of every
+    message this rank hands to ``isend``."""
 
     def __init__(self, comm):
         self._comm = comm
@@ -247,35 +247,41 @@ class _CountingComm:
     def __getattr__(self, name):
         return getattr(self._comm, name)
 
-    def alltoall(self, sends):
+    def isend(self, batch, dest, tag=0):
         self.shipped.append(sum(
-            item.nbytes for batch in sends for message in batch
-            for item in message if isinstance(item, np.ndarray)))
-        return self._comm.alltoall(sends)
+            item.nbytes for message in batch for item in message
+            if isinstance(item, np.ndarray)))
+        return self._comm.isend(batch, dest, tag=tag)
 
 
 def test_ghost_bytes_counts_coarse_fine_payloads_too():
     """Two ranks, two levels: ``samr.ghost_bytes`` (and the span's
     ``nbytes``) is every payload byte the exchanges put on the wire — the
     coarse blocks shipped for interpolation as well as the sibling
-    copies."""
+    copies — in one message per route and neighbour."""
     case = _counted_case(2)
 
     def main(comm):
-        dobj = DataObject("f", case.build(), case.nvar, rank=comm.rank)
+        h = case.build()
+        dobj = DataObject("f", h, case.nvar, rank=comm.rank)
         fill_interiors(dobj)
         spy = _CountingComm(comm)
         for lev in range(2):
             exchange_ghosts(dobj, lev, comm=spy)
-        return spy.shipped
+        # replay order: level 0 siblings; level 1 coarse-fine, siblings
+        routes = [h.transfer_schedule(0, comm.rank).siblings,
+                  h.transfer_schedule(1, comm.rank).coarse_fine,
+                  h.transfer_schedule(1, comm.rank).siblings]
+        return spy.shipped, [len(route.sends) for route in routes]
 
     with obs.tracing():
         per_rank = mpirun(2, main, machine=ZERO_COST, backend="threads")
         counted = _counter_totals()["samr.ghost_bytes"]
         spans = sum(e.args["nbytes"] for e in obs.trace.events()
                     if e.name == "samr.ghost_exchange")
-    # level 0: siblings; level 1: coarse-fine, then siblings
-    assert all(len(shipped) == 3 for shipped in per_rank)
-    coarse_fine = sum(shipped[1] for shipped in per_rank)
+    coarse_fine = 0
+    for shipped, (n_sib0, n_cf, n_sib1) in per_rank:
+        assert len(shipped) == n_sib0 + n_cf + n_sib1
+        coarse_fine += sum(shipped[n_sib0:n_sib0 + n_cf])
     assert coarse_fine > 0
-    assert counted == spans == sum(map(sum, per_rank))
+    assert counted == spans == sum(sum(shipped) for shipped, _ in per_rank)
