@@ -18,8 +18,7 @@ def run_profile():
     framework = Framework()
     n = 16 if fast_mode() else 32
     build_reaction_diffusion(
-        framework, nx=n, ny=n, max_levels=1, n_steps=3, dt=1e-7,
-        chemistry_mode="batch")
+        framework, nx=n, ny=n, max_levels=1, n_steps=3, dt=1e-7)
     profiler = instrument(framework)
     framework.go("Driver")
     return profiler

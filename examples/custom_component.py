@@ -56,7 +56,7 @@ def main() -> None:
     framework = Framework()
     build_reaction_diffusion(framework, nx=24, ny=24, max_levels=2,
                              n_steps=4, dt=2e-7, regrid_interval=2,
-                             chemistry_mode="batch", initial_regrids=1)
+                             initial_regrids=1)
     # swap the stock IC for ours: disconnect one line, connect another
     framework.registry.register(SingleKernelIC)
     framework.instantiate("SingleKernelIC", "KernelIC")

@@ -4,13 +4,13 @@
 Runs the reaction-diffusion assembly on 1, 2 and 4 rank-threads under the
 CPlant machine model: identical frameworks per rank (the CCAFFEINE
 multiplexer), mesh strips per rank, genuine ghost-exchange message
-traffic, and per-rank virtual clocks combining measured CPU time with
-modeled communication cost.
+traffic, and per-rank virtual clocks combining counted work (cells x RKC
+stages, CVODE RHS evaluations) with modeled communication cost.
 
 Run:  python examples/parallel_scmd.py
 """
 
-from repro.apps import run_reaction_diffusion
+from repro.bench.scaling import scaling_case
 from repro.mpi import CPLANT, mpirun
 
 
@@ -19,16 +19,9 @@ def main() -> None:
 
     for nprocs in (1, 2, 4):
         def rank_main(comm):
-            run_reaction_diffusion(
-                comm=comm,
-                nx=nprocs * n_local,   # strip decomposition along x
-                ny=n_local,
-                extent=nprocs * n_local * 1e-4,
-                max_levels=1,
-                n_steps=5,
-                dt=1e-7,
-                chemistry_mode="batch",
-            )
+            # strip decomposition along x; 5 steps of 1e-7 s, every cell
+            # through RKC diffusion and its own CVODE integration
+            scaling_case(comm, nprocs * n_local, n_local)
             comm.barrier()
             return comm.clock
 

@@ -2,8 +2,8 @@
 """The 2D reaction-diffusion flame with SAMR (paper §4.2, scaled down).
 
 Three hot spots in a stoichiometric H2-air mixture on a 10 mm square
-domain; Strang-split chemistry (per-cell CVode or vectorized batch mode)
-plus RKC diffusion, with the adaptive hierarchy tracking the fronts.
+domain; Strang-split chemistry (one CVode integration per cell) plus RKC
+diffusion, with the adaptive hierarchy tracking the fronts.
 
 Run:  python examples/reaction_diffusion_flame.py [--fine]
 """
@@ -26,7 +26,6 @@ def main() -> None:
         n_steps=10 if fine else 5,
         dt=2e-7,                     # explicit macro step
         regrid_interval=3,
-        chemistry_mode="batch",      # use "cvode" for per-cell stiff solves
         initial_regrids=1,
         threshold=0.15,
     )

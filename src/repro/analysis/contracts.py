@@ -191,16 +191,19 @@ def _check_value(manifest: ComponentManifest, instance: str, key: str,
 
 def check_model(model: AssemblyModel,
                 manifests: Mapping[str, ComponentManifest] | None = None,
-                *, include_syntax: bool = False) -> list[Finding]:
+                *, standalone: bool = False) -> list[Finding]:
     """Run RA411-RA418 over one :class:`AssemblyModel`.
 
     Instances whose class has no manifest are skipped — the drift pass
     (RA406) is what forces shipped components to have one; ad-hoc test
-    components simply opt out of contract checking.
+    components simply opt out of contract checking.  ``standalone``
+    (no wiring pass runs alongside) adds what that pass would report:
+    syntax errors (RA001) and connections to ports no manifest declares
+    (RA005).
     """
     manifests = manifests if manifests is not None else load_manifests()
     out: list[Finding] = []
-    if include_syntax:
+    if standalone:
         for line_no, message in model.syntax_errors:
             out.append(finding("RA001", message, path=model.path,
                                line=line_no))
@@ -249,6 +252,17 @@ def check_model(model: AssemblyModel,
         um, pm = manifest_of(user), manifest_of(provider)
         uspec = um.uses_port(uport) if um is not None else None
         pspec = pm.provides_port(pport) if pm is not None else None
+        if standalone:
+            for m, inst, port, spec, kind in (
+                    (um, user, uport, uspec, "uses"),
+                    (pm, provider, pport, pspec, "provides")):
+                if m is not None and spec is None:
+                    out.append(finding(
+                        "RA005",
+                        f"{inst} ({m.class_name}) has no {kind} port "
+                        f"{port!r}",
+                        path=model.path, line=line,
+                        context=f"{inst}.{port}"))
         if uspec is not None and pspec is not None and \
                 uspec.type != pspec.type:
             out.append(finding(
@@ -283,11 +297,11 @@ def check_model(model: AssemblyModel,
 def analyze_script_contracts(
         text: str, path: str = "<script>",
         manifests: Mapping[str, ComponentManifest] | None = None,
-        *, include_syntax: bool = False) -> list[Finding]:
-    """RA41x over an rc-script (syntax errors only when asked — the
-    wiring pass already owns RA001 in the combined CLI run)."""
+        *, standalone: bool = False) -> list[Finding]:
+    """RA41x over an rc-script (``standalone`` only when asked — the
+    wiring pass already owns RA001 / RA005 in the combined CLI run)."""
     return check_model(model_from_script(text, path), manifests,
-                       include_syntax=include_syntax)
+                       standalone=standalone)
 
 
 def analyze_script_file_contracts(
@@ -388,10 +402,10 @@ def check_job(script: str, params: Mapping[str, Any] | None = None,
     """The serve admission gate: RA41x over (script + overrides).
 
     Override keys count as "set" for the RA415 required-parameter check.
-    Syntax errors are included (an unparseable script must be rejected
-    at submit, not discovered by a worker).  ``backend`` (the job's
-    execution-backend request, "" = service default) is validated
-    against the :mod:`repro.exec` registry (RA419).
+    Syntax errors and unknown port names are included (such a script
+    must be rejected at submit, not discovered by a worker).  ``backend``
+    (the job's execution-backend request, "" = service default) is
+    validated against the :mod:`repro.exec` registry (RA419).
     """
     manifests = manifests if manifests is not None else load_manifests()
     model = model_from_script(script, path)
@@ -409,7 +423,7 @@ def _check_job_model(model: AssemblyModel,
     for dotted in params:
         instance, _, key = dotted.partition(".")
         override_keys.setdefault(instance, set()).add(key)
-    base = check_model(model, manifests, include_syntax=True)
+    base = check_model(model, manifests, standalone=True)
     kept: list[Finding] = []
     for f in base:
         if f.code == "RA415" and f.context:

@@ -158,7 +158,6 @@ def build_reaction_diffusion(
     n_steps: int = 5,
     dt: float = 0.0,
     regrid_interval: int = 0,
-    chemistry_mode: str = "cvode",
     chemistry_on: bool = True,
     threshold: float = 0.1,
     initial_regrids: int = 0,
@@ -191,7 +190,6 @@ def build_reaction_diffusion(
     fp("InitialCondition", "x_extent", extent)
     fp("InitialCondition", "y_extent", extent)
     fp("InitialCondition", "spot_radius", 0.08 * extent)
-    fp("ImplicitIntegrator", "mode", chemistry_mode)
     fp("ImplicitIntegrator", "skip_below_T", 600.0)
     fp("ErrEstAndRegrid", "dataobject", "flow")
     fp("ErrEstAndRegrid", "variables", "0")  # flag on temperature
@@ -206,7 +204,6 @@ def build_reaction_diffusion(
     fc("InitialCondition", "chem", "ReactionTerms", "chemistry")
     fc("CvodeSolver", "rhs", "ReactionTerms", "source")
     fc("ImplicitIntegrator", "solver", "CvodeSolver", "solver")
-    fc("ImplicitIntegrator", "chem", "ReactionTerms", "chemistry")
     fc("ImplicitIntegrator", "data", "AMR_Mesh", "data")
     fc("DRFM", "chem", "ReactionTerms", "chemistry")
     fc("DiffusionPhysics", "transport", "DRFM", "transport")

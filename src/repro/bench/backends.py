@@ -4,7 +4,8 @@ The thread backend's virtual clocks model a parallel machine, but its
 *real* wall-clock is GIL-bound: P rank-threads of pure-Python compute
 share one core no matter how many the host has.  The mp backend exists
 to change exactly that number, so this harness measures it honestly:
-the same Table 5 reaction-diffusion workload, same rank count, once per
+the Table 5 reaction-diffusion workload
+(:func:`repro.bench.scaling.scaling_case`), same rank count, once per
 backend, wall-clock timed.
 
 KPI (lower = better): ``mp_over_threads``, the ratio of the best mp
@@ -22,23 +23,13 @@ from __future__ import annotations
 import os
 import time
 
-from repro.apps import run_reaction_diffusion
 from repro.bench.reporting import format_table
+from repro.bench.scaling import scaling_case
 from repro.mpi import ZERO_COST, mpirun
 from repro.util.options import fast_mode
 
 #: backends the A/B compares (registry names).
 BACKENDS = ("threads", "mp")
-
-
-def _workload(nx: int, n_steps: int):
-    def main(comm):
-        res = run_reaction_diffusion(
-            comm=comm, nx=nx, ny=nx, max_levels=1, n_steps=n_steps,
-            dt=1e-7, chemistry_mode="batch")
-        return res["T_max"]
-
-    return main
 
 
 def run_backend_ab(fast: bool | None = None, nprocs: int = 4,
@@ -49,7 +40,10 @@ def run_backend_ab(fast: bool | None = None, nprocs: int = 4,
     start-up noise lands in the slower rounds)."""
     fast = fast_mode() if fast is None else fast
     nx, n_steps = (16, 2) if fast else (32, 4)
-    main = _workload(nx, n_steps)
+
+    def main(comm):
+        return scaling_case(comm, nx, nx, n_steps)["T_max"]
+
     cores = os.cpu_count() or 1
 
     results: dict[str, dict] = {}

@@ -7,12 +7,14 @@ off since it renders scalability extremely sensitive to the performance of
 the load-balancer.  ...  Each mesh point has 9 variables on it."
 (paper §5.2)
 
-The SCMD substitution: P rank-threads run the full component assembly on a
-strip-decomposed mesh; run time is each rank's *virtual clock* — the work
-its integrators counted (cells x RKC stages, chemistry RHS evaluations) at
-the CPlant preset's prices plus CPlant-model alpha-beta time for every
-neighbour ghost message and reduction the assembly actually performs.
-Nothing the host measures enters it: two calls return ``==`` times.
+The SCMD substitution: P rank-threads run the full component assembly —
+RKC diffusion and one CVODE integration per cell, *every* cell (see
+:func:`scaling_case`) — on a strip-decomposed mesh; run time is each
+rank's *virtual clock* — the work its integrators counted (cells x RKC
+stages, CVODE RHS column-evaluations) at the CPlant preset's prices plus
+CPlant-model alpha-beta time for every neighbour ghost message and
+reduction the assembly actually performs.  Nothing the host measures
+enters it: two calls return ``==`` times.
 
 * ``run_fig8`` / ``run_table5`` — constant per-processor workload
   (n_local x n_local per rank; the global mesh grows with P).
@@ -25,8 +27,9 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from repro.apps.reaction_diffusion import run_reaction_diffusion
+from repro.apps.reaction_diffusion import build_reaction_diffusion
 from repro.bench.reporting import format_table
+from repro.cca.framework import Framework
 from repro.mpi import CPLANT, mpirun
 from repro.mpi.perfmodel import MachineModel
 from repro.obs import aggregate
@@ -37,36 +40,40 @@ N_STEPS = 5
 DT = 1e-7
 
 
+def scaling_case(comm, nx: int, ny: int, n_steps: int = N_STEPS) -> dict:
+    """One rank's run of the scaling workload (the backend A/B and
+    ``examples/parallel_scmd.py`` call this too): the reaction-diffusion
+    assembly on a single-level mesh with every cell's chemistry
+    integrated.  The flame run's 600 K cut-off would turn the three hot
+    spots into a load imbalance; the paper's claim is about all cells."""
+    framework = Framework(comm=comm)
+    build_reaction_diffusion(
+        framework,
+        nx=nx,
+        ny=ny,
+        extent=nx * 1e-4,           # the paper's ~0.1 mm spacing
+        max_levels=1,               # adaptivity off (paper §5.2)
+        n_steps=n_steps,
+        dt=DT,
+    )
+    framework.set_parameter("ImplicitIntegrator", "skip_below_T", 0.0)
+    return framework.go("Driver")
+
+
 def _run_case_stats(nprocs: int, nx: int, ny: int,
                     machine: MachineModel = CPLANT) -> dict:
-    """Run the RD assembly on ``nprocs`` ranks; return the per-rank
+    """Run the scaling case on ``nprocs`` ranks; return the per-rank
     breakdown: ``{"per_rank": [clocks...], "stats": {...}}`` (the
     :func:`repro.obs.aggregate.rank_clock_summary` reduction, including
     the Table 5 max/avg load-imbalance ratio)."""
 
     def main(comm):
-        run_reaction_diffusion(
-            comm=comm,
-            nx=nx,
-            ny=ny,
-            extent=nx * 1e-4,           # the paper's ~0.1 mm spacing
-            max_levels=1,               # adaptivity off (paper §5.2)
-            n_steps=N_STEPS,
-            dt=DT,
-            chemistry_mode="batch",
-            chemistry_on=True,
-        )
+        scaling_case(comm, nx, ny)
         comm.barrier()
         return comm.clock
 
     clocks = mpirun(nprocs, main, machine=machine)
     return aggregate.rank_clock_summary(clocks)
-
-
-def _run_case(nprocs: int, nx: int, ny: int,
-              machine: MachineModel = CPLANT) -> float:
-    """Slowest rank's virtual run time (what a cluster user measures)."""
-    return _run_case_stats(nprocs, nx, ny, machine)["stats"]["max"]
 
 
 @dataclass
@@ -114,9 +121,8 @@ def run_fig8(fast: bool | None = None) -> dict:
     if fast:
         size_procs = {20: [1, 2, 4], 40: [1, 2, 4]}
     else:
-        # The paper's per-rank sizes, to P = 16; the sweep to the paper's
-        # P = 48 waits for the real chemistry scheme (ROADMAP item 1).
-        size_procs = {50: [1, 4, 16], 100: [1, 4, 16], 175: [1, 4, 16]}
+        # the paper's per-rank sizes, to the paper's P
+        size_procs = {n: [1, 4, 16, 48] for n in (50, 100, 175)}
     results: list[WeakScalingResult] = []
     for n_local, procs in size_procs.items():
         r = WeakScalingResult(n_local, list(procs))

@@ -5,21 +5,16 @@ Integration subsystem for all cells and all patches."  (paper §4.2)
 
 It extracts the pointwise state ``[T, Y...]`` of the flame DataObject and
 hands it to the connected ODESolverPort (the ``CvodeComponent`` /
-``ThermoChemistry`` pair).  Two fidelity modes:
-
-* ``mode = "cvode"`` (default) — one stiff integration per cell, the
-  paper's scheme: the cells at or above ``skip_below_T`` of *all* owned
-  patches become the columns of one ``solver.integrate(t, Y_hot, t + dt)``
-  call.  Each column keeps its own adaptive trajectory and its result
-  does not depend on which cells share the call, so the field is the same
-  however the mesh is split across patches and ranks.
-* ``mode = "batch"`` — vectorized explicit sub-stepping of the chemical
-  source over whole patches; used by the scaling benches where the paper
-  itself notes "the compute time per mesh point ... can be predicted"
-  (adaptivity and stiffness hot spots are off).
+``ThermoChemistry`` pair): one stiff integration per cell, the paper's
+scheme.  The cells at or above ``skip_below_T`` of *all* owned patches
+become the columns of ``solver.integrate(t, Y_hot, t + dt)`` calls,
+``BLOCK_COLUMNS`` at a time.  Each column keeps its own adaptive
+trajectory and its result does not depend on which cells share a call, so
+the field is the same however the mesh is split across patches, ranks and
+blocks.
 
 Provides ``integrator`` (IntegratorPort); uses ``solver`` (ODESolverPort),
-``chem`` (ChemistryPort), ``data`` (DataObjectPort).
+``data`` (DataObjectPort).
 """
 
 from __future__ import annotations
@@ -32,6 +27,12 @@ from repro.cca.component import Component
 from repro.cca.ports.integrator import IntegratorPort
 from repro.errors import CCAError
 from repro.samr.dataobject import DataObject
+
+#: Columns per ``solver.integrate`` call.  A solve holds ~23 KB of Newton
+#: and history work arrays per column, so the width bounds a rank's
+#: memory (1 024 columns: ~24 MB) whatever its cell count; a column's
+#: result does not depend on its block.
+BLOCK_COLUMNS = 1024
 
 
 class _ChemIntegrator(IntegratorPort):
@@ -61,7 +62,6 @@ class ImplicitIntegrator(Component):
         self.services = services
         self.port = _ChemIntegrator(self)
         services.register_uses_port("solver", "ODESolverPort")
-        services.register_uses_port("chem", "ChemistryPort")
         services.register_uses_port("data", "DataObjectPort")
         services.add_provides_port(self.port, "integrator")
 
@@ -76,66 +76,33 @@ class ImplicitIntegrator(Component):
 
     def advance(self, dobj: DataObject, t: float, dt: float,
                 port: _ChemIntegrator) -> float:
-        mode = self.services.get_parameter("mode", "cvode")
-        if mode == "cvode":
-            rhs_evals = self._advance_per_cell(dobj, t, dt, port)
-        elif mode == "batch":
-            rhs_evals = self._advance_batch(dobj, t, dt, port)
-        else:
-            raise CCAError(f"unknown chemistry mode {mode!r}")
-        comm = self.services.get_comm()
-        if comm is not None:  # the half-step's compute, counted
-            comm.charge("chem_rhs", rhs_evals)
-        return t + dt
-
-    # -- the paper's scheme: one stiff integration per cell ----------------
-    def _advance_per_cell(self, dobj: DataObject, t: float, dt: float,
-                          port: _ChemIntegrator) -> int:
-        """Returns the RHS column-evaluations spent."""
         solver = self.services.get_port("solver")
         t_threshold = float(
             self.services.get_parameter("skip_below_T", 0.0))
         # gather the hot cells of every owned patch into the columns of
-        # one batched solve; cold cells (chemistry frozen) stay untouched
-        blocks = []
+        # a batched solve; cold cells (chemistry frozen) stay untouched
+        patches = []
         for patch in dobj.owned_patches():
             interior = dobj.interior(patch)
             hot = interior[0] >= t_threshold
             if hot.any():
-                blocks.append((interior, hot))
-        if not blocks:
-            return 0
-        y0 = np.concatenate([interior[:, hot] for interior, hot in blocks],
-                            axis=1)
-        y1 = solver.integrate(t, y0, t + dt)
-        port.cells_integrated += y0.shape[1]
+                patches.append((interior, hot))
+        if not patches:
+            return t + dt
+        y = np.concatenate([interior[:, hot] for interior, hot in patches],
+                           axis=1)
+        rhs_evals = 0
+        for lo in range(0, y.shape[1], BLOCK_COLUMNS):
+            block = slice(lo, lo + BLOCK_COLUMNS)
+            y[:, block] = solver.integrate(t, y[:, block], t + dt)
+            rhs_evals += solver.last_nfe()
+        port.cells_integrated += y.shape[1]
         start = 0
-        for interior, hot in blocks:
+        for interior, hot in patches:
             stop = start + int(hot.sum())
-            interior[:, hot] = y1[:, start:stop]
+            interior[:, hot] = y[:, start:stop]
             start = stop
-        return solver.last_nfe()
-
-    # -- vectorized bench mode: explicit sub-stepped source -----------------
-    def _advance_batch(self, dobj: DataObject, t: float, dt: float,
-                       port: _ChemIntegrator) -> int:
-        """Returns the RHS column-evaluations spent."""
-        chem = self.services.get_port("chem")
-        nsub = int(self.services.get_parameter("substeps", 4))
-        h = dt / nsub
-        cells0 = port.cells_integrated
-        for patch in dobj.owned_patches():
-            interior = dobj.interior(patch)
-            T = interior[0]
-            Y = interior[1:]
-            for _ in range(nsub):
-                dT1, dY1 = chem.source_terms(T, Y)
-                T1 = T + h * dT1
-                Y1 = np.clip(Y + h * dY1, 0.0, None)
-                dT2, dY2 = chem.source_terms(T1, Y1)
-                T = T + 0.5 * h * (dT1 + dT2)
-                Y = np.clip(Y + 0.5 * h * (dY1 + dY2), 0.0, None)
-            interior[0] = T
-            interior[1:] = Y
-            port.cells_integrated += T.size
-        return 2 * nsub * (port.cells_integrated - cells0)
+        comm = self.services.get_comm()
+        if comm is not None:  # the half-step's compute, counted
+            comm.charge("chem_rhs", rhs_evals)
+        return t + dt

@@ -136,12 +136,17 @@ class MachineModel:
 
 
 #: What a unit of work costs on the host these numbers were frozen on
-#: (2 cores, the benchmark suite's readings at commit 4b0ae62): a rank's
-#: 8.2 ms explicit step over 128 x 64 cells x 2 stages,
-#: ``chemistry.wdot_us_per_cell`` 1.28 and
-#: ``hydro.godunov_flux_us_per_face`` 0.57.  Constants, not measurements:
-#: a priced model's clock reads the same on every host.
-HOST_PRICES = WorkPrices(cell_stage=0.5e-6, chem_rhs=1.3e-6,
+#: (2 cores).  ``cell_stage`` and ``flux_face``: the benchmark suite at
+#: commit 4b0ae62 (a rank's 8.2 ms explicit step over 128 x 64 cells x 2
+#: stages; ``hydro.godunov_flux_us_per_face`` 0.57).  ``chem_rhs``: a
+#: CVODE column-evaluation — the RHS plus its share of Jacobian, Newton
+#: solve and error test — re-frozen in PR 22 as thread CPU seconds inside
+#: ``ImplicitIntegrator.advance`` over the solver's ``total_nfe`` for the
+#: serial scaling case, least-disturbed of four runs: 2.84 / 2.43 / 2.38
+#: us at 50^2 / 100^2 / 175^2 (3.17 s for 1 304 368 evaluations at 100^2).
+#: Constants, not measurements: a priced model's clock reads the same on
+#: every host.
+HOST_PRICES = WorkPrices(cell_stage=0.5e-6, chem_rhs=2.4e-6,
                          flux_face=0.57e-6)
 
 #: Sandia CPlant: 433 MHz Alpha EV56 nodes, Myrinet through 32-bit PCI.

@@ -11,6 +11,8 @@ Noise discipline:
 * history is filtered to runs whose ``fast`` fingerprint flag matches
   the latest run (fast-mode and full-scale numbers are different
   universes);
+* history starts at the last run annotated ``"new_series": true`` (by
+  hand, beside a ``note`` saying what re-defined the bench's KPIs);
 * when enough same-``host`` history exists it is preferred — cross-host
   deltas are machine differences, not regressions (cross-host fallback
   comparisons are labelled as such in the table);
@@ -85,7 +87,9 @@ def compare_trajectory(doc: dict, tolerance: float = DEFAULT_TOLERANCE,
     if not runs:
         return []
     latest = runs[-1]
-    history = [r for r in runs[:-1] if _match(r, latest, "fast")]
+    start = max((i for i, r in enumerate(runs) if r.get("new_series")),
+                default=0)
+    history = [r for r in runs[start:-1] if _match(r, latest, "fast")]
     same_host = [r for r in history if _match(r, latest, "host")]
     cross_host = len(same_host) < min_history
     pool = history if cross_host else same_host

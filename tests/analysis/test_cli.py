@@ -186,3 +186,29 @@ def test_manifest_emit_writes_and_is_idempotent(tmp_path, capsys):
 def test_manifest_emit_unknown_class_exits_2(capsys):
     assert main(["manifest", "emit", "NoSuchComponent"]) == 2
     assert "unknown component class" in capsys.readouterr().err
+
+
+# ------------------------------------------------ a retired option is a finding
+def stale_flame_rc() -> str:
+    """``examples/reaction_diffusion.rc`` as it read while
+    ``ImplicitIntegrator`` still had a ``mode`` parameter and a ``chem``
+    uses port."""
+    text = (REPO / "examples/reaction_diffusion.rc").read_text()
+    solver = "connect ImplicitIntegrator solver CvodeSolver solver\n"
+    assert solver in text
+    return text.replace(
+        solver,
+        "parameter ImplicitIntegrator mode batch\n" + solver +
+        "connect ImplicitIntegrator chem ReactionTerms chemistry\n")
+
+
+def test_script_selecting_the_deleted_chemistry_fork_is_a_finding(
+        tmp_path, capsys):
+    target = tmp_path / "stale.rc"
+    target.write_text(stale_flame_rc())
+    assert main(["--contracts", str(target)]) == 1
+    out = capsys.readouterr().out
+    assert "RA411 error: ImplicitIntegrator (ImplicitIntegrator) has " \
+        "no parameter 'mode'" in out
+    assert "RA005 error: ImplicitIntegrator (ImplicitIntegrator) has " \
+        "no uses port 'chem'" in out

@@ -88,12 +88,11 @@ def test_shock_amr_fields_do_not_depend_on_the_decomposition(nprocs, backend):
 def test_reaction_diffusion_four_ranks():
     def main(comm):
         res = run_reaction_diffusion(
-            comm=comm, nx=16, ny=16, max_levels=1, n_steps=2, dt=1e-7,
-            chemistry_mode="batch")
+            comm=comm, nx=16, ny=16, max_levels=1, n_steps=2, dt=1e-7)
         return res["T_max"]
 
     ser = run_reaction_diffusion(nx=16, ny=16, max_levels=1, n_steps=2,
-                                 dt=1e-7, chemistry_mode="batch")
+                                 dt=1e-7)
     par = mpirun(4, main, machine=ZERO_COST)
     for t in par:
         assert t == pytest.approx(ser["T_max"], rel=1e-10)
@@ -105,8 +104,7 @@ def test_virtual_time_sane_under_cplant_model():
 
     def main(comm):
         run_reaction_diffusion(
-            comm=comm, nx=16, ny=16, max_levels=1, n_steps=2, dt=1e-7,
-            chemistry_mode="batch")
+            comm=comm, nx=16, ny=16, max_levels=1, n_steps=2, dt=1e-7)
         comm.barrier()
         return comm.clock
 

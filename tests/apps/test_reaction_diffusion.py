@@ -9,8 +9,7 @@ from repro.mpi import ZERO_COST
 
 
 def small_run(**kw):
-    args = dict(nx=16, ny=16, max_levels=1, n_steps=3, dt=1e-7,
-                chemistry_mode="batch")
+    args = dict(nx=16, ny=16, max_levels=1, n_steps=3, dt=1e-7)
     args.update(kw)
     return run_reaction_diffusion(**args)
 
@@ -47,22 +46,13 @@ def test_amr_refines_hotspots():
     assert res["total_cells"] > 256
 
 
-def test_per_cell_cvode_mode_matches_batch_loosely():
-    """The two chemistry modes must agree during early induction (weak
-    coupling, short dt)."""
-    a = small_run(chemistry_mode="batch", n_steps=2)
-    b = small_run(chemistry_mode="cvode", n_steps=2)
-    assert a["T_max"] == pytest.approx(b["T_max"], rel=5e-3)
-
-
 def test_scmd_parallel_matches_serial():
     """2-rank SCMD run must agree with the serial run (same physics,
     distributed mesh)."""
 
     def main(comm):
         return run_reaction_diffusion(
-            comm=comm, nx=16, ny=16, max_levels=1, n_steps=2, dt=1e-7,
-            chemistry_mode="batch")
+            comm=comm, nx=16, ny=16, max_levels=1, n_steps=2, dt=1e-7)
 
     from repro.mpi import mpirun
 

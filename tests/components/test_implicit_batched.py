@@ -1,13 +1,15 @@
-"""ImplicitIntegrator's one-solve-per-half-step gather: which cells it
-integrates, that it leaves the rest alone, and that the field does not
-depend on how the mesh is split across patches and ranks."""
+"""ImplicitIntegrator's gather of a half-step's hot cells into batched
+solves: which cells it integrates, that it leaves the rest alone, and
+that the field does not depend on how the mesh is split across patches,
+ranks and solver blocks."""
 
 import numpy as np
 import pytest
 
 from repro.apps import build_reaction_diffusion
 from repro.cca.framework import Framework
-from repro.mpi import ZERO_COST, mpirun
+from repro.components.implicit_adaptor import BLOCK_COLUMNS
+from repro.mpi import CPLANT, ZERO_COST, mpirun
 
 SKIP_BELOW_T = 600.0   # set by build_reaction_diffusion
 HALF_DT = 5e-8
@@ -88,3 +90,40 @@ def test_field_is_the_same_on_one_and_two_ranks(backend):
         assert np.array_equal(owners == 1, ~np.isnan(serial[0]))
         merged = np.where(np.isnan(pieces[0]), pieces[1], pieces[0])
         assert np.array_equal(merged, serial, equal_nan=True)
+
+
+def test_blocked_solves_equal_one_solve_over_all_columns():
+    """A 40 x 40 patch with every cell hot is more than one block: the
+    field, the cell count and the work charged to the virtual clock are
+    those of a single ``integrate`` over all 1 600 columns."""
+
+    def main(comm):
+        framework = Framework(comm=comm)
+        build_reaction_diffusion(framework, nx=40, ny=40, max_levels=1,
+                                 n_steps=1, dt=2 * HALF_DT)
+        framework.set_parameter("ImplicitIntegrator", "skip_below_T", 0.0)
+        services = framework.services_of("Driver")
+        services.get_port("mesh").build_base_level()
+        mech = services.get_port("chem").mechanism()
+        dobj = services.get_port("data").declare("flow", mech.n_species + 1)
+        services.get_port("ic").initialize(dobj)
+        (patch,) = dobj.owned_patches()
+        interior = dobj.interior(patch)
+        n_cells = interior[0].size
+        assert n_cells > BLOCK_COLUMNS
+
+        solver = framework.services_of(
+            "ImplicitIntegrator").get_port("solver")
+        before = interior.reshape(dobj.nvar, n_cells)
+        whole = solver.integrate(0.0, before, HALF_DT)
+        whole_nfe = solver.last_nfe()
+        assert not np.array_equal(whole, before)
+
+        implicit = services.get_port("implicit")
+        comm.reset_clock()
+        implicit.advance([dobj], 0.0, HALF_DT)
+        assert np.array_equal(interior.reshape(dobj.nvar, n_cells), whole)
+        assert implicit.cells_integrated == n_cells
+        assert comm.clock == CPLANT.work_time("chem_rhs", whole_nfe)
+
+    mpirun(1, main, machine=CPLANT)

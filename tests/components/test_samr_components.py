@@ -203,7 +203,7 @@ def test_regrid_component_refines_hotspot():
 
 
 # --------------------------------------------------------- ImplicitIntegrator
-def make_chemistry_stack(mode):
+def make_chemistry_stack():
     f = Framework()
     b = BuilderService(f)
     (b.create(GrACEComponent, "mesh")
@@ -212,19 +212,16 @@ def make_chemistry_stack(mode):
       .create(ImplicitIntegrator, "impl")
       .parameter("mesh", "nx", 4)
       .parameter("mesh", "ny", 4)
-      .parameter("impl", "mode", mode)
       .connect("cv", "rhs", "tc", "source")
       .connect("impl", "solver", "cv", "solver")
-      .connect("impl", "chem", "tc", "chemistry")
       .connect("impl", "data", "mesh", "data"))
     return f
 
 
-@pytest.mark.parametrize("mode", ["cvode", "batch"])
-def test_implicit_integrator_ignites_hot_cells(mode):
+def test_implicit_integrator_ignites_hot_cells():
     from repro.chemistry.h2_air import stoichiometric_h2_air
 
-    f = make_chemistry_stack(mode)
+    f = make_chemistry_stack()
     mesh = f.services_of("mesh").provides["mesh"][0]
     data = f.services_of("mesh").provides["data"][0]
     chem = f.services_of("tc").provides["chemistry"][0]
@@ -243,8 +240,7 @@ def test_implicit_integrator_ignites_hot_cells(mode):
         arr[0] = 1300.0
         arr[1:] = Y.reshape(-1, 1, 1)
     integ = f.services_of("impl").provides["integrator"][0]
-    dt = 1e-6 if mode == "batch" else 2e-6
-    integ.advance([dobj], 0.0, dt)
+    integ.advance([dobj], 0.0, 2e-6)
     p0 = next(iter(dobj.owned_patches()))
     arr = dobj.interior(p0)
     # induction chemistry: T barely moves (initiation is mildly
@@ -257,7 +253,7 @@ def test_implicit_integrator_ignites_hot_cells(mode):
 
 
 def test_implicit_integrator_skips_cold_cells():
-    f = make_chemistry_stack("cvode")
+    f = make_chemistry_stack()
     f.set_parameter("impl", "skip_below_T", 600.0)
     mesh = f.services_of("mesh").provides["mesh"][0]
     data = f.services_of("mesh").provides["data"][0]
@@ -273,14 +269,3 @@ def test_implicit_integrator_skips_cold_cells():
     integ = f.services_of("impl").provides["integrator"][0]
     integ.advance([dobj], 0.0, 1e-5)
     assert integ.cells_integrated == 0  # everything below the threshold
-
-
-def test_implicit_integrator_unknown_mode():
-    f = make_chemistry_stack("bogus")
-    mesh = f.services_of("mesh").provides["mesh"][0]
-    data = f.services_of("mesh").provides["data"][0]
-    mesh.build_base_level()
-    dobj = data.declare("flow", 10)
-    integ = f.services_of("impl").provides["integrator"][0]
-    with pytest.raises(CCAError, match="unknown chemistry mode"):
-        integ.advance([dobj], 0.0, 1e-6)

@@ -18,8 +18,7 @@ from tests.resilience.test_runner import flame_rc
 def test_reaction_diffusion_four_ranks_bit_identical():
     def main(comm):
         res = run_reaction_diffusion(
-            comm=comm, nx=16, ny=16, max_levels=1, n_steps=2, dt=1e-7,
-            chemistry_mode="batch")
+            comm=comm, nx=16, ny=16, max_levels=1, n_steps=2, dt=1e-7)
         return res["T_max"], res["n_steps"]
 
     thr = mpirun(4, main, machine=ZERO_COST, backend="threads")

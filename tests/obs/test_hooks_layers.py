@@ -24,7 +24,7 @@ def traced_run():
         with obs.tracing():
             result = run_reaction_diffusion(
                 nx=16, ny=16, max_levels=2, n_steps=2, dt=1e-7,
-                chemistry_mode="batch", initial_regrids=1)
+                initial_regrids=1)
         _cache["result"] = result
         _cache["events"] = trace.events()
         _cache["metrics"] = get_registry().snapshot()
@@ -78,8 +78,7 @@ def test_tracing_off_leaves_no_events():
     traced_run()  # whatever ran before, tracing is off again now
     assert not trace.on
     result = run_reaction_diffusion(nx=16, ny=16, max_levels=1,
-                                    n_steps=1, dt=1e-7,
-                                    chemistry_mode="batch")
+                                    n_steps=1, dt=1e-7)
     assert result["n_steps"] == 1
     assert trace.events() == []
 

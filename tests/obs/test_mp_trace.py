@@ -24,8 +24,7 @@ _memo: dict = {}
 
 def _rd_main(comm):
     res = run_reaction_diffusion(comm=comm, nx=16, ny=16, max_levels=1,
-                                 n_steps=2, dt=1e-7,
-                                 chemistry_mode="batch")
+                                 n_steps=2, dt=1e-7)
     return res["n_steps"]
 
 

@@ -69,6 +69,19 @@ def test_fast_mode_history_is_a_different_universe():
     assert d.status == NO_HISTORY and d.baseline is None
 
 
+def test_history_starts_at_the_last_new_series_run():
+    redefined = dict(_run({"t": 3.0}), new_series=True, note="why")
+    doc = _doc(_run({"t": 1.0}), _run({"t": 1.0}), redefined)
+    (d,) = compare_trajectory(doc)
+    assert d.status == NO_HISTORY          # the first of its series
+    doc["runs"].append(_run({"t": 3.1}))
+    (d,) = compare_trajectory(doc)
+    assert d.status == OK and d.baseline == 3.0 and d.n_history == 1
+    doc["runs"].append(_run({"t": 6.5}))
+    (d,) = compare_trajectory(doc)
+    assert d.status == REGRESSION
+
+
 def test_same_host_history_preferred():
     doc = _doc(_run({"t": 9.0}, host="other"), _run({"t": 1.0}),
                _run({"t": 1.1}))

@@ -12,8 +12,7 @@ from repro.mpi.launcher import RankFailure
 from repro.resilience import faults
 
 FLAME_KW = dict(nx=16, ny=16, n_steps=6, dt=1e-7, max_levels=2,
-                regrid_interval=2, chemistry_mode="batch",
-                initial_regrids=1)
+                regrid_interval=2, initial_regrids=1)
 
 
 def _flame_framework(comm=None, ck="", resume=False, **overrides):

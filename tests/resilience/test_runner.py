@@ -26,7 +26,6 @@ parameter AMR_Mesh y_extent 0.01
 parameter InitialCondition x_extent 0.01
 parameter InitialCondition y_extent 0.01
 parameter InitialCondition spot_radius 0.0008
-parameter ImplicitIntegrator mode batch
 parameter Driver n_steps 5
 parameter Driver dt 1e-7
 parameter Driver checkpoint_path {ck}
@@ -34,7 +33,6 @@ parameter Driver checkpoint_interval 1
 connect InitialCondition chem ReactionTerms chemistry
 connect CvodeSolver rhs ReactionTerms source
 connect ImplicitIntegrator solver CvodeSolver solver
-connect ImplicitIntegrator chem ReactionTerms chemistry
 connect ImplicitIntegrator data AMR_Mesh data
 connect DRFM chem ReactionTerms chemistry
 connect DiffusionPhysics transport DRFM transport

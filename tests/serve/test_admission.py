@@ -58,6 +58,14 @@ def test_bad_script_rejected_at_submit(service):
     assert "RA001" in find_codes(record)
 
 
+def test_script_selecting_the_deleted_chemistry_fork_is_rejected(service):
+    from tests.analysis.test_cli import stale_flame_rc
+
+    record = service.status(service.submit(stale_flame_rc()))
+    assert record["state"] == J.FAILED and record["rejected"] is True
+    assert find_codes(record) == ["RA005", "RA411"]
+
+
 def test_rejected_jobs_tick_the_tenant_metric(service, registry):
     service.submit(IGNITION_RC, params={"Initializer.T0": -5.0},
                    tenant="alice")
