@@ -17,11 +17,15 @@ class BackendUnavailableError(MPIError):
 class ExecBackend:
     """One way of realizing "P processors running the same program".
 
-    Subclasses provide :meth:`run` with the exact semantics of the
-    historical :func:`repro.mpi.launcher.mpirun`: execute
-    ``main(comm, *args)`` on ``nprocs`` ranks, return per-rank results
-    in rank order, raise :class:`~repro.mpi.launcher.RankFailure`
-    carrying every primary traceback when any rank fails.
+    Subclasses provide :meth:`run`: execute ``main(comm, *args)`` on
+    ``nprocs`` ranks and return ``(results, clocks)`` — per-rank return
+    values and final virtual clocks, both in rank order — or raise
+    :class:`~repro.mpi.launcher.RankFailure` over *every* rank that did
+    not finish, the ones a peer's abort unblocked
+    (:class:`~repro.errors.CommAbortedError`) included.  What the caller
+    of :func:`repro.mpi.launcher.mpirun` sees of either — primary
+    failures only, the teardown record, ``return_clocks`` — is
+    ``mpirun``'s business, once for all backends.
     """
 
     #: registry name; also what cache keys and job records carry.
@@ -42,5 +46,5 @@ class ExecBackend:
 
     def run(self, nprocs: int, main: Callable[..., Any],
             args: Sequence[Any] = (), machine: MachineModel = LOCALHOST,
-            return_clocks: bool = False) -> list[Any]:
+            ) -> tuple[list[Any], list[float]]:
         raise NotImplementedError

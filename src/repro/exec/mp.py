@@ -13,15 +13,12 @@ violate).  The pieces:
   receive.  Segments are named by world and rank; what a killed or
   aborted world leaves behind is unlinked when :meth:`MPBackend.run`
   returns, not when the launching interpreter exits.
-* **Communicator** — :class:`MPComm` mirrors
-  :class:`repro.mpi.comm.Comm` method-for-method (p2p, probes,
-  requests, split/dup, virtual clocks, fault hooks); the collective
-  front-ends come from the same
-  :class:`~repro.mpi.collectives.CollectiveMixin`, driven here by a
-  gather-to-local-root / broadcast-result rendezvous.  Because the
-  ``finish`` reduction runs exactly once (on comm rank 0, in sorted
-  rank order), collective results are bit-identical with the threads
-  backend.
+* **Communicator** — the same :class:`repro.mpi.comm.Comm` as on every
+  backend; :class:`_Station` is the transport behind it (the calls are
+  listed on ``Comm``), and its rendezvous is a gather-to-local-root /
+  post-back-shares exchange.  Because the ``finish`` reduction runs
+  exactly once (on comm rank 0, in sorted rank order), collective
+  results are bit-identical with the threads backend.
 * **Failure paths** — a crashed rank pickles its traceback *text* back
   to the parent (:class:`~repro.mpi.launcher.RemoteRankError`) and trips
   a shared abort event so its peers raise
@@ -61,9 +58,8 @@ from typing import Any, Callable, Sequence
 from repro.errors import CommAbortedError, MPIError
 from repro.exec import shm as _shm
 from repro.exec.base import ExecBackend
-from repro.mpi.collectives import CollectiveMixin
-from repro.mpi.comm import (ANY_SOURCE, ANY_TAG, Comm, Request, Status,
-                            _ClockMixin, _Message, _RankState)
+from repro.mpi.comm import (WORLD_ID, Comm, _Message, _match,
+                            _POLL_INTERVAL, _run_finish)
 from repro.mpi.perfmodel import MachineModel, LOCALHOST
 from repro.mpi import sanitizer as _tsan
 from repro.obs import profiler as _profiler
@@ -73,64 +69,62 @@ from repro.resilience import faults as _faults
 from repro.util import logging as rlog
 from repro.util.options import env_flag
 
-_POLL_INTERVAL = 0.05
 #: grace period between "worker process is dead" and "synthesize its
 #: failure" — covers the window where its last record is still in flight.
 _DEATH_GRACE = 1.0
-#: the world communicator's id on this backend (ids are strings derived
-#: deterministically, no central allocator — see MPComm.split).
-WORLD_ID = "w"
 #: numbers the worlds this process launches (``next`` on a count is
 #: atomic): with the pid it makes a world's segment names its own.
 _WORLD_SERIALS = itertools.count()
 
 
 class _Station:
-    """One worker's post office: its inbox, peers' inboxes, the abort
-    flag, and the stash of not-yet-consumed envelopes.
+    """One worker's post office — its inbox, its peers' inboxes, the
+    abort flag and the stash of not-yet-consumed envelopes — and the
+    ``mp`` backend's transport behind :class:`~repro.mpi.comm.Comm`.
 
     Envelope kinds on an inbox (all payloads via
     :func:`~repro.exec.shm.encode_message`):
 
-    * ``("p2p", comm_id, (source, tag, nbytes, avail_time, serial),
-      env)`` — env decodes to the payload;
+    * ``("p2p", comm_id, (source, tag, nbytes, avail_time), env)`` —
+      env decodes to the payload;
     * ``("coll", comm_id, seq, env)`` — a member's contribution to the
       comm's local root; decodes to ``(rank, contribution, clock)``;
-    * ``("collr", comm_id, seq, env)`` — the root's result broadcast;
-      decodes to ``(result, exit_clock)``.
+    * ``("collr", comm_id, seq, env)`` — the root's post to one member;
+      decodes to ``(share, exit_clock)``.
 
     Out-of-order arrival across communicators/sequences is absorbed by
     the stash; a matching wait never consumes someone else's envelope.
     """
 
-    def __init__(self, rank: int, nprocs: int, inboxes: list, abort,
+    def __init__(self, rank: int, inboxes: list, abort_evt,
                  machine: MachineModel, segment_prefix: str) -> None:
         self.rank = rank
-        self.nprocs = nprocs
         self.inboxes = inboxes
-        self.abort = abort
         self.machine = machine
         self.segment_names = _shm.segment_names(segment_prefix)
+        self._abort_evt = abort_evt
         self._p2p: dict[str, list[_Message]] = {}
         self._coll: dict[tuple[str, int], dict[int, tuple[Any, float]]] = {}
         self._collr: dict[tuple[str, int], tuple[Any, float]] = {}
-        self._send_serial = 0
 
     def check_alive(self) -> None:
-        if self.abort.is_set():
+        if self._abort_evt.is_set():
             raise CommAbortedError("world aborted by a peer rank")
 
-    def next_serial(self) -> int:
-        self._send_serial += 1
-        return self._send_serial
+    def abort(self, reason: str) -> None:
+        self._abort_evt.set()
 
-    def encode(self, obj: Any) -> tuple[Any, int]:
+    def pack(self, obj: Any) -> tuple[Any, int]:
         """``(envelope, nbytes)`` of ``obj``, its segment (if it needs
         one) named as this rank's."""
         return _shm.encode_message(obj, self.segment_names)
 
-    def post(self, dest_global: int, item: tuple) -> None:
-        self.inboxes[dest_global].put(item)
+    discard = staticmethod(_shm.discard_message)
+
+    def post(self, comm_id: str, dest: int, msg: _Message) -> None:
+        self.inboxes[dest].put(
+            ("p2p", comm_id,
+             (msg.source, msg.tag, msg.nbytes, msg.avail_time), msg.payload))
 
     def _pump(self, timeout: float) -> None:
         """File inbox envelopes into the stash; wait up to ``timeout``
@@ -151,10 +145,10 @@ class _Station:
         kind = item[0]
         if kind == "p2p":
             _, cid, header, env = item
-            source, tag, nbytes, avail, serial = header
+            source, tag, nbytes, avail = header
             payload = _shm.decode_message(env)
             self._p2p.setdefault(cid, []).append(
-                _Message(source, tag, payload, nbytes, avail, serial))
+                _Message(source, tag, payload, nbytes, avail))
         elif kind == "coll":
             _, cid, seq, env = item
             rank, contribution, clock = _shm.decode_message(env)
@@ -167,246 +161,45 @@ class _Station:
             raise MPIError(f"unknown mp envelope kind {kind!r}")
 
     # -- waits (all poll the abort flag) ----------------------------------
-    def wait_p2p(self, cid: str, source: int, tag: int) -> _Message:
-        while True:
-            msg = Comm._match(self._p2p.get(cid, []), source, tag,
-                              remove=True)
-            if msg is not None:
-                return msg
+    def match(self, comm_id: str, me: int, source: int, tag: int,
+              remove: bool, block: bool) -> _Message | None:
+        if not block:
             self.check_alive()
-            self._pump(_POLL_INTERVAL)
-
-    def peek_p2p(self, cid: str, source: int, tag: int,
-                 block: bool) -> _Message | None:
+            self._pump(0.0)
         while True:
-            msg = Comm._match(self._p2p.get(cid, []), source, tag,
-                              remove=False)
+            msg = _match(self._p2p.get(comm_id, []), source, tag, remove)
             if msg is not None or not block:
                 return msg
             self.check_alive()
             self._pump(_POLL_INTERVAL)
 
-    def wait_contribs(self, cid: str, seq: int,
-                      expected: int) -> dict[int, tuple[Any, float]]:
-        """Block until ``expected`` non-root contributions arrived."""
-        key = (cid, seq)
-        while True:
-            got = self._coll.get(key, {})
-            if len(got) >= expected:
-                self._coll.pop(key, None)
-                return got
-            self.check_alive()
-            self._pump(_POLL_INTERVAL)
-
-    def wait_result(self, cid: str, seq: int) -> tuple[Any, float]:
-        key = (cid, seq)
-        while True:
-            if key in self._collr:
-                return self._collr.pop(key)
-            self.check_alive()
-            self._pump(_POLL_INTERVAL)
-
-
-class MPComm(_ClockMixin, CollectiveMixin):
-    """One rank's communicator on the ``mp`` backend.
-
-    API-compatible with :class:`repro.mpi.comm.Comm` (the SCMD layer
-    never sees the difference); ``members`` maps comm rank -> global
-    rank so scoped communicators route over the same per-rank inboxes.
-    """
-
-    def __init__(self, station: _Station, comm_id: str, rank: int,
-                 size: int, global_rank: int, members: list[int]) -> None:
-        self._station = station
-        self.id = comm_id
-        self.rank = rank
-        self.size = size
-        self.global_rank = global_rank
-        self._members = members
-        self._coll_seq = 0
-        self._split_seq = 0
-        self._state = _RankState(station.machine)
-
-    @property
-    def world(self) -> "MPComm":  # minimal World-ish surface
-        return self
-
-    @property
-    def machine(self) -> MachineModel:
-        return self._station.machine
-
-    def check_alive(self) -> None:
-        self._station.check_alive()
-
-    # clock / advance / charge / reset_clock come from _ClockMixin
-
-    # -- point-to-point ---------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Blocking buffered send."""
-        self._post_send(obj, dest, tag)
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send (buffered, completes immediately)."""
-        self._post_send(obj, dest, tag)
-        return Request(lambda: None, lambda: True)
-
-    def _post_send(self, obj: Any, dest: int, tag: int) -> None:
-        self._station.check_alive()
-        if not (0 <= dest < self.size):
-            raise MPIError(
-                f"send dest {dest} out of range for size {self.size}")
-        t0 = time.perf_counter() if _obs.on else 0.0
-        self._sync()
-        env, nbytes = self._station.encode(obj)
-        machine = self._station.machine
-        avail = self._state.clock + machine.p2p_time(nbytes)
-        if _faults.on:
-            fate = _faults.on_send(self.global_rank, dest, tag)
-            if fate is _faults.DROP:
-                self._state.clock += machine.send_overhead(nbytes)
-                _shm.discard_message(env)  # nobody will ever attach it
-                return
-            avail += fate
-        header = (self.rank, tag, nbytes, avail,
-                  self._station.next_serial())
-        self._state.clock += machine.send_overhead(nbytes)
-        self._station.post(self._members[dest],
-                           ("p2p", self.id, header, env))
-        if _obs.on:
-            _obs.complete("mpi.send", "mpi", t0, dest=dest, tag=tag,
-                          nbytes=nbytes, vt=self._state.clock)
-            reg = _obs_registry()
-            reg.counter("mpi.sends", rank=self.global_rank).inc()
-            reg.counter("mpi.bytes_sent", rank=self.global_rank).inc(nbytes)
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             status: Status | None = None) -> Any:
-        """Blocking receive; wildcards ``ANY_SOURCE`` / ``ANY_TAG``."""
-        t0 = time.perf_counter() if _obs.on else 0.0
-        self._sync()
-        vt_in = self._state.clock
-        msg = self._station.wait_p2p(self.id, source, tag)
-        self._state.clock = max(self._state.clock, msg.avail_time)
-        if _obs.on:
-            _obs.complete("mpi.recv", "mpi", t0, source=msg.source,
-                          tag=msg.tag, nbytes=msg.nbytes,
-                          vt=self._state.clock,
-                          vt_wait=self._state.clock - vt_in)
-            reg = _obs_registry()
-            reg.counter("mpi.recvs", rank=self.global_rank).inc()
-            reg.histogram("mpi.recv_wait_seconds",
-                          rank=self.global_rank).observe(
-                time.perf_counter() - t0)
-        if status is not None:
-            status.source = msg.source
-            status.tag = msg.tag
-            status.nbytes = msg.nbytes
-        return msg.payload
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; ``wait()`` returns the payload."""
-        return Request(
-            lambda: self.recv(source, tag),
-            lambda: self.iprobe(source, tag),
-        )
-
-    def sendrecv(self, sendobj: Any, dest: int, sendtag: int = 0,
-                 source: int = ANY_SOURCE, recvtag: int = ANY_TAG,
-                 status: Status | None = None) -> Any:
-        """Combined send+receive (deadlock-free pairwise exchange)."""
-        self._post_send(sendobj, dest, sendtag)
-        return self.recv(source, recvtag, status)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Block until a matching message is available; don't consume."""
-        msg = self._station.peek_p2p(self.id, source, tag, block=True)
-        return Status(msg.source, msg.tag, msg.nbytes)
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True if a matching message is waiting."""
-        self._station.check_alive()
-        self._station._pump(0.0)
-        return self._station.peek_p2p(self.id, source, tag,
-                                      block=False) is not None
-
-    # -- collectives ------------------------------------------------------
-    def _collective(self, contribution: Any,
-                    finish: Callable[[dict[int, Any]], tuple[Any, float]],
-                    label: str = "collective") -> Any:
-        """Gather-to-local-root rendezvous: every member ships its
-        contribution (and entry clock) to comm rank 0, which runs
-        ``finish`` exactly once and posts each member its own
+    def rendezvous(self, comm_id: str, seq: int, rank: int,
+                   members: list[int], contribution: Any, clock: float,
+                   finish: Callable[[dict[int, Any]], tuple[Any, float]],
+                   label: str) -> tuple[Any, float]:
+        """Every member ships its contribution (and entry clock) to comm
+        rank 0, which runs ``finish`` and posts each member its own
         ``(share(member), exit_clock)`` — an ``alltoall`` row, a
         ``scatter`` item, ``None`` to the non-roots of a ``gather`` — not
-        the whole outcome.  Same contract as the threads rendezvous:
-        everyone leaves at ``max(entry clocks) + comm_cost`` holding its
-        share."""
-        t0 = time.perf_counter() if _obs.on else 0.0
-        self._sync()
-        self._coll_seq += 1
-        seq = self._coll_seq
-        station = self._station
-        if self.rank == 0:
-            others = station.wait_contribs(self.id, seq, self.size - 1)
-            contribs = {r: c for r, (c, _) in others.items()}
-            contribs[0] = contribution
-            entry_max = max([clk for _, clk in others.values()]
-                            + [self._state.clock])
-            share, cost = finish(contribs)
-            exit_clock = entry_max + cost
-            for member in range(1, self.size):
-                wire, _ = station.encode((share(member), exit_clock))
-                station.post(self._members[member],
-                             ("collr", self.id, seq, wire))
-            result = share(0)
-        else:
-            wire, _ = station.encode(
-                (self.rank, contribution, self._state.clock))
-            station.post(self._members[0], ("coll", self.id, seq, wire))
-            result, exit_clock = station.wait_result(self.id, seq)
-        self._state.clock = max(self._state.clock, exit_clock)
-        if _obs.on:
-            _obs.complete(f"mpi.{label}", "mpi", t0, size=self.size,
-                          vt=self._state.clock)
-            _obs_registry().counter("mpi.collectives", op=label,
-                                    rank=self.global_rank).inc()
-        return result
-
-    # barrier/bcast/reduce/allreduce/gather/allgather/scatter/alltoall
-    # are inherited from CollectiveMixin, driven by _collective above.
-
-    # -- communicator management -----------------------------------------
-    def split(self, color: int, key: int | None = None) -> "MPComm":
-        """Partition members by ``color``; order within a group by
-        ``key``.  Comm ids are agreed *deterministically*: every member
-        derives ``parent_id/split_seq:color`` locally — all members call
-        split collectively, so their per-comm split counters agree and
-        no central id allocator is needed across processes."""
-        key = self.rank if key is None else key
-        triples = self.allgather((color, key, self.rank, self.global_rank))
-        self._split_seq += 1
-        mine = sorted(
-            (k, r, g) for (c, k, r, g) in triples if c == color)
-        new_rank = [r for (_, r, _) in mine].index(self.rank)
-        members = [g for (_, _, g) in mine]
-        new_id = f"{self.id}/{self._split_seq}:{color}"
-        child = MPComm(self._station, new_id, new_rank, len(members),
-                       self.global_rank, members)
-        child._state = self._state  # one clock per rank, as on threads
-        return child
-
-    def dup(self) -> "MPComm":
-        """Duplicate this communicator (fresh message/collective space)."""
-        return self.split(color=0, key=self.rank)
-
-    def abort(self, reason: str = "user abort") -> None:
-        """Abort the whole world."""
-        self._station.abort.set()
-        raise CommAbortedError(reason)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"MPComm(id={self.id!r}, rank={self.rank}/{self.size}, "
-                f"global={self.global_rank})")
+        the whole outcome."""
+        key = (comm_id, seq)
+        if rank != 0:
+            wire, _ = self.pack((rank, contribution, clock))
+            self.inboxes[members[0]].put(("coll", comm_id, seq, wire))
+            while key not in self._collr:
+                self.check_alive()
+                self._pump(_POLL_INTERVAL)
+            return self._collr.pop(key)
+        while len(self._coll.get(key, ())) < len(members) - 1:
+            self.check_alive()
+            self._pump(_POLL_INTERVAL)
+        entries = self._coll.pop(key, {})
+        entries[0] = (contribution, clock)
+        share, exit_clock = _run_finish(entries, finish)
+        for member in range(1, len(members)):
+            wire, _ = self.pack((share(member), exit_clock))
+            self.inboxes[members[member]].put(("collr", comm_id, seq, wire))
+        return share(0), exit_clock
 
 
 # ---------------------------------------------------------------- worker
@@ -502,10 +295,9 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
     # the private address space.  Disarm locally (fork-isolated write).
     _tsan.deactivate()
     _child_obs_setup(trace_ctx)
-    station = _Station(rank, nprocs, inboxes, abort_evt, machine,
+    station = _Station(rank, inboxes, abort_evt, machine,
                        f"{segment_prefix}{rank}-")
-    comm = MPComm(station, WORLD_ID, rank, nprocs, rank,
-                  list(range(nprocs)))
+    comm = Comm(station, WORLD_ID, rank, list(range(nprocs)))
     record: tuple
     with rlog.rank_context(rank):
         try:
@@ -559,7 +351,7 @@ class MPBackend(ExecBackend):
 
     def run(self, nprocs: int, main: Callable[..., Any],
             args: Sequence[Any] = (), machine: MachineModel = LOCALHOST,
-            return_clocks: bool = False) -> list[Any]:
+            ) -> tuple[list[Any], list[float]]:
         from repro.mpi.launcher import RankFailure, RemoteRankError
 
         if _tsan.on:
@@ -647,26 +439,13 @@ class MPBackend(ExecBackend):
                 [r[-2] for r in records.values() if r[-2] is not None])
 
         failures: dict[int, BaseException] = {}
-        secondary: dict[int, BaseException] = {}
         for rank in sorted(records):
             rec = records[rank]
             if rec[0] == "err":
                 failures[rank] = RemoteRankError(rec[2], rec[3], rec[4])
             elif rec[0] == "aborted":
-                secondary[rank] = CommAbortedError(rec[2])
-        if failures or secondary:
-            raise RankFailure(failures or secondary)
-
-        results = [records[r][2] for r in range(nprocs)]
-        clocks = [records[r][3] for r in range(nprocs)]
-        if _obs.on and nprocs > 1:
-            from repro.obs.aggregate import record_rank_clocks
-            summary = record_rank_clocks(clocks)
-            _obs.instant(
-                "mpi.world_teardown", "launcher", nprocs=nprocs,
-                imbalance=summary["stats"]["imbalance"],
-                clock_max=summary["stats"]["max"],
-                clock_mean=summary["stats"]["mean"])
-        if return_clocks:
-            return [(results[r], clocks[r]) for r in range(nprocs)]
-        return results
+                failures[rank] = CommAbortedError(rec[2])
+        if failures:
+            raise RankFailure(failures)
+        return ([records[r][2] for r in range(nprocs)],
+                [records[r][3] for r in range(nprocs)])

@@ -20,10 +20,9 @@ from typing import Any, Callable, Sequence
 from repro.errors import CommAbortedError
 from repro.exec.base import ExecBackend
 from repro.mpi import sanitizer as _tsan
-from repro.mpi.comm import Comm, World
+from repro.mpi.comm import WORLD_ID, Comm, World
 from repro.mpi.perfmodel import MachineModel, LOCALHOST
 from repro.obs import trace as _trace
-from repro.obs.aggregate import record_rank_clocks
 from repro.util import logging as rlog
 
 
@@ -34,7 +33,7 @@ class ThreadsBackend(ExecBackend):
 
     def run(self, nprocs: int, main: Callable[..., Any],
             args: Sequence[Any] = (), machine: MachineModel = LOCALHOST,
-            return_clocks: bool = False) -> list[Any]:
+            ) -> tuple[list[Any], list[float]]:
         from repro.mpi.launcher import RankFailure
 
         world = World(nprocs, machine)
@@ -50,8 +49,7 @@ class ThreadsBackend(ExecBackend):
         parent_ctx = _trace.current_context() if _trace.on else {}
 
         def runner(rank: int) -> None:
-            comm = Comm(world, comm_id=0, rank=rank, size=nprocs,
-                        global_rank=rank)
+            comm = Comm(world, WORLD_ID, rank, list(range(nprocs)))
             # Rank-tag the thread for logging AND repro.obs trace
             # attribution; restored (not cleared) so the inline
             # nprocs == 1 path is safe.
@@ -96,25 +94,5 @@ class ThreadsBackend(ExecBackend):
                 _tsan.world_end()
 
         if failures:
-            # Report only primary failures when present; a world-abort
-            # cascade otherwise shows every waiting rank as failed.
-            primary = {
-                r: e for r, e in failures.items()
-                if not isinstance(e, CommAbortedError)
-            }
-            raise RankFailure(primary or failures)
-        if _trace.on and nprocs > 1:
-            # Teardown aggregation: every traced SCMD run records each
-            # rank's final virtual clock plus the reduced summary
-            # (max/avg imbalance, p95, ...) into the default registry —
-            # the per-rank breakdown the scaling benches and the metrics
-            # JSON report.
-            summary = record_rank_clocks(clocks)
-            _trace.instant(
-                "mpi.world_teardown", "launcher", nprocs=nprocs,
-                imbalance=summary["stats"]["imbalance"],
-                clock_max=summary["stats"]["max"],
-                clock_mean=summary["stats"]["mean"])
-        if return_clocks:
-            return [(results[r], clocks[r]) for r in range(nprocs)]
-        return results
+            raise RankFailure(failures)
+        return results, clocks

@@ -1,9 +1,10 @@
-"""Collective front-ends shared by every execution backend's communicator.
+"""Collective front-ends of the one communicator, :class:`repro.mpi.comm.Comm`.
 
 The MPI-1 collective *semantics* — what a ``bcast``/``reduce``/
-``scatter`` means, how contributions combine, what the virtual-time cost
-of the rendezvous is — are transport-independent.  This mixin states
-them once, against a minimal contract the transport must provide:
+``scatter`` means, how contributions combine (:class:`Op`), what the
+virtual-time cost of the rendezvous is — are transport-independent.
+This mixin states them once, against a minimal contract its host class
+provides:
 
 * ``self.rank`` / ``self.size`` — this member's position in the comm;
 * ``self.machine`` — the :class:`~repro.mpi.perfmodel.MachineModel`
@@ -15,19 +16,67 @@ them once, against a minimal contract the transport must provide:
   part of the outcome, so a transport that ships results between
   processes sends member *r* only what member *r* returns.
 
-:class:`repro.mpi.comm.Comm` implements ``_collective`` as an
-in-process condition-variable rendezvous (the ``threads`` backend);
-:class:`repro.exec.mp.MPComm` implements it as a gather-to-local-root /
-broadcast exchange over OS pipes (the ``mp`` backend).  Because
-``finish`` runs once and its reduction iterates ranks in sorted order,
-both transports produce bit-identical collective results.
+``Comm._collective`` hands the rendezvous to its backend's transport:
+:class:`repro.mpi.comm.World` runs it on condition variables (the
+``threads`` backend), ``repro.exec.mp._Station`` as a gather-to-local-
+root / post-back-shares exchange over OS pipes (the ``mp`` backend).
+Because ``finish`` runs once and its reduction iterates ranks in sorted
+order, both transports produce bit-identical collective results.
 """
 
 from __future__ import annotations
 
+import enum
+import pickle
 from typing import Any
 
+import numpy as np
+
 from repro.errors import MPIError
+
+
+class Op(enum.Enum):
+    """Reduction operations (the MPI_Op subset the toolkit uses)."""
+
+    SUM = "sum"
+    PROD = "prod"
+    MIN = "min"
+    MAX = "max"
+    LOR = "lor"
+    LAND = "land"
+
+    def apply(self, a: Any, b: Any) -> Any:
+        """Combine two contributions (NumPy arrays combine elementwise)."""
+        if self is Op.SUM:
+            return a + b
+        if self is Op.PROD:
+            return a * b
+        if self is Op.MIN:
+            return np.minimum(a, b) if _is_array(a) or _is_array(b) else min(a, b)
+        if self is Op.MAX:
+            return np.maximum(a, b) if _is_array(a) or _is_array(b) else max(a, b)
+        if self is Op.LOR:
+            return np.logical_or(a, b) if _is_array(a) or _is_array(b) else (a or b)
+        if self is Op.LAND:
+            return np.logical_and(a, b) if _is_array(a) or _is_array(b) else (a and b)
+        raise MPIError(f"unsupported reduction {self}")  # pragma: no cover
+
+
+def _is_array(x: Any) -> bool:
+    return isinstance(x, np.ndarray)
+
+
+def _isolate(obj: Any) -> tuple[Any, int]:
+    """Copy ``obj`` by value and return ``(copy, nbytes)``.
+
+    NumPy arrays take the fast path (buffer copy); everything else rides
+    pickle, matching mpi4py's lowercase-method semantics.
+    """
+    if isinstance(obj, np.ndarray):
+        copy = np.array(obj, copy=True)
+        return copy, copy.nbytes
+    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return pickle.loads(blob), len(blob)
 
 
 def _everyone(value: Any):
@@ -44,7 +93,7 @@ def _only(root: int, value: Any):
 class CollectiveMixin:
     """Transport-independent MPI-1 collectives (see module docstring)."""
 
-    # the transport provides: rank, size, machine, _collective(...)
+    # the host class provides: rank, size, machine, _collective(...)
 
     def barrier(self) -> None:
         """Synchronize all members."""
@@ -57,8 +106,6 @@ class CollectiveMixin:
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; all members return it."""
-        from repro.mpi.comm import _isolate
-
         machine, size = self.machine, self.size
         payload = _isolate(obj) if self.rank == root else None
 
@@ -78,9 +125,7 @@ class CollectiveMixin:
 
     def _reduce_common(self, obj: Any, op, root: int | None) -> Any:
         """``root`` None: everyone gets the result (allreduce)."""
-        from repro.mpi.comm import Op as _Op, _isolate
-
-        op = _Op.SUM if op is None else op
+        op = Op.SUM if op is None else op
         machine, size = self.machine, self.size
         payload = _isolate(obj)
 
@@ -100,8 +145,6 @@ class CollectiveMixin:
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one object per member to ``root`` (rank-ordered list)."""
-        from repro.mpi.comm import _isolate
-
         machine, size = self.machine, self.size
         payload = _isolate(obj)
 
@@ -114,8 +157,6 @@ class CollectiveMixin:
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one object per member to everyone."""
-        from repro.mpi.comm import _isolate
-
         machine, size = self.machine, self.size
         payload = _isolate(obj)
 
@@ -128,8 +169,6 @@ class CollectiveMixin:
 
     def scatter(self, objs: list[Any] | None, root: int = 0) -> Any:
         """Scatter ``objs[i]`` from root to rank ``i``."""
-        from repro.mpi.comm import _isolate
-
         machine, size = self.machine, self.size
         payload = None
         if self.rank == root:
@@ -148,8 +187,6 @@ class CollectiveMixin:
 
     def alltoall(self, objs: list[Any]) -> list[Any]:
         """Personalized all-to-all: rank i's ``objs[j]`` lands at rank j."""
-        from repro.mpi.comm import _isolate
-
         machine, size = self.machine, self.size
         if len(objs) != size:
             raise MPIError(f"alltoall needs exactly {size} items")

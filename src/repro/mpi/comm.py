@@ -1,18 +1,24 @@
-"""An in-process MPI-1 subset with virtual-time accounting.
+"""The one MPI-1 communicator, with virtual-time accounting.
 
-Execution model (mirrors CCAFFEINE's SCMD mode): ``P`` rank-threads run the
-same program; each owns a :class:`Comm` handle onto a shared
-:class:`World`.  Messages are isolated by value (NumPy arrays are copied,
-other objects pickled), so ranks cannot share mutable state through a
-send — the same discipline real MPI buffers enforce.
+Execution model (mirrors CCAFFEINE's SCMD mode): ``P`` ranks run the
+same program; each owns a :class:`Comm`.  ``Comm`` holds every MPI
+*semantic* — destination checks, wildcard matching, ``Status`` /
+``Request``, the virtual clock, fault and sanitizer hooks, spans and
+counters, ``split`` / ``dup`` — and reaches the other ranks only through
+its backend's *transport* (see :class:`Comm`): :class:`World` for
+rank-threads in this process, ``repro.exec.mp._Station`` for forked
+worker processes.  Messages are isolated by value on every transport
+(arrays copied or moved through shared memory, other objects pickled),
+so ranks cannot share mutable state through a send — the same
+discipline real MPI buffers enforce.
 
 Virtual time
 ------------
 Each *rank* (not each communicator) owns a clock, advanced by:
 
-* compute — counted work the integrators :meth:`~_ClockMixin.charge` at
+* compute — counted work the integrators :meth:`~Comm.charge` at
   the machine model's prices (or, for a model without prices, the
-  rank-thread's own ``time.thread_time`` accrued since the previous MPI
+  rank's own ``time.thread_time`` accrued since the previous MPI
   call: the measured mode);
 * communication — alpha-beta costs from :class:`~repro.mpi.perfmodel.MachineModel`.
 
@@ -30,17 +36,13 @@ aborts the whole world instead of deadlocking it.
 
 from __future__ import annotations
 
-import enum
-import pickle
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.errors import CommAbortedError, MPIError
-from repro.mpi.collectives import CollectiveMixin
+from repro.mpi.collectives import CollectiveMixin, Op, _isolate  # noqa: F401
 from repro.mpi.perfmodel import MachineModel, LOCALHOST
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_registry as _obs_registry
@@ -51,50 +53,8 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 _POLL_INTERVAL = 0.05
-
-
-class Op(enum.Enum):
-    """Reduction operations (the MPI_Op subset the toolkit uses)."""
-
-    SUM = "sum"
-    PROD = "prod"
-    MIN = "min"
-    MAX = "max"
-    LOR = "lor"
-    LAND = "land"
-
-    def apply(self, a: Any, b: Any) -> Any:
-        """Combine two contributions (NumPy arrays combine elementwise)."""
-        if self is Op.SUM:
-            return a + b
-        if self is Op.PROD:
-            return a * b
-        if self is Op.MIN:
-            return np.minimum(a, b) if _is_array(a) or _is_array(b) else min(a, b)
-        if self is Op.MAX:
-            return np.maximum(a, b) if _is_array(a) or _is_array(b) else max(a, b)
-        if self is Op.LOR:
-            return np.logical_or(a, b) if _is_array(a) or _is_array(b) else (a or b)
-        if self is Op.LAND:
-            return np.logical_and(a, b) if _is_array(a) or _is_array(b) else (a and b)
-        raise MPIError(f"unsupported reduction {self}")  # pragma: no cover
-
-
-def _is_array(x: Any) -> bool:
-    return isinstance(x, np.ndarray)
-
-
-def _isolate(obj: Any) -> tuple[Any, int]:
-    """Copy ``obj`` by value and return ``(copy, nbytes)``.
-
-    NumPy arrays take the fast path (buffer copy); everything else rides
-    pickle, matching mpi4py's lowercase-method semantics.
-    """
-    if isinstance(obj, np.ndarray):
-        copy = np.array(obj, copy=True)
-        return copy, copy.nbytes
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return pickle.loads(blob), len(blob)
+#: the world communicator's id; ``split`` derives child ids from it.
+WORLD_ID = "w"
 
 
 @dataclass
@@ -110,12 +70,34 @@ class Status:
 class _Message:
     source: int
     tag: int
+    #: what ``transport.pack`` made of the object until it is posted; the
+    #: object itself once ``transport.match`` hands the message over
     payload: Any
     nbytes: int
     avail_time: float
-    serial: int
     #: sender's vector-clock snapshot while the sanitizer is armed
     vc: list[int] | None = None
+
+
+def _match(box: list[_Message], source: int, tag: int,
+           remove: bool) -> _Message | None:
+    """First message in ``box`` from ``source`` with ``tag`` (wildcards
+    ``ANY_SOURCE`` / ``ANY_TAG``), popped when ``remove``."""
+    for i, msg in enumerate(box):
+        if (source in (ANY_SOURCE, msg.source)
+                and tag in (ANY_TAG, msg.tag)):
+            return box.pop(i) if remove else msg
+    return None
+
+
+def _run_finish(entries: dict[int, tuple[Any, float]],
+                finish: Callable[[dict[int, Any]], tuple[Any, float]]
+                ) -> tuple[Callable[[int], Any], float]:
+    """A collective's outcome from every member's ``(contribution, entry
+    clock)``: ``(share, exit_clock)`` — what the one transport-side
+    caller per rendezvous hands out, so every backend combines alike."""
+    share, cost = finish({r: c for r, (c, _) in entries.items()})
+    return share, max(clock for _, clock in entries.values()) + cost
 
 
 class _RankState:
@@ -138,39 +120,6 @@ class _RankState:
             self.clock += self.machine.compute_time(delta)
 
 
-class _ClockMixin:
-    """A communicator's virtual-time surface over its rank's
-    ``self._state`` — one implementation for every backend."""
-
-    _state: _RankState
-
-    def _sync(self) -> None:
-        self._state.sync()
-
-    @property
-    def clock(self) -> float:
-        """The rank's current virtual time, compute charged up to now."""
-        self._sync()
-        return self._state.clock
-
-    def advance(self, seconds: float) -> None:
-        """Manually charge virtual seconds (perf-model-only workloads)."""
-        if seconds < 0:
-            raise MPIError("cannot advance the clock backwards")
-        self._sync()
-        self._state.clock += seconds
-
-    def charge(self, kind: str, units: float) -> None:
-        """Charge ``units`` of counted work (see ``WorkPrices``); free
-        under a model that measures compute instead."""
-        self.advance(self._state.machine.work_time(kind, units))
-
-    def reset_clock(self) -> None:
-        """Zero this rank's virtual clock (bench warm-up boundary)."""
-        self._sync()
-        self._state.clock = 0.0
-
-
 class _CollSlot:
     """Rendezvous slot for one collective invocation."""
 
@@ -186,7 +135,9 @@ class _CollSlot:
 
 
 class World:
-    """Shared state behind all ranks of one SCMD run."""
+    """Shared state behind all ranks of one SCMD run on the ``threads``
+    backend, and that backend's transport (see :class:`Comm`): mailboxes
+    and rendezvous slots under condition variables."""
 
     def __init__(self, size: int, machine: MachineModel = LOCALHOST) -> None:
         if size < 1:
@@ -196,17 +147,13 @@ class World:
         self.aborted = False
         self.abort_reason: str | None = None
         self._lock = threading.Lock()
-        # mailboxes keyed by (comm_id, dest rank-in-comm)
-        self._boxes: dict[tuple[int, int], list[_Message]] = {}
-        self._box_conds: dict[tuple[int, int], threading.Condition] = {}
-        self._slots: dict[tuple[int, int], _CollSlot] = {}
-        self._comm_sizes: dict[int, int] = {0: size}
-        self._next_comm_id = 1
-        self._send_serial = 0
-        self.rank_states = [_RankState(machine) for _ in range(size)]
+        # mailboxes keyed by (comm_id, dest global rank)
+        self._boxes: dict[tuple[str, int], list[_Message]] = {}
+        self._box_conds: dict[tuple[str, int], threading.Condition] = {}
+        self._slots: dict[tuple[str, int], _CollSlot] = {}
 
     # -- plumbing ------------------------------------------------------------
-    def box(self, comm_id: int, dest: int) -> tuple[list, threading.Condition]:
+    def box(self, comm_id: str, dest: int) -> tuple[list, threading.Condition]:
         key = (comm_id, dest)
         with self._lock:
             if key not in self._boxes:
@@ -214,28 +161,21 @@ class World:
                 self._box_conds[key] = threading.Condition()
             return self._boxes[key], self._box_conds[key]
 
-    def slot(self, comm_id: int, seq: int) -> _CollSlot:
+    def slot(self, comm_id: str, seq: int, size: int) -> _CollSlot:
         key = (comm_id, seq)
         with self._lock:
             if key not in self._slots:
-                self._slots[key] = _CollSlot(self._comm_sizes[comm_id])
+                self._slots[key] = _CollSlot(size)
             return self._slots[key]
 
-    def drop_slot(self, comm_id: int, seq: int) -> None:
+    def drop_slot(self, comm_id: str, seq: int) -> None:
         with self._lock:
             self._slots.pop((comm_id, seq), None)
 
-    def alloc_comm(self, size: int) -> int:
-        with self._lock:
-            cid = self._next_comm_id
-            self._next_comm_id += 1
-            self._comm_sizes[cid] = size
-            return cid
-
-    def next_serial(self) -> int:
-        with self._lock:
-            self._send_serial += 1
-            return self._send_serial
+    # -- the transport calls ---------------------------------------------------
+    def check_alive(self) -> None:
+        if self.aborted:
+            raise CommAbortedError(self.abort_reason or "world aborted")
 
     def abort(self, reason: str) -> None:
         """Kill the world: every blocked rank raises CommAbortedError."""
@@ -251,9 +191,57 @@ class World:
             with slot.cond:
                 slot.cond.notify_all()
 
-    def check_alive(self) -> None:
-        if self.aborted:
-            raise CommAbortedError(self.abort_reason or "world aborted")
+    pack = staticmethod(_isolate)
+
+    def discard(self, wire: Any) -> None:
+        """A dropped send's copy is plain garbage here."""
+
+    def post(self, comm_id: str, dest: int, msg: _Message) -> None:
+        box, cond = self.box(comm_id, dest)
+        with cond:
+            box.append(msg)
+            cond.notify_all()
+
+    def match(self, comm_id: str, me: int, source: int, tag: int,
+              remove: bool, block: bool) -> _Message | None:
+        box, cond = self.box(comm_id, me)
+        with cond:
+            while True:
+                self.check_alive()
+                msg = _match(box, source, tag, remove)
+                if msg is not None or not block:
+                    return msg
+                cond.wait(timeout=_POLL_INTERVAL)
+
+    def rendezvous(self, comm_id: str, seq: int, rank: int,
+                   members: list[int], contribution: Any, clock: float,
+                   finish: Callable[[dict[int, Any]], tuple[Any, float]],
+                   label: str) -> tuple[Any, float]:
+        """The last member to arrive runs ``finish``."""
+        slot = self.slot(comm_id, seq, len(members))
+        with slot.cond:
+            if rank in slot.entries:
+                raise MPIError("collective re-entered by the same rank")
+            slot.entries[rank] = (contribution, clock)
+            # Same critical section as the contribution insert: every
+            # rank's clock is on the slot before done flips.
+            if _tsan.on:
+                _tsan.coll_arrive(slot, members[rank])
+            if len(slot.entries) == slot.size:
+                slot.share, slot.exit_clock = _run_finish(slot.entries,
+                                                          finish)
+                slot.done = True
+                slot.cond.notify_all()
+            else:
+                while not slot.done:
+                    self.check_alive()
+                    slot.cond.wait(timeout=_POLL_INTERVAL)
+            slot.read += 1
+            if slot.read == slot.size:
+                self.drop_slot(comm_id, seq)
+        if _tsan.on:
+            _tsan.coll_depart(slot, members[rank], label)
+        return slot.share(rank), slot.exit_clock
 
 
 class Request:
@@ -280,33 +268,78 @@ class Request:
         return False
 
 
-class Comm(_ClockMixin, CollectiveMixin):
-    """One rank's view of a communicator (the ``threads`` backend).
+class Comm(CollectiveMixin):
+    """One rank's view of a communicator, on every execution backend.
 
-    The default communicator (``comm_id == 0``) is the world communicator
-    handed to the SCMD program by :func:`repro.mpi.launcher.mpirun`;
-    :meth:`split` and :meth:`dup` derive scoped communicators (the paper's
-    component *cohorts*).  The collective front-ends come from
-    :class:`~repro.mpi.collectives.CollectiveMixin`; this class provides
-    the in-process condition-variable rendezvous behind them.
+    The world communicator (``id == WORLD_ID``) is handed to the SCMD
+    program by :func:`repro.mpi.launcher.mpirun`; :meth:`split` and
+    :meth:`dup` derive scoped communicators (the paper's component
+    *cohorts*).  ``members`` maps comm rank -> global rank.  The
+    collective front-ends come from
+    :class:`~repro.mpi.collectives.CollectiveMixin`.
+
+    Everything that leaves this rank goes through ``transport``, which
+    moves bytes and blocks, and knows no MPI:
+
+    * ``machine`` — the :class:`~repro.mpi.perfmodel.MachineModel`;
+    * ``check_alive()`` — raise ``CommAbortedError`` once the world is
+      aborted; ``abort(reason)`` — abort it;
+    * ``pack(obj) -> (wire, nbytes)`` — isolate ``obj`` from its sender;
+      ``discard(wire)`` — free a packed object nobody will receive;
+    * ``post(comm_id, dest_global, msg)`` — deliver ``msg`` (payload:
+      the wire) to that rank's mailbox, in posting order per sender;
+    * ``match(comm_id, me_global, source, tag, remove, block)`` — the
+      first matching message of the calling rank's mailbox, payload
+      unpacked (``None`` when not blocking and nothing matches);
+    * ``rendezvous(comm_id, seq, rank, members, contribution, clock,
+      finish, label) -> (share, exit_clock)`` — collect every member's
+      contribution and entry clock, run ``finish`` exactly once, give
+      each member its share and ``max(entry clocks) + cost``.
     """
 
-    def __init__(self, world: World, comm_id: int, rank: int, size: int,
-                 global_rank: int) -> None:
-        self.world = world
+    def __init__(self, transport: Any, comm_id: str, rank: int,
+                 members: list[int], state: _RankState | None = None) -> None:
+        self._transport = transport
         self.id = comm_id
         self.rank = rank
-        self.size = size
-        self.global_rank = global_rank
+        self.members = members
+        self.size = len(members)
+        self.global_rank = members[rank]
         self._coll_seq = 0
-        self._state = world.rank_states[global_rank]
+        self._split_seq = 0
+        self._state = state or _RankState(transport.machine)
 
     @property
     def machine(self) -> MachineModel:
         """The machine model charging this comm's communication costs."""
-        return self.world.machine
+        return self._transport.machine
 
-    # clock / advance / charge / reset_clock come from _ClockMixin
+    # -- virtual time ----------------------------------------------------------
+    def _sync(self) -> None:
+        self._state.sync()
+
+    @property
+    def clock(self) -> float:
+        """The rank's current virtual time, compute charged up to now."""
+        self._sync()
+        return self._state.clock
+
+    def advance(self, seconds: float) -> None:
+        """Manually charge virtual seconds (perf-model-only workloads)."""
+        if seconds < 0:
+            raise MPIError("cannot advance the clock backwards")
+        self._sync()
+        self._state.clock += seconds
+
+    def charge(self, kind: str, units: float) -> None:
+        """Charge ``units`` of counted work (see ``WorkPrices``); free
+        under a model that measures compute instead."""
+        self.advance(self._state.machine.work_time(kind, units))
+
+    def reset_clock(self) -> None:
+        """Zero this rank's virtual clock (bench warm-up boundary)."""
+        self._sync()
+        self._state.clock = 0.0
 
     # -- point-to-point ----------------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
@@ -319,13 +352,14 @@ class Comm(_ClockMixin, CollectiveMixin):
         return Request(lambda: None, lambda: True)
 
     def _post_send(self, obj: Any, dest: int, tag: int) -> None:
-        self.world.check_alive()
+        transport = self._transport
+        transport.check_alive()
         if not (0 <= dest < self.size):
             raise MPIError(f"send dest {dest} out of range for size {self.size}")
         t0 = time.perf_counter() if _obs.on else 0.0
         self._sync()
-        payload, nbytes = _isolate(obj)
-        machine = self.world.machine
+        wire, nbytes = transport.pack(obj)
+        machine = transport.machine
         avail = self._state.clock + machine.p2p_time(nbytes)
         # Fault injection (off by default; the disabled cost is this flag
         # check): a send may be silently dropped or its flight delayed.
@@ -333,18 +367,15 @@ class Comm(_ClockMixin, CollectiveMixin):
             fate = _faults.on_send(self.global_rank, dest, tag)
             if fate is _faults.DROP:
                 self._state.clock += machine.send_overhead(nbytes)
+                transport.discard(wire)
                 return
             avail += fate
         # While the sanitizer is armed, the sender's vector-clock snapshot
         # rides the message — the disabled cost is this flag check.
         vc = _tsan.on_send(self.global_rank) if _tsan.on else None
-        msg = _Message(self.rank, tag, payload, nbytes, avail,
-                       self.world.next_serial(), vc)
         self._state.clock += machine.send_overhead(nbytes)
-        box, cond = self.world.box(self.id, dest)
-        with cond:
-            box.append(msg)
-            cond.notify_all()
+        transport.post(self.id, self.members[dest],
+                       _Message(self.rank, tag, wire, nbytes, avail, vc))
         if _obs.on:
             _obs.complete("mpi.send", "mpi", t0, dest=dest, tag=tag,
                           nbytes=nbytes, vt=self._state.clock)
@@ -358,14 +389,8 @@ class Comm(_ClockMixin, CollectiveMixin):
         t0 = time.perf_counter() if _obs.on else 0.0
         self._sync()
         vt_in = self._state.clock
-        box, cond = self.world.box(self.id, self.rank)
-        with cond:
-            while True:
-                self.world.check_alive()
-                msg = self._match(box, source, tag, remove=True)
-                if msg is not None:
-                    break
-                cond.wait(timeout=_POLL_INTERVAL)
+        msg = self._transport.match(self.id, self.global_rank, source, tag,
+                                    remove=True, block=True)
         self._state.clock = max(self._state.clock, msg.avail_time)
         if _tsan.on:
             _tsan.on_recv(self.global_rank, msg.vc, msg.source)
@@ -401,97 +426,54 @@ class Comm(_ClockMixin, CollectiveMixin):
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
         """Block until a matching message is available; don't consume it."""
-        box, cond = self.world.box(self.id, self.rank)
-        with cond:
-            while True:
-                self.world.check_alive()
-                msg = self._match(box, source, tag, remove=False)
-                if msg is not None:
-                    return Status(msg.source, msg.tag, msg.nbytes)
-                cond.wait(timeout=_POLL_INTERVAL)
+        msg = self._transport.match(self.id, self.global_rank, source, tag,
+                                    remove=False, block=True)
+        return Status(msg.source, msg.tag, msg.nbytes)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True if a matching message is waiting."""
-        self.world.check_alive()
-        box, cond = self.world.box(self.id, self.rank)
-        with cond:
-            return self._match(box, source, tag, remove=False) is not None
-
-    @staticmethod
-    def _match(box: list[_Message], source: int, tag: int,
-               remove: bool) -> _Message | None:
-        for i, msg in enumerate(box):
-            if (source in (ANY_SOURCE, msg.source)
-                    and tag in (ANY_TAG, msg.tag)):
-                return box.pop(i) if remove else msg
-        return None
+        return self._transport.match(self.id, self.global_rank, source, tag,
+                                     remove=False, block=False) is not None
 
     # -- collectives ----------------------------------------------------------
     def _collective(self, contribution: Any,
                     finish: Callable[[dict[int, Any]], tuple[Any, float]],
                     label: str = "collective") -> Any:
-        """Generic rendezvous: every member contributes, the last arrival
-        runs ``finish(contribs) -> (share, comm_cost)``, everyone leaves at
+        """Generic rendezvous: every member contributes, one of them runs
+        ``finish(contribs) -> (share, comm_cost)``, everyone leaves at
         ``max(entry clocks) + comm_cost`` with ``share(rank)``."""
         t0 = time.perf_counter() if _obs.on else 0.0
         self._sync()
         self._coll_seq += 1
-        slot = self.world.slot(self.id, self._coll_seq)
-        with slot.cond:
-            if self.rank in slot.entries:
-                raise MPIError("collective re-entered by the same rank")
-            slot.entries[self.rank] = (contribution, self._state.clock)
-            # Same critical section as the contribution insert: every
-            # rank's clock is on the slot before done flips.
-            if _tsan.on:
-                _tsan.coll_arrive(slot, self.global_rank)
-            if len(slot.entries) == slot.size:
-                contribs = {r: p for r, (p, _) in slot.entries.items()}
-                entry_max = max(c for _, c in slot.entries.values())
-                share, cost = finish(contribs)
-                slot.share = share
-                slot.exit_clock = entry_max + cost
-                slot.done = True
-                slot.cond.notify_all()
-            else:
-                while not slot.done:
-                    self.world.check_alive()
-                    slot.cond.wait(timeout=_POLL_INTERVAL)
-            slot.read += 1
-            if slot.read == slot.size:
-                self.world.drop_slot(self.id, self._coll_seq)
-        self._state.clock = max(self._state.clock, slot.exit_clock)
-        if _tsan.on:
-            _tsan.coll_depart(slot, self.global_rank, label)
+        share, exit_clock = self._transport.rendezvous(
+            self.id, self._coll_seq, self.rank, self.members, contribution,
+            self._state.clock, finish, label)
+        self._state.clock = max(self._state.clock, exit_clock)
         if _obs.on:
             _obs.complete(f"mpi.{label}", "mpi", t0, size=self.size,
                           vt=self._state.clock)
             _obs_registry().counter("mpi.collectives", op=label,
                                     rank=self.global_rank).inc()
-        return slot.share(self.rank)
+        return share
 
     # barrier/bcast/reduce/allreduce/gather/allgather/scatter/alltoall are
     # inherited from CollectiveMixin, driven by _collective above.
 
     # -- communicator management ---------------------------------------------
     def split(self, color: int, key: int | None = None) -> "Comm":
-        """Partition members by ``color``; order within a group by ``key``."""
+        """Partition members by ``color``; order within a group by ``key``.
+
+        Comm ids are agreed *deterministically*: every member derives
+        ``parent_id/split_seq:color`` locally — all members call split
+        collectively, so their per-comm split counters agree and no id
+        allocator has to be shared between ranks."""
         key = self.rank if key is None else key
         triples = self.allgather((color, key, self.rank, self.global_rank))
-        mine = sorted(
-            (k, r, g) for (c, k, r, g) in triples if c == color
-        )
-        new_size = len(mine)
+        self._split_seq += 1
+        mine = sorted((k, r, g) for (c, k, r, g) in triples if c == color)
         new_rank = [r for (_, r, _) in mine].index(self.rank)
-        # Deterministic comm-id agreement: lowest member allocates, then the
-        # id is distributed through a second allgather keyed by color.
-        if new_rank == 0:
-            cid = self.world.alloc_comm(new_size)
-        else:
-            cid = -1
-        ids = self.allgather((color, cid))
-        new_id = max(i for (c, i) in ids if c == color)
-        return Comm(self.world, new_id, new_rank, new_size, self.global_rank)
+        return Comm(self._transport, f"{self.id}/{self._split_seq}:{color}",
+                    new_rank, [g for (_, _, g) in mine], self._state)
 
     def dup(self) -> "Comm":
         """Duplicate this communicator (fresh message/collective space)."""
@@ -499,9 +481,9 @@ class Comm(_ClockMixin, CollectiveMixin):
 
     def abort(self, reason: str = "user abort") -> None:
         """Abort the whole world."""
-        self.world.abort(f"rank {self.global_rank}: {reason}")
+        self._transport.abort(f"rank {self.global_rank}: {reason}")
         raise CommAbortedError(reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Comm(id={self.id}, rank={self.rank}/{self.size}, "
+        return (f"Comm(id={self.id!r}, rank={self.rank}/{self.size}, "
                 f"global={self.global_rank})")

@@ -27,12 +27,17 @@ from __future__ import annotations
 import traceback
 from typing import Any, Callable, Sequence
 
-from repro.errors import MPIError
+from repro.errors import CommAbortedError, MPIError
 from repro.mpi.perfmodel import MachineModel, LOCALHOST
 
 
 class RankFailure(MPIError):
     """One or more ranks raised; carries per-rank tracebacks.
+
+    Built from every rank that did not finish, it keeps the primary
+    failures only when there are any: a world-abort cascade otherwise
+    shows every waiting rank (a :class:`~repro.errors.CommAbortedError`
+    each) as failed.
 
     Under the ``mp`` backend the original exception objects
     died with their worker processes; what crosses back is the pickled
@@ -41,6 +46,8 @@ class RankFailure(MPIError):
     """
 
     def __init__(self, failures: dict[int, BaseException]) -> None:
+        failures = {r: e for r, e in failures.items()
+                    if not isinstance(e, CommAbortedError)} or failures
         self.failures = failures
         lines = []
         for rank, exc in sorted(failures.items()):
@@ -107,5 +114,18 @@ def mpirun(
     # to the rank spans the backend produces or ships home.
     with _trace.span("mpi.world", "launcher", nprocs=nprocs,
                      backend=impl.name):
-        return impl.run(nprocs, main, args=args, machine=machine,
-                        return_clocks=return_clocks)
+        results, clocks = impl.run(nprocs, main, args=args, machine=machine)
+        if _trace.on and nprocs > 1:
+            # Teardown aggregation: every traced SCMD run records each
+            # rank's final virtual clock plus the reduced summary
+            # (max/avg imbalance, p95, ...) into the default registry —
+            # the per-rank breakdown the scaling benches and the metrics
+            # JSON report.
+            from repro.obs.aggregate import record_rank_clocks
+            summary = record_rank_clocks(clocks)
+            _trace.instant(
+                "mpi.world_teardown", "launcher", nprocs=nprocs,
+                imbalance=summary["stats"]["imbalance"],
+                clock_max=summary["stats"]["max"],
+                clock_mean=summary["stats"]["mean"])
+    return list(zip(results, clocks)) if return_clocks else results

@@ -1,19 +1,21 @@
-"""The multiprocessing backend: real worker processes, same semantics.
+"""The multiprocessing backend: what only real worker processes have.
 
-Every assertion here is about *contract parity* with the thread
-backend — same results, same failure shapes, same communicator algebra —
-because the whole point of the registry is that rc-scripts and
-components cannot tell the transports apart.
+The communicator semantics both backends share are held to one suite,
+``tests/mpi/test_comm.py`` and ``test_stress.py`` run per backend; here
+is what is the ``mp`` transport's own — distinct processes, the shared
+memory segment threshold and its clean-up, what rank 0 posts back from a
+collective, remote tracebacks, dead workers, the sanitizer's warning.
 """
 
 import os
 import signal
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, Op, ZERO_COST, mpirun, sanitizer
+from repro.mpi import Op, ZERO_COST, mpirun, sanitizer
 from repro.mpi.launcher import RankFailure
 
 
@@ -43,16 +45,6 @@ def test_env_selection(monkeypatch):
 
 
 # ----------------------------------------------------------------------- p2p
-def test_send_recv_small_object():
-    def main(comm):
-        if comm.rank == 0:
-            comm.send({"a": 1, "b": [1, 2]}, dest=1, tag=7)
-            return None
-        return comm.recv(source=0, tag=7)
-
-    assert run(2, main)[1] == {"a": 1, "b": [1, 2]}
-
-
 @pytest.mark.parametrize("side", ["pipe", "segment"])
 def test_send_recv_array_either_side_of_the_segment_threshold(side):
     """One element under the threshold the array rides the pipe, at it a
@@ -79,57 +71,7 @@ def test_send_recv_array_either_side_of_the_segment_threshold(side):
     assert total == float(np.arange(float(n)).sum())
 
 
-def test_sendrecv_and_any_source():
-    def main(comm):
-        right = (comm.rank + 1) % comm.size
-        left = (comm.rank - 1) % comm.size
-        got = comm.sendrecv(comm.rank, dest=right, source=left)
-        extra = None
-        if comm.rank == 0:
-            comm.send("probe-me", dest=1, tag=9)
-        if comm.rank == 1:
-            extra = comm.recv(source=ANY_SOURCE, tag=9)
-        return got, extra
-
-    out = run(3, main)
-    assert [g for g, _ in out] == [2, 0, 1]
-    assert out[1][1] == "probe-me"
-
-
 # ----------------------------------------------------------------- collectives
-def test_collectives_match_threads_backend():
-    def main(comm):
-        return (comm.allreduce(comm.rank + 1, op=Op.SUM),
-                comm.allreduce(comm.rank, op=Op.MAX),
-                comm.bcast(comm.rank * 10 or "root", root=1),
-                comm.allgather(comm.rank ** 2),
-                sorted(comm.alltoall([comm.rank] * comm.size)))
-
-    assert run(4, main) == mpirun(4, main, machine=ZERO_COST,
-                                  backend="threads")
-
-
-def test_reduce_array_payload():
-    def main(comm):
-        arr = np.full(4, float(comm.rank))
-        total = comm.allreduce(arr, op=Op.SUM)
-        return total.tolist()
-
-    assert run(3, main) == [[3.0, 3.0, 3.0, 3.0]] * 3
-
-
-def test_split_and_nested_collectives():
-    def main(comm):
-        half = comm.split(color=comm.rank % 2, key=comm.rank)
-        sub = half.allreduce(comm.rank, op=Op.SUM)
-        world = comm.allreduce(sub, op=Op.SUM)
-        return half.size, sub, world
-
-    out = run(4, main)
-    assert out == [(2, 2, 12), (2, 4, 12), (2, 2, 12), (2, 4, 12)]
-    assert out == mpirun(4, main, machine=ZERO_COST, backend="threads")
-
-
 def test_a_member_is_posted_its_own_share_of_a_collective():
     """Rank 0 runs ``finish`` and posts results; what it packs for member
     *r* is what member *r* returns — one ``alltoall`` row, one ``scatter``
@@ -245,6 +187,33 @@ def test_sigkilled_worker_leaves_no_segment_behind():
     with pytest.raises(RankFailure) as excinfo:
         run(2, main)
     assert "WorkerDied" in str(excinfo.value)
+    assert _shm_listing() == before
+
+
+@pytest.mark.parametrize("victim", [0, 2])
+def test_sigkill_mid_collective_aborts_the_survivors(victim):
+    """A rank SIGKILLed while its peers wait in an ``allreduce`` — for
+    the root's shares when the victim is comm rank 0, for the victim's
+    contribution otherwise: the reaper names it ``WorkerDied`` and trips
+    the abort, the survivors leave the collective as secondary
+    ``CommAbortedError`` (not reported next to a primary failure) within
+    the reaper's grace, and the contributions in flight are unlinked."""
+    from repro.exec.mp import _DEATH_GRACE
+
+    def main(comm):
+        comm.barrier()
+        if comm.rank == victim:
+            os.kill(os.getpid(), signal.SIGKILL)
+        comm.allreduce(MIB, op=Op.SUM)
+
+    before = _shm_listing()
+    t0 = time.monotonic()
+    with pytest.raises(RankFailure) as excinfo:
+        run(4, main)
+    elapsed = time.monotonic() - t0
+    assert set(excinfo.value.failures) == {victim}
+    assert excinfo.value.failures[victim].remote_type == "WorkerDied"
+    assert elapsed < _DEATH_GRACE + 2.0
     assert _shm_listing() == before
 
 

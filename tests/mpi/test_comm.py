@@ -1,5 +1,6 @@
-"""Unit tests for the in-process MPI substrate: point-to-point semantics,
-collectives, communicator splitting, and failure propagation."""
+"""Unit tests for the MPI substrate, on every execution backend (the
+``run`` fixture): point-to-point semantics, collectives, communicator
+splitting, and failure propagation."""
 
 import numpy as np
 import pytest
@@ -12,14 +13,8 @@ from repro.mpi import (
     Op,
     Status,
     World,
-    ZERO_COST,
-    mpirun,
 )
 from repro.mpi.launcher import RankFailure
-
-
-def run(n, fn, **kw):
-    return mpirun(n, fn, machine=ZERO_COST, **kw)
 
 
 # ---------------------------------------------------------------- basics
@@ -28,7 +23,7 @@ def test_world_requires_positive_size():
         World(0)
 
 
-def test_single_rank_runs_inline():
+def test_single_rank_runs_inline(run):
     def main(comm):
         assert comm.rank == 0 and comm.size == 1
         return "ok"
@@ -36,7 +31,7 @@ def test_single_rank_runs_inline():
     assert run(1, main) == ["ok"]
 
 
-def test_ranks_see_distinct_identities():
+def test_ranks_see_distinct_identities(run):
     def main(comm):
         return (comm.rank, comm.size)
 
@@ -44,7 +39,7 @@ def test_ranks_see_distinct_identities():
 
 
 # ---------------------------------------------------------------- p2p
-def test_send_recv_roundtrip_object():
+def test_send_recv_roundtrip_object(run):
     def main(comm):
         if comm.rank == 0:
             comm.send({"a": 1, "b": [1, 2]}, dest=1, tag=7)
@@ -54,7 +49,7 @@ def test_send_recv_roundtrip_object():
     assert run(2, main)[1] == {"a": 1, "b": [1, 2]}
 
 
-def test_send_recv_numpy_is_isolated():
+def test_send_recv_numpy_is_isolated(run):
     """Receiver must get a copy — mutating the sent array post-send must
     not leak (MPI buffer semantics)."""
 
@@ -70,7 +65,7 @@ def test_send_recv_numpy_is_isolated():
     assert run(2, main)[1] == list(map(float, range(10)))
 
 
-def test_recv_any_source_any_tag():
+def test_recv_any_source_any_tag(run):
     def main(comm):
         if comm.rank == 0:
             status = Status()
@@ -83,7 +78,7 @@ def test_recv_any_source_any_tag():
     assert got == "hello-1" and src == 1 and tag == 10
 
 
-def test_tag_matching_skips_nonmatching_messages():
+def test_tag_matching_skips_nonmatching_messages(run):
     def main(comm):
         if comm.rank == 0:
             comm.send("first", dest=1, tag=1)
@@ -96,7 +91,7 @@ def test_tag_matching_skips_nonmatching_messages():
     assert run(2, main)[1] == ("first", "second")
 
 
-def test_message_order_preserved_per_sender_tag():
+def test_message_order_preserved_per_sender_tag(run):
     def main(comm):
         if comm.rank == 0:
             for i in range(20):
@@ -107,7 +102,7 @@ def test_message_order_preserved_per_sender_tag():
     assert run(2, main)[1] == list(range(20))
 
 
-def test_sendrecv_pairwise_exchange_no_deadlock():
+def test_sendrecv_pairwise_exchange_no_deadlock(run):
     def main(comm):
         peer = 1 - comm.rank
         return comm.sendrecv(comm.rank, dest=peer, source=peer)
@@ -115,7 +110,7 @@ def test_sendrecv_pairwise_exchange_no_deadlock():
     assert run(2, main) == [1, 0]
 
 
-def test_isend_irecv():
+def test_isend_irecv(run):
     def main(comm):
         if comm.rank == 0:
             req = comm.isend(np.ones(4), dest=1)
@@ -128,7 +123,7 @@ def test_isend_irecv():
     assert run(2, main)[1] == 4.0
 
 
-def test_iprobe_and_probe():
+def test_iprobe_and_probe(run):
     def main(comm):
         if comm.rank == 0:
             comm.send("x", dest=1, tag=5)
@@ -143,7 +138,7 @@ def test_iprobe_and_probe():
     assert run(2, main)[1] is True
 
 
-def test_send_to_invalid_rank_raises():
+def test_send_to_invalid_rank_raises(run):
     def main(comm):
         comm.send(1, dest=5)
 
@@ -152,7 +147,7 @@ def test_send_to_invalid_rank_raises():
 
 
 # ---------------------------------------------------------------- collectives
-def test_barrier_completes():
+def test_barrier_completes(run):
     def main(comm):
         for _ in range(3):
             comm.barrier()
@@ -161,7 +156,7 @@ def test_barrier_completes():
     assert all(run(4, main))
 
 
-def test_bcast_from_each_root():
+def test_bcast_from_each_root(run):
     def main(comm):
         out = []
         for root in range(comm.size):
@@ -173,7 +168,7 @@ def test_bcast_from_each_root():
         assert res == [0, 1, 2]
 
 
-def test_allreduce_sum_scalar_and_array():
+def test_allreduce_sum_scalar_and_array(run):
     def main(comm):
         s = comm.allreduce(comm.rank + 1, op=Op.SUM)
         a = comm.allreduce(np.full(3, float(comm.rank)), op=Op.SUM)
@@ -187,14 +182,14 @@ def test_allreduce_sum_scalar_and_array():
 @pytest.mark.parametrize(
     "op,expect", [(Op.MIN, 0), (Op.MAX, 3), (Op.PROD, 0), (Op.SUM, 6)]
 )
-def test_allreduce_ops(op, expect):
+def test_allreduce_ops(run, op, expect):
     def main(comm):
         return comm.allreduce(comm.rank, op=op)
 
     assert run(4, main) == [expect] * 4
 
 
-def test_allreduce_logical():
+def test_allreduce_logical(run):
     def main(comm):
         any_true = comm.allreduce(comm.rank == 2, op=Op.LOR)
         all_true = comm.allreduce(comm.rank < 10, op=Op.LAND)
@@ -203,7 +198,7 @@ def test_allreduce_logical():
     assert run(4, main) == [(True, True)] * 4
 
 
-def test_reduce_only_root_gets_result():
+def test_reduce_only_root_gets_result(run):
     def main(comm):
         return comm.reduce(comm.rank, op=Op.SUM, root=1)
 
@@ -211,7 +206,7 @@ def test_reduce_only_root_gets_result():
     assert res == [None, 3, None]
 
 
-def test_gather_allgather():
+def test_gather_allgather(run):
     def main(comm):
         g = comm.gather(comm.rank * 2, root=0)
         ag = comm.allgather(comm.rank * 3)
@@ -223,7 +218,7 @@ def test_gather_allgather():
     assert all(r[1] == [0, 3, 6] for r in res)
 
 
-def test_scatter():
+def test_scatter(run):
     def main(comm):
         data = [f"item{i}" for i in range(comm.size)] if comm.rank == 0 else None
         return comm.scatter(data, root=0)
@@ -231,7 +226,7 @@ def test_scatter():
     assert run(3, main) == ["item0", "item1", "item2"]
 
 
-def test_scatter_wrong_length_raises():
+def test_scatter_wrong_length_raises(run):
     def main(comm):
         data = [1] if comm.rank == 0 else None
         comm.scatter(data, root=0)
@@ -240,7 +235,7 @@ def test_scatter_wrong_length_raises():
         run(2, main)
 
 
-def test_alltoall():
+def test_alltoall(run):
     def main(comm):
         out = [f"{comm.rank}->{j}" for j in range(comm.size)]
         return comm.alltoall(out)
@@ -249,7 +244,7 @@ def test_alltoall():
     assert res[1] == ["0->1", "1->1", "2->1"]
 
 
-def test_collectives_interleave_with_p2p():
+def test_collectives_interleave_with_p2p(run):
     def main(comm):
         comm.barrier()
         if comm.rank == 0:
@@ -264,7 +259,7 @@ def test_collectives_interleave_with_p2p():
 
 
 # ---------------------------------------------------------------- split/dup
-def test_split_into_even_odd_cohorts():
+def test_split_into_even_odd_cohorts(run):
     def main(comm):
         color = comm.rank % 2
         sub = comm.split(color)
@@ -279,7 +274,7 @@ def test_split_into_even_odd_cohorts():
     assert res[3] == (1, 1, 2, 4)
 
 
-def test_split_key_reorders_ranks():
+def test_split_key_reorders_ranks(run):
     def main(comm):
         sub = comm.split(color=0, key=-comm.rank)
         return sub.rank
@@ -287,7 +282,7 @@ def test_split_key_reorders_ranks():
     assert run(3, main) == [2, 1, 0]
 
 
-def test_dup_gives_independent_message_space():
+def test_dup_gives_independent_message_space(run):
     def main(comm):
         dup = comm.dup()
         if comm.rank == 0:
@@ -301,8 +296,27 @@ def test_dup_gives_independent_message_space():
     assert run(2, main)[1] == ("world", "dup")
 
 
+def test_split_of_split_agrees_on_ids_everywhere(run):
+    """Child ids are derived, not allocated: ``parent/seq:color`` on
+    every rank of every backend."""
+
+    def main(comm):
+        half = comm.split(comm.rank // 2)
+        comm.dup()                              # parent's 2nd split
+        pair = half.split(half.rank, key=0)     # half's 1st
+        again = half.split(0, key=-half.rank)   # half's 2nd, reordered
+        return [(c.id, c.rank, c.size) for c in (half, pair, again)]
+
+    assert run(4, main) == [
+        [("w/1:0", 0, 2), ("w/1:0/1:0", 0, 1), ("w/1:0/2:0", 1, 2)],
+        [("w/1:0", 1, 2), ("w/1:0/1:1", 0, 1), ("w/1:0/2:0", 0, 2)],
+        [("w/1:1", 0, 2), ("w/1:1/1:0", 0, 1), ("w/1:1/2:0", 1, 2)],
+        [("w/1:1", 1, 2), ("w/1:1/1:1", 0, 1), ("w/1:1/2:0", 0, 2)],
+    ]
+
+
 # ---------------------------------------------------------------- failures
-def test_rank_exception_aborts_world_and_reports():
+def test_rank_exception_aborts_world_and_reports(run):
     def main(comm):
         if comm.rank == 1:
             raise ValueError("boom")
@@ -319,7 +333,22 @@ def test_rank_exception_aborts_world_and_reports():
         or getattr(err, "remote_type", "") == "ValueError"
 
 
-def test_return_values_in_rank_order():
+def test_rank_raising_mid_collective_is_the_only_failure_reported(run):
+    """Peers blocked in an ``allreduce`` the failing rank never joins
+    are unblocked by the abort and stay out of the report."""
+
+    def main(comm):
+        comm.barrier()
+        if comm.rank == 2:
+            raise ValueError("boom before the allreduce")
+        return comm.allreduce(np.ones(4), op=Op.SUM)
+
+    with pytest.raises(RankFailure, match="boom before") as excinfo:
+        run(4, main)
+    assert set(excinfo.value.failures) == {2}
+
+
+def test_return_values_in_rank_order(run):
     def main(comm):
         return comm.rank**2
 

@@ -2,23 +2,18 @@
 splits, mixed traffic, and per-sender ordering under contention."""
 
 import numpy as np
-import pytest
 
-from repro.mpi import Op, ZERO_COST, mpirun
-
-
-def run(n, fn, **kw):
-    return mpirun(n, fn, machine=ZERO_COST, **kw)
+from repro.mpi import Op
 
 
-def test_sixteen_ranks_allreduce():
+def test_sixteen_ranks_allreduce(run):
     def main(comm):
         return comm.allreduce(comm.rank, op=Op.SUM)
 
     assert run(16, main) == [120] * 16
 
 
-def test_ring_pass_large_arrays():
+def test_ring_pass_large_arrays(run):
     """Pass a 100k-element array around a ring; every hop must preserve
     content (buffer isolation under concurrency)."""
 
@@ -34,7 +29,7 @@ def test_ring_pass_large_arrays():
     assert res == [3.0, 0.0, 1.0, 2.0]
 
 
-def test_split_of_split():
+def test_split_of_split(run):
     """Nested communicator splitting: quadrant cohorts."""
 
     def main(comm):
@@ -50,7 +45,7 @@ def test_split_of_split():
         assert total == base + base + 1
 
 
-def test_many_messages_per_sender_keep_order():
+def test_many_messages_per_sender_keep_order(run):
     def main(comm):
         if comm.rank == 0:
             for dest in range(1, comm.size):
@@ -65,7 +60,7 @@ def test_many_messages_per_sender_keep_order():
     assert res[1] and res[2] and res[3]
 
 
-def test_mixed_collectives_and_p2p_interleaving():
+def test_mixed_collectives_and_p2p_interleaving(run):
     """Randomized but deterministic interleaving of barriers, reductions
     and point-to-point must not deadlock or corrupt payloads."""
 
@@ -86,7 +81,7 @@ def test_mixed_collectives_and_p2p_interleaving():
     assert run(6, main) == [60] * 6
 
 
-def test_gather_scatter_roundtrip_many_ranks():
+def test_gather_scatter_roundtrip_many_ranks(run):
     def main(comm):
         rows = comm.gather(np.full(8, comm.rank + 0.5), root=2)
         if comm.rank == 2:
@@ -100,13 +95,13 @@ def test_gather_scatter_roundtrip_many_ranks():
     assert res == [2 * (r + 0.5) for r in range(8)]
 
 
-def test_return_clocks_all_ranks():
+def test_return_clocks_all_ranks(run):
     def main(comm):
         comm.advance(1.0 + comm.rank)
         comm.barrier()
         return comm.rank
 
-    res = mpirun(3, main, machine=ZERO_COST, return_clocks=True)
+    res = run(3, main, return_clocks=True)
     values = [v for v, _ in res]
     clocks = [c for _, c in res]
     assert values == [0, 1, 2]
