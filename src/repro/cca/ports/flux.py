@@ -22,6 +22,19 @@ class StatesPort(Port):
 
     def interface_states(self, prim: np.ndarray, axis: int
                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right states at the ``n - 3`` interior interfaces of
+        the ``n`` cells ``prim`` holds along ``axis``: interface ``k``
+        lies between cells ``k + 1`` and ``k + 2``.
+
+        ``InviscidFlux`` calls this once per RHS evaluation with the
+        sweep rows of every patch laid end to end along ``axis`` (``prim``
+        of shape ``(5, N)``, ``axis = 1``) and discards the interfaces
+        that straddle two rows.  A provider must therefore use a 1-D
+        stencil along ``axis`` that reads at most two cells to either
+        side of an interface (cells ``k .. k + 3``), independently for
+        every index of the other axes — then an interface's states do
+        not depend, bit for bit, on which rows share the call.
+        """
         raise NotImplementedError
 
 

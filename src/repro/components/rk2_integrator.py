@@ -33,8 +33,13 @@ class _Characteristics(CharacteristicsPort):
     def max_wavespeed(self, dobj_name: str) -> float:
         services = self.owner.services
         data = services.get_port("data")
-        gamma = float(services.get_port("gas").get("gamma", 1.4))
-        dobj = data.data(dobj_name)
+        gas = services.get_port("gas")
+        try:
+            gamma = float(gas.get("gamma", 1.4))
+            dobj = data.data(dobj_name)
+        finally:
+            services.release_port("gas")
+            services.release_port("data")
         smax = 0.0
         for patch in dobj.owned_patches():
             smax = max(smax, max_wavespeed(dobj.interior(patch), gamma))
@@ -72,7 +77,11 @@ class _RK2Port(IntegratorPort):
         owner = self.owner
         dobj = dataobjs[0]
         cfl = float(owner.services.get_parameter("cfl", 0.4))
-        smax = owner.services.get_port("speeds").max_wavespeed(dobj.name)
+        speeds = owner.services.get_port("speeds")
+        try:
+            smax = speeds.max_wavespeed(dobj.name)
+        finally:
+            owner.services.release_port("speeds")
         if smax <= 0.0:
             raise CCAError("zero wavespeed field")
         h = dobj.hierarchy
@@ -107,6 +116,14 @@ class ExplicitIntegratorRK2(Component):
                 port: _RK2Port) -> float:
         rhs_port = self.services.get_port("rhs")
         data_port = self.services.get_port("data")
+        try:
+            return self._advance(dobj, t, dt, port, rhs_port, data_port)
+        finally:
+            self.services.release_port("data")
+            self.services.release_port("rhs")
+
+    def _advance(self, dobj: DataObject, t: float, dt: float,
+                 port: _RK2Port, rhs_port, data_port) -> float:
         h = dobj.hierarchy
         port.nsteps += 1
 

@@ -16,7 +16,7 @@ the paper highlights).
   of faces, each solved independently of the others.
 * :mod:`repro.hydro.godunov` / :mod:`repro.hydro.efm` — interface fluxes.
 * :mod:`repro.hydro.fluxes` — dimension-by-dimension RHS assembly on
-  ghosted patches, one flux call for the faces of all of them.
+  ghosted patches, one reconstruction and one flux call for all of them.
 * :mod:`repro.hydro.bc` — reflecting / outflow / inflow ghost fills.
 * :mod:`repro.hydro.diagnostics` — vorticity and interfacial circulation
   (the paper's Fig 7 observable).

@@ -37,15 +37,13 @@ def hierarchy_interface_circulation(dobj, gamma: float, comm=None,
 
     ``dobj`` is a 5-variable SAMR DataObject with current ghost cells.
     """
-    from repro.samr.boxlist import subtract_all
-
     h = dobj.hierarchy
     total = 0.0
-    for lev_no, level in enumerate(h.levels):
+    for lev_no in range(h.nlevels):
         dx, dy = h.dx(lev_no)
-        finer = (h.level(lev_no + 1).boxes if lev_no + 1 < h.nlevels
-                 else [])
-        finer_coarse = [b.coarsen(h.ratio) for b in finer]
+        # what the next level covers is geometry its schedule already holds
+        covered = (h.transfer_schedule(lev_no + 1, dobj.rank).covered
+                   if lev_no + 1 < h.nlevels else {})
         for patch in dobj.owned_patches(lev_no):
             arr = dobj.array(patch)
             g = patch.nghost
@@ -57,10 +55,8 @@ def hierarchy_interface_circulation(dobj, gamma: float, comm=None,
             zeta = core[4, 1:-1, 1:-1] / rho
             band = (zeta >= zeta_lo) & (zeta <= zeta_hi)
             mask = np.ones_like(band)
-            for region in finer_coarse:
-                overlap = patch.box.intersection(region)
-                if not overlap.empty:
-                    mask[overlap.slices(origin=patch.box.lo)] = False
+            for under_finer in covered.get(patch.id, ()):
+                mask[under_finer] = False
             total += float((omega * band * mask).sum() * dx * dy)
     if comm is not None and comm.size > 1:
         from repro.mpi.comm import Op

@@ -31,6 +31,16 @@ class Box:
         if not lo:
             raise MeshError("zero-dimensional box")
 
+    @classmethod
+    def _of_ints(cls, lo: tuple[int, ...], hi: tuple[int, ...]) -> "Box":
+        """A box from bounds computed out of another box's: already
+        ``int`` tuples of one length, so ``__post_init__`` has nothing to
+        coerce or check."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "lo", lo)
+        object.__setattr__(box, "hi", hi)
+        return box
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_shape(shape: tuple[int, ...], origin: tuple[int, ...] | None = None) -> "Box":
@@ -84,7 +94,7 @@ class Box:
             raise MeshError("cannot intersect boxes of different dimension")
         lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
         hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
-        return Box(lo, hi)
+        return Box._of_ints(lo, hi)
 
     def bounding(self, other: "Box") -> "Box":
         """Smallest box containing both."""
@@ -94,11 +104,11 @@ class Box:
 
     def grow(self, n: int | tuple[int, ...]) -> "Box":
         """Pad by ``n`` cells on every face (negative shrinks)."""
-        pad = (n,) * self.ndim if isinstance(n, int) else tuple(n)
-        return Box(
-            tuple(l - p for l, p in zip(self.lo, pad)),
-            tuple(h + p for h, p in zip(self.hi, pad)),
-        )
+        if not isinstance(n, int):
+            return Box(tuple(l - p for l, p in zip(self.lo, n)),
+                       tuple(h + p for h, p in zip(self.hi, n)))
+        return Box._of_ints(tuple(l - n for l in self.lo),
+                            tuple(h + n for h in self.hi))
 
     def shift(self, offset: tuple[int, ...]) -> "Box":
         return Box(
@@ -120,11 +130,9 @@ class Box:
         (floor division; the coarse box *covers* the fine one)."""
         if ratio < 1:
             raise MeshError(f"coarsen ratio must be >= 1, got {ratio}")
-
-        def fdiv(a: int) -> int:
-            return a // ratio
-
-        return Box(tuple(fdiv(l) for l in self.lo), tuple(fdiv(h) for h in self.hi))
+        ratio = int(ratio)
+        return Box._of_ints(tuple(l // ratio for l in self.lo),
+                            tuple(h // ratio for h in self.hi))
 
     # -- slicing helpers -----------------------------------------------------
     def slices(self, origin: tuple[int, ...] | None = None) -> tuple[slice, ...]:

@@ -21,6 +21,8 @@ per regrid by :mod:`repro.samr.schedule` and looked up through
 from __future__ import annotations
 
 import time
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -144,17 +146,23 @@ def fill_from_coarse(dobj: DataObject, tasks: list[CoarseFineTask],
                      route: Route, comm=None) -> int:
     """Carry out a :func:`repro.samr.schedule.coarse_fine_plan`: assemble
     each task's padded coarse buffer, interpolate it (monotone bilinear)
-    and store the selected region in the fine patch.  Returns the payload
-    bytes this rank shipped."""
-    bufs = [np.empty((dobj.nvar, *task.shape)) for task in tasks]
+    and store the selected region in the fine patch.  The plan lists its
+    tasks by buffer shape; each run of equal shapes is one
+    ``(k, nvar, *shape)`` stack and one ``prolong_bilinear`` call.
+    Returns the payload bytes this rank shipped."""
+    stacks = [np.empty((len(list(run)), dobj.nvar, *shape))
+              for shape, run in groupby(tasks, key=attrgetter("shape"))]
+    bufs = [buf for stack in stacks for buf in stack]
     shipped = _move(dobj, route, comm, target=bufs.__getitem__)
-    ratio = dobj.hierarchy.ratio
     for task, buf in zip(tasks, bufs):
         if task.holes is not None:
             holes, sources = task.holes
             buf[holes] = buf[sources]
-        dobj.array(task.fine)[task.dest] = \
-            prolong_bilinear(buf, ratio)[task.select]
+    ratio = dobj.hierarchy.ratio
+    fine_blocks = (block for stack in stacks
+                   for block in prolong_bilinear(stack, ratio))
+    for task, block in zip(tasks, fine_blocks):
+        dobj.array(task.fine)[task.dest] = block[task.select]
     return shipped
 
 

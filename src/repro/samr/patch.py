@@ -8,7 +8,8 @@ owner holds data arrays (see :mod:`repro.samr.dataobject`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import MeshError
 from repro.samr.box import Box
@@ -47,20 +48,24 @@ class Patch:
         if self.nghost < 0:
             raise MeshError(f"patch {self.id}: negative ghost width")
 
-    # -- geometry ------------------------------------------------------------
-    @property
+    # -- geometry: a patch is immutable, so each is worked out once ----------
+    @cached_property
     def ghost_box(self) -> Box:
         """Interior box padded by the ghost width."""
         return self.box.grow(self.nghost)
 
-    @property
+    @cached_property
     def array_shape(self) -> tuple[int, ...]:
         """Shape of a single-variable data array including ghosts."""
         return self.ghost_box.shape
 
+    @cached_property
+    def _interior_slices(self) -> tuple[slice, ...]:
+        return self.box.slices(origin=self.ghost_box.lo)
+
     def interior_slices(self) -> tuple[slice, ...]:
         """Slices selecting the interior inside a ghosted array."""
-        return self.box.slices(origin=self.ghost_box.lo)
+        return self._interior_slices
 
     def slices_for(self, region: Box) -> tuple[slice, ...]:
         """Slices addressing ``region`` (level index space) inside this

@@ -100,29 +100,37 @@ def coarse_fine_plan(targets: Sequence[tuple[Patch, Box]],
     ``t`` being the target's position in ``targets`` — and the owner gets
     a :class:`CoarseFineTask`; the route's destinations are positions in
     the returned task list.
+
+    The tasks are returned in order of buffer shape: a replay stacks each
+    run of equal shapes and interpolates it in one call
+    (:func:`repro.samr.ghost.fill_from_coarse`).
     """
-    tasks: list[CoarseFineTask] = []
+    needs = [region.coarsen(ratio).grow(1) for _fine, region in targets]
+    mine = sorted((t for t, (fine, _region) in enumerate(targets)
+                   if fine.owner == rank), key=lambda t: needs[t].shape)
+    slot_of = {t: slot for slot, t in enumerate(mine)}
+    tasks: list[CoarseFineTask] = [None] * len(mine)
     route = Route(rank)
-    for t, (fine, region) in enumerate(targets):
-        need = region.coarsen(ratio).grow(1)
-        mine = fine.owner == rank
-        covered = np.zeros(need.shape, dtype=bool) if mine else None
+    for t, ((fine, region), need) in enumerate(zip(targets, needs)):
+        slot = slot_of.get(t)  # None: another rank's task
+        covered = (np.zeros(need.shape, dtype=bool) if slot is not None
+                   else None)
         for cp in coarse:
             overlap = cp.box.intersection(need)
             if overlap.empty:
                 continue
             into = overlap.slices(origin=need.lo)
-            if mine:
+            if covered is not None:
                 covered[into] = True
             route.add(cp, _index(cp.slices_for(overlap)), fine.owner,
-                      len(tasks), _index(into), (t, overlap.lo, overlap.hi))
-        if mine:
+                      slot, _index(into), (t, overlap.lo, overlap.hi))
+        if slot is not None:
             # the prolonged buffer covers the refined interior of ``need``
             fine_lo = tuple((l + 1) * ratio for l in need.lo)
-            tasks.append(CoarseFineTask(
+            tasks[slot] = CoarseFineTask(
                 fine, need.shape, _hole_gather(covered),
                 _index(region.slices(origin=fine_lo)),
-                _index(fine.slices_for(region))))
+                _index(fine.slices_for(region)))
     return tasks, route
 
 
@@ -202,6 +210,10 @@ class TransferSchedule:
         Complete coarse cells under each fine interior: the fine block to
         average and the coarse cells that receive it; headers are
         ``(coarse id, lo, hi)``.
+    covered:
+        ``{coarse patch id: [cell slices]}`` — the parts of each owned
+        coarse patch's interior that lie under a patch of this level
+        (what a composite integral over the hierarchy leaves out).
     """
 
     def __init__(self, patches: tuple[Patch, ...],
@@ -212,6 +224,7 @@ class TransferSchedule:
         self.siblings = Route(rank)
         self.restriction = Route(rank)
         self.boundaries: list[tuple[Patch, int, int]] = []
+        self.covered: dict[int, list[tuple[slice, ...]]] = {}
         boxes = [p.box for p in patches]
         targets: list[tuple[Patch, Box]] = []
         for dst in patches:
@@ -242,6 +255,9 @@ class TransferSchedule:
                 cov = cp.box.intersection(under)
                 if cov.empty:
                     continue
+                if cp.owner == rank:
+                    self.covered.setdefault(cp.id, []).append(
+                        cov.slices(origin=cp.box.lo))
                 # only complete coarse cells are restricted
                 cov = _complete_coarse(
                     cov.refine(ratio).intersection(fine.box), ratio)

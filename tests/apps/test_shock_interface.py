@@ -74,8 +74,9 @@ def test_amr_run_refines_waves():
 @pytest.mark.parametrize("scheme, provider", [("godunov", "GodunovFlux"),
                                               ("efm", "EFMFlux")])
 def test_one_flux_call_per_rhs_evaluation(scheme, provider):
-    """Both RK2 stages hand the faces of every patch of both levels to the
-    flux component in one call; the adaptor still counts patches."""
+    """Both RK2 stages hand the rows of every patch of both levels to the
+    States component, and their faces to the flux component, in one call
+    each; the adaptor still counts patches."""
     fw = Framework()
     build_shock_interface(fw, nx=32, ny=16, max_levels=2, regrid_interval=3,
                           initial_regrids=1, t_end_over_tau=0.2,
@@ -90,9 +91,12 @@ def test_one_flux_call_per_rhs_evaluation(scheme, provider):
     assert integrator.nfe == 2 * res["steps"]
     assert port(provider, "flux").ncalls == integrator.nfe
     assert port("InviscidFlux", "rhs").nfe > 2 * integrator.nfe
-    # the States component still reconstructs patch by patch, per sweep
-    assert port("States", "states").ncalls == \
-        2 * port("InviscidFlux", "rhs").nfe
+    # one reconstruction per RHS evaluation, like the flux
+    assert port("States", "states").ncalls == integrator.nfe
+    # every port the hydro components fetched during ``go`` was released
+    for instance in ("InviscidFlux", "ExplicitIntegratorRK2",
+                     "Characteristics"):
+        assert fw.services_of(instance).port_balances() == {}
 
 
 def test_amr_circulation_close_to_equivalent_uniform():

@@ -10,6 +10,10 @@ package replays its schedule neighbour to neighbour, and
 ``rebuild_level`` below keeps regrid's copy of surviving data
 (``_snapshot_level`` / ``_copy_old_overlaps``, verbatim from commit
 4b0ae62) as the oracle for that.
+
+``fill_from_coarse`` is the replay of a coarse-fine plan as it was before
+the shape-grouped fill (verbatim from commit 2459999): one buffer and one
+``prolong_bilinear`` call per task.
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ from repro.errors import MeshError
 from repro.samr.box import Box
 from repro.samr.boxlist import subtract_all
 from repro.samr.dataobject import DataObject
-from repro.samr.ghost import fill_from_coarse, zero_gradient_bc
+from repro.samr.ghost import _move, zero_gradient_bc
 from repro.samr.hierarchy import Hierarchy
 from repro.samr.patch import Patch
 from repro.samr.prolong import _slope
 from repro.samr.restrict import restrict_average
-from repro.samr.schedule import coarse_fine_plan
+from repro.samr.schedule import CoarseFineTask, Route, coarse_fine_plan
 
 
 def prolong_bilinear(coarse: np.ndarray, ratio: int,
@@ -233,6 +237,25 @@ def _complete_coarse(fine_box: Box, ratio: int) -> Box:
     lo = tuple(-((-l) // ratio) for l in fine_box.lo)  # ceil division
     hi = tuple((h + 1) // ratio - 1 for h in fine_box.hi)
     return Box(lo, hi)
+
+
+# ------------------------------------------- coarse-fine plan, task by task
+def fill_from_coarse(dobj: DataObject, tasks: list[CoarseFineTask],
+                     route: Route, comm=None) -> int:
+    """Carry out a :func:`repro.samr.schedule.coarse_fine_plan`: assemble
+    each task's padded coarse buffer, interpolate it (monotone bilinear)
+    and store the selected region in the fine patch.  Returns the payload
+    bytes this rank shipped."""
+    bufs = [np.empty((dobj.nvar, *task.shape)) for task in tasks]
+    shipped = _move(dobj, route, comm, target=bufs.__getitem__)
+    ratio = dobj.hierarchy.ratio
+    for task, buf in zip(tasks, bufs):
+        if task.holes is not None:
+            holes, sources = task.holes
+            buf[holes] = buf[sources]
+        dobj.array(task.fine)[task.dest] = \
+            prolong_bilinear(buf, ratio)[task.select]
+    return shipped
 
 
 # ------------------------------------------------- regrid: surviving data

@@ -14,8 +14,9 @@ from repro.mpi import ZERO_COST, mpirun
 from repro.samr import (Box, DataObject, Hierarchy, exchange_ghosts,
                         flag_gradient, load_checkpoint, regrid,
                         save_checkpoint)
-from repro.samr.ghost import restrict_level
+from repro.samr.ghost import fill_from_coarse, restrict_level
 from repro.samr.prolong import prolong_bilinear
+from repro.samr.schedule import coarse_fine_plan
 from tests.samr import reference_transfers as reference
 from tests.samr.transfer_cases import (FIXED_CASES, Case, drill,
                                        fill_interiors, run_case)
@@ -96,6 +97,47 @@ def test_prolong_bilinear_equals_the_kron_formulation(ratio):
             old = reference.prolong_bilinear(coarse, ratio, limited)
             assert new.shape == old.shape
             assert (new == old).all()
+
+
+@pytest.mark.parametrize("nranks", [1, 2])
+def test_grouped_fill_equals_the_per_task_reference(nranks):
+    """Ghost-fill and regrid-seeding plans of a three-level hierarchy —
+    several buffer shapes each, some with pad cells no coarse patch
+    covers — replayed one stack per shape and one buffer per task."""
+    case = dataclasses.replace(FIXED_CASES["three_level_nvar5"],
+                               nranks=nranks)
+
+    def main(comm=None):
+        rank = comm.rank if comm else 0
+        h = case.build()
+        plans = []
+        for lev in (1, 2):
+            schedule = h.transfer_schedule(lev, rank)
+            plans += [(schedule.tasks, schedule.coarse_fine),
+                      coarse_fine_plan(
+                          [(p, p.box) for p in h.level(lev).patches],
+                          h.level(lev - 1).patches, h.ratio, rank)]
+        filled = []
+        for fill in (fill_from_coarse, reference.fill_from_coarse):
+            dobj = DataObject("f", h, case.nvar, rank=rank)
+            fill_interiors(dobj)
+            for tasks, route in plans:
+                fill(dobj, tasks, route, comm)
+            filled.append({p.id: dobj.array(p).copy()
+                           for p in dobj.owned_patches()})
+        return filled, [[(t.shape, t.holes is not None) for t in tasks]
+                        for tasks, _route in plans]
+
+    per_rank = [main()] if nranks == 1 else mpirun(
+        nranks, main, machine=ZERO_COST)
+    for (grouped, per_task), plans in per_rank:
+        assert_same_arrays(grouped, per_task)
+        for tasks in plans:
+            shapes = [shape for shape, _holes in tasks]
+            assert shapes == sorted(shapes)
+    ghost_plan = [task for _filled, plans in per_rank for task in plans[2]]
+    assert len({shape for shape, _holes in ghost_plan}) >= 3
+    assert any(holes for _shape, holes in ghost_plan)
 
 
 # ------------------------------------------------------ (b) invalidation
