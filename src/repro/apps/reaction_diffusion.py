@@ -203,6 +203,7 @@ def build_reaction_diffusion(
     fc = framework.connect
     fc("InitialCondition", "chem", "ReactionTerms", "chemistry")
     fc("CvodeSolver", "rhs", "ReactionTerms", "source")
+    fc("CvodeSolver", "jacobian", "ReactionTerms", "jacobian")
     fc("ImplicitIntegrator", "solver", "CvodeSolver", "solver")
     fc("ImplicitIntegrator", "data", "AMR_Mesh", "data")
     fc("DRFM", "chem", "ReactionTerms", "chemistry")

@@ -13,7 +13,12 @@ from repro.cca.ports.parameter import ParameterPort
 from repro.cca.ports.mesh import MeshPort, RegridPort
 from repro.cca.ports.dataobject import DataObjectPort
 from repro.cca.ports.integrator import IntegratorPort, ODESolverPort
-from repro.cca.ports.rhs import PatchRHSPort, VectorRHSPort, SpectralBoundPort
+from repro.cca.ports.rhs import (
+    JacobianPort,
+    PatchRHSPort,
+    SpectralBoundPort,
+    VectorRHSPort,
+)
 from repro.cca.ports.bc import BoundaryConditionPort
 from repro.cca.ports.ic import InitialConditionPort, VectorICPort
 from repro.cca.ports.interpolation import ProlongRestrictPort
@@ -36,6 +41,7 @@ __all__ = [
     "ODESolverPort",
     "PatchRHSPort",
     "VectorRHSPort",
+    "JacobianPort",
     "SpectralBoundPort",
     "BoundaryConditionPort",
     "InitialConditionPort",

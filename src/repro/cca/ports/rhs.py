@@ -9,7 +9,8 @@ time-step sizing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -75,6 +76,28 @@ class VectorRHSPort(Port):
         raise NotImplementedError
 
     def n_state(self) -> int:
+        raise NotImplementedError
+
+    @contextmanager
+    def session(self) -> Iterator[None]:
+        """Bracket the :meth:`rhs` calls of one unit of work (a solver's
+        ``integrate``): a provider that evaluates through other ports
+        fetches them on entry and releases them on exit, instead of once
+        per call.  The default has nothing to fetch."""
+        yield
+
+
+class JacobianPort(Port):
+    """The analytic Jacobian of a :class:`VectorRHSPort`'s right-hand side
+    (family (e)) — optional: a stiff solver that finds it connected uses
+    it for its Newton matrices instead of differencing the RHS.
+    """
+
+    def jacobian(self, t: float | np.ndarray, y: np.ndarray) -> np.ndarray:
+        """∂f/∂y for a block of cells: ``y`` shape ``(n_state, B)`` gives
+        ``(n_state, n_state, B)`` with ``[i, j, b]`` = ∂f_i/∂y_j of
+        column b; a single 1-D state gives ``(n_state, n_state)``.  Column
+        independent, like :meth:`VectorRHSPort.rhs`."""
         raise NotImplementedError
 
 

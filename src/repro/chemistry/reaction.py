@@ -55,27 +55,48 @@ class Falloff:
     low: Arrhenius
     troe: tuple[float, ...] | None = None
 
-    def blend(self, k_inf: np.ndarray, T: np.ndarray,
-              conc_m: np.ndarray) -> np.ndarray:
-        """Effective rate constant given the third-body concentration."""
-        k0 = self.low.k(T)
-        pr = np.maximum(k0 * conc_m / np.maximum(k_inf, 1e-300), 1e-300)
-        f = pr / (1.0 + pr)
-        if self.troe is not None:
-            a = self.troe[0]
-            t3, t1 = self.troe[1], self.troe[2]
-            fcent = (1.0 - a) * np.exp(-T / t3) + a * np.exp(-T / t1)
-            if len(self.troe) > 3 and self.troe[3] > 0.0:
-                fcent = fcent + np.exp(-self.troe[3] / T)
-            fcent = np.maximum(fcent, 1e-300)
-            log_fc = np.log10(fcent)
-            c = -0.4 - 0.67 * log_fc
-            n = 0.75 - 1.27 * log_fc
-            log_pr = np.log10(pr)
-            inner = (log_pr + c) / (n - 0.14 * (log_pr + c))
-            log_f = log_fc / (1.0 + inner**2)
-            f = f * 10.0**log_f
-        return k_inf * f
+    # The blend ``k = k_inf Pr / (1 + Pr) F`` with ``Pr = k0 [M] / k_inf``
+    # is evaluated for every falloff reaction at once by
+    # :class:`~repro.chemistry.mechanism.Mechanism`; what is left per
+    # reaction is Troe's broadening factor ``F``.
+    def _troe_terms(self, T: np.ndarray, pr: np.ndarray):
+        a = self.troe[0]
+        t3, t1 = self.troe[1], self.troe[2]
+        fcent = (1.0 - a) * np.exp(-T / t3) + a * np.exp(-T / t1)
+        if len(self.troe) > 3 and self.troe[3] > 0.0:
+            fcent = fcent + np.exp(-self.troe[3] / T)
+        fcent = np.maximum(fcent, 1e-300)
+        log_fc = np.log10(fcent)
+        c = -0.4 - 0.67 * log_fc
+        n = 0.75 - 1.27 * log_fc
+        log_pr = np.log10(pr)
+        inner = (log_pr + c) / (n - 0.14 * (log_pr + c))
+        return fcent, log_fc, log_pr + c, n, inner
+
+    def troe_factor(self, T: np.ndarray, pr: np.ndarray) -> np.ndarray:
+        """Troe's ``F`` at reduced pressure ``pr`` (``troe`` must be set)."""
+        _, log_fc, _, _, inner = self._troe_terms(T, pr)
+        log_f = log_fc / (1.0 + inner**2)
+        return 10.0**log_f
+
+    def troe_slopes(self, T: np.ndarray, pr: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(d ln F / d ln Pr, d ln F / dT at fixed Pr)`` of Troe's ``F``."""
+        fcent, log_fc, x, n, inner = self._troe_terms(T, pr)
+        a = self.troe[0]
+        t3, t1 = self.troe[1], self.troe[2]
+        dfcent = -(1.0 - a) / t3 * np.exp(-T / t3) - a / t1 * np.exp(-T / t1)
+        if len(self.troe) > 3 and self.troe[3] > 0.0:
+            dfcent = dfcent + self.troe[3] / T**2 * np.exp(-self.troe[3] / T)
+        denom = n - 0.14 * x
+        # log10 F = L / (1 + inner^2), inner = x / (n - 0.14 x) with
+        # x = log10 Pr + c(L), n = n(L) and L = log10 Fcent(T)
+        d_inner = -2.0 * log_fc * inner / (1.0 + inner**2) ** 2
+        dx = n / denom**2                   # d inner / d x
+        dn = -x / denom**2                  # d inner / d n
+        d_pr = d_inner * dx
+        d_log_fc = 1.0 / (1.0 + inner**2) + d_inner * (-0.67 * dx - 1.27 * dn)
+        return d_pr, d_log_fc * dfcent / fcent
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chemistry.mechanism import Mechanism, species_sum
+from repro.chemistry.mechanism import (
+    Mechanism,
+    Thermo,
+    cell_blocks,
+    species_sum,
+)
 from repro.chemistry.nasa7 import R_UNIVERSAL
 from repro.errors import ChemistryError
 
@@ -59,15 +64,82 @@ def constant_pressure_source(mech: Mechanism, pressure: float, T, Y
     (nsp, ...).  Shared by :class:`ConstantPressureReactor` and the
     ``ThermoChemistry`` component."""
     T = np.asarray(T, dtype=float)
-    Y = np.clip(np.asarray(Y, dtype=float), 0.0, None)
-    rho = mech.density(T, pressure, Y)
-    C = mech.concentrations(rho, Y)
-    mass_rate = mech.wdot(T, C) * mech.per_species(mech.weights, Y)
-    dY = mass_rate / rho
-    h = mech.h_mass_species(T)
-    cp = mech.cp_mass(T, Y)
-    dT = -species_sum(h * mass_rate) / (rho * cp)
-    return dT, dY
+    Y = np.maximum(np.asarray(Y, dtype=float), 0.0)
+    Tf, Yf = T.reshape(-1), Y.reshape(len(Y), -1)
+    dT, dY = np.empty(Tf.shape), np.empty(Yf.shape)
+    for cols in cell_blocks(Tf.size):
+        p = ConstantPressurePass(mech, pressure, Tf[cols], Yf[:, cols])
+        dT[cols], dY[:, cols] = p.dT, p.dY
+    return dT.reshape(T.shape), dY.reshape(Y.shape)
+
+
+def _mixture_sums(mech: Mechanism, th: Thermo, Y: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(cp_k, Σ Y_k / W_k, cp)`` on the 1-D cells of ``th``: the
+    per-species and mixture specific heats and the inverse mean weight,
+    both sums in one accumulation."""
+    cp_k = th.cp_R * R_UNIVERSAL / mech._w_col
+    terms = np.empty((len(Y), 2) + th.T.shape)
+    np.multiply(Y, mech._inv_w_col, out=terms[:, 0])
+    np.multiply(Y, cp_k, out=terms[:, 1])
+    inv_W, cp = species_sum(terms)
+    return cp_k, inv_W, cp
+
+
+class ConstantPressurePass:
+    """One fused evaluation of :func:`constant_pressure_source` on 1-D
+    cells (``T`` (B,), ``Y`` (nsp, B) clipped at zero): ``dT`` and
+    ``dY``, and the intermediates :meth:`jacobian` differentiates."""
+
+    def __init__(self, mech: Mechanism, pressure: float, T: np.ndarray,
+                 Y: np.ndarray) -> None:
+        self.mech, self.Y = mech, Y
+        self.th = th = mech.thermo(T)
+        self.cp_k, inv_W, self.cp = _mixture_sums(mech, th, Y)
+        self.W = 1.0 / inv_W
+        self.rho = rho = pressure * self.W / th.RT
+        self.kin = mech.kinetics(th, rho * Y / mech._w_col)
+        self.wdot = mech.species_net(self.kin.q)
+        mass_rate = self.wdot * mech._w_col
+        self.dY = mass_rate / rho
+        h = th.h_RT * R_UNIVERSAL * T / mech._w_col
+        self.dT = -species_sum(h * mass_rate) / (rho * self.cp)
+
+    def jacobian(self, pos: np.ndarray) -> np.ndarray:
+        """``J[i, j, b] = ∂f_i/∂x_j`` with ``f = (dT/dt, dY/dt)`` and
+        ``x = (T, Y)`` of cell ``b``, shape (nsp + 1, nsp + 1, B);
+        ``pos`` (nsp, B) is the clip's slope, ``Y >= 0`` of the
+        unclipped fractions.
+
+        The chain rule through ρ(T, Y) and C = ρ Y / W applied to the
+        pass's rate constants, concentrations, enthalpies and heat
+        capacities.  Elementwise along the cells, so column independent.
+        """
+        mech, th, rho, W = self.mech, self.th, self.rho, self.W
+        T = th.T
+        dq_dT, dq_dC, euler = mech.rate_derivatives(th, self.kin)
+        # ∂C_i/∂T = -C_i/T and ∂C_i/∂Y_l = (ρ δ_il - C_i W̄) pos_l / W_l;
+        # column 0 is T
+        live = pos / mech._w_col
+        n = mech.n_species
+        dq = np.empty((mech.n_reactions, n + 1) + T.shape)
+        dq[:, 0] = dq_dT - euler / T
+        dq[:, 1:] = (rho * dq_dC - (W * euler)[:, None]) * live
+        dw = mech.species_net(dq)                    # (nsp, nsp + 1, B)
+        # dY/dt = W_k ω̇_k / ρ: ∂ρ/∂T = -ρ/T, ∂ρ/∂Y_l = -ρ W̄ live_l
+        dln_rho = np.concatenate(((-1.0 / T)[None], -W * live))
+        J = np.empty((n + 1, n + 1) + T.shape)
+        J[1:] = (mech._w_col / rho)[:, None] \
+            * (dw - self.wdot[:, None] * dln_rho)
+        # dT/dt = -Q / (ρ cp), Q = Σ H_k ω̇_k with H_k the molar enthalpy
+        H = th.h_RT * th.RT
+        dQ = species_sum(H[:, None] * dw)
+        dQ[0] += species_sum(th.cp_R * R_UNIVERSAL * self.wdot)
+        dcp_dT = species_sum(self.Y * mech.dcp_R_dT(T) * R_UNIVERSAL
+                             / mech._w_col)
+        dln_cp = np.concatenate((dcp_dT[None], self.cp_k * pos)) / self.cp
+        J[0] = -dQ / (rho * self.cp) - self.dT * (dln_rho + dln_cp)
+        return J
 
 
 class ConstantVolumeReactor:
@@ -120,14 +192,24 @@ def constant_volume_source(mech: Mechanism, rho, y: np.ndarray
     """
     y = np.asarray(y, dtype=float)
     T = np.maximum(y[0], 50.0)
-    Y = np.clip(y[1:-1], 0.0, None)
-    C = mech.concentrations(rho, Y)
-    mass_rate = mech.wdot(T, C) * mech.per_species(mech.weights, Y)
-    dY = mass_rate / rho
-    u = mech.u_mass_species(T)
-    cv = mech.cv_mass(T, Y)
-    dT = -species_sum(u * mass_rate) / (rho * cv)
-    return T, Y, dT, dY
+    Y = np.maximum(y[1:-1], 0.0)
+    cells = T.shape
+    n = len(Y)
+    Tf, Yf = T.reshape(-1), Y.reshape(n, -1)
+    rho_f = np.reshape(rho, (-1,)) if np.ndim(rho) else rho
+    dT, dY = np.empty(Tf.shape), np.empty(Yf.shape)
+    for cols in cell_blocks(Tf.size):
+        r = rho_f[cols] if np.ndim(rho_f) else rho_f
+        th = mech.thermo(Tf[cols])
+        _, inv_W, cp = _mixture_sums(mech, th, Yf[:, cols])
+        kin = mech.kinetics(th, r * Yf[:, cols] / mech._w_col)
+        mass_rate = mech.species_net(kin.q) * mech._w_col
+        dY[:, cols] = mass_rate / r
+        h = th.h_RT * R_UNIVERSAL * th.T / mech._w_col
+        u = h - th.RT / mech._w_col
+        cv = cp - R_UNIVERSAL / (1.0 / inv_W)
+        dT[cols] = -species_sum(u * mass_rate) / (r * cv)
+    return T, Y, dT.reshape(cells), dY.reshape(Y.shape)
 
 
 def rigid_vessel_dpdt(mech: Mechanism, rho, T, Y: np.ndarray, dT,

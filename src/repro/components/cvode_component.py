@@ -5,8 +5,10 @@ time-advances the system as it ignites.  This is a thin wrapper around the
 Cvode integrator library."  (paper §4.1)  Our wrapped "library" is
 :class:`repro.integrators.cvode.CVode`.
 
-Provides ``solver`` (ODESolverPort); uses ``rhs`` (VectorRHSPort).  One
-``integrate`` call is one batched solve over the columns of ``y0`` — a
+Provides ``solver`` (ODESolverPort); uses ``rhs`` (VectorRHSPort) and,
+if it is connected, ``jacobian`` (JacobianPort) — the analytic Jacobian
+of ``rhs``, used for the Newton matrices instead of finite differences.
+One ``integrate`` call is one batched solve over the columns of ``y0`` — a
 single state, or every hot cell of a chemistry half-step — each column on
 its own adaptive trajectory.
 Parameters: ``rtol``, ``atol``, ``method`` (``bdf``/``adams``).
@@ -30,19 +32,30 @@ class _Solver(ODESolverPort):
         self.total_steps = 0
 
     def integrate(self, t0: float, y0: np.ndarray, t1: float) -> np.ndarray:
-        rhs_port = self.owner.services.get_port("rhs")
-        p = self.owner.services.parameters
+        services = self.owner.services
+        p = services.parameters
         y0 = np.asarray(y0, dtype=float)
-        # a single state is a batch of one: the port's RHS is batched
-        cv = CVode(
-            rhs_port.rhs,
-            t0,
-            y0.reshape(len(y0), -1),
-            rtol=p.get_float("rtol", 1e-8),
-            atol=p.get_float("atol", 1e-12),
-            method=p.get_str("method", "bdf"),
-        )
-        y = cv.integrate_to(t1).reshape(y0.shape)
+        rhs_port = services.get_port("rhs")
+        jac_port = None
+        if services.is_connected("jacobian"):
+            jac_port = services.get_port("jacobian")
+        try:
+            with rhs_port.session():
+                # a single state is a batch of one: the ports are batched
+                cv = CVode(
+                    rhs_port.rhs,
+                    t0,
+                    y0.reshape(len(y0), -1),
+                    rtol=p.get_float("rtol", 1e-8),
+                    atol=p.get_float("atol", 1e-12),
+                    method=p.get_str("method", "bdf"),
+                    jac=None if jac_port is None else jac_port.jacobian,
+                )
+                y = cv.integrate_to(t1).reshape(y0.shape)
+        finally:
+            services.release_port("rhs")
+            if jac_port is not None:
+                services.release_port("jacobian")
         stats = cv.stats
         self._last_nfe = int(stats.nfe.sum())
         self.total_nfe += self._last_nfe
@@ -61,6 +74,7 @@ class CvodeComponent(Component):
         self.services = services
         self.solver = _Solver(self)
         services.register_uses_port("rhs", "VectorRHSPort")
+        services.register_uses_port("jacobian", "JacobianPort")
         services.add_provides_port(self.solver, "solver")
 
     # -- Checkpointable (repro.resilience.protocol) -------------------------

@@ -16,11 +16,15 @@ enthalpy).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 
 from repro.cca.component import Component
 from repro.cca.ports.physics import DPDtPort
 from repro.cca.ports.rhs import VectorRHSPort
+from repro.chemistry.mechanism import Mechanism
 from repro.chemistry.zerod import constant_volume_source, rigid_vessel_dpdt
 from repro.errors import CCAError
 
@@ -31,8 +35,7 @@ class _DPDtImpl(DPDtPort):
 
     def dpdt(self, rho, T, Y: np.ndarray, dT, dY: np.ndarray):
         """dP/dt = ρ R (Ṫ/W̄ + T d(1/W̄)/dt) for fixed ρ (rigid walls)."""
-        mech = self.owner.services.get_port("chem").mechanism()
-        return rigid_vessel_dpdt(mech, rho, T, Y, dT, dY)
+        return rigid_vessel_dpdt(self.owner.mechanism(), rho, T, Y, dT, dY)
 
 
 class DPDt(Component):
@@ -43,6 +46,13 @@ class DPDt(Component):
         services.register_uses_port("chem", "ChemistryPort")
         services.add_provides_port(_DPDtImpl(self), "dpdt")
 
+    def mechanism(self) -> Mechanism:
+        """The connected ``chem`` port's mechanism (fetch, use, release)."""
+        try:
+            return self.services.get_port("chem").mechanism()
+        finally:
+            self.services.release_port("chem")
+
 
 class _ModelRHS(VectorRHSPort):
     """Constant-volume RHS assembled from the chemistry + dPdt ports,
@@ -50,29 +60,45 @@ class _ModelRHS(VectorRHSPort):
 
     Carries one extra, narrower-interface method (``configure``) that
     fixes the vessel density from the initial fill — drivers call it once
-    before handing the port to the stiff solver.
+    before handing the port to the stiff solver.  :meth:`rhs` is called
+    inside a :meth:`session` (one solver ``integrate``), which fetches the
+    mechanism and the ``dpdt`` port once and releases them at the end.
     """
 
     def __init__(self, owner: "ProblemModeler") -> None:
         self.owner = owner
         self.nfe = 0
+        self._held: tuple | None = None   # (mechanism, dpdt port)
 
     def configure(self, T0: float, P0: float, Y0: np.ndarray) -> float:
         return self.owner.set_initial_density(T0, P0, Y0)
 
     def n_state(self) -> int:
-        mech = self.owner.services.get_port("chem").mechanism()
-        return mech.n_species + 2
+        return self.owner.mechanism().n_species + 2
+
+    @contextmanager
+    def session(self) -> Iterator[None]:
+        services = self.owner.services
+        mech = self.owner.mechanism()
+        dpdt = services.get_port("dpdt")
+        try:
+            self._held = (mech, dpdt)
+            yield
+        finally:
+            self._held = None
+            services.release_port("dpdt")
 
     def rhs(self, t, y: np.ndarray) -> np.ndarray:
-        self.nfe += 1
-        owner = self.owner
-        mech = owner.services.get_port("chem").mechanism()
-        rho = owner.rho
+        rho = self.owner.rho
         if rho is None:
             raise CCAError("ProblemModeler: call set_initial_density first")
+        if self._held is None:
+            raise CCAError("ProblemModeler: rhs is evaluated inside a "
+                           "session() of the model port")
+        self.nfe += 1
+        mech, dpdt = self._held
         T, Y, dT, dY = constant_volume_source(mech, rho, y)
-        dP = owner.services.get_port("dpdt").dpdt(rho, T, Y, dT, dY)
+        dP = dpdt.dpdt(rho, T, Y, dT, dY)
         return np.concatenate((dT[None], dY, dP[None]))
 
 
@@ -92,6 +118,12 @@ class ProblemModeler(Component):
         """Fix ρ from the initial fill and share it with DPDt (via the
         connected component's own set_density — kept explicit here since
         density is physics state, not wiring)."""
-        mech = self.services.get_port("chem").mechanism()
-        self.rho = float(mech.density(T0, P0, Y0))
+        self.rho = float(self.mechanism().density(T0, P0, Y0))
         return self.rho
+
+    def mechanism(self) -> Mechanism:
+        """The connected ``chem`` port's mechanism (fetch, use, release)."""
+        try:
+            return self.services.get_port("chem").mechanism()
+        finally:
+            self.services.release_port("chem")

@@ -8,6 +8,7 @@ properties."  (paper §4.1)
 Provides
 --------
 ``source``      VectorRHSPort — constant-pressure [T, Y...] source terms.
+``jacobian``    JacobianPort — their analytic Jacobian (optional to use).
 ``chemistry``   ChemistryPort — the mechanism object + vectorized sources.
 ``properties``  ParameterPort — gas-property database (weights, name...).
 
@@ -24,11 +25,14 @@ import numpy as np
 from repro.cca.component import Component
 from repro.cca.ports.parameter import ParameterPort
 from repro.cca.ports.physics import ChemistryPort
-from repro.cca.ports.rhs import VectorRHSPort
+from repro.cca.ports.rhs import JacobianPort, VectorRHSPort
 from repro.chemistry.h2_air import h2_air_mechanism
 from repro.chemistry.h2_lite import h2_lite_mechanism
-from repro.chemistry.mechanism import Mechanism
-from repro.chemistry.zerod import constant_pressure_source
+from repro.chemistry.mechanism import BLOCK, Mechanism
+from repro.chemistry.zerod import (
+    ConstantPressurePass,
+    constant_pressure_source,
+)
 from repro.errors import CCAError
 
 _MECHS = {
@@ -48,11 +52,28 @@ class _Source(VectorRHSPort):
     def rhs(self, t, y: np.ndarray) -> np.ndarray:
         self.nfe += 1
         y = np.asarray(y, dtype=float)
+        if y.ndim == 2 and y.shape[1] <= BLOCK:
+            p = self.owner.state_pass(y)
+            return np.concatenate((p.dT[None], p.dY))
         dT, dY = self.owner.source_terms(np.maximum(y[0], 50.0), y[1:])
         return np.concatenate((dT[None], dY))
 
     def n_state(self) -> int:
         return self.owner.mech.n_species + 1
+
+
+class _Jacobian(JacobianPort):
+    """∂(dT/dt, dY/dt)/∂(T, Y) of :class:`_Source`'s RHS, analytic."""
+
+    def __init__(self, owner: "ThermoChemistry") -> None:
+        self.owner = owner
+
+    def jacobian(self, t, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        cells = y.reshape(len(y), -1)
+        J = self.owner.state_pass(cells).jacobian(cells[1:] >= 0.0)
+        J[:, 0] *= cells[0] >= 50.0      # the temperature floor's slope
+        return J.reshape(J.shape[:2] + y.shape[1:])
 
 
 class _Chem(ChemistryPort):
@@ -104,7 +125,10 @@ class ThermoChemistry(Component):
         self.services = services
         self.extra: dict[str, Any] = {}
         self._mech: Mechanism | None = None
+        #: (mechanism, pressure, state, pass) of the last state_pass
+        self._last_pass: tuple | None = None
         services.add_provides_port(_Source(self), "source")
+        services.add_provides_port(_Jacobian(self), "jacobian")
         services.add_provides_port(_Chem(self), "chemistry")
         services.add_provides_port(_Properties(self), "properties")
 
@@ -135,3 +159,19 @@ class ThermoChemistry(Component):
         ``T`` shape (...), ``Y`` shape (nsp, ...).
         """
         return constant_pressure_source(self.mech, self.pressure, T, Y)
+
+    def state_pass(self, y: np.ndarray) -> ConstantPressurePass:
+        """The fused constant-pressure pass at the states ``y`` (one
+        column per cell; T floored at 50 K, Y clipped at zero): the last
+        call's if ``y`` is that call's state — a stiff solver forms its
+        Jacobian where it has just evaluated the RHS — else a new one,
+        kept for the next call."""
+        mech, pressure = self.mech, self.pressure
+        last = self._last_pass
+        if (last is not None and last[0] is mech and last[1] == pressure
+                and last[2].shape == y.shape and np.array_equal(last[2], y)):
+            return last[3]
+        p = ConstantPressurePass(mech, pressure, np.maximum(y[0], 50.0),
+                                 np.maximum(y[1:], 0.0))
+        self._last_pass = (mech, pressure, y.copy(), p)
+        return p

@@ -12,6 +12,9 @@ the paper wraps as ``CvodeComponent``:
   the step size — until it is over 20 attempts old or a Newton iteration
   fails to converge on it (CVODE's ``jok``: ``I - gamma J`` is re-formed
   from the saved ``J`` on every attempt, only ``J`` itself is expensive).
+  A caller with an analytic Jacobian passes it as ``jac`` (CVODE's
+  ``CVodeSetJacFn``); it is formed at the same moments and counted as
+  the same ``nje``, and the difference quotients are skipped.
 * **Adams mode** (non-stiff): variable-order (1-5) Adams-Moulton
   predictor-corrector solved by functional iteration.
 
@@ -179,13 +182,13 @@ def _solve_columns(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _per_column(rhs: RHS) -> RHS:
-    """Lift a scalar-state ``f(t, y_1d)`` to the batched calling
-    convention with a loop over columns."""
+    """Lift a scalar-state ``f(t, y_1d)`` (or its Jacobian) to the
+    batched calling convention with a loop over columns."""
 
     def batched(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         columns = np.ascontiguousarray(y.T)
         return np.stack([np.asarray(rhs(float(t[j]), columns[j]), dtype=float)
-                         for j in range(len(columns))], axis=1)
+                         for j in range(len(columns))], axis=-1)
 
     return batched
 
@@ -223,6 +226,11 @@ class CVode:
         Per-column constants of a batched solve (e.g. each vessel's
         density): arrays with a trailing axis of length ``B``, handed to
         ``rhs`` after ``(t, y)`` restricted to the columns evaluated.
+    jac:
+        Optional analytic Jacobian in ``rhs``'s calling convention,
+        returning ``(n, n, b)`` with ``[i, j, c]`` = ∂f_i/∂y_j of column
+        ``c`` (``(n, n)`` for a 1-D ``y0``); without it the Jacobians are
+        forward differences of ``rhs``.
     """
 
     def __init__(self, rhs: RHS, t0: float | np.ndarray, y0: np.ndarray,
@@ -230,7 +238,8 @@ class CVode:
                  method: str = "bdf", max_order: int = _MAX_ORDER,
                  h0: float | None = None,
                  max_step: float | None = None,
-                 args: tuple[np.ndarray, ...] = ()) -> None:
+                 args: tuple[np.ndarray, ...] = (),
+                 jac: RHS | None = None) -> None:
         if method not in ("bdf", "adams"):
             raise IntegratorError(f"unknown method {method!r}")
         if not (0 < rtol < 1):
@@ -258,11 +267,12 @@ class CVode:
                 raise IntegratorError(
                     "args are the per-column constants of an (n, B) solve")
             rhs = _per_column(rhs)
+            jac = None if jac is None else _per_column(jac)
             y0 = y0[:, None]
         elif y0.ndim != 2:
             raise IntegratorError(
                 f"y0 must be (n,) or (n, B), got shape {y0.shape}")
-        self.rhs = rhs
+        self.rhs, self.jac = rhs, jac
         self.n, self.B = n, B = y0.shape
         self._args = tuple(np.asarray(a) for a in args)
         self._atol_col = self.atol[:, None] if self.atol.ndim else self.atol
@@ -284,7 +294,7 @@ class CVode:
         # step, instead of at the first attempt's predictor
         self._jac_ok = np.full(B, method == "bdf")
         self._jac_age = np.zeros(B, dtype=int)
-        self._jac = (self._fd_jacobians(cols, self._ts[0], y0)
+        self._jac = (self._jacobians(cols, self._ts[0], y0)
                      if method == "bdf" else np.zeros((B, n, n)))
         self._h = (np.full(B, float(h0)) if h0 is not None
                    else self._initial_step(y0, f0))
@@ -635,8 +645,23 @@ class CVode:
         s = np.flatnonzero(stale)
         if s.size:
             cols = idx[s]
-            self._jac[cols] = self._fd_jacobians(cols, t[s], y[:, s])
+            self._jac[cols] = self._jacobians(cols, t[s], y[:, s])
             self._jac_ok[cols] = True
+
+    def _jacobians(self, cols: np.ndarray, t: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+        """Jacobians ``(b, n, n)`` of the columns ``cols``: one call of
+        the analytic ``jac`` if there is one, else forward differences."""
+        if self.jac is None:
+            return self._fd_jacobians(cols, t, y)
+        self._stats.nje[cols] += 1
+        args = (a[..., cols] for a in self._args)
+        J = np.asarray(self.jac(t, y, *args), dtype=float)
+        if J.shape != (self.n, self.n, len(cols)):
+            raise IntegratorError(
+                f"jac returned shape {J.shape} for a state of shape "
+                f"{y.shape}: it must be (n, n, b)")
+        return J.transpose(2, 0, 1)
 
     def _fd_jacobians(self, cols: np.ndarray, t: np.ndarray,
                       y: np.ndarray) -> np.ndarray:

@@ -39,7 +39,12 @@ def test_every_paper_assembly_analyzes_clean(name):
 
 
 def test_shipped_rc_script_text_analyzes_clean():
-    assert wiring.analyze_script(IGNITION0D_SCRIPT) == []
+    # the one note: its constant-volume RHS has no analytic Jacobian, so
+    # the solver's optional ``jacobian`` port stays unconnected
+    findings = wiring.analyze_script(IGNITION0D_SCRIPT)
+    assert [(f.code, f.context) for f in findings] == [
+        ("RA012", "CvodeComponent")]
+    assert "jacobian" in findings[0].message
 
 
 @pytest.mark.parametrize("package", ["repro.components", "repro.apps",

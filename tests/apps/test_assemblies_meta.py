@@ -60,12 +60,14 @@ def test_paper_instance_names_used_in_wiring():
 
 def test_every_assembly_has_no_dangling_required_ports():
     """All uses-ports the drivers exercise are connected; the only
-    intentionally optional ones are GrACE's bc/balancer hooks."""
+    intentionally optional ones are GrACE's bc/balancer hooks and
+    CVODE's analytic ``jacobian`` (ignition0d's constant-volume RHS has
+    none)."""
     from repro.apps.ignition0d import build_ignition0d
     from repro.apps.reaction_diffusion import build_reaction_diffusion
     from repro.apps.shock_interface import build_shock_interface
 
-    optional = {"bc", "balancer"}
+    optional = {"bc", "balancer", "jacobian"}
     for builder in (build_ignition0d, build_reaction_diffusion,
                     build_shock_interface):
         fw = Framework()

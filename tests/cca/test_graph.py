@@ -72,7 +72,10 @@ def test_full_application_graphs():
     s = wiring_summary(fw)
     assert s["components"] == 7
     assert s["connections"] == 10
-    assert s["dangling_uses"] == 0  # every declared uses port is wired
+    # every declared uses port is wired but CVODE's optional analytic
+    # Jacobian: the constant-volume RHS has none
+    assert s["dangling_uses"] == 1
+    assert fw.provider_of("CvodeComponent", "jacobian") is None
 
     fw2 = Framework()
     build_shock_interface(fw2)

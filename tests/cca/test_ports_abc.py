@@ -16,6 +16,7 @@ from repro.cca.ports import (
     GoPort,
     InitialConditionPort,
     IntegratorPort,
+    JacobianPort,
     MeshPort,
     ODESolverPort,
     ParameterPort,
@@ -33,14 +34,15 @@ from repro.cca.ports import (
 ALL_PORTS = [
     BoundaryConditionPort, CharacteristicsPort, ChemistryPort,
     DataObjectPort, DPDtPort, FluxPort, GoPort, InitialConditionPort,
-    IntegratorPort, MeshPort, ODESolverPort, ParameterPort, PatchRHSPort,
+    IntegratorPort, JacobianPort, MeshPort, ODESolverPort, ParameterPort,
+    PatchRHSPort,
     ProlongRestrictPort, RegridPort, SpectralBoundPort, StatesPort,
     StatisticsPort, TransportPort, VectorICPort, VectorRHSPort,
 ]
 
 
-#: the one declared method that is not abstract (tested on its own below)
-BATCH_DEFAULT = (PatchRHSPort, "evaluate_patches")
+#: the declared methods that are not abstract (tested on their own below)
+DEFAULTS = {(PatchRHSPort, "evaluate_patches"), (VectorRHSPort, "session")}
 
 
 @pytest.mark.parametrize("port_cls", ALL_PORTS,
@@ -61,7 +63,7 @@ def test_abstract_methods_raise(port_cls):
     for name, member in inspect.getmembers(port_cls,
                                            predicate=inspect.isfunction):
         if name.startswith("_") or name == "port_type" \
-                or (port_cls, name) == BATCH_DEFAULT:
+                or (port_cls, name) in DEFAULTS:
             continue
         sig = inspect.signature(member)
         nargs = len(sig.parameters) - 1  # drop self
@@ -84,6 +86,13 @@ def test_patch_rhs_batch_default_loops_evaluate():
     assert PatchByPatch().evaluate_patches(0.5, ["p", "q"], ["a", "b"]) == \
         [(0.5, "p", "a"), (0.5, "q", "b")]
     assert PatchByPatch().evaluate_patches(0.5, [], []) == []
+
+
+def test_session_default_brackets_nothing():
+    """A provider with nothing to fetch per unit of work needs no
+    ``session``: the default is an empty bracket."""
+    with VectorRHSPort().session() as held:
+        assert held is None
 
 
 def test_subclass_of_standard_port_keeps_type():

@@ -100,8 +100,9 @@ def test_all_nine_species_available():
 @pytest.mark.parametrize("mech_name", ["h2-air", "h2-lite"])
 def test_species_axis_tables_equal_the_per_species_polynomials(mech_name):
     """``Mechanism`` evaluates all species in one Horner pass over
-    (nsp, 7) tables; every row must be the per-species ``Nasa7`` value
-    bit for bit, on both sides of ``t_mid`` and at it."""
+    (nsp, 7) tables (``thermo``; ``cp_R`` for the transport); every row
+    must be the per-species ``Nasa7`` value bit for bit, on both sides of
+    ``t_mid`` and at it."""
     from repro.chemistry import h2_air_mechanism, h2_lite_mechanism
 
     mech = {"h2-air": h2_air_mechanism, "h2-lite": h2_lite_mechanism}[
@@ -109,18 +110,17 @@ def test_species_axis_tables_equal_the_per_species_polynomials(mech_name):
     straddling = np.array([250.0, 999.999, 1000.0, 1000.001, 1733.3, 3400.0])
     for T in [np.float64(640.0), np.float64(1000.0), np.float64(2100.0),
               straddling, straddling.reshape(2, 3)]:
-        for fn in ("cp_R", "h_RT", "s_R", "g_RT"):
-            table = getattr(mech, fn)(T)
-            assert table.shape == (mech.n_species,) + np.shape(T)
+        th = mech.thermo(np.reshape(T, -1))
+        rows = {"cp_R": mech.cp_R(T), "h_RT": th.h_RT, "s_R": th.s_R,
+                "g_RT": th.h_RT - th.s_R}
+        assert th.kinds.shape == (3, mech.n_species, np.size(T))
+        for fn, table in rows.items():
+            table = table.reshape((mech.n_species,) + np.shape(T))
             for k, sp in enumerate(mech.species):
                 assert np.array_equal(table[k], getattr(sp.thermo, fn)(T))
-        # the mass-basis properties built on them
+        assert np.array_equal(th.cp_R, mech.cp_R(th.T))
+        # the mass-basis specific heats built on them
         W = mech.weights
         for k, sp in enumerate(mech.species):
-            assert np.array_equal(mech.h_mass_species(T)[k],
-                                  sp.thermo.h_mol(T) / W[k])
             assert np.array_equal(mech.cp_mass_species(T)[k],
                                   sp.thermo.cp_mol(T) / W[k])
-            assert np.array_equal(
-                mech.u_mass_species(T)[k],
-                sp.thermo.h_mol(T) / W[k] - R_UNIVERSAL * T / W[k])

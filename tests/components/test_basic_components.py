@@ -106,6 +106,27 @@ def test_problem_modeler_requires_density():
         model.rhs(0.0, np.ones(11))
 
 
+def test_problem_modeler_rhs_runs_in_a_session():
+    """The model fetches its ports once per solve: an RHS evaluation
+    outside a session is refused, and leaving the session (the solver's
+    ``integrate``) returns every port it fetched."""
+    f = build_0d_core()
+    model = f.services_of("pm").provides["model"][0]
+    mech = f.services_of("tc").provides["chemistry"][0].mechanism()
+    Y = np.zeros(9)
+    Y[mech.species_index("N2")] = 1.0
+    model.configure(1000.0, 101325.0, Y)
+    y = np.concatenate(([1000.0], Y, [101325.0]))
+    with pytest.raises(CCAError, match="session"):
+        model.rhs(0.0, y)
+    with model.session():
+        assert np.isfinite(model.rhs(0.0, y)).all()
+    solver = f.services_of("cv").provides["solver"][0]
+    solver.integrate(0.0, y, 1e-7)
+    for name in ("pm", "dpdt", "cv"):
+        assert f.services_of(name).port_balances() == {}, name
+
+
 def test_cvode_component_integrates_decaying_mode():
     """Wire CvodeComponent to the modeler and advance a short inert
     interval: state must stay finite, Y sum preserved."""
