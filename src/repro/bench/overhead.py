@@ -21,6 +21,7 @@ the role of the paper's Δt = 1 / 10, producing two different NFE levels.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -46,10 +47,12 @@ class OverheadRow:
     nfe: int
     t_component: float
     t_library: float
+    #: median over cells of (component CPU / library CPU) for one cell
+    median_ratio: float
 
     @property
     def pct_diff(self) -> float:
-        return 100.0 * (self.t_component - self.t_library) / self.t_library
+        return 100.0 * (self.median_ratio - 1.0)
 
 
 def _seeded_mixture(mech) -> np.ndarray:
@@ -109,24 +112,28 @@ class _LibraryCase:
 
 
 def _timed_interleaved(comp: _ComponentCase, lib: _LibraryCase,
-                       n_cells: int, n_blocks: int = 5
-                       ) -> tuple[float, float]:
-    """Time both variants in interleaved blocks (CPU time, so background
-    load and timer drift affect both paths equally)."""
-    sw_comp = Stopwatch(clock=time.process_time)
-    sw_lib = Stopwatch(clock=time.process_time)
-    block = max(1, n_cells // n_blocks)
-    done = 0
-    while done < n_cells:
-        n = min(block, n_cells - done)
-        with sw_comp:
-            for _ in range(n):
-                comp.integrate_cell()
-        with sw_lib:
-            for _ in range(n):
-                lib.integrate_cell()
-        done += n
-    return sw_comp.elapsed, sw_lib.elapsed
+                       n_cells: int) -> tuple[float, float, float]:
+    """Time both variants cell by cell on CPU time.
+
+    Each cell is a pair: one component solve and one library solve, and
+    which goes first swaps from pair to pair, so drift and cache warmth
+    fall on both paths alike.  Returns the two CPU totals and the median
+    over pairs of the per-pair time ratio (component / library) — a
+    slow pair from a background hiccup moves a median, not a sum.
+    """
+    clock = time.process_time
+    t_comp = t_lib = 0.0
+    ratios = []
+    for i in range(n_cells):
+        pair = {}
+        for case in ((comp, lib) if i % 2 == 0 else (lib, comp)):
+            t0 = clock()
+            case.integrate_cell()
+            pair[case] = clock() - t0
+        t_comp += pair[comp]
+        t_lib += pair[lib]
+        ratios.append(pair[comp] / pair[lib])
+    return t_comp, t_lib, statistics.median(ratios)
 
 
 def run_table4(fast: bool | None = None) -> dict:
@@ -153,12 +160,13 @@ def run_table4(fast: bool | None = None) -> dict:
         lib = _LibraryCase(T0, t_end, rtol, atol)
         for n_cells in cells_list:
             comp.nfe = lib.nfe = 0
-            t_comp, t_lib = _timed_interleaved(comp, lib, n_cells)
+            t_comp, t_lib, ratio = _timed_interleaved(comp, lib, n_cells)
             rows.append(OverheadRow(label, n_cells,
                                     (comp.nfe + lib.nfe) // (2 * n_cells),
-                                    t_comp, t_lib))
+                                    t_comp, t_lib, ratio))
     table = format_table(
-        ["dt", "Ncells", "NFE", "Comp. [s]", "Library [s]", "% diff"],
+        ["dt", "Ncells", "NFE", "Comp. [s]", "Library [s]",
+         "% diff (median pair)"],
         [[r.dt_label, r.n_cells, r.nfe, r.t_component, r.t_library,
           f"{r.pct_diff:+.2f}"] for r in rows],
         title=("Table 4 analog: componentized vs library 0D integration "
