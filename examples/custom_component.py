@@ -23,8 +23,8 @@ class _KernelIC(InitialConditionPort):
         self.owner = owner
 
     def initialize(self, dobj):
-        chem = self.owner.services.get_port("chem")
-        mech = chem.mechanism()
+        # a connected uses port is an attribute of services.ports
+        mech = self.owner.services.ports.chem.mechanism()
         p = self.owner.services.parameters
         cx = p.get_float("x", 0.0025)
         cy = p.get_float("y", 0.0025)
@@ -70,7 +70,7 @@ def main() -> None:
     print(f"  total cells = {result['total_cells']}")
     print(f"  T_max       = {result['T_max']:.1f} K")
     # the refined region sits around the single kernel now
-    mesh = framework.services_of("Driver").get_port("mesh")
+    mesh = framework.services_of("Driver").ports.mesh
     for lvl in mesh.hierarchy().levels:
         print(f"  level {lvl.number}: {len(lvl.patches)} patches, "
               f"{lvl.ncells} cells")

@@ -70,9 +70,8 @@ CODES: dict[str, tuple[Severity, str]] = {
     "RA013": (Severity.WARNING, "cycle in the port graph"),
     "RA014": (Severity.WARNING, "component class could not be introspected"),
     # -- RA1xx: component lifecycle ----------------------------------------
-    "RA101": (Severity.ERROR, "get_port on a name never registered"),
+    "RA101": (Severity.ERROR, "port fetched by a name never registered"),
     "RA102": (Severity.WARNING, "port registration outside set_services"),
-    "RA103": (Severity.INFO, "get_port with no matching release_port"),
     "RA104": (Severity.ERROR,
               "port name drift between registration and use"),
     "RA105": (Severity.INFO, "uses port registered but never fetched"),

@@ -2,16 +2,15 @@
 
 CCAFFEINE's contract is that a component declares its ports in
 ``setServices`` and only calls through names it declared.  This pass
-checks that contract without importing or executing anything:
+checks that contract without importing or executing anything.  A
+*fetch* is a read of a bound port, ``<x>.ports.<name>``, or a
+``get_port("<name>")`` call:
 
-* ``RA101`` — ``get_port`` on a string literal never passed to
-  ``register_uses_port`` in the same scope.
+* ``RA101`` — a fetch of a name never passed to ``register_uses_port``
+  in the same scope.
 * ``RA102`` — ``register_uses_port`` / ``add_provides_port`` called
   outside a ``set_services`` method (ports must exist before wiring).
-* ``RA103`` — ``get_port`` with no matching ``release_port`` anywhere on
-  the scope's paths (a checkout the runtime counterpart in
-  :meth:`repro.cca.services.Services.release_port` would report leaked).
-* ``RA104`` — registration/use *drift*: the fetched literal is a near
+* ``RA104`` — registration/use *drift*: the fetched name is a near
   miss of a registered name (``"mish"`` vs ``"mesh"``).
 * ``RA105`` — a uses port registered but never fetched.
 * ``RA106`` — a non-literal port name (not statically checkable).
@@ -20,7 +19,7 @@ Scoping rules: a class with a ``set_services`` method is a *component
 class* and its fetches resolve against its own registrations; classes
 without one (the little port-implementation helpers that close over
 ``owner.services``) resolve against the union of the file's component
-registrations.  A ``get_port`` wrapped in ``try/except
+registrations.  A fetch wrapped in ``try/except
 PortNotConnectedError`` (or guarded by ``is_connected``) is *guarded* —
 the port is optional by design and the wiring analyzer will not demand a
 connection for it.
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.findings import Finding, finding
 
-#: exception names accepted as a get_port guard in ``except`` clauses.
+#: exception names accepted as a fetch guard in ``except`` clauses.
 _GUARD_EXCEPTIONS = {
     "PortNotConnectedError", "CCAError", "ReproError", "Exception",
 }
@@ -44,7 +43,7 @@ _GUARD_EXCEPTIONS = {
 
 @dataclass
 class Fetch:
-    """One ``get_port`` occurrence."""
+    """One fetch: a ``<x>.ports.<name>`` read or ``get_port`` call."""
 
     name: str
     line: int
@@ -61,7 +60,6 @@ class ClassScan:
     uses: dict[str, int] = field(default_factory=dict)       # name -> line
     provides: dict[str, int] = field(default_factory=dict)   # name -> line
     fetches: list[Fetch] = field(default_factory=list)
-    releases: set[str] = field(default_factory=set)
     #: (kind, name, line, method) registrations outside set_services
     stray_registrations: list[tuple[str, str, int, str]] = \
         field(default_factory=list)
@@ -86,9 +84,6 @@ class FileScan:
 
     def union_fetches(self) -> list[Fetch]:
         return [f for c in self.classes for f in c.fetches]
-
-    def union_releases(self) -> set[str]:
-        return {r for c in self.classes for r in c.releases}
 
 
 def _str_arg(call: ast.Call, pos: int, kw: str) -> str | None:
@@ -185,6 +180,13 @@ class _ClassVisitor:
             self._record_call(node, method=method, guarded=guarded,
                               in_set_services=in_set_services,
                               guarded_names=guarded_names)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load) and \
+                isinstance(node.value, ast.Attribute) and \
+                node.value.attr == "ports":
+            self.scan.fetches.append(Fetch(
+                node.attr, node.lineno,
+                guarded or node.attr in guarded_names))
         for child in ast.iter_child_nodes(node):
             self._walk(child, method=method, guarded=guarded,
                        in_set_services=in_set_services,
@@ -217,10 +219,6 @@ class _ClassVisitor:
                 scan.fetches.append(Fetch(
                     name, call.lineno,
                     guarded or name in guarded_names))
-        elif kind == "release_port":
-            name = _str_arg(call, 0, "port_name")
-            if name is not None:
-                scan.releases.add(name)
 
 
 def scan_source(text: str, path: str = "<source>") -> FileScan:
@@ -244,9 +242,7 @@ def analyze_source(text: str, path: str = "<source>") -> list[Finding]:
                         path=path, line=exc.lineno)]
     out: list[Finding] = []
     union_uses = scan.union_uses()
-    union_releases = scan.union_releases()
     fetched_names = {f.name for f in scan.union_fetches()}
-    leak_reported: set[str] = set()
 
     for cls in scan.classes:
         # RA102: registrations outside set_services
@@ -281,28 +277,17 @@ def analyze_source(text: str, path: str = "<source>") -> list[Finding]:
                 if near:
                     out.append(finding(
                         "RA104",
-                        f"{cls.name}: get_port({fetch.name!r}) does not "
+                        f"{cls.name}: fetch of {fetch.name!r} does not "
                         f"match any registered uses port — did you mean "
                         f"{near[0]!r}?",
                         path=path, line=fetch.line, context=cls.name))
                 else:
                     out.append(finding(
                         "RA101",
-                        f"{cls.name}: get_port({fetch.name!r}) but no "
+                        f"{cls.name}: fetch of {fetch.name!r} but no "
                         f"register_uses_port({fetch.name!r}) "
                         f"(registered: {sorted(visible) or '-'})",
                         path=path, line=fetch.line, context=cls.name))
-        # RA103: checkout without release (one note per file+name)
-        for fetch in cls.fetches:
-            if fetch.name in union_releases or \
-                    fetch.name in leak_reported:
-                continue
-            leak_reported.add(fetch.name)
-            out.append(finding(
-                "RA103",
-                f"{cls.name}: get_port({fetch.name!r}) is never "
-                f"release_port-ed on any path (leaked checkout)",
-                path=path, line=fetch.line, context=cls.name))
         # RA105: registered but never fetched anywhere in the file
         if cls.has_set_services:
             for name, line in cls.uses.items():
@@ -310,7 +295,7 @@ def analyze_source(text: str, path: str = "<source>") -> list[Finding]:
                     out.append(finding(
                         "RA105",
                         f"{cls.name}: uses port {name!r} is registered "
-                        f"but never fetched with get_port",
+                        f"but never fetched",
                         path=path, line=line, context=cls.name))
     return out
 

@@ -63,18 +63,13 @@ class Ignition0DDriver(Component):
 
     def run(self) -> dict[str, Any]:
         services = self.services
-        ic = services.get_port("ic")
-        solver = services.get_port("solver")
-        model = services.get_port("model")
-        chem = services.get_port("chem")
-        stats = services.get_port("stats")
-        mech = chem.mechanism()
+        mech = services.ports.chem.mechanism()
         t_end = float(services.get_parameter("t_end", 1e-3))
         n_out = int(services.get_parameter("n_output", 20))
 
-        y = ic.initial_state()  # [T, Y..., P]
+        y = services.ports.ic.initial_state()  # [T, Y..., P]
         T0, P0 = float(y[0]), float(y[-1])
-        rho = model.configure(T0, P0, y[1:-1])
+        rho = services.ports.model.configure(T0, P0, y[1:-1])
         t = 0.0
         nfe = 0
         start_k = 0
@@ -86,18 +81,18 @@ class Ignition0DDriver(Component):
             y = np.asarray(resumed.extras["y"], dtype=float)
             nfe = int(resumed.extras["nfe"])
         else:
-            stats.record("T", 0.0, T0)
-            stats.record("P", 0.0, P0)
+            services.ports.stats.record("T", 0.0, T0)
+            services.ports.stats.record("P", 0.0, P0)
         for k in range(start_k + 1, n_out + 1):
             # driver.step spans are the flamegraph roots the sampling
             # profiler attributes component time under
             with _trace.span("driver.step", "driver", step=k):
                 t_next = t_end * k / n_out
-                y = solver.integrate(t, y, t_next)
-                nfe += solver.last_nfe()
+                y = services.ports.solver.integrate(t, y, t_next)
+                nfe += services.ports.solver.last_nfe()
                 t = t_next
-                stats.record("T", t, float(y[0]))
-                stats.record("P", t, float(y[-1]))
+                services.ports.stats.record("T", t, float(y[0]))
+                services.ports.stats.record("P", t, float(y[-1]))
                 hook.after_step(k, t, extras={"y": [float(v) for v in y],
                                               "nfe": nfe})
         T_final, Y_final, P_final = float(y[0]), y[1:-1], float(y[-1])
@@ -111,8 +106,8 @@ class Ignition0DDriver(Component):
             "Y_final": Y_final,
             "Y_H2O_final": float(Y_final[i_h2o]),
             "nfe": nfe,
-            "history_T": stats.series("T"),
-            "history_P": stats.series("P"),
+            "history_T": services.ports.stats.series("T"),
+            "history_P": services.ports.stats.series("P"),
         }
 
 

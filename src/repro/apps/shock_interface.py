@@ -67,34 +67,27 @@ class ShockInterfaceDriver(Component):
 
     def run(self) -> dict[str, Any]:
         services = self.services
-        mesh = services.get_port("mesh")
-        data = services.get_port("data")
-        ic = services.get_port("ic")
-        integrator = services.get_port("integrator")
-        regrid = services.get_port("regrid")
-        gas = services.get_port("gas")
-        stats = services.get_port("stats")
         p = services.parameters
         comm = services.get_comm()
 
-        gamma = float(gas.get("gamma", 1.4))
+        gamma = float(services.ports.gas.get("gamma", 1.4))
         t_end_over_tau = p.get_float("t_end_over_tau", 2.096)
         regrid_interval = p.get_int("regrid_interval", 4)
         max_steps = p.get_int("max_steps", 100000)
         initial_regrids = p.get_int("initial_regrids", 0)
 
-        mesh.build_base_level()
-        dobj = data.declare(
+        services.ports.mesh.build_base_level()
+        dobj = services.ports.data.declare(
             "U", 5, ["rho", "mx", "my", "E", "rho_zeta"])
-        ic.initialize(dobj)
-        h = mesh.hierarchy()
+        services.ports.ic.initialize(dobj)
+        h = services.ports.mesh.hierarchy()
         for lev in range(h.nlevels):
-            data.exchange_ghosts("U", lev)
+            services.ports.data.exchange_ghosts("U", lev)
         for _ in range(initial_regrids):
-            regrid.regrid()
-            ic.initialize(dobj)
+            services.ports.regrid.regrid()
+            services.ports.ic.initialize(dobj)
             for lev in range(h.nlevels):
-                data.exchange_ghosts("U", lev)
+                services.ports.data.exchange_ghosts("U", lev)
 
         # tau: time for the shock to traverse the oblique interface
         # footprint: Delta x = H * tan(angle); shock speed W = M * a1.
@@ -117,23 +110,26 @@ class ShockInterfaceDriver(Component):
         resumed = hook.resume()
         if resumed is not None:
             step, t = resumed.step, resumed.t
-            dobj = data.data("U")  # adopt() swapped the DataObjects
-            h = mesh.hierarchy()
-            gamma_series = stats.series("circulation")
+            # adopt() swapped the DataObjects
+            dobj = services.ports.data.data("U")
+            h = services.ports.mesh.hierarchy()
+            gamma_series = services.ports.stats.series("circulation")
         while t < t_end - 1e-12 and step < max_steps:
             # driver.step spans are the flamegraph roots the sampling
             # profiler attributes component time under
             with _trace.span("driver.step", "driver", step=step + 1):
-                dt = min(integrator.stable_dt([dobj], t), t_end - t)
-                integrator.advance([dobj], t, dt)
+                dt = min(services.ports.integrator.stable_dt([dobj], t),
+                         t_end - t)
+                services.ports.integrator.advance([dobj], t, dt)
                 t += dt
                 step += 1
                 if regrid_interval and h.max_levels > 1 \
                         and step % regrid_interval == 0:
-                    regrid.regrid()
+                    services.ports.regrid.regrid()
                 circ = hierarchy_interface_circulation(dobj, gamma,
                                                        comm=comm)
-                stats.record("circulation", (t - t_contact) / tau, circ)
+                services.ports.stats.record(
+                    "circulation", (t - t_contact) / tau, circ)
                 gamma_series.append(((t - t_contact) / tau, circ))
                 hook.after_step(step, t)
 

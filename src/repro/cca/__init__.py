@@ -30,7 +30,7 @@ from repro.cca.builder import BuilderService
 from repro.cca.script import run_script, parse_script, parse_script_tolerant
 from repro.cca.scmd import run_scmd
 from repro.cca.graph import assembly_graph, to_dot, wiring_summary
-from repro.cca.profiling import Profiler, instrument, leaked_ports
+from repro.cca.profiling import Profiler, instrument
 
 __all__ = [
     "assembly_graph",
@@ -38,7 +38,6 @@ __all__ = [
     "wiring_summary",
     "Profiler",
     "instrument",
-    "leaked_ports",
     "parse_script_tolerant",
     "Port",
     "Component",

@@ -122,19 +122,9 @@ class Framework:
         return component
 
     def destroy(self, instance_name: str) -> None:
-        """Remove a component, dropping every connection touching it.
-
-        Warns about uses ports the component checked out with
-        ``get_port`` and never ``release_port``-ed — the runtime
-        counterpart of the analyzer's RA103 lifecycle lint.
-        """
+        """Remove a component, dropping every connection touching it
+        (and so every binding of those ports on a user's ``ports``)."""
         comp = self.get_component(instance_name)
-        leaked = self._services[instance_name].port_balances()
-        if leaked:
-            detail = ", ".join(f"{p} (x{n})"
-                               for p, n in sorted(leaked.items()))
-            _log.warning("destroying %s with unreleased ports: %s",
-                         instance_name, detail)
         for (user, uport), (prov, _pport) in list(self._connections.items()):
             if user == instance_name or prov == instance_name:
                 self.disconnect(user, uport)
@@ -164,7 +154,9 @@ class Framework:
 
         Connecting is "just the movement of (pointers to) interfaces from
         the providing to the using component" — the provider's port object
-        is handed to the user's services.
+        is handed to the user's services, and the user's first read of
+        ``services.ports.<uses_port>`` binds it there.  Connecting or
+        disconnecting after ``go`` rebinds (the paper's GUI rewiring).
         """
         u_srv = self.services_of(user)
         p_srv = self.services_of(provider)

@@ -8,9 +8,9 @@ Four instruments want to see a call through a uses port: the tracer
 them apply to one connection and returns either the provider's own port
 object (nothing armed — the paper's "one virtual hop") or a single
 :class:`PortProxy` running all of them; a proxy never wraps a proxy.
-:class:`~repro.cca.services.Services` caches that answer per uses port
-until the wiring or an instrument's armed state changes
-(:mod:`repro.util.arming`).
+:class:`~repro.cca.services.Services` binds that answer on its
+``ports`` namespace until the wiring or an instrument's armed state
+changes (:mod:`repro.util.arming`).
 
 A proxied method call runs its hooks in this order, outermost first:
 
@@ -45,7 +45,7 @@ from repro.resilience import faults as _faults
 
 
 def intercept(target: Port, label: str, recorder: Any | None = None) -> Port:
-    """What ``get_port`` should hand out for ``target`` right now.
+    """What a uses port connected to ``target`` binds to right now.
 
     ``label`` is ``"provider:provides_port"``; ``recorder`` is the
     framework's registered profiler (duck-typed ``begin(key) -> token``

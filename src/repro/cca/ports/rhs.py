@@ -9,8 +9,7 @@ time-step sizing.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -77,14 +76,6 @@ class VectorRHSPort(Port):
 
     def n_state(self) -> int:
         raise NotImplementedError
-
-    @contextmanager
-    def session(self) -> Iterator[None]:
-        """Bracket the :meth:`rhs` calls of one unit of work (a solver's
-        ``integrate``): a provider that evaluates through other ports
-        fetches them on entry and releases them on exit, instead of once
-        per call.  The default has nothing to fetch."""
-        yield
 
 
 class JacobianPort(Port):

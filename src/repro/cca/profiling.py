@@ -25,8 +25,9 @@ Usage::
     framework.go("Driver")
     print(profiler.report())
 
-Instrumentation may happen before or after assembly — ports are proxied
-when a component checks them out, not when they are wired — and costs
+Instrumentation may happen before or after assembly, even between two
+``go`` calls — registering the profiler unbinds every component's
+``services.ports``, and the next read binds the proxy — and costs
 one extra call frame per port method, which is itself a nice
 demonstration that layered indirection stays cheap.
 """
@@ -120,22 +121,6 @@ class Profiler:
                 key=lambda kv: kv[1][1], reverse=True):
             lines.append(f"  {comp:<30} {calls:>8} calls {secs:>12.6f} s")
         return "\n".join(lines)
-
-
-def leaked_ports(framework: Framework) -> dict[str, dict[str, int]]:
-    """Per-instance nonzero get/release balances across the assembly.
-
-    The runtime counterpart of the static RA103 lint: every
-    ``get_port`` increments a checkout balance on the instance's
-    :class:`~repro.cca.services.Services`, every ``release_port``
-    decrements it, and whatever is left after a run was leaked.
-    """
-    out: dict[str, dict[str, int]] = {}
-    for name in framework.instance_names():
-        balances = framework.services_of(name).port_balances()
-        if balances:
-            out[name] = balances
-    return out
 
 
 def instrument(framework: Framework,

@@ -1,12 +1,14 @@
 """The Services handle: a component's window into the framework.
 
 Through it a component registers ProvidesPorts, declares UsesPorts,
-fetches connected peers' ports (``get_port``), reads its script-set
-parameters, and borrows the framework's scoped MPI communicator.
+calls its connected peers through :attr:`Services.ports`, reads its
+script-set parameters, and borrows the framework's scoped MPI
+communicator.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any
 
 from repro.cca.port import Port
@@ -19,6 +21,47 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cca.framework import Framework
 
 
+class Ports:
+    """A component's connected uses ports, one attribute each.
+
+    ``services.ports.chem`` is what a call through ``chem`` goes
+    through: the provider's exported object, or the one
+    :class:`~repro.cca.portproxy.PortProxy` that
+    :func:`~repro.cca.portproxy.intercept` builds while an instrument is
+    armed.  The first read after ``connect`` binds it into the instance
+    dict, so every later read is one attribute lookup.  ``disconnect``,
+    ``destroy`` and every :func:`repro.util.arming.bump` unbind it.
+    """
+
+    __slots__ = ("_services", "__dict__")
+
+    def __init__(self, services: "Services") -> None:
+        self._services = services
+
+    def __getattr__(self, name: str) -> Port:
+        # only reached for a name not bound yet
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return self._services._bind(name)
+
+
+# Every Services alive, so an arming change can unbind them all.  Keyed
+# by id with weak values; the listener copies the values in one C-level
+# call, so rank threads adding entries meanwhile cannot break it, and it
+# takes no lock (exec.mp's workers disarm right after fork).
+_live: dict[int, weakref.ref] = {}  # scmd: shared
+
+
+def _unbind_everywhere() -> None:
+    for ref in list(_live.values()):
+        services = ref()
+        if services is not None:
+            vars(services.ports).clear()
+
+
+_arming.subscribe(_unbind_everywhere)
+
+
 class Services:
     """Per-component-instance framework services."""
 
@@ -29,13 +72,10 @@ class Services:
         self.uses: dict[str, str] = {}
         # uses port -> (provider's port object, "provider:provides_port")
         self._connections: dict[str, tuple[Port, str]] = {}
-        # uses port -> what get_port hands out (the provider's port or one
-        # PortProxy), valid while _generation matches repro.util.arming
-        self._resolved: dict[str, Port] = {}
-        self._generation = _arming.generation
+        self.ports = Ports(self)
         self.parameters = Options()
-        # uses-port checkout balance: +1 per get_port, -1 per release_port
-        self._checked_out: dict[str, int] = {}
+        key = id(self)
+        _live[key] = weakref.ref(self, lambda _ref: _live.pop(key, None))
 
     # -- provides ------------------------------------------------------------
     def add_provides_port(self, port: Port, port_name: str,
@@ -61,56 +101,41 @@ class Services:
         self.uses[port_name] = port_type
 
     def get_port(self, port_name: str) -> Port:
-        """Fetch the provider's port connected to a uses port.
+        """``ports.<port_name>`` for code that holds a port name as a
+        string (bench harnesses, tests, tools outside any component)."""
+        return getattr(self.ports, port_name)
 
-        This is the indirection every inter-component call pays — the
-        Python analog of CCAFFEINE's virtual-function-call overhead.
-        With no instrument armed it is one dict hit plus the checkout
-        count, and returns the very object the provider exported.
-        """
-        if self._generation != _arming.generation:
-            self._resolved.clear()
-            self._generation = _arming.generation
-        try:
-            port = self._resolved[port_name]
-        except KeyError:
-            port = self._resolve(port_name)
-        self._checked_out[port_name] = \
-            self._checked_out.get(port_name, 0) + 1
-        return port
-
-    def _resolve(self, port_name: str) -> Port:
-        """The slow path of :meth:`get_port`: validate, run the
-        interception seam once, and cache its answer."""
+    def _bind(self, port_name: str) -> Port:
+        """Validate a uses port, run the interception seam and bind its
+        answer on :attr:`ports`."""
         if port_name not in self.uses:
             raise CCAError(
                 f"{self.instance_name}: {port_name!r} was never registered "
                 f"as a uses port")
         try:
-            port, label = self._connections[port_name]
+            target, label = self._connections[port_name]
         except KeyError:
             raise PortNotConnectedError(
                 f"{self.instance_name}: uses port {port_name!r} is not "
                 f"connected") from None
-        port = intercept(port, label, self._framework.port_recorder)
-        self._resolved[port_name] = port
-        return port
+        bound = vars(self.ports)
+        while True:
+            generation = _arming.generation
+            port = intercept(target, label, self._framework.port_recorder)
+            bound[port_name] = port
+            if generation == _arming.generation:
+                return port
+            # an instrument armed or disarmed meanwhile, and its unbinding
+            # may have run before this store: bind again under the new state
+            bound.pop(port_name, None)
 
     def release_port(self, port_name: str) -> None:
-        """Return a checked-out port (CCAFFEINE's reference counting).
-
-        Decrements the checkout balance incremented by :meth:`get_port`;
-        :meth:`port_balances` reports what was never returned, and
-        :meth:`Framework.destroy` warns on nonzero balances.  Releasing
-        more than was fetched clamps at zero (harmless double-release).
-        """
+        """CCAFFEINE's ``releasePort``.  A bound port needs no release,
+        so this only rejects a name that was never a uses port."""
         if port_name not in self.uses:
             raise CCAError(
                 f"{self.instance_name}: cannot release unknown port "
                 f"{port_name!r}")
-        balance = self._checked_out.get(port_name, 0)
-        if balance > 0:
-            self._checked_out[port_name] = balance - 1
 
     def is_connected(self, port_name: str) -> bool:
         return port_name in self._connections
@@ -125,10 +150,6 @@ class Services:
         (``name -> port_type``, port objects omitted)."""
         return {name: ptype for name, (_port, ptype)
                 in self.provides.items()}
-
-    def port_balances(self) -> dict[str, int]:
-        """Nonzero get/release balances — the leaked checkouts."""
-        return {name: n for name, n in self._checked_out.items() if n}
 
     # -- framework-provided amenities -----------------------------------------
     def get_parameter(self, key: str, default: Any = None) -> Any:
@@ -147,7 +168,8 @@ class Services:
     # -- internal wiring (called by the framework) -------------------------------
     def _attach(self, port_name: str, port: Port, label: str) -> None:
         self._connections[port_name] = (port, label)
+        vars(self.ports).pop(port_name, None)
 
     def _detach(self, port_name: str) -> None:
         self._connections.pop(port_name, None)
-        self._resolved.pop(port_name, None)
+        vars(self.ports).pop(port_name, None)

@@ -35,27 +35,20 @@ class _Solver(ODESolverPort):
         services = self.owner.services
         p = services.parameters
         y0 = np.asarray(y0, dtype=float)
-        rhs_port = services.get_port("rhs")
-        jac_port = None
+        jac = None
         if services.is_connected("jacobian"):
-            jac_port = services.get_port("jacobian")
-        try:
-            with rhs_port.session():
-                # a single state is a batch of one: the ports are batched
-                cv = CVode(
-                    rhs_port.rhs,
-                    t0,
-                    y0.reshape(len(y0), -1),
-                    rtol=p.get_float("rtol", 1e-8),
-                    atol=p.get_float("atol", 1e-12),
-                    method=p.get_str("method", "bdf"),
-                    jac=None if jac_port is None else jac_port.jacobian,
-                )
-                y = cv.integrate_to(t1).reshape(y0.shape)
-        finally:
-            services.release_port("rhs")
-            if jac_port is not None:
-                services.release_port("jacobian")
+            jac = services.ports.jacobian.jacobian
+        # a single state is a batch of one: the ports are batched
+        cv = CVode(
+            services.ports.rhs.rhs,
+            t0,
+            y0.reshape(len(y0), -1),
+            rtol=p.get_float("rtol", 1e-8),
+            atol=p.get_float("atol", 1e-12),
+            method=p.get_str("method", "bdf"),
+            jac=jac,
+        )
+        y = cv.integrate_to(t1).reshape(y0.shape)
         stats = cv.stats
         self._last_nfe = int(stats.nfe.sum())
         self.total_nfe += self._last_nfe

@@ -91,9 +91,8 @@ class DiffusionPhysics(Component):
 
     def evaluate(self, patch, ghosted: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-        chem = self.services.get_port("chem")
-        transport = self.services.get_port("transport")
-        mech = chem.mechanism()
+        services = self.services
+        mech = services.ports.chem.mechanism()
         nsp, nvar = mech.n_species, mech.n_species + 1
         if ghosted.shape[0] != nvar:
             raise CCAError(
@@ -119,10 +118,10 @@ class DiffusionPhysics(Component):
         T, rho, Y, B = cells[0], cells[1], cells[2:nvar + 1], cells[nvar + 1:]
         np.maximum(core[0], 50.0, out=T)
         np.clip(core[1:], 0.0, None, out=Y)
-        P = chem.pressure()
+        P = services.ports.chem.pressure()
         mech.density(T, P, Y, out=rho, work=B[1:])
-        transport.conductivity(T, out=B[0])
-        transport.diffusion_coefficients(T, P, out=B[1:])
+        services.ports.transport.conductivity(T, out=B[0])
+        services.ports.transport.diffusion_coefficients(T, P, out=B[1:])
         B[1:] *= rho
         _div_flux(core, B, dx, dy, out=out, work=faces)
         interior = (slice(1, -1), slice(1, -1))
@@ -137,6 +136,6 @@ class DiffusionPhysics(Component):
         return out
 
     def _spacing(self, patch) -> tuple[float, float]:
-        hierarchy = self.services.get_port("mesh").hierarchy()
+        hierarchy = self.services.ports.mesh.hierarchy()
         dx, dy = hierarchy.dx(patch.level)
         return float(dx), float(dy)

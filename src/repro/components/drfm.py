@@ -42,6 +42,6 @@ class DRFMComponent(Component):
     @property
     def transport(self) -> MixtureTransport:
         if self._transport is None:
-            mech = self.services.get_port("chem").mechanism()
+            mech = self.services.ports.chem.mechanism()
             self._transport = MixtureTransport(mech)
         return self._transport

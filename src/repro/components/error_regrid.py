@@ -50,12 +50,11 @@ class ErrorEstAndRegrid(Component):
         self.port.nregrids = int(state["nregrids"])
 
     def run_regrid(self) -> None:
-        mesh = self.services.get_port("mesh")
-        data = self.services.get_port("data")
-        p = self.services.parameters
+        services = self.services
+        p = services.parameters
         name = p.get_str("dataobject", "flow")
-        dobj = data.data(name)
-        comm = self.services.get_comm()
+        dobj = services.ports.data.data(name)
+        comm = services.get_comm()
         variables = None
         if "variables" in p:
             variables = [int(v) for v in
@@ -63,14 +62,15 @@ class ErrorEstAndRegrid(Component):
         threshold = p.get_float("threshold", 0.1)
 
         def flag_fn(level: int) -> dict[int, np.ndarray]:
-            data.exchange_ghosts(name, level)
+            services.ports.data.exchange_ghosts(name, level)
             return flag_gradient(dobj, level, threshold,
                                  variables=variables, relative=True,
                                  comm=comm)
 
-        all_dobjs = [data.data(nm) for nm in data.names()]
+        all_dobjs = [services.ports.data.data(nm)
+                     for nm in services.ports.data.names()]
         samr_regrid(
-            mesh.hierarchy(),
+            services.ports.mesh.hierarchy(),
             all_dobjs,
             flag_fn,
             comm=comm,
@@ -80,7 +80,7 @@ class ErrorEstAndRegrid(Component):
             min_size=p.get_int("min_size", 4),
         )
         # fresh levels need consistent halos before the next RHS call
-        h = mesh.hierarchy()
-        for nm in data.names():
+        h = services.ports.mesh.hierarchy()
+        for nm in services.ports.data.names():
             for lev in range(h.nlevels):
-                data.exchange_ghosts(nm, lev)
+                services.ports.data.exchange_ghosts(nm, lev)

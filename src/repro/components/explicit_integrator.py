@@ -114,7 +114,7 @@ class ExplicitIntegrator(Component):
 
     def global_bound(self, t: float) -> float:
         """Spectral bound (the provider already reduces over the cohort)."""
-        return float(self.services.get_port("bound").spectral_bound(t))
+        return float(self.services.ports.bound.spectral_bound(t))
 
     def advance(self, dobj: DataObject, t: float, dt: float,
                 port: _RKCIntegrator) -> float:
@@ -124,8 +124,7 @@ class ExplicitIntegrator(Component):
         s = stages_for(dt, rho)
         port.last_stages = s
         port.nsteps += 1
-        rhs_port = self.services.get_port("rhs")
-        data_port = self.services.get_port("data")
+        services = self.services
         h = dobj.hierarchy
 
         patches = list(dobj.owned_patches())
@@ -147,20 +146,21 @@ class ExplicitIntegrator(Component):
                 f = f_stage
                 unpack_interiors(dobj, y)
             for lev in range(h.nlevels):
-                data_port.exchange_ghosts(dobj.name, lev)
+                services.ports.data.exchange_ghosts(dobj.name, lev)
             for patch, f_part in zip(patches, _segments(interiors, f)):
-                rhs_port.evaluate(tt, patch, dobj.array(patch), out=f_part)
+                services.ports.rhs.evaluate(tt, patch, dobj.array(patch),
+                                            out=f_part)
             return f
 
         y1 = rkc_step(rhs_vec, t, y0, dt, rho, stages=s, work=stage_work)
         unpack_interiors(dobj, y1)
-        comm = self.services.get_comm()
+        comm = services.get_comm()
         if comm is not None:  # the step's compute, counted
             comm.charge("cell_stage", (port.nfe - nfe0) * (n // dobj.nvar))
         for lev in range(h.nlevels - 1, 0, -1):
             restrict_level(dobj, lev, comm=comm)
-            data_port.exchange_ghosts(dobj.name, lev)
-        data_port.exchange_ghosts(dobj.name, 0)
+            services.ports.data.exchange_ghosts(dobj.name, lev)
+        services.ports.data.exchange_ghosts(dobj.name, 0)
         if _obs.on:
             _obs.complete("rkc.advance", "integrator", t0,
                           dt=dt, stages=s, rho=rho, nfe=port.nfe - nfe0)

@@ -27,7 +27,7 @@ from repro.cca.component import Component
 from repro.cca.ports.bc import BoundaryConditionPort
 from repro.cca.ports.dataobject import DataObjectPort
 from repro.cca.ports.mesh import MeshPort
-from repro.errors import CCAError, PortNotConnectedError
+from repro.errors import CCAError
 from repro.samr.dataobject import DataObject
 from repro.samr.ghost import exchange_ghosts, restrict_level, zero_gradient_bc
 from repro.samr.hierarchy import Hierarchy
@@ -113,12 +113,6 @@ class GrACEComponent(Component):
         if self._hierarchy is not None:
             raise CCAError("mesh already built")
         p = self.services.parameters
-        try:
-            balancer_port = self.services.get_port("balancer")
-            balancer = balancer_port.assign
-        except PortNotConnectedError:
-            balancer = {"greedy": balance_greedy, "sfc": balance_sfc}[
-                p.get_str("balancer", "greedy")]
         self._hierarchy = Hierarchy(
             base_shape=(p.get_int("nx", 32), p.get_int("ny", 32)),
             origin=(p.get_float("x_origin", 0.0), p.get_float("y_origin", 0.0)),
@@ -127,7 +121,7 @@ class GrACEComponent(Component):
             max_levels=p.get_int("max_levels", 1),
             nghost=p.get_int("nghost", 2),
             nranks=1 if self.comm is None else self.comm.size,
-            balancer=balancer,
+            balancer=self._assign,
         )
         self._hierarchy.build_base_level()
         return self._hierarchy
@@ -137,18 +131,24 @@ class GrACEComponent(Component):
         """Install a restored hierarchy + DataObjects (checkpoint restart).
 
         The rebuilt hierarchy carries the default balancer (callables are
-        not serialized), so it is re-resolved exactly as in :meth:`build`
-        — a post-restore regrid must assign the same owners an
+        not serialized), so it gets :meth:`_assign` as in :meth:`build` —
+        a post-restore regrid must assign the same owners an
         uninterrupted run would.
         """
-        try:
-            hierarchy.balancer = self.services.get_port("balancer").assign
-        except PortNotConnectedError:
-            hierarchy.balancer = {
-                "greedy": balance_greedy, "sfc": balance_sfc,
-            }[self.services.parameters.get_str("balancer", "greedy")]
+        hierarchy.balancer = self._assign
         self._hierarchy = hierarchy
         self._data = dict(dataobjs)
+
+    def _assign(self, boxes, nranks: int) -> list[int]:
+        """The hierarchy's balancer, resolved at every (re)grid: the
+        connected ``balancer`` port, else the built-in the ``balancer``
+        parameter names."""
+        services = self.services
+        if services.is_connected("balancer"):
+            return services.ports.balancer.assign(boxes, nranks)
+        builtin = {"greedy": balance_greedy, "sfc": balance_sfc}[
+            services.parameters.get_str("balancer", "greedy")]
+        return builtin(boxes, nranks)
 
     def require_hierarchy(self) -> Hierarchy:
         if self._hierarchy is None:
@@ -180,9 +180,9 @@ class GrACEComponent(Component):
 
     def exchange(self, name: str, level: int) -> None:
         """Ghost fill using the connected physics BC, else zero-gradient."""
-        try:
-            bc_port = self.services.get_port("bc")
-            bc = bc_port.apply
-        except PortNotConnectedError:
+        services = self.services
+        if services.is_connected("bc"):
+            bc = services.ports.bc.apply
+        else:
             bc = zero_gradient_bc
         exchange_ghosts(self.data(name), level, comm=self.comm, bc=bc)

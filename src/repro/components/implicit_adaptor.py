@@ -76,9 +76,8 @@ class ImplicitIntegrator(Component):
 
     def advance(self, dobj: DataObject, t: float, dt: float,
                 port: _ChemIntegrator) -> float:
-        solver = self.services.get_port("solver")
-        t_threshold = float(
-            self.services.get_parameter("skip_below_T", 0.0))
+        services = self.services
+        t_threshold = float(services.get_parameter("skip_below_T", 0.0))
         # gather the hot cells of every owned patch into the columns of
         # a batched solve; cold cells (chemistry frozen) stay untouched
         patches = []
@@ -94,15 +93,16 @@ class ImplicitIntegrator(Component):
         rhs_evals = 0
         for lo in range(0, y.shape[1], BLOCK_COLUMNS):
             block = slice(lo, lo + BLOCK_COLUMNS)
-            y[:, block] = solver.integrate(t, y[:, block], t + dt)
-            rhs_evals += solver.last_nfe()
+            y[:, block] = services.ports.solver.integrate(
+                t, y[:, block], t + dt)
+            rhs_evals += services.ports.solver.last_nfe()
         port.cells_integrated += y.shape[1]
         start = 0
         for interior, hot in patches:
             stop = start + int(hot.sum())
             interior[:, hot] = y[:, start:stop]
             start = stop
-        comm = self.services.get_comm()
+        comm = services.get_comm()
         if comm is not None:  # the half-step's compute, counted
             comm.charge("chem_rhs", rhs_evals)
         return t + dt

@@ -29,7 +29,7 @@ class _VectorIC(VectorICPort):
 
     def initial_state(self) -> np.ndarray:
         owner = self.owner
-        mech = owner.services.get_port("chem").mechanism()
+        mech = owner.services.ports.chem.mechanism()
         T0 = float(owner.services.get_parameter("T0", 1000.0))
         P0 = float(owner.services.get_parameter("P0", 101325.0))
         phi = float(owner.services.get_parameter("phi", 1.0))
@@ -62,7 +62,7 @@ class _HotspotIC(InitialConditionPort):
     def initialize(self, dobj: DataObject) -> None:
         owner = self.owner
         p = owner.services.parameters
-        mech = owner.services.get_port("chem").mechanism()
+        mech = owner.services.ports.chem.mechanism()
         if dobj.nvar != mech.n_species + 1:
             raise CCAError(
                 f"flame DataObject needs T + {mech.n_species} species, "
@@ -126,7 +126,7 @@ class _ConicalIC(InitialConditionPort):
     def initialize(self, dobj: DataObject) -> None:
         owner = self.owner
         p = owner.services.parameters
-        gamma = float(owner.services.get_port("gas").get("gamma", 1.4))
+        gamma = float(owner.services.ports.gas.get("gamma", 1.4))
         mach = p.get_float("mach", 1.5)
         ratio = p.get_float("density_ratio", 3.0)
         angle = np.deg2rad(p.get_float("angle_deg", 30.0))

@@ -62,25 +62,15 @@ class _InviscidRHS(PatchRHSPort):
     def evaluate_patches(self, t: float, patches, arrays) -> list[np.ndarray]:
         self.nfe += len(patches)
         services = self.owner.services
-        gas = services.get_port("gas")
-        flux_port = services.get_port("flux")
-        states_port = services.get_port("states")
-        mesh = services.get_port("mesh")
-        try:
-            hierarchy = mesh.hierarchy()
-            return euler_rhs_patches(
-                arrays, [hierarchy.dx(patch.level) for patch in patches],
-                float(gas.get("gamma", 1.4)),
-                flux_fn=flux_port.flux,
-                nghost=hierarchy.nghost,
-                reconstruct_fn=states_port.interface_states,
-                scratch=self.owner.scratch,
-            )
-        finally:
-            services.release_port("mesh")
-            services.release_port("states")
-            services.release_port("flux")
-            services.release_port("gas")
+        hierarchy = services.ports.mesh.hierarchy()
+        return euler_rhs_patches(
+            arrays, [hierarchy.dx(patch.level) for patch in patches],
+            float(services.ports.gas.get("gamma", 1.4)),
+            flux_fn=services.ports.flux.flux,
+            nghost=hierarchy.nghost,
+            reconstruct_fn=services.ports.states.interface_states,
+            scratch=self.owner.scratch,
+        )
 
 
 class InviscidFlux(Component):

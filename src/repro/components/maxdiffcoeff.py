@@ -45,14 +45,11 @@ class MaxDiffCoeffEvaluator(Component):
         services.add_provides_port(_Bound(self), "bound")
 
     def evaluate(self) -> float:
-        mesh = self.services.get_port("mesh")
-        data = self.services.get_port("data")
-        transport = self.services.get_port("transport")
-        chem = self.services.get_port("chem")
-        name = self.services.get_parameter("dataobject", "flow")
-        dobj = data.data(name)
-        h = dobj.hierarchy
-        P = chem.pressure()
+        services = self.services
+        name = services.get_parameter("dataobject", "flow")
+        dobj = services.ports.data.data(name)
+        h = services.ports.mesh.hierarchy()
+        P = services.ports.chem.pressure()
         d_local = 0.0
         for patch in dobj.owned_patches():
             arr = dobj.interior(patch)
@@ -60,9 +57,10 @@ class MaxDiffCoeffEvaluator(Component):
             Y, work = self._arena.carve((nsp,) + cells,
                                         (2 * nsp + 2,) + cells)
             np.clip(arr[1:], 0.0, None, out=Y)
-            d_local = max(d_local, transport.max_diffusion_coefficient(
-                arr[0], P, Y, work=work))
-        comm = self.services.get_comm()
+            d_local = max(d_local,
+                          services.ports.transport.max_diffusion_coefficient(
+                              arr[0], P, Y, work=work))
+        comm = services.get_comm()
         if comm is not None and comm.size > 1:
             from repro.mpi.comm import Op
 

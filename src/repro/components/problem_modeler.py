@@ -16,9 +16,6 @@ enthalpy).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 import numpy as np
 
 from repro.cca.component import Component
@@ -47,11 +44,8 @@ class DPDt(Component):
         services.add_provides_port(_DPDtImpl(self), "dpdt")
 
     def mechanism(self) -> Mechanism:
-        """The connected ``chem`` port's mechanism (fetch, use, release)."""
-        try:
-            return self.services.get_port("chem").mechanism()
-        finally:
-            self.services.release_port("chem")
+        """The connected ``chem`` port's mechanism."""
+        return self.services.ports.chem.mechanism()
 
 
 class _ModelRHS(VectorRHSPort):
@@ -60,15 +54,12 @@ class _ModelRHS(VectorRHSPort):
 
     Carries one extra, narrower-interface method (``configure``) that
     fixes the vessel density from the initial fill — drivers call it once
-    before handing the port to the stiff solver.  :meth:`rhs` is called
-    inside a :meth:`session` (one solver ``integrate``), which fetches the
-    mechanism and the ``dpdt`` port once and releases them at the end.
+    before handing the port to the stiff solver.
     """
 
     def __init__(self, owner: "ProblemModeler") -> None:
         self.owner = owner
         self.nfe = 0
-        self._held: tuple | None = None   # (mechanism, dpdt port)
 
     def configure(self, T0: float, P0: float, Y0: np.ndarray) -> float:
         return self.owner.set_initial_density(T0, P0, Y0)
@@ -76,29 +67,14 @@ class _ModelRHS(VectorRHSPort):
     def n_state(self) -> int:
         return self.owner.mechanism().n_species + 2
 
-    @contextmanager
-    def session(self) -> Iterator[None]:
-        services = self.owner.services
-        mech = self.owner.mechanism()
-        dpdt = services.get_port("dpdt")
-        try:
-            self._held = (mech, dpdt)
-            yield
-        finally:
-            self._held = None
-            services.release_port("dpdt")
-
     def rhs(self, t, y: np.ndarray) -> np.ndarray:
-        rho = self.owner.rho
+        owner = self.owner
+        rho = owner.rho
         if rho is None:
             raise CCAError("ProblemModeler: call set_initial_density first")
-        if self._held is None:
-            raise CCAError("ProblemModeler: rhs is evaluated inside a "
-                           "session() of the model port")
         self.nfe += 1
-        mech, dpdt = self._held
-        T, Y, dT, dY = constant_volume_source(mech, rho, y)
-        dP = dpdt.dpdt(rho, T, Y, dT, dY)
+        T, Y, dT, dY = constant_volume_source(owner.mechanism(), rho, y)
+        dP = owner.services.ports.dpdt.dpdt(rho, T, Y, dT, dY)
         return np.concatenate((dT[None], dY, dP[None]))
 
 
@@ -122,8 +98,5 @@ class ProblemModeler(Component):
         return self.rho
 
     def mechanism(self) -> Mechanism:
-        """The connected ``chem`` port's mechanism (fetch, use, release)."""
-        try:
-            return self.services.get_port("chem").mechanism()
-        finally:
-            self.services.release_port("chem")
+        """The connected ``chem`` port's mechanism."""
+        return self.services.ports.chem.mechanism()

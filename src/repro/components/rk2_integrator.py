@@ -32,14 +32,8 @@ class _Characteristics(CharacteristicsPort):
 
     def max_wavespeed(self, dobj_name: str) -> float:
         services = self.owner.services
-        data = services.get_port("data")
-        gas = services.get_port("gas")
-        try:
-            gamma = float(gas.get("gamma", 1.4))
-            dobj = data.data(dobj_name)
-        finally:
-            services.release_port("gas")
-            services.release_port("data")
+        gamma = float(services.ports.gas.get("gamma", 1.4))
+        dobj = services.ports.data.data(dobj_name)
         smax = 0.0
         for patch in dobj.owned_patches():
             smax = max(smax, max_wavespeed(dobj.interior(patch), gamma))
@@ -77,11 +71,7 @@ class _RK2Port(IntegratorPort):
         owner = self.owner
         dobj = dataobjs[0]
         cfl = float(owner.services.get_parameter("cfl", 0.4))
-        speeds = owner.services.get_port("speeds")
-        try:
-            smax = speeds.max_wavespeed(dobj.name)
-        finally:
-            owner.services.release_port("speeds")
+        smax = owner.services.ports.speeds.max_wavespeed(dobj.name)
         if smax <= 0.0:
             raise CCAError("zero wavespeed field")
         h = dobj.hierarchy
@@ -114,16 +104,7 @@ class ExplicitIntegratorRK2(Component):
 
     def advance(self, dobj: DataObject, t: float, dt: float,
                 port: _RK2Port) -> float:
-        rhs_port = self.services.get_port("rhs")
-        data_port = self.services.get_port("data")
-        try:
-            return self._advance(dobj, t, dt, port, rhs_port, data_port)
-        finally:
-            self.services.release_port("data")
-            self.services.release_port("rhs")
-
-    def _advance(self, dobj: DataObject, t: float, dt: float,
-                 port: _RK2Port, rhs_port, data_port) -> float:
+        services = self.services
         h = dobj.hierarchy
         port.nsteps += 1
 
@@ -131,9 +112,9 @@ class ExplicitIntegratorRK2(Component):
             port.nfe += 1
             unpack_interiors(dobj, y)
             for lev in range(h.nlevels):
-                data_port.exchange_ghosts(dobj.name, lev)
+                services.ports.data.exchange_ghosts(dobj.name, lev)
             patches = list(dobj.owned_patches())
-            parts = rhs_port.evaluate_patches(
+            parts = services.ports.rhs.evaluate_patches(
                 tt, patches, [dobj.array(patch) for patch in patches])
             if not parts:
                 return np.zeros(0)
@@ -143,13 +124,13 @@ class ExplicitIntegratorRK2(Component):
         nfe0 = port.nfe
         y1 = rk2_step(rhs_vec, t, y0, dt)
         unpack_interiors(dobj, y1)
-        comm = self.services.get_comm()
+        comm = services.get_comm()
         if comm is not None:  # the step's compute, counted
             faces = sum((nx + 1) * ny + nx * (ny + 1) for nx, ny in (
                 patch.box.shape for patch in dobj.owned_patches()))
             comm.charge("flux_face", (port.nfe - nfe0) * faces)
         for lev in range(h.nlevels - 1, 0, -1):
             restrict_level(dobj, lev, comm=comm)
-            data_port.exchange_ghosts(dobj.name, lev)
-        data_port.exchange_ghosts(dobj.name, 0)
+            services.ports.data.exchange_ghosts(dobj.name, lev)
+        services.ports.data.exchange_ghosts(dobj.name, 0)
         return t + dt

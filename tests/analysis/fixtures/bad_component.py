@@ -28,8 +28,8 @@ class SloppyComponent(Component):
         services.add_provides_port(_Work(self), "work")
 
     def run(self):
-        mesh = self.services.get_port("mesh")               # RA103
-        data = self.services.get_port("data")               # RA101
+        mesh = self.services.ports.mesh
+        data = self.services.ports.data                     # RA101
         name = "dyn"
         dyn = self.services.get_port(name)                  # RA106
         return mesh, data, dyn
@@ -47,8 +47,4 @@ class TidyComponent(Component):
         services.register_uses_port("grid", "MeshPort")
 
     def run(self):
-        grid = self.services.get_port("grid")
-        try:
-            return grid.cells()
-        finally:
-            self.services.release_port("grid")
+        return self.services.ports.grid.cells()

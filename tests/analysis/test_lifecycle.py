@@ -30,11 +30,7 @@ def test_clean_component_is_clean():
                 services.register_uses_port("mesh", "MeshPort")
 
             def run(self):
-                mesh = self.services.get_port("mesh")
-                try:
-                    return mesh.cells()
-                finally:
-                    self.services.release_port("mesh")
+                return self.services.ports.mesh.cells()
         """)
     assert findings == []
 
@@ -67,18 +63,34 @@ def test_registration_outside_set_services_ra102():
     assert "RA102" in codes(findings)
 
 
-def test_leaked_checkout_ra103_and_release_silences_it():
-    leaky = lint("""\
-        class Leaky:
+def test_bound_port_read_is_a_fetch():
+    """``<x>.ports.<name>`` counts as a fetch exactly as ``get_port`` does:
+    checked against the registrations, and marking the name used."""
+    findings = lint("""\
+        class Reader:
+            def set_services(self, services):
+                self.services = services
+                services.register_uses_port("mesh", "MeshPort")
+                services.register_uses_port("solver", "ODESolverPort")
+                services.register_uses_port("spare", "SparePort")
+
+            def run(self):
+                self.services.ports.mesh.cells()
+                self.services.ports.solvers.integrate()
+                return self.services.ports.stats
+        """)
+    assert sorted((f.code, f.line) for f in findings) == [
+        ("RA101", 11), ("RA104", 10), ("RA105", 5), ("RA105", 6)]
+    # a release is no longer owed: fetching without one is clean
+    assert lint("""\
+        class Holder:
             def set_services(self, services):
                 self.services = services
                 services.register_uses_port("mesh", "MeshPort")
 
             def run(self):
                 return self.services.get_port("mesh")
-        """)
-    assert [f.code for f in leaky if f.severity is Severity.INFO] \
-        == ["RA103"]
+        """) == []
 
 
 def test_name_drift_near_miss_ra104():
@@ -127,17 +139,24 @@ def test_try_except_guard_suppresses_nothing_but_marks_guarded():
             def set_services(self, services):
                 self.services = services
                 services.register_uses_port("bc", "BCPort")
+                services.register_uses_port("jac", "JacobianPort")
 
             def run(self):
                 try:
                     bc = self.services.get_port("bc")
                 except PortNotConnectedError:
                     bc = None
-                return bc
+                try:
+                    bc = self.services.ports.bc
+                except PortNotConnectedError:
+                    bc = None
+                if self.services.is_connected("jac"):
+                    return self.services.ports.jac, bc
+                return self.services.ports.jac.jacobian, bc
         """))
     (cls,) = [c for c in scan.classes if c.name == "Guarded"]
-    (fetch,) = cls.fetches
-    assert fetch.guarded
+    assert [(f.name, f.guarded) for f in cls.fetches] == [
+        ("bc", True), ("bc", True), ("jac", True), ("jac", False)]
 
 
 def test_helper_class_resolves_against_file_union():
@@ -172,7 +191,7 @@ def test_not_python_reports_ra001():
 
 def test_bad_component_fixture_covers_the_codes():
     findings = analyze_file(str(FIXTURES / "bad_component.py"))
-    assert {"RA101", "RA102", "RA103", "RA104", "RA105", "RA106"} \
+    assert {"RA101", "RA102", "RA104", "RA105", "RA106"} \
         <= codes(findings)
     # the tidy class contributes nothing above info
     tidy = [f for f in findings if f.context == "TidyComponent"]

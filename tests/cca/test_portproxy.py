@@ -1,5 +1,12 @@
-"""The port-interception seam: what ``get_port`` hands out, when that is
-rebuilt, and the order one :class:`PortProxy` runs its hooks in."""
+"""The port-interception seam: what a uses port is bound to, when that
+binding is dropped, and the order one :class:`PortProxy` runs its hooks
+in.
+
+A bound port is reached two ways: ``services.ports.<name>`` (component
+code) and ``services.get_port(name)`` (code outside any component).
+Every test below reads it through :func:`bound`, which takes both and
+checks that they are the one object sitting in ``vars(services.ports)``.
+"""
 
 import pytest
 
@@ -44,6 +51,19 @@ def _exported(fw, instance, port_name):
     return fw.services_of(instance).provides[port_name][0]
 
 
+def bound(srv, name="words", first="ports"):
+    """``srv``'s binding of ``name``, read by both spellings — ``first``
+    is the one whose read may bind it."""
+    if first == "ports":
+        port = getattr(srv.ports, name)
+        assert srv.get_port(name) is port
+    else:
+        port = srv.get_port(name)
+        assert getattr(srv.ports, name) is port
+    assert vars(srv.ports)[name] is port
+    return port
+
+
 _FAULT_PLAN = faults.FaultPlan(inject_method="g:greeting.greet")
 
 ARM_DISARM = {
@@ -59,36 +79,39 @@ def test_disarmed_get_port_is_the_exported_object(instrument_name):
     fw = assembled()
     srv = fw.services_of("r")
     raw = _exported(fw, "g", "greeting")
-    assert srv.get_port("words") is raw
+    assert vars(srv.ports) == {}  # bound on first read, not on connect
+    assert bound(srv) is raw
     arm, disarm = ARM_DISARM[instrument_name]
     arm()
     try:
-        assert isinstance(srv.get_port("words"), PortProxy)
+        assert vars(srv.ports) == {}  # arming unbinds
+        assert isinstance(bound(srv, first="get_port"), PortProxy)
     finally:
         disarm()
-    assert srv.get_port("words") is raw
+    assert vars(srv.ports) == {}
+    assert bound(srv) is raw
 
 
 def test_profiler_registration_is_an_arming_too():
     fw = assembled()
     srv = fw.services_of("r")
     raw = _exported(fw, "g", "greeting")
-    assert srv.get_port("words") is raw
+    assert bound(srv, first="get_port") is raw
     instrument(fw)
-    assert isinstance(srv.get_port("words"), PortProxy)
+    assert isinstance(bound(srv), PortProxy)
     fw.record_port_calls(None)
-    assert srv.get_port("words") is raw
+    assert bound(srv, first="get_port") is raw
 
 
 def test_resolution_is_cached_until_something_changes():
     fw = assembled()
     srv = fw.services_of("r")
     trace.start()
-    proxy = srv.get_port("words")
-    assert srv.get_port("words") is proxy
+    proxy = bound(srv)
+    assert bound(srv, first="get_port") is proxy
     trace.stop()
     trace.start()
-    assert srv.get_port("words") is not proxy
+    assert bound(srv, first="get_port") is not proxy
 
 
 # ------------------------------------------------- (b) one proxy, one chain
@@ -135,7 +158,7 @@ def test_all_armed_is_one_proxy_running_hooks_in_order(monkeypatch):
     sanitizer.configure()
     trace.start()
 
-    port = fw.services_of("r").get_port("words")
+    port = bound(fw.services_of("r"))
     assert isinstance(port, PortProxy)
     # no proxy wrapping a proxy
     assert object.__getattribute__(port, "_target") is raw
@@ -165,7 +188,7 @@ def test_all_armed_is_one_proxy_running_hooks_in_order(monkeypatch):
 def test_wrapped_method_is_built_once():
     fw = assembled()
     trace.start()
-    port = fw.services_of("r").get_port("words")
+    port = bound(fw.services_of("r"))
     assert port.greet is port.greet
     assert port.greet() == "hello"
     # rebinding the method on the provider drops the stale wrapper
@@ -176,7 +199,7 @@ def test_wrapped_method_is_built_once():
 def test_noncallable_attributes_pass_through():
     fw = assembled()
     trace.start()
-    port = fw.services_of("r").get_port("words")
+    port = bound(fw.services_of("r"))
     raw = _exported(fw, "g", "greeting")
     assert port.word == "hello"
     port.word = "hi"
@@ -190,10 +213,13 @@ def test_reconnect_relabels_spans_by_the_new_provider():
     fw.instantiate("Greeter", "g2")
     srv = fw.services_of("r")
     trace.start()
-    srv.get_port("words").greet()
+    srv.ports.words.greet()
     fw.disconnect("r", "words")
+    assert "words" not in vars(srv.ports)
+    with pytest.raises(PortNotConnectedError):
+        srv.ports.words
     fw.connect("r", "words", "g2", "greeting")
-    port = srv.get_port("words")
+    port = bound(srv, first="get_port")
     assert object.__getattribute__(port, "_target") is \
         _exported(fw, "g2", "greeting")
     port.greet()
@@ -205,10 +231,13 @@ def test_destroy_drops_the_cached_resolution():
     fw = assembled()
     srv = fw.services_of("r")
     trace.start()
-    srv.get_port("words")
-    srv.release_port("words")
+    bound(srv)
+    srv.release_port("words")  # a no-op that keeps the binding
+    assert "words" in vars(srv.ports)
     fw.destroy("g")
-    assert "words" not in srv._resolved
+    assert "words" not in vars(srv.ports)
+    with pytest.raises(PortNotConnectedError):
+        srv.ports.words
     with pytest.raises(PortNotConnectedError):
         srv.get_port("words")
 

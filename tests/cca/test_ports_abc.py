@@ -42,7 +42,7 @@ ALL_PORTS = [
 
 
 #: the declared methods that are not abstract (tested on their own below)
-DEFAULTS = {(PatchRHSPort, "evaluate_patches"), (VectorRHSPort, "session")}
+DEFAULTS = {(PatchRHSPort, "evaluate_patches")}
 
 
 @pytest.mark.parametrize("port_cls", ALL_PORTS,
@@ -86,13 +86,6 @@ def test_patch_rhs_batch_default_loops_evaluate():
     assert PatchByPatch().evaluate_patches(0.5, ["p", "q"], ["a", "b"]) == \
         [(0.5, "p", "a"), (0.5, "q", "b")]
     assert PatchByPatch().evaluate_patches(0.5, [], []) == []
-
-
-def test_session_default_brackets_nothing():
-    """A provider with nothing to fetch per unit of work needs no
-    ``session``: the default is an empty bracket."""
-    with VectorRHSPort().session() as held:
-        assert held is None
 
 
 def test_subclass_of_standard_port_keeps_type():

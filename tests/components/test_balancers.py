@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.cca import BuilderService, Framework
+from repro.cca import BuilderService, Framework, instrument
 from repro.components import GrACEComponent, GreedyBalancer, SFCBalancer
 from repro.samr import Box
+from repro.samr.loadbalance import balance_sfc
 
 
 def grace_with(balancer_cls):
@@ -46,6 +47,27 @@ def test_grace_falls_back_to_parameter_without_connection():
     mesh = fw.services_of("mesh").provides["mesh"][0]
     mesh.build_base_level()  # must not raise despite unconnected port
     assert mesh.hierarchy().levels[0].patches
+
+
+def test_balancer_connected_after_build_is_used_at_the_next_regrid():
+    """GrACE asks for its balancer at every (re)grid, not once at build:
+    one connected afterwards assigns the next level's owners, and a
+    profiler registered afterwards counts those calls."""
+    fw = grace_with(None)
+    fw.set_parameter("mesh", "max_levels", 2)
+    mesh = fw.services_of("mesh").provides["mesh"][0]
+    mesh.build_base_level()  # the parameter's built-in greedy
+    BuilderService(fw).create(SFCBalancer, "lb")
+    fw.connect("mesh", "balancer", "lb", "balancer")
+    profiler = instrument(fw)
+    h = mesh.hierarchy()
+    level = h.set_level_boxes(1, [Box((4, 4), (11, 11)),
+                                  Box((16, 16), (27, 23))])
+    lb_port = fw.services_of("lb").provides["balancer"][0]
+    assert lb_port.ncalls == 1
+    assert profiler.stats["lb:balancer.assign"].calls == 1
+    boxes = [p.box for p in level.patches]
+    assert [p.owner for p in level.patches] == balance_sfc(boxes, h.nranks)
 
 
 def test_balancers_swap_like_flux_components():

@@ -106,10 +106,10 @@ def test_problem_modeler_requires_density():
         model.rhs(0.0, np.ones(11))
 
 
-def test_problem_modeler_rhs_runs_in_a_session():
-    """The model fetches its ports once per solve: an RHS evaluation
-    outside a session is refused, and leaving the session (the solver's
-    ``integrate``) returns every port it fetched."""
+def test_problem_modeler_rhs_is_callable_directly():
+    """The model reads its ``chem`` and ``dpdt`` ports where it calls
+    them, so ``rhs`` needs no bracket: called directly it gives what
+    the solver's first evaluation of the same state gives."""
     f = build_0d_core()
     model = f.services_of("pm").provides["model"][0]
     mech = f.services_of("tc").provides["chemistry"][0].mechanism()
@@ -117,14 +117,16 @@ def test_problem_modeler_rhs_runs_in_a_session():
     Y[mech.species_index("N2")] = 1.0
     model.configure(1000.0, 101325.0, Y)
     y = np.concatenate(([1000.0], Y, [101325.0]))
-    with pytest.raises(CCAError, match="session"):
-        model.rhs(0.0, y)
-    with model.session():
-        assert np.isfinite(model.rhs(0.0, y)).all()
-    solver = f.services_of("cv").provides["solver"][0]
-    solver.integrate(0.0, y, 1e-7)
-    for name in ("pm", "dpdt", "cv"):
-        assert f.services_of(name).port_balances() == {}, name
+    direct = model.rhs(0.0, y)
+    assert np.isfinite(direct).all()
+    seen = []
+    rhs = model.rhs
+    model.rhs = lambda t, yy: seen.append(rhs(t, yy)) or seen[-1]
+    try:
+        f.services_of("cv").provides["solver"][0].integrate(0.0, y, 1e-7)
+    finally:
+        del model.rhs
+    np.testing.assert_array_equal(seen[0][:, 0], direct)
 
 
 def test_cvode_component_integrates_decaying_mode():
