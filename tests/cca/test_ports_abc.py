@@ -3,6 +3,7 @@ and the port-type inheritance rule."""
 
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.cca import Port
@@ -86,6 +87,27 @@ def test_patch_rhs_batch_default_loops_evaluate():
     assert PatchByPatch().evaluate_patches(0.5, ["p", "q"], ["a", "b"]) == \
         [(0.5, "p", "a"), (0.5, "q", "b")]
     assert PatchByPatch().evaluate_patches(0.5, [], []) == []
+
+
+def test_vector_rhs_provider_rhs_is_callable_directly():
+    """A ``VectorRHSPort`` provider is complete with ``rhs`` and
+    ``n_state``: the port declares no bracket around a solver's calls, so
+    ``rhs`` is called directly, on one state or a block of cells."""
+
+    class Decay(VectorRHSPort):
+        def rhs(self, t, y):
+            return -y
+
+        def n_state(self):
+            return 2
+
+    declared = {name for name, _ in inspect.getmembers(
+        VectorRHSPort, predicate=inspect.isfunction)
+        if not name.startswith("_") and name != "port_type"}
+    assert declared == {"rhs", "n_state"}
+    model = Decay()
+    assert (model.rhs(0.0, np.ones(2)) == -np.ones(2)).all()
+    assert model.rhs(0.0, np.ones((2, 3))).shape == (2, 3)
 
 
 def test_subclass_of_standard_port_keeps_type():
