@@ -13,7 +13,7 @@ Run:  python examples/custom_component.py
 import numpy as np
 
 from repro.apps.reaction_diffusion import RD_COMPONENTS, build_reaction_diffusion
-from repro.cca import Component, Framework
+from repro.cca import Component, Framework, Param
 from repro.cca.ports import InitialConditionPort
 from repro.chemistry.h2_air import stoichiometric_h2_air
 
@@ -24,11 +24,12 @@ class _KernelIC(InitialConditionPort):
 
     def initialize(self, dobj):
         # a connected uses port is an attribute of services.ports
-        mech = self.owner.services.ports.chem.mechanism()
-        p = self.owner.services.parameters
-        cx = p.get_float("x", 0.0025)
-        cy = p.get_float("y", 0.0025)
-        radius = p.get_float("radius", 0.0008)
+        services = self.owner.services
+        mech = services.ports.chem.mechanism()
+        # defaults, types and ranges come from the class's PARAMS
+        cx = services.get_parameter("x")
+        cy = services.get_parameter("y")
+        radius = services.get_parameter("radius")
         Y = np.zeros(mech.n_species)
         for nm, val in stoichiometric_h2_air().items():
             Y[mech.species_index(nm)] = val
@@ -45,6 +46,15 @@ class _KernelIC(InitialConditionPort):
 
 class SingleKernelIC(Component):
     """A user-written Initial Condition component."""
+
+    # the rc-script parameters it reads, declared once: the contract
+    # checks (python -m repro.analysis --contracts, serve admission) and
+    # Framework.set_parameter's typo warning read them too
+    PARAMS = (
+        Param("x", "float", 0.0025, doc="kernel centre [m]"),
+        Param("y", "float", 0.0025, doc="kernel centre [m]"),
+        Param("radius", "float", 0.0008, min=1e-6, doc="kernel radius [m]"),
+    )
 
     def set_services(self, services):
         self.services = services

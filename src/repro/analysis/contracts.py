@@ -1,45 +1,189 @@
-"""The RA41x assembly contract pass: manifests vs actual assemblies.
+"""The RA41x assembly contract pass: declared contracts vs assemblies.
 
-Where the RA40x drift pass (:mod:`repro.analysis.manifest`) keeps the
-committed manifests honest against the component *source*, this pass
-turns them around and validates *assemblies* — rc-scripts, built
-frameworks, and ``repro.serve`` job submissions — against the declared
-contracts, the way the Cactus Configuration Language vets a parameter
-file before a single step runs:
+A component class declares its rc-script parameters once, in ``PARAMS``
+(:class:`repro.cca.component.Param`), and its ports in ``set_services``
+(``register_uses_port(..., optional=True)`` marks a port it runs
+without).  As in the Cactus Configuration Language, the declaration is
+the source: this pass reads it and validates *assemblies* — rc-scripts,
+built frameworks, and ``repro.serve`` job submissions — before a single
+step runs:
 
 * ``RA411`` — parameter name the instance's class never declared
   (with a did-you-mean suggestion when one is close).
 * ``RA412`` — value outside the declared ``min``/``max`` range.
 * ``RA413`` — value not among the declared ``choices``.
 * ``RA414`` — value of the wrong type for the declaration.
-* ``RA415`` — a ``required: true`` parameter never set.
+* ``RA415`` — a ``required`` parameter never set.
 * ``RA416`` — (warning) parameter set on an instance whose class never
   reads it, while another instance in the same assembly would.
-* ``RA417`` — a manifest-required uses port left unconnected on an
-  instance the ``go`` directive reaches.
-* ``RA418`` — a connection pairing incompatible manifest port types
+* ``RA417`` — a required (not ``optional``) uses port left unconnected
+  on an instance the ``go`` directive reaches.
+* ``RA418`` — a connection pairing incompatible declared port types
   (catches what RA006 cannot when sandbox introspection fails).
 * ``RA419`` — a serve job requesting an execution backend the
   :mod:`repro.exec` registry does not know (with a did-you-mean
   suggestion from the registry itself).
 
-Everything here is manifest-driven and static: no component is
-instantiated, so the pass is cheap enough to run inline on every
-``serve`` submission (:func:`check_job` / :func:`coerce_job_params` are
-the admission-control entry points used by
-:meth:`repro.serve.service.SimulationService.submit`).
+A class's :class:`ComponentManifest` is its ``PARAMS`` plus one cached
+sandbox ``set_services`` harvest of its port tables; no source is
+parsed, so the pass is cheap enough to run inline on every ``serve``
+submission (:func:`check_job` / :func:`coerce_job_params` are the
+admission-control entry points used by
+:meth:`repro.serve.service.SimulationService.submit`).  Classes without
+``PARAMS`` (ad-hoc components) are not checked.
 """
 
 from __future__ import annotations
 
 import difflib
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.analysis.findings import Finding, finding
-from repro.analysis.manifest import (ComponentManifest, coerce_value,
-                                     load_manifests, value_type_ok)
+from repro.analysis.wiring import _builders, default_classes, sandbox_services
+from repro.cca.component import Param
 from repro.cca.script import _parse_value, parse_script_tolerant
+
+_TRUE_STRINGS = frozenset({"1", "true", "yes", "on"})
+_FALSE_STRINGS = frozenset({"0", "false", "no", "off"})
+
+
+# --------------------------------------------------------------------------
+# the declared contract of one component class
+# --------------------------------------------------------------------------
+@dataclass
+class PortSpec:
+    """One declared provides/uses port."""
+
+    name: str
+    type: str
+    #: uses ports only: not registered ``optional``, so an assembly that
+    #: ``go``-reaches the component must connect it.
+    required: bool = False
+
+
+@dataclass
+class ComponentManifest:
+    """The declared contract of one component class."""
+
+    class_name: str
+    module: str = ""
+    provides: list[PortSpec] = field(default_factory=list)
+    uses: list[PortSpec] = field(default_factory=list)
+    parameters: list[Param] = field(default_factory=list)
+    #: reads parameters under computed keys (``OPEN_PARAMETERS``) — the
+    #: contract pass accepts any parameter name.
+    open_parameters: bool = False
+
+    def param(self, name: str) -> Param | None:
+        for p in self.parameters:
+            if p.name == name:
+                return p
+        return None
+
+    def uses_port(self, name: str) -> PortSpec | None:
+        for p in self.uses:
+            if p.name == name:
+                return p
+        return None
+
+    def provides_port(self, name: str) -> PortSpec | None:
+        for p in self.provides:
+            if p.name == name:
+                return p
+        return None
+
+    def param_names(self) -> list[str]:
+        return [p.name for p in self.parameters]
+
+
+def manifest_from(cls: type, services) -> ComponentManifest | None:
+    """``cls``'s contract from its ``PARAMS`` and the port tables one of
+    its instances registered on ``services``; None when undeclared."""
+    if getattr(cls, "PARAMS", None) is None:
+        return None
+    return ComponentManifest(
+        class_name=cls.__name__,
+        module=cls.__module__,
+        provides=[PortSpec(name, ptype) for name, ptype
+                  in sorted(services.provides_table().items())],
+        uses=[PortSpec(name, ptype, required=name not in services.optional)
+              for name, ptype in sorted(services.uses_table().items())],
+        parameters=sorted(cls.PARAMS, key=lambda p: p.name),
+        open_parameters=cls.OPEN_PARAMETERS)
+
+
+@functools.cache
+def class_manifest(cls: type) -> ComponentManifest | None:
+    """``cls``'s contract, its ports harvested by one sandbox
+    ``set_services`` (cached per class)."""
+    if getattr(cls, "PARAMS", None) is None:
+        return None
+    return manifest_from(cls, sandbox_services(cls))
+
+
+@functools.cache
+def load_manifests() -> dict[str, ComponentManifest]:
+    """The contracts of the stock repository
+    (:func:`repro.analysis.wiring.default_classes`), keyed by the class
+    names rc-scripts use.  Cached: do not mutate."""
+    out: dict[str, ComponentManifest] = {}
+    for cls in default_classes():
+        m = class_manifest(cls)
+        if m is not None:
+            out[cls.__name__] = m
+    return out
+
+
+# --------------------------------------------------------------------------
+# value typing
+# --------------------------------------------------------------------------
+def value_type_ok(ptype: str, value: Any) -> bool:
+    """Does ``value`` (an rc-parsed or override scalar) fit ``ptype``?
+
+    ``str`` and ``any`` accept every scalar (components coerce with
+    ``str()``); ``float`` accepts ints; ``bool`` accepts 0/1 and the
+    usual true/false spellings.
+    """
+    if ptype in ("any", "str"):
+        return isinstance(value, (bool, int, float, str))
+    if ptype == "bool":
+        if isinstance(value, bool):
+            return True
+        if isinstance(value, int):
+            return value in (0, 1)
+        if isinstance(value, str):
+            return value.strip().lower() in (_TRUE_STRINGS | _FALSE_STRINGS)
+        return False
+    if isinstance(value, bool):
+        return False  # True is not an acceptable int/float
+    if ptype == "float":
+        return isinstance(value, (int, float))
+    if ptype == "int":
+        return isinstance(value, int)
+    return True
+
+
+def coerce_value(ptype: str, value: Any) -> Any:
+    """``value`` as the declared type (assumes :func:`value_type_ok`).
+
+    This is what makes a ``"1100"`` string override on a float
+    parameter key the cache identically to ``1100.0``.
+    """
+    if not value_type_ok(ptype, value):
+        return value
+    if ptype == "float":
+        return float(value)
+    if ptype == "int":
+        return int(value)
+    if ptype == "bool":
+        if isinstance(value, str):
+            return value.strip().lower() in _TRUE_STRINGS
+        return bool(value)
+    if ptype == "str":
+        return str(value)
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -65,6 +209,9 @@ class AssemblyModel:
     assume_reachable: bool = False
     #: rc syntax errors, surfaced only by :func:`check_job`
     syntax_errors: list[tuple[int, str]] = field(default_factory=list)
+    #: built frameworks: each instance's own class contract (None =
+    #: undeclared); without it instances are looked up by class name
+    contracts: dict[str, ComponentManifest | None] | None = None
 
     def reachable(self) -> set[str]:
         """Instances the schedule can touch: BFS over uses->provider
@@ -110,12 +257,16 @@ def model_from_framework(fw, path: str = "<assembly>") -> AssemblyModel:
 
     Built assemblies carry no ``go`` schedule (the builder returns
     before running), so every instance is treated as reachable — the
-    shipped builders wire everything they instantiate.
+    shipped builders wire everything they instantiate.  Each instance is
+    checked against its own class's declaration, whatever its name.
     """
-    model = AssemblyModel(path=path, assume_reachable=True)
+    model = AssemblyModel(path=path, assume_reachable=True, contracts={})
     for name in fw.instance_names():
-        model.instances[name] = type(fw.get_component(name)).__name__
-        for key, value in sorted(fw.services_of(name).parameters.items()):
+        cls = type(fw.get_component(name))
+        services = fw.services_of(name)
+        model.instances[name] = cls.__name__
+        model.contracts[name] = manifest_from(cls, services)
+        for key, value in sorted(services.parameters.items()):
             model.parameters.append((name, key, value, None))
     for (user, uport), (provider, pport) in sorted(fw.connections().items()):
         model.connections.append((user, uport, provider, pport, None))
@@ -171,7 +322,7 @@ def _check_value(manifest: ComponentManifest, instance: str, key: str,
         out.append(finding(
             "RA413",
             f"{instance}.{key} = {v!r} is not one of the declared "
-            f"choices {spec.choices}",
+            f"choices {list(spec.choices)}",
             path=path, line=line, context=f"{instance}.{key}"))
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         if spec.min is not None and v < spec.min:
@@ -194,28 +345,32 @@ def check_model(model: AssemblyModel,
                 *, standalone: bool = False) -> list[Finding]:
     """Run RA411-RA418 over one :class:`AssemblyModel`.
 
-    Instances whose class has no manifest are skipped — the drift pass
-    (RA406) is what forces shipped components to have one; ad-hoc test
-    components simply opt out of contract checking.  ``standalone``
-    (no wiring pass runs alongside) adds what that pass would report:
-    syntax errors (RA001) and connections to ports no manifest declares
+    Instances whose class declares no ``PARAMS`` are skipped: ad-hoc
+    test components opt out of contract checking.  ``standalone`` (no
+    wiring pass runs alongside) adds what that pass would report:
+    syntax errors (RA001) and connections to ports no class declares
     (RA005).
     """
-    manifests = manifests if manifests is not None else load_manifests()
     out: list[Finding] = []
     if standalone:
         for line_no, message in model.syntax_errors:
             out.append(finding("RA001", message, path=model.path,
                                line=line_no))
 
-    def manifest_of(instance: str) -> ComponentManifest | None:
-        cls = model.instances.get(instance)
-        return manifests.get(cls) if cls is not None else None
+    if model.contracts is not None:
+        manifest_of = model.contracts.get
+    else:
+        if manifests is None:
+            manifests = load_manifests()
+
+        def manifest_of(instance: str) -> ComponentManifest | None:
+            cls = model.instances.get(instance)
+            return manifests.get(cls) if cls is not None else None
 
     # which instances' classes declare each parameter name (for RA416)
     declared_elsewhere: dict[str, list[tuple[str, str]]] = {}
     for instance, cls in model.instances.items():
-        m = manifests.get(cls)
+        m = manifest_of(instance)
         if m is None:
             continue
         for p in m.parameters:
@@ -234,7 +389,7 @@ def check_model(model: AssemblyModel,
 
     # RA415: required parameters never set
     for instance, cls in model.instances.items():
-        m = manifests.get(cls)
+        m = manifest_of(instance)
         if m is None:
             continue
         for p in m.parameters:
@@ -317,17 +472,14 @@ def analyze_script_file_contracts(
     return analyze_script_contracts(text, path, manifests)
 
 
-def analyze_framework_contracts(
-        fw, path: str = "<assembly>",
-        manifests: Mapping[str, ComponentManifest] | None = None,
-        ) -> list[Finding]:
+def analyze_framework_contracts(fw, path: str = "<assembly>"
+                                ) -> list[Finding]:
     """RA41x over a built framework (builder-produced assemblies)."""
-    return check_model(model_from_framework(fw, path), manifests)
+    return check_model(model_from_framework(fw, path))
 
 
 def analyze_assembly_contracts(name: str) -> list[Finding]:
     """RA41x over a shipped builder assembly by name."""
-    from repro.analysis.wiring import _builders
     from repro.cca.framework import Framework
 
     builders = _builders()
@@ -440,7 +592,7 @@ def coerce_job_params(script: str, params: Mapping[str, Any] | None,
                       = None) -> dict[str, Any]:
     """Override values coerced to their declared types.
 
-    ``{"Initializer.T0": "1100"}`` becomes ``1100.0`` when the manifest
+    ``{"Initializer.T0": "1100"}`` becomes ``1100.0`` when the class
     declares T0 a float — so string-typed CLI overrides key the result
     cache identically to their numeric form.  Values that do not fit
     the declared type (or target undeclared parameters) pass through
@@ -461,6 +613,8 @@ def coerce_job_params(script: str, params: Mapping[str, Any] | None,
 
 
 __all__ = [
+    "ComponentManifest", "PortSpec", "manifest_from", "class_manifest",
+    "load_manifests", "value_type_ok", "coerce_value",
     "AssemblyModel", "model_from_script", "model_from_framework",
     "check_model", "analyze_script_contracts",
     "analyze_script_file_contracts", "analyze_framework_contracts",

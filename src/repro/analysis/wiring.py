@@ -32,6 +32,7 @@ from repro.analysis.lifecycle import class_fetch_profile
 from repro.cca.component import Component
 from repro.cca.framework import Framework
 from repro.cca.script import Directive, parse_script_tolerant
+from repro.cca.services import Services
 
 
 @dataclass
@@ -59,16 +60,25 @@ def default_classes() -> list[Type[Component]]:
         Ignition0DDriver, ReactionDiffusionDriver, ShockInterfaceDriver]
 
 
+def sandbox_services(cls: Type[Component]) -> Services:
+    """The :class:`~repro.cca.services.Services` an instance of ``cls``
+    registered its ports on, in a throwaway framework.
+
+    Raises whatever the component's ``__init__``/``set_services`` raises.
+    """
+    fw = Framework()
+    fw.registry.register(cls)
+    fw.instantiate(cls.__name__, "__sandbox__")
+    return fw.services_of("__sandbox__")
+
+
 def harvest_port_table(cls: Type[Component]) -> PortTable:
     """Sandbox-instantiate ``cls`` and snapshot its declared ports.
 
     Raises whatever the component's ``__init__``/``set_services`` raises;
     callers turn that into an ``RA014`` finding.
     """
-    fw = Framework()
-    fw.registry.register(cls)
-    fw.instantiate(cls.__name__, "__sandbox__")
-    services = fw.services_of("__sandbox__")
+    services = sandbox_services(cls)
     table = PortTable(
         class_name=cls.__name__,
         provides=services.provides_table(),

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.framework import Framework
 from repro.cca.ports.go import GoPort
 from repro.errors import CCAError
@@ -32,7 +32,7 @@ from repro.components import (
     ThermoChemistry,
 )
 from repro.obs import trace as _trace
-from repro.resilience.hooks import CheckpointHook
+from repro.resilience.hooks import CHECKPOINT_PARAMS, CheckpointHook
 
 
 class _Go(GoPort):
@@ -52,6 +52,11 @@ class Ignition0DDriver(Component):
     ``n_output`` (20 history points).
     """
 
+    PARAMS = (
+        Param("t_end", "float", 0.001, min=1e-09, max=10.0),
+        Param("n_output", "int", 20, min=1),
+    ) + CHECKPOINT_PARAMS
+
     def set_services(self, services) -> None:
         self.services = services
         services.register_uses_port("ic", "VectorICPort")
@@ -64,8 +69,8 @@ class Ignition0DDriver(Component):
     def run(self) -> dict[str, Any]:
         services = self.services
         mech = services.ports.chem.mechanism()
-        t_end = float(services.get_parameter("t_end", 1e-3))
-        n_out = int(services.get_parameter("n_output", 20))
+        t_end = services.get_parameter("t_end")
+        n_out = services.get_parameter("n_output")
 
         y = services.ports.ic.initial_state()  # [T, Y..., P]
         T0, P0 = float(y[0]), float(y[-1])

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.framework import Framework
 from repro.cca.ports.go import GoPort
 from repro.obs import trace as _trace
@@ -30,7 +30,7 @@ from repro.components import (
     StatisticsComponent,
     ThermoChemistry,
 )
-from repro.resilience.hooks import CheckpointHook
+from repro.resilience.hooks import CHECKPOINT_PARAMS, CheckpointHook
 
 
 class _Go(GoPort):
@@ -53,6 +53,14 @@ class ReactionDiffusionDriver(Component):
     read by :class:`repro.resilience.hooks.CheckpointHook`.
     """
 
+    PARAMS = (
+        Param("n_steps", "int", 5, min=1, max=1000000),
+        Param("dt", "float", 0.0, min=0.0),
+        Param("regrid_interval", "int", 0, min=0),
+        Param("chemistry_on", "bool", True),
+        Param("initial_regrids", "int", 0, min=0),
+    ) + CHECKPOINT_PARAMS
+
     def set_services(self, services) -> None:
         self.services = services
         services.register_uses_port("mesh", "MeshPort")
@@ -67,13 +75,12 @@ class ReactionDiffusionDriver(Component):
 
     def run(self) -> dict[str, Any]:
         services = self.services
-        p = services.parameters
 
-        n_steps = p.get_int("n_steps", 5)
-        dt_fixed = p.get_float("dt", 0.0)
-        regrid_interval = p.get_int("regrid_interval", 0)
-        chemistry_on = p.get_bool("chemistry_on", True)
-        initial_regrids = p.get_int("initial_regrids", 0)
+        n_steps = services.get_parameter("n_steps")
+        dt_fixed = services.get_parameter("dt")
+        regrid_interval = services.get_parameter("regrid_interval")
+        chemistry_on = services.get_parameter("chemistry_on")
+        initial_regrids = services.get_parameter("initial_regrids")
 
         services.ports.mesh.build_base_level()
         mech = services.ports.chem.mechanism()

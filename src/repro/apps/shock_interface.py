@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.framework import Framework
 from repro.cca.ports.go import GoPort
 from repro.components import (
@@ -34,7 +34,7 @@ from repro.components import (
 )
 from repro.hydro.diagnostics import hierarchy_interface_circulation
 from repro.obs import trace as _trace
-from repro.resilience.hooks import CheckpointHook
+from repro.resilience.hooks import CHECKPOINT_PARAMS, CheckpointHook
 
 
 class _Go(GoPort):
@@ -50,9 +50,21 @@ class ShockInterfaceDriver(Component):
 
     Uses ``mesh``, ``data``, ``ic``, ``integrator``, ``regrid``, ``gas``,
     ``stats``.  Parameters: ``t_end_over_tau`` (default 2.096 — the
-    paper's Fig. 6 time), ``cfl_safety``, ``regrid_interval``,
-    ``max_steps``.
+    paper's Fig. 6 time), ``regrid_interval``, ``max_steps``, the shock
+    geometry the IC also reads, and the checkpoint/restart set.
     """
+
+    PARAMS = (
+        Param("t_end_over_tau", "float", 2.096, min=0.01),
+        Param("regrid_interval", "int", 4, min=0),
+        Param("max_steps", "int", 100000, min=1),
+        Param("initial_regrids", "int", 0, min=0),
+        Param("mach", "float", 1.5, min=1.0, max=20.0),
+        Param("angle_deg", "float", 30.0, min=0.0, max=89.0),
+        Param("y_extent", "float", 0.5, min=1e-09),
+        Param("shock_x", "float", 0.2, min=0.0, max=1.0),
+        Param("interface_x", "float", 0.4, min=0.0, max=1.0),
+    ) + CHECKPOINT_PARAMS
 
     def set_services(self, services) -> None:
         self.services = services
@@ -67,14 +79,13 @@ class ShockInterfaceDriver(Component):
 
     def run(self) -> dict[str, Any]:
         services = self.services
-        p = services.parameters
         comm = services.get_comm()
 
         gamma = float(services.ports.gas.get("gamma", 1.4))
-        t_end_over_tau = p.get_float("t_end_over_tau", 2.096)
-        regrid_interval = p.get_int("regrid_interval", 4)
-        max_steps = p.get_int("max_steps", 100000)
-        initial_regrids = p.get_int("initial_regrids", 0)
+        t_end_over_tau = services.get_parameter("t_end_over_tau")
+        regrid_interval = services.get_parameter("regrid_interval")
+        max_steps = services.get_parameter("max_steps")
+        initial_regrids = services.get_parameter("initial_regrids")
 
         services.ports.mesh.build_base_level()
         dobj = services.ports.data.declare(
@@ -93,11 +104,11 @@ class ShockInterfaceDriver(Component):
         # footprint: Delta x = H * tan(angle); shock speed W = M * a1.
         # The t/tau clock starts when the shock first touches the
         # interface foot (the paper's "elapsed time" of the interaction).
-        mach = p.get_float("mach", 1.5)
-        angle = np.deg2rad(p.get_float("angle_deg", 30.0))
-        height = p.get_float("y_extent", 0.5)
-        shock_x = p.get_float("shock_x", 0.2)
-        interface_x = p.get_float("interface_x", 0.4)
+        mach = services.get_parameter("mach")
+        angle = np.deg2rad(services.get_parameter("angle_deg"))
+        height = services.get_parameter("y_extent")
+        shock_x = services.get_parameter("shock_x")
+        interface_x = services.get_parameter("interface_x")
         a1 = np.sqrt(gamma * 1.0 / 1.0)
         w_shock = mach * a1
         tau = height * np.tan(angle) / w_shock

@@ -23,7 +23,7 @@ exactly as the paper describes (§2):
 """
 
 from repro.cca.port import Port
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.services import Services
 from repro.cca.framework import Framework, ComponentRegistry
 from repro.cca.builder import BuilderService
@@ -41,6 +41,7 @@ __all__ = [
     "parse_script_tolerant",
     "Port",
     "Component",
+    "Param",
     "Services",
     "Framework",
     "ComponentRegistry",

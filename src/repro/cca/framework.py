@@ -8,9 +8,10 @@ exactly the surface CCAFFEINE exposes.
 
 from __future__ import annotations
 
+import warnings
 from typing import Any, Iterable, Type
 
-from repro.cca.component import Component
+from repro.cca.component import Component, declared_params
 from repro.cca.port import Port
 from repro.cca.portproxy import PortProxy
 from repro.cca.services import Services
@@ -21,27 +22,6 @@ from repro.util import arming as _arming
 from repro.util.logging import get_logger
 
 _log = get_logger("cca.framework")
-
-
-def _warn_unknown_parameter(class_name: str, instance_name: str,
-                            key: str) -> None:
-    """Warn when a manifest-covered class gets a key it never reads.
-
-    Lazy import: :mod:`repro.analysis.manifest` reads the committed
-    manifests exactly once; classes without a manifest (ad-hoc test
-    components) and open-parameter database components never warn.
-    """
-    try:
-        from repro.analysis.manifest import known_parameter
-    except Exception:  # pragma: no cover - analysis layer unavailable
-        return
-    if known_parameter(class_name, key) is False:
-        import warnings
-
-        warnings.warn(
-            f"parameter {key!r} set on {instance_name!r} "
-            f"({class_name}) is not declared in its manifest and will "
-            f"never be read", UserWarning, stacklevel=3)
 
 
 class ComponentRegistry:
@@ -114,7 +94,7 @@ class Framework:
         if _tsan.on:
             _tsan.instrument_class(cls)
         component = cls()
-        services = Services(self, instance_name)
+        services = Services(self, instance_name, cls)
         component.set_services(services)
         self._components[instance_name] = component
         self._services[instance_name] = services
@@ -240,14 +220,20 @@ class Framework:
         """The rc ``parameter`` directive.
 
         A typo'd key would be silently stored and never read; when the
-        instance's class ships a manifest declaring its parameters, an
-        unknown key raises a :class:`UserWarning` at set time (the
-        runtime analog of the static RA411 contract check).
+        instance's class declares ``PARAMS`` (and is not
+        ``OPEN_PARAMETERS``), an undeclared key raises a
+        :class:`UserWarning` at set time (the runtime analog of the
+        static RA411 contract check).
         """
         srv = self.services_of(instance_name)
-        _warn_unknown_parameter(
-            type(self._components[instance_name]).__name__,
-            instance_name, key)
+        cls = type(self._components[instance_name])
+        declared = declared_params(cls)
+        if declared is not None and key not in declared and \
+                not cls.OPEN_PARAMETERS:
+            warnings.warn(
+                f"parameter {key!r} set on {instance_name!r} "
+                f"({cls.__name__}) is not declared in its PARAMS and will "
+                f"never be read", UserWarning, stacklevel=2)
         srv.parameters.set(key, value)
 
     def go(self, instance_name: str, port_name: str = "go") -> Any:

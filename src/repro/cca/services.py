@@ -9,8 +9,10 @@ communicator.
 from __future__ import annotations
 
 import weakref
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
+from repro.cca.component import declared_params
 from repro.cca.port import Port
 from repro.cca.portproxy import intercept
 from repro.errors import CCAError, PortNotConnectedError, PortTypeError
@@ -62,14 +64,30 @@ def _unbind_everywhere() -> None:
 _arming.subscribe(_unbind_everywhere)
 
 
-class Services:
-    """Per-component-instance framework services."""
+#: the Options accessor that coerces each declared parameter type
+_ACCESSORS = MappingProxyType({
+    "float": Options.get_float, "int": Options.get_int,
+    "bool": Options.get_bool, "str": Options.get_str})
 
-    def __init__(self, framework: "Framework", instance_name: str) -> None:
+
+class Services:
+    """Per-component-instance framework services.
+
+    ``component_class`` is the class whose ``PARAMS`` declaration
+    :meth:`get_parameter` reads; None reads like an undeclared class.
+    """
+
+    def __init__(self, framework: "Framework", instance_name: str,
+                 component_class: type | None = None) -> None:
         self._framework = framework
         self.instance_name = instance_name
         self.provides: dict[str, tuple[Port, str]] = {}
         self.uses: dict[str, str] = {}
+        #: uses ports the component runs without (``optional=True``)
+        self.optional: set[str] = set()
+        self._declared = (None if component_class is None
+                          else declared_params(component_class))
+        self._open = getattr(component_class, "OPEN_PARAMETERS", False)
         # uses port -> (provider's port object, "provider:provides_port")
         self._connections: dict[str, tuple[Port, str]] = {}
         self.ports = Ports(self)
@@ -92,13 +110,18 @@ class Services:
         self.provides[port_name] = (port, port_type or port.port_type())
 
     # -- uses ------------------------------------------------------------------
-    def register_uses_port(self, port_name: str, port_type: str) -> None:
-        """Declare that this component calls through ``port_name``."""
+    def register_uses_port(self, port_name: str, port_type: str,
+                           optional: bool = False) -> None:
+        """Declare that this component calls through ``port_name``;
+        ``optional`` when it checks :meth:`is_connected` first and runs
+        without it (the contract pass requires the others connected)."""
         if port_name in self.uses:
             raise CCAError(
                 f"{self.instance_name}: uses port {port_name!r} already "
                 f"registered")
         self.uses[port_name] = port_type
+        if optional:
+            self.optional.add(port_name)
 
     def get_port(self, port_name: str) -> Port:
         """``ports.<port_name>`` for code that holds a port name as a
@@ -153,8 +176,29 @@ class Services:
 
     # -- framework-provided amenities -----------------------------------------
     def get_parameter(self, key: str, default: Any = None) -> Any:
-        """Script-set parameter lookup (the rc ``parameter`` directive)."""
-        return self.parameters.get(key, default)
+        """The value the rc ``parameter`` directive set for ``key``.
+
+        On a class that declares ``PARAMS``, an unset key gives the
+        declared default, and the value is coerced with the
+        :class:`~repro.util.options.Options` accessor of the declared
+        type; a key the class does not declare raises :class:`CCAError`
+        unless the class is ``OPEN_PARAMETERS``.  Undeclared keys of an
+        open class, and every key of an undeclared class, are raw
+        lookups falling back to ``default``.
+        """
+        declared = self._declared
+        spec = None if declared is None else declared.get(key)
+        if spec is None:
+            if declared is None or self._open:
+                return self.parameters.get(key, default)
+            raise CCAError(
+                f"{self.instance_name}: parameter {key!r} is not declared "
+                f"(declares: {', '.join(declared) or '<none>'})")
+        accessor = _ACCESSORS.get(spec.type)
+        if accessor is None or (spec.default is None
+                                and key not in self.parameters):
+            return self.parameters.get(key, spec.default)
+        return accessor(self.parameters, key, spec.default)
 
     def get_comm(self):
         """Borrow the framework's scoped communicator (None in serial).

@@ -44,6 +44,8 @@ class _Greedy(LoadBalancerPort):
 class GreedyBalancer(Component):
     """Longest-processing-time-first bin packing (best balance)."""
 
+    PARAMS = ()
+
     def set_services(self, services) -> None:
         self.services = services
         services.add_provides_port(_Greedy(), "balancer")
@@ -64,6 +66,8 @@ class _SFC(LoadBalancerPort):
 class SFCBalancer(Component):
     """Morton space-filling-curve chunking (best locality — "keeping
     parents and children on the same processors")."""
+
+    PARAMS = ()
 
     def set_services(self, services) -> None:
         self.services = services

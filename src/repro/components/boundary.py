@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.bc import BoundaryConditionPort
 from repro.errors import CCAError
 from repro.hydro.bc import fill_inflow, fill_outflow, fill_reflecting
 
-_FACE_KEYS = {(0, 0): "x_low", (0, 1): "x_high",
-              (1, 0): "y_low", (1, 1): "y_high"}
+_KINDS = ("outflow", "reflecting", "inflow")
 
 
 class _BC(BoundaryConditionPort):
@@ -51,14 +50,21 @@ class _BC(BoundaryConditionPort):
 class BoundaryConditions(Component):
     """Per-face boundary fills (see module docstring)."""
 
+    PARAMS = tuple(Param(face, "str", "outflow", choices=_KINDS)
+                   for face in ("x_low", "x_high", "y_low", "y_high"))
+
     def set_services(self, services) -> None:
         self.services = services
         self.inflow_state: np.ndarray | None = None
         services.add_provides_port(_BC(self), "bc")
 
     def face_kind(self, axis: int, side: int) -> str:
-        key = _FACE_KEYS[(axis, side)]
-        return str(self.services.get_parameter(key, "outflow"))
+        services = self.services
+        if axis == 0:
+            return (services.get_parameter("x_high") if side
+                    else services.get_parameter("x_low"))
+        return (services.get_parameter("y_high") if side
+                else services.get_parameter("y_low"))
 
     def set_inflow_state(self, conserved: np.ndarray) -> None:
         self.inflow_state = np.asarray(conserved, dtype=float)

@@ -11,14 +11,14 @@ of ``rhs``, used for the Newton matrices instead of finite differences.
 One ``integrate`` call is one batched solve over the columns of ``y0`` — a
 single state, or every hot cell of a chemistry half-step — each column on
 its own adaptive trajectory.
-Parameters: ``rtol``, ``atol``, ``method`` (``bdf``/``adams``).
+Parameters: ``rtol``, ``atol``, ``method`` (see ``PARAMS``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.integrator import ODESolverPort
 from repro.integrators.cvode import CVode
 
@@ -33,7 +33,6 @@ class _Solver(ODESolverPort):
 
     def integrate(self, t0: float, y0: np.ndarray, t1: float) -> np.ndarray:
         services = self.owner.services
-        p = services.parameters
         y0 = np.asarray(y0, dtype=float)
         jac = None
         if services.is_connected("jacobian"):
@@ -43,9 +42,9 @@ class _Solver(ODESolverPort):
             services.ports.rhs.rhs,
             t0,
             y0.reshape(len(y0), -1),
-            rtol=p.get_float("rtol", 1e-8),
-            atol=p.get_float("atol", 1e-12),
-            method=p.get_str("method", "bdf"),
+            rtol=services.get_parameter("rtol"),
+            atol=services.get_parameter("atol"),
+            method=services.get_parameter("method"),
             jac=jac,
         )
         y = cv.integrate_to(t1).reshape(y0.shape)
@@ -63,11 +62,18 @@ class _Solver(ODESolverPort):
 class CvodeComponent(Component):
     """Thin wrapper around the CVode integrator (see module docstring)."""
 
+    PARAMS = (
+        Param("rtol", "float", 1e-8, min=1e-15, max=0.1),
+        Param("atol", "float", 1e-12, min=1e-30, max=0.001),
+        Param("method", "str", "bdf", choices=("bdf", "adams")),
+    )
+
     def set_services(self, services) -> None:
         self.services = services
         self.solver = _Solver(self)
         services.register_uses_port("rhs", "VectorRHSPort")
-        services.register_uses_port("jacobian", "JacobianPort")
+        services.register_uses_port("jacobian", "JacobianPort",
+                                    optional=True)
         services.add_provides_port(self.solver, "solver")
 
     # -- Checkpointable (repro.resilience.protocol) -------------------------

@@ -81,6 +81,8 @@ class DiffusionPhysics(Component):
     itself is ``out`` or a fresh array, never a view of the arena.
     """
 
+    PARAMS = ()
+
     def set_services(self, services) -> None:
         self.services = services
         self._arena = Arena()

@@ -33,6 +33,8 @@ class DRFMComponent(Component):
     """Transport-property provider; uses ThermoChemistry for the species
     set (the mechanism defines which D_i exist)."""
 
+    PARAMS = ()
+
     def set_services(self, services) -> None:
         self.services = services
         self._transport: MixtureTransport | None = None

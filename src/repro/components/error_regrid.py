@@ -6,17 +6,14 @@ shock-interface assembly, §4.3 / conclusion item 2)
 
 Provides ``regrid`` (RegridPort); uses ``mesh`` and ``data``.
 
-Parameters: ``dataobject`` (field driving the flags), ``variables``
-(comma-separated indices, default all), ``threshold`` (relative, default
-0.1), ``buffer`` (flag dilation, default 2), ``max_size``/``min_size``
-(clustering), ``min_efficiency``.
+Parameters: see ``ErrorEstAndRegrid.PARAMS``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.mesh import RegridPort
 from repro.samr.flagging import flag_gradient
 from repro.samr.regrid import regrid as samr_regrid
@@ -35,6 +32,18 @@ class _Regrid(RegridPort):
 class ErrorEstAndRegrid(Component):
     """Flag -> cluster -> rebuild driver (see module docstring)."""
 
+    PARAMS = (
+        Param("dataobject", "str", "flow", doc="field driving the flags"),
+        Param("variables", "str",
+              doc="comma-separated variable indices (default all)"),
+        Param("threshold", "float", 0.1, min=0.0,
+              doc="relative gradient threshold"),
+        Param("buffer", "int", 2, min=0, max=8, doc="flag dilation"),
+        Param("max_size", "int", 32, min=4),
+        Param("min_size", "int", 4, min=1),
+        Param("min_efficiency", "float", 0.7, min=0.1, max=1.0),
+    )
+
     def set_services(self, services) -> None:
         self.services = services
         self.port = _Regrid(self)
@@ -51,15 +60,13 @@ class ErrorEstAndRegrid(Component):
 
     def run_regrid(self) -> None:
         services = self.services
-        p = services.parameters
-        name = p.get_str("dataobject", "flow")
+        name = services.get_parameter("dataobject")
         dobj = services.ports.data.data(name)
         comm = services.get_comm()
-        variables = None
-        if "variables" in p:
-            variables = [int(v) for v in
-                         str(p.get("variables")).split(",")]
-        threshold = p.get_float("threshold", 0.1)
+        variables = services.get_parameter("variables")
+        if variables is not None:
+            variables = [int(v) for v in variables.split(",")]
+        threshold = services.get_parameter("threshold")
 
         def flag_fn(level: int) -> dict[int, np.ndarray]:
             services.ports.data.exchange_ghosts(name, level)
@@ -74,10 +81,10 @@ class ErrorEstAndRegrid(Component):
             all_dobjs,
             flag_fn,
             comm=comm,
-            buffer=p.get_int("buffer", 2),
-            min_efficiency=p.get_float("min_efficiency", 0.7),
-            max_size=p.get_int("max_size", 32),
-            min_size=p.get_int("min_size", 4),
+            buffer=services.get_parameter("buffer"),
+            min_efficiency=services.get_parameter("min_efficiency"),
+            max_size=services.get_parameter("max_size"),
+            min_size=services.get_parameter("min_size"),
         )
         # fresh levels need consistent halos before the next RHS call
         h = services.ports.mesh.hierarchy()

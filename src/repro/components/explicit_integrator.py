@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.integrator import IntegratorPort
 from repro.errors import CCAError
 from repro.integrators.rkc import rkc_step, stages_for
@@ -83,7 +83,7 @@ class _RKCIntegrator(IntegratorPort):
     def stable_dt(self, dataobjs: Sequence[DataObject], t: float) -> float:
         """Step keeping the stage count at the configured budget."""
         bound = self.owner.global_bound(t)
-        s_max = int(self.owner.services.get_parameter("max_stages", 20))
+        s_max = self.owner.services.get_parameter("max_stages")
         if bound <= 0.0:
             raise CCAError("non-positive spectral bound")
         return 0.653 * s_max**2 / bound
@@ -92,13 +92,15 @@ class _RKCIntegrator(IntegratorPort):
 class ExplicitIntegrator(Component):
     """RKC driver over the hierarchy (see module docstring)."""
 
+    PARAMS = (Param("max_stages", "int", 20, min=2, max=1000),)
+
     def set_services(self, services) -> None:
         self.services = services
         self.port = _RKCIntegrator(self)
         self._arena = Arena()  # packed state, RHS and RKC stage vectors
         services.register_uses_port("rhs", "PatchRHSPort")
         services.register_uses_port("bound", "SpectralBoundPort")
-        services.register_uses_port("mesh", "MeshPort")
+        services.register_uses_port("mesh", "MeshPort", optional=True)
         services.register_uses_port("data", "DataObjectPort")
         services.add_provides_port(self.port, "integrator")
 

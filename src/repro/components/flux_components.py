@@ -29,6 +29,8 @@ class _GodunovFluxPort(FluxPort):
 class GodunovFlux(Component):
     """Exact-Riemann interface flux."""
 
+    PARAMS = ()
+
     def set_services(self, services) -> None:
         self.services = services
         services.add_provides_port(_GodunovFluxPort(), "flux")
@@ -46,6 +48,8 @@ class _EFMFluxPort(FluxPort):
 class EFMFlux(Component):
     """Equilibrium-Flux-Method (kinetic) interface flux for strong
     shocks."""
+
+    PARAMS = ()
 
     def set_services(self, services) -> None:
         self.services = services

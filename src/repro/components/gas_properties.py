@@ -15,8 +15,9 @@ class _Props(ParameterPort):
         self.owner = owner
 
     def get(self, key: str, default: Any = None) -> Any:
-        if key in self.owner.services.parameters:
-            return self.owner.services.parameters.get(key)
+        services = self.owner.services
+        if key in services.parameters:
+            return services.get_parameter(key)
         if key in self.owner.overrides:
             return self.owner.overrides[key]
         return _DEFAULTS.get(key, default)
@@ -32,6 +33,9 @@ class _Props(ParameterPort):
 
 class GasProperties(Component):
     """Key-value gas-property database (Database subsystem, Table 3)."""
+
+    PARAMS = ()
+    OPEN_PARAMETERS = True
 
     def set_services(self, services) -> None:
         self.services = services

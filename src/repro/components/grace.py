@@ -7,23 +7,14 @@ DataObjectPort and a default (zero-gradient) BoundaryConditionPort, and
 optionally *uses* a physics-specific BoundaryConditionPort that overrides
 the default during ghost exchange.
 
-Parameters (rc ``parameter`` directive):
-
-========================  ===========================================
-``nx``, ``ny``            coarse mesh cells (default 32 x 32)
-``x_extent``/``y_extent`` physical size (default 1.0)
-``max_levels``            hierarchy depth (default 1)
-``ratio``                 refinement factor (default 2)
-``nghost``                ghost width (default 2)
-``balancer``              ``greedy`` | ``sfc`` (default ``greedy``)
-========================  ===========================================
+Parameters (rc ``parameter`` directive): see ``GrACEComponent.PARAMS``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.bc import BoundaryConditionPort
 from repro.cca.ports.dataobject import DataObjectPort
 from repro.cca.ports.mesh import MeshPort
@@ -96,6 +87,20 @@ class _DefaultBC(BoundaryConditionPort):
 class GrACEComponent(Component):
     """Mesh + Data Object provider (see module docstring)."""
 
+    PARAMS = (
+        Param("nx", "int", 32, min=4, max=4096, doc="coarse mesh cells"),
+        Param("ny", "int", 32, min=4, max=4096, doc="coarse mesh cells"),
+        Param("x_origin", "float", 0.0),
+        Param("y_origin", "float", 0.0),
+        Param("x_extent", "float", 1.0, min=1e-09, doc="physical size"),
+        Param("y_extent", "float", 1.0, min=1e-09, doc="physical size"),
+        Param("ratio", "int", 2, min=2, max=4, doc="refinement factor"),
+        Param("max_levels", "int", 1, min=1, max=8, doc="hierarchy depth"),
+        Param("nghost", "int", 2, min=1, max=4, doc="ghost width"),
+        Param("balancer", "str", "greedy", choices=("greedy", "sfc"),
+              doc="built-in balancer when no balancer port is connected"),
+    )
+
     def set_services(self, services) -> None:
         self.services = services
         self.comm = services.get_comm()
@@ -104,22 +109,27 @@ class GrACEComponent(Component):
         services.add_provides_port(_Mesh(self), "mesh")
         services.add_provides_port(_Data(self), "data")
         services.add_provides_port(_DefaultBC(), "default_bc")
-        services.register_uses_port("bc", "BoundaryConditionPort")
+        services.register_uses_port("bc", "BoundaryConditionPort",
+                                    optional=True)
         # optional pluggable load balancer (paper future-work item 1)
-        services.register_uses_port("balancer", "LoadBalancerPort")
+        services.register_uses_port("balancer", "LoadBalancerPort",
+                                    optional=True)
 
     # -- construction ---------------------------------------------------------
     def build(self) -> Hierarchy:
         if self._hierarchy is not None:
             raise CCAError("mesh already built")
-        p = self.services.parameters
+        services = self.services
         self._hierarchy = Hierarchy(
-            base_shape=(p.get_int("nx", 32), p.get_int("ny", 32)),
-            origin=(p.get_float("x_origin", 0.0), p.get_float("y_origin", 0.0)),
-            extent=(p.get_float("x_extent", 1.0), p.get_float("y_extent", 1.0)),
-            ratio=p.get_int("ratio", 2),
-            max_levels=p.get_int("max_levels", 1),
-            nghost=p.get_int("nghost", 2),
+            base_shape=(services.get_parameter("nx"),
+                        services.get_parameter("ny")),
+            origin=(services.get_parameter("x_origin"),
+                    services.get_parameter("y_origin")),
+            extent=(services.get_parameter("x_extent"),
+                    services.get_parameter("y_extent")),
+            ratio=services.get_parameter("ratio"),
+            max_levels=services.get_parameter("max_levels"),
+            nghost=services.get_parameter("nghost"),
             nranks=1 if self.comm is None else self.comm.size,
             balancer=self._assign,
         )
@@ -147,7 +157,7 @@ class GrACEComponent(Component):
         if services.is_connected("balancer"):
             return services.ports.balancer.assign(boxes, nranks)
         builtin = {"greedy": balance_greedy, "sfc": balance_sfc}[
-            services.parameters.get_str("balancer", "greedy")]
+            services.get_parameter("balancer")]
         return builtin(boxes, nranks)
 
     def require_hierarchy(self) -> Hierarchy:

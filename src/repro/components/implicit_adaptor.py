@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.integrator import IntegratorPort
 from repro.errors import CCAError
 from repro.samr.dataobject import DataObject
@@ -58,11 +58,13 @@ class _ChemIntegrator(IntegratorPort):
 class ImplicitIntegrator(Component):
     """Per-cell chemistry advance (see module docstring)."""
 
+    PARAMS = (Param("skip_below_T", "float", 0.0, min=0.0),)
+
     def set_services(self, services) -> None:
         self.services = services
         self.port = _ChemIntegrator(self)
         services.register_uses_port("solver", "ODESolverPort")
-        services.register_uses_port("data", "DataObjectPort")
+        services.register_uses_port("data", "DataObjectPort", optional=True)
         services.add_provides_port(self.port, "integrator")
 
     # -- Checkpointable (repro.resilience.protocol) -------------------------
@@ -77,7 +79,7 @@ class ImplicitIntegrator(Component):
     def advance(self, dobj: DataObject, t: float, dt: float,
                 port: _ChemIntegrator) -> float:
         services = self.services
-        t_threshold = float(services.get_parameter("skip_below_T", 0.0))
+        t_threshold = services.get_parameter("skip_below_T")
         # gather the hot cells of every owned patch into the columns of
         # a batched solve; cold cells (chemistry frozen) stay untouched
         patches = []

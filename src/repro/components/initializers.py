@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.ic import InitialConditionPort, VectorICPort
 from repro.chemistry.h2_air import h2_air_phi, stoichiometric_h2_air
 from repro.errors import CCAError
@@ -30,9 +30,9 @@ class _VectorIC(VectorICPort):
     def initial_state(self) -> np.ndarray:
         owner = self.owner
         mech = owner.services.ports.chem.mechanism()
-        T0 = float(owner.services.get_parameter("T0", 1000.0))
-        P0 = float(owner.services.get_parameter("P0", 101325.0))
-        phi = float(owner.services.get_parameter("phi", 1.0))
+        T0 = owner.services.get_parameter("T0")
+        P0 = owner.services.get_parameter("P0")
+        phi = owner.services.get_parameter("phi")
         Y = np.zeros(mech.n_species)
         for nm, val in h2_air_phi(phi).items():
             if nm in mech.names:
@@ -48,6 +48,15 @@ class Initializer(Component):
     ratio, 1.0 = the paper's stoichiometric fill).
     """
 
+    PARAMS = (
+        Param("T0", "float", 1000.0, min=200.0, max=5000.0,
+              doc="initial temperature [K]"),
+        Param("P0", "float", 101325.0, min=1000.0, max=100000000.0,
+              doc="initial pressure [Pa]"),
+        Param("phi", "float", 1.0, min=0.05, max=10.0,
+              doc="equivalence ratio"),
+    )
+
     def set_services(self, services) -> None:
         self.services = services
         services.register_uses_port("chem", "ChemistryPort")
@@ -61,15 +70,15 @@ class _HotspotIC(InitialConditionPort):
 
     def initialize(self, dobj: DataObject) -> None:
         owner = self.owner
-        p = owner.services.parameters
-        mech = owner.services.ports.chem.mechanism()
+        services = owner.services
+        mech = services.ports.chem.mechanism()
         if dobj.nvar != mech.n_species + 1:
             raise CCAError(
                 f"flame DataObject needs T + {mech.n_species} species, "
                 f"got nvar={dobj.nvar}")
-        T_cold = p.get_float("T_cold", 300.0)
-        T_hot = p.get_float("T_hot", 1400.0)
-        radius = p.get_float("spot_radius", 0.06)
+        T_cold = services.get_parameter("T_cold")
+        T_hot = services.get_parameter("T_hot")
+        radius = services.get_parameter("spot_radius")
         spots = owner.hotspots()
         Y = np.zeros(mech.n_species)
         for nm, val in stoichiometric_h2_air().items():
@@ -98,7 +107,17 @@ class InitialCondition(Component):
     Parameters: ``T_cold``, ``T_hot``, ``spot_radius`` and
     ``spot<k>_x`` / ``spot<k>_y`` (k = 1..3; defaults give three spots in
     a unit-normalized domain at (0.3, 0.3), (0.7, 0.4), (0.4, 0.75)).
+    The spot keys are computed, so the class is ``OPEN_PARAMETERS``.
     """
+
+    PARAMS = (
+        Param("T_cold", "float", 300.0, min=100.0, max=3000.0),
+        Param("T_hot", "float", 1400.0, min=300.0, max=4000.0),
+        Param("spot_radius", "float", 0.06, min=1e-06),
+        Param("x_extent", "float", 1.0, min=1e-09),
+        Param("y_extent", "float", 1.0, min=1e-09),
+    )
+    OPEN_PARAMETERS = True
 
     def set_services(self, services) -> None:
         self.services = services
@@ -106,15 +125,17 @@ class InitialCondition(Component):
         services.add_provides_port(_HotspotIC(self), "ic")
 
     def hotspots(self) -> list[tuple[float, float]]:
-        p = self.services.parameters
-        scale_x = p.get_float("x_extent", 1.0)
-        scale_y = p.get_float("y_extent", 1.0)
+        services = self.services
+        scale_x = services.get_parameter("x_extent")
+        scale_y = services.get_parameter("y_extent")
         defaults = [(0.3, 0.3), (0.7, 0.4), (0.4, 0.75)]
         spots = []
         for k in range(1, 4):
-            x = p.get_float(f"spot{k}_x", defaults[k - 1][0] * scale_x)
-            y = p.get_float(f"spot{k}_y", defaults[k - 1][1] * scale_y)
-            spots.append((x, y))
+            x = services.get_parameter(f"spot{k}_x")
+            y = services.get_parameter(f"spot{k}_y")
+            spots.append(
+                (defaults[k - 1][0] * scale_x if x is None else float(x),
+                 defaults[k - 1][1] * scale_y if y is None else float(y)))
         return spots
 
 
@@ -125,13 +146,13 @@ class _ConicalIC(InitialConditionPort):
 
     def initialize(self, dobj: DataObject) -> None:
         owner = self.owner
-        p = owner.services.parameters
-        gamma = float(owner.services.ports.gas.get("gamma", 1.4))
-        mach = p.get_float("mach", 1.5)
-        ratio = p.get_float("density_ratio", 3.0)
-        angle = np.deg2rad(p.get_float("angle_deg", 30.0))
-        x_shock = p.get_float("shock_x", 0.2)
-        x_interface = p.get_float("interface_x", 0.4)
+        services = owner.services
+        gamma = float(services.ports.gas.get("gamma", 1.4))
+        mach = services.get_parameter("mach")
+        ratio = services.get_parameter("density_ratio")
+        angle = np.deg2rad(services.get_parameter("angle_deg"))
+        x_shock = services.get_parameter("shock_x")
+        x_interface = services.get_parameter("interface_x")
 
         # quiescent "air" ahead of the shock
         rho1, p1 = 1.0, 1.0
@@ -171,6 +192,14 @@ class ConicalInterfaceIC(Component):
     ``shock_x``, ``interface_x``.  After ``initialize`` the post-shock
     state is available as ``post_shock`` (used for inflow BCs).
     """
+
+    PARAMS = (
+        Param("mach", "float", 1.5, min=1.0, max=20.0),
+        Param("density_ratio", "float", 3.0, min=0.001),
+        Param("angle_deg", "float", 30.0, min=0.0, max=89.0),
+        Param("shock_x", "float", 0.2, min=0.0, max=1.0),
+        Param("interface_x", "float", 0.4, min=0.0, max=1.0),
+    )
 
     def set_services(self, services) -> None:
         self.services = services

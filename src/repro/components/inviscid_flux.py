@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.flux import StatesPort
 from repro.cca.ports.rhs import PatchRHSPort
 from repro.hydro.fluxes import RHSScratch, euler_rhs_patches
@@ -30,7 +30,7 @@ class _States(StatesPort):
 
     def interface_states(self, prim: np.ndarray, axis: int):
         self.ncalls += 1
-        limiter = self.owner.services.get_parameter("limiter", "van_leer")
+        limiter = self.owner.services.get_parameter("limiter")
         return muscl_interface_states(prim, axis=axis, limiter=limiter,
                                       arena=self.owner.arena)
 
@@ -39,6 +39,9 @@ class States(Component):
     """MUSCL interface-state construction (parameter ``limiter``); the
     differences, slopes and limiter work planes of a call live in one
     arena this instance owns."""
+
+    PARAMS = (Param("limiter", "str", "van_leer",
+                    choices=("minmod", "van_leer", "mc", "superbee")),)
 
     def set_services(self, services) -> None:
         self.services = services
@@ -81,6 +84,8 @@ class InviscidFlux(Component):
     The flat arrays of an evaluation are carved from the arena of one
     :class:`~repro.hydro.fluxes.RHSScratch` this instance owns.
     """
+
+    PARAMS = ()
 
     def set_services(self, services) -> None:
         self.services = services

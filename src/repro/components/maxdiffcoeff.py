@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.rhs import SpectralBoundPort
 from repro.integrators.spectral import gershgorin_diffusion
 from repro.util.arena import Arena
@@ -31,9 +31,11 @@ class _Bound(SpectralBoundPort):
 class MaxDiffCoeffEvaluator(Component):
     """Domain-wide diffusion stability bound (see module docstring).
 
-    Parameter ``dataobject``: name of the flame field (default ``flow``),
-    variable 0 = T, 1.. = Y.
+    Parameter ``dataobject``: name of the flame field, variable 0 = T,
+    1.. = Y.
     """
+
+    PARAMS = (Param("dataobject", "str", "flow"),)
 
     def set_services(self, services) -> None:
         self.services = services
@@ -46,7 +48,7 @@ class MaxDiffCoeffEvaluator(Component):
 
     def evaluate(self) -> float:
         services = self.services
-        name = services.get_parameter("dataobject", "flow")
+        name = services.get_parameter("dataobject")
         dobj = services.ports.data.data(name)
         h = services.ports.mesh.hierarchy()
         P = services.ports.chem.pressure()

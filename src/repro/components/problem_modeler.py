@@ -38,6 +38,8 @@ class _DPDtImpl(DPDtPort):
 class DPDt(Component):
     """Pressure-evolution closure for constant mass and volume."""
 
+    PARAMS = ()
+
     def set_services(self, services) -> None:
         self.services = services
         services.register_uses_port("chem", "ChemistryPort")
@@ -80,6 +82,8 @@ class _ModelRHS(VectorRHSPort):
 
 class ProblemModeler(Component):
     """Adaptor assembling the rigid-vessel Φ-equation (see module doc)."""
+
+    PARAMS = ()
 
     def set_services(self, services) -> None:
         self.services = services

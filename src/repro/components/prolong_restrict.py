@@ -29,6 +29,8 @@ class _ProlongRestrict(ProlongRestrictPort):
 class ProlongRestrict(Component):
     """Provides ``interp`` (ProlongRestrictPort)."""
 
+    PARAMS = ()
+
     def set_services(self, services) -> None:
         self.services = services
         services.add_provides_port(_ProlongRestrict(), "interp")

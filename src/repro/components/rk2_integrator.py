@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.integrator import IntegratorPort
 from repro.cca.ports.physics import CharacteristicsPort
 from repro.components.explicit_integrator import (
@@ -48,6 +48,8 @@ class _Characteristics(CharacteristicsPort):
 class CharacteristicQuantities(Component):
     """Global characteristic wave speeds; uses ``data`` + ``gas``."""
 
+    PARAMS = ()
+
     def set_services(self, services) -> None:
         self.services = services
         services.register_uses_port("data", "DataObjectPort")
@@ -70,7 +72,7 @@ class _RK2Port(IntegratorPort):
     def stable_dt(self, dataobjs: Sequence[DataObject], t: float) -> float:
         owner = self.owner
         dobj = dataobjs[0]
-        cfl = float(owner.services.get_parameter("cfl", 0.4))
+        cfl = owner.services.get_parameter("cfl")
         smax = owner.services.ports.speeds.max_wavespeed(dobj.name)
         if smax <= 0.0:
             raise CCAError("zero wavespeed field")
@@ -85,6 +87,8 @@ class ExplicitIntegratorRK2(Component):
     Uses ``rhs`` (PatchRHSPort), ``speeds`` (CharacteristicsPort),
     ``data`` (DataObjectPort); provides ``integrator``.
     """
+
+    PARAMS = (Param("cfl", "float", 0.4, min=0.01, max=1.0),)
 
     def set_services(self, services) -> None:
         self.services = services

@@ -48,6 +48,8 @@ class _Stats(StatisticsPort):
 class StatisticsComponent(Component):
     """Provides ``stats`` (StatisticsPort)."""
 
+    PARAMS = ()
+
     def set_services(self, services) -> None:
         self.services = services
         self.stats = _Stats()

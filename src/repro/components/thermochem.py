@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cca.component import Component
+from repro.cca.component import Component, Param
 from repro.cca.ports.parameter import ParameterPort
 from repro.cca.ports.physics import ChemistryPort
 from repro.cca.ports.rhs import JacobianPort, VectorRHSPort
@@ -121,6 +121,12 @@ class _Properties(ParameterPort):
 class ThermoChemistry(Component):
     """Chemistry source terms + gas-property database (see module doc)."""
 
+    PARAMS = (
+        Param("mechanism", "str", "h2-air", choices=("h2-air", "h2-lite")),
+        Param("pressure", "float", 101325.0, min=1000.0, max=100000000.0),
+        Param("rate_scale", "float", 1.0, min=0.0),
+    )
+
     def set_services(self, services) -> None:
         self.services = services
         self.extra: dict[str, Any] = {}
@@ -136,8 +142,8 @@ class ThermoChemistry(Component):
     @property
     def mech(self) -> Mechanism:
         if self._mech is None:
-            name = self.services.get_parameter("mechanism", "h2-air")
-            scale = float(self.services.get_parameter("rate_scale", 1.0))
+            name = self.services.get_parameter("mechanism")
+            scale = self.services.get_parameter("rate_scale")
             try:
                 mech = _MECHS[name]()
             except KeyError:
@@ -151,7 +157,7 @@ class ThermoChemistry(Component):
 
     @property
     def pressure(self) -> float:
-        return float(self.services.get_parameter("pressure", 101325.0))
+        return self.services.get_parameter("pressure")
 
     def source_terms(self, T, Y):
         """(dT/dt, dY/dt) at constant pressure, vectorized over cells.

@@ -8,14 +8,8 @@ fault hook (:func:`repro.resilience.faults.step_hook`) so an armed
 rank-kill plan takes effect at a deterministic point — *after* the step's
 checkpoint, never between a half-written shard pair.
 
-Driver parameters (the rc ``parameter`` directive):
-
-======================  ===============================================
-``checkpoint_path``     artifact prefix; "" (default) = checkpointing off
-``checkpoint_interval`` steps between checkpoints (default 1)
-``checkpoint_keep``     newest checkpoints to retain (0 = keep all)
-``resume``              restart from the latest valid checkpoint
-======================  ===============================================
+Driver parameters (the rc ``parameter`` directive) are
+:data:`CHECKPOINT_PARAMS`, which each driver splices into its ``PARAMS``.
 
 The hook is deliberately framework-frugal: it talks to the driver's
 :class:`~repro.cca.services.Services` handle and, through it, to the
@@ -29,11 +23,25 @@ from __future__ import annotations
 import os
 import time
 
+from repro.cca.component import Param
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_registry as _obs_registry
 from repro.resilience import checkpoint as app_ckpt
 from repro.resilience import faults as _faults
 from repro.resilience.checkpoint import AppCheckpoint
+
+
+#: the checkpoint/restart knobs every step-loop driver declares
+CHECKPOINT_PARAMS = (
+    Param("checkpoint_path", "str", "",
+          doc="artifact prefix; empty = checkpointing off"),
+    Param("checkpoint_interval", "int", 1, min=1,
+          doc="steps between checkpoints"),
+    Param("checkpoint_keep", "int", 0, min=0,
+          doc="newest checkpoints to retain (0 = keep all)"),
+    Param("resume", "bool", False,
+          doc="restart from the latest valid checkpoint"),
+)
 
 
 class CheckpointHook:
@@ -49,11 +57,10 @@ class CheckpointHook:
     def __init__(self, services, mesh_uses: str | None = "mesh") -> None:
         self.services = services
         self.framework = services._framework
-        p = services.parameters
-        self.path = p.get_str("checkpoint_path", "")
-        self.interval = p.get_int("checkpoint_interval", 1)
-        self.keep = p.get_int("checkpoint_keep", 0)
-        self.want_resume = p.get_bool("resume", False)
+        self.path = services.get_parameter("checkpoint_path")
+        self.interval = services.get_parameter("checkpoint_interval")
+        self.keep = services.get_parameter("checkpoint_keep")
+        self.want_resume = services.get_parameter("resume")
         self.comm = services.get_comm()
         #: shard id: None = serial (unsharded artifact), else comm rank
         self.rank = None if self.comm is None else self.comm.rank

@@ -3,14 +3,15 @@
 import pytest
 
 from repro.analysis.contracts import (
+    ComponentManifest,
+    PortSpec,
     analyze_assembly_contracts,
     analyze_script_contracts,
     check_job,
     coerce_job_params,
 )
 from repro.analysis.findings import Severity
-from repro.analysis.manifest import (ComponentManifest, ParamSpec,
-                                     PortSpec)
+from repro.cca.component import Param as ParamSpec
 
 
 def widget_manifest():
