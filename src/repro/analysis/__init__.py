@@ -12,10 +12,9 @@ sharing one findings model (:mod:`repro.analysis.findings`):
   port registration/fetch/release discipline.
 * :mod:`repro.analysis.scmd_safety` — AST lint for state that aliases
   across SCMD rank-threads.
-* :mod:`repro.analysis.manifest` / :mod:`repro.analysis.contracts` —
-  declarative per-component manifests (RA40x drift pass keeps them
-  honest against the source; RA41x validates assemblies and serve
-  jobs against them).
+* :mod:`repro.analysis.contracts` — RA41x validates assemblies and
+  serve jobs against each component class's declared contract: its
+  ``PARAMS`` and the ports its ``set_services`` registers.
 
 CLI::
 
@@ -34,8 +33,8 @@ import importlib.util
 import os
 from typing import Sequence, Type
 
-from repro.analysis import (contracts, lifecycle, manifest, races,
-                            scmd_safety, wiring)
+from repro.analysis import (contracts, lifecycle, races, scmd_safety,
+                            wiring)
 from repro.analysis.findings import (
     CODES,
     Finding,
@@ -61,7 +60,6 @@ __all__ = [
     "default_targets",
     "contracts",
     "lifecycle",
-    "manifest",
     "races",
     "scmd_safety",
     "wiring",
@@ -89,7 +87,7 @@ def analyze_rc_file(path: str,
                     check_contracts: bool = False,
                     ) -> list[Finding]:
     """Wiring analysis (and optionally the RA3xx happens-before checks
-    and/or the RA41x manifest contract pass) of an rc-script file."""
+    and/or the RA41x contract pass) of an rc-script file."""
     out = wiring.analyze_script_file(path, classes)
     if check_races:
         out += races.analyze_script_file_races(path, classes)

@@ -6,15 +6,6 @@ Exit codes (CI semantics):
   ``warning`` with ``--strict``).
 * ``1`` — findings at the gate.
 * ``2`` — usage error / unresolvable target.
-
-Manifest subcommand::
-
-    python -m repro.analysis manifest emit  [--dir DIR] [CLASS ...]
-    python -m repro.analysis manifest check [--dir DIR] [--format ...]
-
-``emit`` (re)generates component manifests from the source,
-merge-preserving hand annotations; ``check`` runs the RA40x drift pass
-with the exit semantics above.
 """
 
 from __future__ import annotations
@@ -23,14 +14,11 @@ import argparse
 import sys
 
 from repro.analysis import (
-    Report,
     Severity,
     analyze_targets,
     codes_table,
     default_targets,
 )
-from repro.analysis.manifest import (check_drift, default_manifest_dir,
-                                     emit_manifest)
 from repro.analysis.scmd_safety import DEFAULT_ALLOWLIST
 from repro.errors import AnalysisError
 
@@ -59,9 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
              "wiring)")
     parser.add_argument(
         "--contracts", action="store_true",
-        help="also run the RA41x manifest contract pass (parameter "
-             "names/types/ranges and schedule checks against the "
-             "committed component manifests)")
+        help="also run the RA41x contract pass (parameter names, "
+             "types, ranges and required ports checked against each "
+             "component class's PARAMS and set_services declarations)")
     parser.add_argument(
         "--min-severity", choices=("info", "warning", "error"),
         default="info",
@@ -76,72 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_manifest_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis manifest",
-        description="Generate and drift-check declarative component "
-                    "manifests (src/repro/manifests/).")
-    sub = parser.add_subparsers(dest="action", required=True)
-    emit = sub.add_parser(
-        "emit", help="(re)generate manifests from the component source, "
-                     "merge-preserving hand annotations")
-    emit.add_argument(
-        "classes", nargs="*", metavar="CLASS",
-        help="component class names to emit (default: every shipped "
-             "component + driver)")
-    emit.add_argument("--dir", default=None,
-                      help="manifest directory (default: the committed "
-                           "src/repro/manifests tree)")
-    emit.add_argument("--no-merge", action="store_true",
-                      help="overwrite instead of merging annotations "
-                           "from an existing manifest")
-    check = sub.add_parser(
-        "check", help="run the RA40x drift pass over the shipped "
-                      "components against the committed manifests")
-    check.add_argument("--dir", default=None,
-                       help="manifest directory to check against")
-    check.add_argument("--format", choices=("text", "json"),
-                       default="text")
-    check.add_argument("--strict", action="store_true",
-                       help="fail (exit 1) on warnings too")
-    check.add_argument("--min-severity",
-                       choices=("info", "warning", "error"),
-                       default="info")
-    return parser
-
-
-def manifest_main(argv: list[str]) -> int:
-    args = build_manifest_parser().parse_args(argv)
-    from repro.analysis.wiring import default_classes
-
-    classes = default_classes()
-    if args.action == "emit":
-        if args.classes:
-            by_name = {cls.__name__: cls for cls in classes}
-            unknown = [n for n in args.classes if n not in by_name]
-            if unknown:
-                print(f"error: unknown component class(es): "
-                      f"{', '.join(unknown)}", file=sys.stderr)
-                return 2
-            classes = [by_name[n] for n in args.classes]
-        directory = args.dir or default_manifest_dir()
-        for cls in classes:
-            path = emit_manifest(cls, directory, merge=not args.no_merge)
-            print(path)
-        return 0
-    report = Report(check_drift(classes, args.dir))
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.format_text(Severity.parse(args.min_severity)))
-    gate = Severity.WARNING if args.strict else Severity.ERROR
-    return report.exit_code(gate)
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "manifest":
-        return manifest_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.codes:
         print(codes_table())

@@ -17,10 +17,11 @@ Code ranges
     SCMD race detection (happens-before approximation over shared
     read/write sets and the rc-script wiring graph).
 ``RA40x``
-    Manifest drift (declarative component manifests vs the source).
+    Retired with the JSON manifests they kept in sync with the source;
+    a component's ``PARAMS`` is now its only declaration.  Not reused.
 ``RA41x``
     Assembly contract checks (rc-script parameters/schedule and serve
-    job overrides validated against component manifests).
+    job overrides validated against the classes' declarations).
 """
 
 from __future__ import annotations
@@ -102,18 +103,6 @@ CODES: dict[str, tuple[Severity, str]] = {
               "shared object written through multiple go-reachable "
               "instances"),
     "RA308": (Severity.INFO, "rank code reads a shared mutable"),
-    # -- RA40x: manifest drift (declared contract vs component source) -----
-    "RA401": (Severity.ERROR,
-              "source declares a port the manifest omits"),
-    "RA402": (Severity.ERROR,
-              "source reads a parameter the manifest omits"),
-    "RA403": (Severity.ERROR,
-              "manifest port/parameter with no source counterpart"),
-    "RA404": (Severity.ERROR,
-              "manifest type/default disagrees with the source"),
-    "RA405": (Severity.ERROR,
-              "checkpoint declaration drift for a stateful component"),
-    "RA406": (Severity.ERROR, "shipped component has no manifest"),
     # -- RA41x: assembly contract checks (rc-scripts + serve jobs) ---------
     "RA411": (Severity.ERROR, "unknown parameter name for the component"),
     "RA412": (Severity.ERROR, "parameter value outside the declared range"),

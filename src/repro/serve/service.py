@@ -19,13 +19,13 @@ after) compose through the store, and tests stay hermetic.
 
 *Admission control*: before a job is enqueued, the RA41x contract pass
 (:func:`repro.analysis.contracts.check_job`) statically validates the
-script and the overrides against the committed component manifests.
+script and the overrides against the component classes' declarations.
 Error findings (unknown parameter, out-of-range value, wrong type,
 missing required parameter, unconnected required port, unknown
 execution backend) fail the job instantly — the findings land on the job record, a per-tenant
 ``serve.rejected`` counter ticks, and no worker ever sees it.
 Warning-severity findings are recorded on the job and it proceeds.
-Admitted override values are coerced to their declared manifest types,
+Admitted override values are coerced to their declared parameter types,
 so ``"1100"`` and ``1100.0`` share one cache address.  Pass
 ``admission=False`` to restore the old trust-the-caller behavior.
 
@@ -190,7 +190,7 @@ class SimulationService:
                                  backend=str(backend or ""))
             errors = [f for f in findings if f.severity >= Severity.ERROR]
             if not errors:
-                # coerce override values to their declared manifest
+                # coerce override values to their declared parameter
                 # types so "1100" and 1100.0 key the cache identically
                 overrides = coerce_job_params(script, overrides)
         try:

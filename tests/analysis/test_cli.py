@@ -154,40 +154,6 @@ def test_contracts_unresolvable_target_exits_2(capsys):
     assert "cannot resolve target" in capsys.readouterr().err
 
 
-# ------------------------------------------------------ manifest command
-def test_manifest_check_committed_tree_clean(capsys):
-    assert main(["manifest", "check"]) == 0
-    assert "0 error(s)" in capsys.readouterr().out
-
-
-def test_manifest_check_json(capsys):
-    assert main(["manifest", "check", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["counts"]["error"] == 0
-
-
-def test_manifest_check_empty_dir_fails(tmp_path, capsys):
-    assert main(["manifest", "check", "--dir", str(tmp_path)]) == 1
-    assert "RA406" in capsys.readouterr().out
-
-
-def test_manifest_emit_writes_and_is_idempotent(tmp_path, capsys):
-    assert main(["manifest", "emit", "--dir", str(tmp_path),
-                 "Initializer", "CvodeComponent"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 2
-    first = {p: open(p).read() for p in out}
-    assert main(["manifest", "emit", "--dir", str(tmp_path),
-                 "Initializer", "CvodeComponent"]) == 0
-    capsys.readouterr()
-    assert {p: open(p).read() for p in first} == first
-
-
-def test_manifest_emit_unknown_class_exits_2(capsys):
-    assert main(["manifest", "emit", "NoSuchComponent"]) == 2
-    assert "unknown component class" in capsys.readouterr().err
-
-
 # ------------------------------------------------ a retired option is a finding
 def stale_flame_rc() -> str:
     """``examples/reaction_diffusion.rc`` as it read while

@@ -1,4 +1,4 @@
-"""The RA41x assembly contract pass over synthetic manifests."""
+"""The RA41x assembly contract pass over synthetic contracts."""
 
 import pytest
 
@@ -9,6 +9,8 @@ from repro.analysis.contracts import (
     analyze_script_contracts,
     check_job,
     coerce_job_params,
+    coerce_value,
+    value_type_ok,
 )
 from repro.analysis.findings import Severity
 from repro.cca.component import Param as ParamSpec
@@ -145,6 +147,21 @@ def test_unmanifested_classes_are_skipped(manifests):
     script = BASE + ("instantiate Mystery m\n"
                      "parameter m whatever 1\n")
     assert check(script, manifests) == []
+
+
+# -- value typing ----------------------------------------------------------
+def test_value_typing_rules():
+    assert value_type_ok("float", 3) and value_type_ok("float", 3.5)
+    assert not value_type_ok("float", "hot")
+    assert not value_type_ok("float", True)
+    assert value_type_ok("int", 3) and not value_type_ok("int", 3.5)
+    assert value_type_ok("bool", 1) and value_type_ok("bool", "true")
+    assert not value_type_ok("bool", 2)
+    assert value_type_ok("str", 0)  # components str()-coerce
+    assert coerce_value("float", "1100") == "1100"  # not ok -> unchanged
+    assert coerce_value("float", 1100) == 1100.0
+    assert coerce_value("bool", "yes") is True
+    assert coerce_value("str", 0) == "0"
 
 
 # -- serve admission entry points -----------------------------------------
