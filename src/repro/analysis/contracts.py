@@ -101,7 +101,7 @@ class ComponentManifest:
 def manifest_from(cls: type, services) -> ComponentManifest | None:
     """``cls``'s contract from its ``PARAMS`` and the port tables one of
     its instances registered on ``services``; None when undeclared."""
-    if getattr(cls, "PARAMS", None) is None:
+    if cls.PARAMS is None:
         return None
     return ComponentManifest(
         class_name=cls.__name__,
@@ -118,7 +118,7 @@ def manifest_from(cls: type, services) -> ComponentManifest | None:
 def class_manifest(cls: type) -> ComponentManifest | None:
     """``cls``'s contract, its ports harvested by one sandbox
     ``set_services`` (cached per class)."""
-    if getattr(cls, "PARAMS", None) is None:
+    if cls.PARAMS is None:
         return None
     return manifest_from(cls, sandbox_services(cls))
 
@@ -613,8 +613,8 @@ def coerce_job_params(script: str, params: Mapping[str, Any] | None,
 
 
 __all__ = [
-    "ComponentManifest", "PortSpec", "manifest_from", "class_manifest",
-    "load_manifests", "value_type_ok", "coerce_value",
+    "ComponentManifest", "PortSpec", "load_manifests", "value_type_ok",
+    "coerce_value",
     "AssemblyModel", "model_from_script", "model_from_framework",
     "check_model", "analyze_script_contracts",
     "analyze_script_file_contracts", "analyze_framework_contracts",

@@ -73,5 +73,5 @@ class Component(ABC):
 @functools.cache
 def declared_params(cls: type) -> dict[str, Param] | None:
     """``cls.PARAMS`` by name, or None for an undeclared class."""
-    params = getattr(cls, "PARAMS", None)
+    params = cls.PARAMS
     return None if params is None else {p.name: p for p in params}
