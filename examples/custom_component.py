@@ -48,7 +48,7 @@ class SingleKernelIC(Component):
     """A user-written Initial Condition component."""
 
     # the rc-script parameters it reads, declared once: the contract
-    # checks (python -m repro.analysis --contracts, serve admission) and
+    # checks (python -m repro.analysis, serve admission) and
     # Framework.set_parameter's typo warning read them too
     PARAMS = (
         Param("x", "float", 0.0025, doc="kernel centre [m]"),

@@ -3,15 +3,17 @@
 The paper's argument is that a component assembly is a *checkable
 artifact*: ports are typed, wiring is declared in an rc-script, and the
 framework refuses bad compositions before the simulation runs.  This
-package is that pre-flight check for our reproduction, three passes
-sharing one findings model (:mod:`repro.analysis.findings`):
+package is that pre-flight check for our reproduction, four passes
+sharing one findings model (:mod:`repro.analysis.findings`), all of
+them run on every call:
 
 * :mod:`repro.analysis.wiring` — rc-scripts and built frameworks,
   validated without executing ``go``.
 * :mod:`repro.analysis.lifecycle` — AST lint of component source for
   port registration/fetch/release discipline.
-* :mod:`repro.analysis.scmd_safety` — AST lint for state that aliases
-  across SCMD rank-threads.
+* :mod:`repro.analysis.scmd` — AST pass for state that aliases across
+  SCMD rank-threads (RA2xx) and the races on it (RA3xx), in source
+  files and over an rc-script's wiring graph.
 * :mod:`repro.analysis.contracts` — RA41x validates assemblies and
   serve jobs against each component class's declared contract: its
   ``PARAMS`` and the ports its ``set_services`` registers.
@@ -29,12 +31,12 @@ nothing at the gate severity (error, or warning with ``--strict``).
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import os
 from typing import Sequence, Type
 
-from repro.analysis import (contracts, lifecycle, races, scmd_safety,
-                            wiring)
+from repro.analysis import contracts, lifecycle, scmd, wiring
 from repro.analysis.findings import (
     CODES,
     Finding,
@@ -42,6 +44,7 @@ from repro.analysis.findings import (
     Severity,
     codes_table,
     finding,
+    unparseable,
 )
 from repro.cca.component import Component
 from repro.errors import AnalysisError
@@ -60,40 +63,39 @@ __all__ = [
     "default_targets",
     "contracts",
     "lifecycle",
-    "races",
-    "scmd_safety",
+    "scmd",
     "wiring",
 ]
 
 
 def analyze_python_file(path: str,
-                        allowlist=scmd_safety.DEFAULT_ALLOWLIST,
-                        check_races: bool = False,
-                        ) -> list[Finding]:
-    """Lifecycle + SCMD passes (and optionally the RA3xx race pass)
-    over one Python source file."""
+                        allowlist=scmd.DEFAULT_ALLOWLIST) -> list[Finding]:
+    """Lifecycle and SCMD passes over one Python source file, parsed
+    once."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    out = (lifecycle.analyze_source(text, path)
-           + scmd_safety.analyze_source(text, path, allowlist))
-    if check_races:
-        out += races.analyze_source_races(text, path, allowlist)
-    return out
+    try:
+        tree = ast.parse(text, filename=path)
+    except SyntaxError as exc:
+        return [unparseable(exc, path)]
+    return (lifecycle.analyze_tree(tree, path)
+            + scmd.analyze_tree(tree, text, path, allowlist))
+
+
+def _analyze_rc_text(text: str, classes: Sequence[Type[Component]] | None,
+                     path: str) -> list[Finding]:
+    return (wiring.analyze_script(text, classes, path)
+            + scmd.analyze_script(text, classes, path)
+            + contracts.analyze_script_contracts(text, path))
 
 
 def analyze_rc_file(path: str,
                     classes: Sequence[Type[Component]] | None = None,
-                    check_races: bool = False,
-                    check_contracts: bool = False,
                     ) -> list[Finding]:
-    """Wiring analysis (and optionally the RA3xx happens-before checks
-    and/or the RA41x contract pass) of an rc-script file."""
-    out = wiring.analyze_script_file(path, classes)
-    if check_races:
-        out += races.analyze_script_file_races(path, classes)
-    if check_contracts:
-        out += contracts.analyze_script_file_contracts(path)
-    return out
+    """Wiring, SCMD happens-before and contract passes over an
+    rc-script file."""
+    with open(path, encoding="utf-8") as fh:
+        return _analyze_rc_text(fh.read(), classes, path)
 
 
 def _module_dir(name: str) -> str | None:
@@ -111,9 +113,7 @@ def _module_dir(name: str) -> str | None:
 
 def analyze_target(target: str,
                    classes: Sequence[Type[Component]] | None = None,
-                   allowlist=scmd_safety.DEFAULT_ALLOWLIST,
-                   check_races: bool = False,
-                   check_contracts: bool = False,
+                   allowlist=scmd.DEFAULT_ALLOWLIST,
                    ) -> list[Finding]:
     """Analyze one CLI target; raises :class:`AnalysisError` when the
     target cannot be resolved.
@@ -123,10 +123,8 @@ def analyze_target(target: str,
     importable module/package name.
     """
     if target in wiring.assembly_names():
-        out = wiring.analyze_assembly(target)
-        if check_contracts:
-            out = out + contracts.analyze_assembly_contracts(target)
-        return out
+        return (wiring.analyze_assembly(target)
+                + contracts.analyze_assembly_contracts(target))
     if os.path.isdir(target):
         out = []
         for dirpath, dirnames, filenames in os.walk(target):
@@ -135,21 +133,17 @@ def analyze_target(target: str,
             for fn in sorted(filenames):
                 full = os.path.join(dirpath, fn)
                 if fn.endswith(".py"):
-                    out.extend(analyze_python_file(full, allowlist,
-                                                   check_races))
+                    out.extend(analyze_python_file(full, allowlist))
                 elif fn.endswith(".rc"):
-                    out.extend(analyze_rc_file(full, classes, check_races,
-                                               check_contracts))
+                    out.extend(analyze_rc_file(full, classes))
         return out
     if os.path.isfile(target):
         if target.endswith(".py"):
-            return analyze_python_file(target, allowlist, check_races)
-        return analyze_rc_file(target, classes, check_races,
-                               check_contracts)
+            return analyze_python_file(target, allowlist)
+        return analyze_rc_file(target, classes)
     resolved = _module_dir(target)
     if resolved is not None:
-        return analyze_target(resolved, classes, allowlist, check_races,
-                              check_contracts)
+        return analyze_target(resolved, classes, allowlist)
     raise AnalysisError(
         f"cannot resolve target {target!r}: not an assembly name "
         f"({', '.join(wiring.assembly_names())}), file, directory, or "
@@ -163,31 +157,18 @@ def default_targets() -> list[str]:
 
 def analyze_targets(targets: Sequence[str] | None = None,
                     classes: Sequence[Type[Component]] | None = None,
-                    allowlist=scmd_safety.DEFAULT_ALLOWLIST,
-                    check_races: bool = False,
-                    check_contracts: bool = False) -> Report:
+                    allowlist=scmd.DEFAULT_ALLOWLIST) -> Report:
     """Analyze many targets into one :class:`Report`.
 
     With no targets, covers :func:`default_targets` plus the shipped
     ``IGNITION0D_SCRIPT`` rc-script text.
     """
     report = Report()
-    if targets:
-        for target in targets:
-            report.extend(analyze_target(target, classes, allowlist,
-                                         check_races, check_contracts))
-        return report
-    for target in default_targets():
-        report.extend(analyze_target(target, classes, allowlist,
-                                     check_races, check_contracts))
-    from repro.apps.assemblies import IGNITION0D_SCRIPT
+    for target in targets or default_targets():
+        report.extend(analyze_target(target, classes, allowlist))
+    if not targets:
+        from repro.apps.assemblies import IGNITION0D_SCRIPT
 
-    report.extend(wiring.analyze_script(
-        IGNITION0D_SCRIPT, classes, path="<IGNITION0D_SCRIPT>"))
-    if check_races:
-        report.extend(races.analyze_script_races(
-            IGNITION0D_SCRIPT, classes, path="<IGNITION0D_SCRIPT>"))
-    if check_contracts:
-        report.extend(contracts.analyze_script_contracts(
-            IGNITION0D_SCRIPT, path="<IGNITION0D_SCRIPT>"))
+        report.extend(_analyze_rc_text(IGNITION0D_SCRIPT, classes,
+                                       "<IGNITION0D_SCRIPT>"))
     return report

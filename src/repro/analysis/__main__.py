@@ -19,7 +19,7 @@ from repro.analysis import (
     codes_table,
     default_targets,
 )
-from repro.analysis.scmd_safety import DEFAULT_ALLOWLIST
+from repro.analysis.scmd import DEFAULT_ALLOWLIST
 from repro.errors import AnalysisError
 
 
@@ -27,7 +27,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Statically validate CCA assemblies and components "
-                    "without executing them.")
+                    "without executing them: wiring, port lifecycle, "
+                    "SCMD shared state and races, and parameter "
+                    "contracts, all in one run.")
     parser.add_argument(
         "targets", nargs="*", metavar="TARGET",
         help="rc-script file, .py file, directory, importable package, "
@@ -40,16 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict", action="store_true",
         help="fail (exit 1) on warnings too, not only errors")
-    parser.add_argument(
-        "--races", action="store_true",
-        help="also run the RA3xx SCMD race pass (happens-before "
-             "approximation over shared read/write sets and rc-script "
-             "wiring)")
-    parser.add_argument(
-        "--contracts", action="store_true",
-        help="also run the RA41x contract pass (parameter names, "
-             "types, ranges and required ports checked against each "
-             "component class's PARAMS and set_services declarations)")
     parser.add_argument(
         "--min-severity", choices=("info", "warning", "error"),
         default="info",
@@ -71,9 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     allowlist = DEFAULT_ALLOWLIST | frozenset(args.allow)
     try:
-        report = analyze_targets(args.targets or None, allowlist=allowlist,
-                                 check_races=args.races,
-                                 check_contracts=args.contracts)
+        report = analyze_targets(args.targets or None, allowlist=allowlist)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

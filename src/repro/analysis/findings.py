@@ -12,10 +12,14 @@ Code ranges
 ``RA1xx``
     Component lifecycle linting (AST over component source).
 ``RA2xx``
-    SCMD shared-state analysis (rank-threads share one address space).
+    SCMD shared state: where module- and class-level mutables are bound
+    (rank-threads share one address space).  ``RA203`` (a write to that
+    state from a ``go``/``step`` method) is retired: every such write is
+    an ``RA301``/``RA302`` finding.  Not reused.
 ``RA3xx``
     SCMD race detection (happens-before approximation over shared
-    read/write sets and the rc-script wiring graph).
+    read/write sets and the rc-script wiring graph).  Both families come
+    from one pass, :mod:`repro.analysis.scmd`.
 ``RA40x``
     Retired with the JSON manifests they kept in sync with the source;
     a component's ``PARAMS`` is now its only declaration.  Not reused.
@@ -81,8 +85,6 @@ CODES: dict[str, tuple[Severity, str]] = {
     # -- RA2xx: SCMD shared state ------------------------------------------
     "RA201": (Severity.WARNING, "module-level mutable state"),
     "RA202": (Severity.WARNING, "mutable class attribute"),
-    "RA203": (Severity.WARNING,
-              "class/module state mutated in a go/step method"),
     "RA204": (Severity.INFO,
               "module-level mutable bound to a constant-style name"),
     # -- RA3xx: SCMD race detection ----------------------------------------
@@ -166,6 +168,12 @@ def finding(code: str, message: str, *, path: str | None = None,
     sev = severity if severity is not None else CODES[code][0]
     return Finding(code=code, message=message, path=path, line=line,
                    context=context, severity=sev)
+
+
+def unparseable(exc: SyntaxError, path: str) -> Finding:
+    """The ``RA001`` finding for a Python file that does not parse."""
+    return finding("RA001", f"not parseable as Python: {exc.msg}",
+                   path=path, line=exc.lineno)
 
 
 class Report:

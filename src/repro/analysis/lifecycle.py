@@ -33,7 +33,7 @@ import inspect
 import textwrap
 from dataclasses import dataclass, field
 
-from repro.analysis.findings import Finding, finding
+from repro.analysis.findings import Finding, finding, unparseable
 
 #: exception names accepted as a fetch guard in ``except`` clauses.
 _GUARD_EXCEPTIONS = {
@@ -223,7 +223,11 @@ class _ClassVisitor:
 
 def scan_source(text: str, path: str = "<source>") -> FileScan:
     """Parse ``text`` and collect per-class port traffic."""
-    tree = ast.parse(text, filename=path)
+    return scan_tree(ast.parse(text, filename=path), path)
+
+
+def scan_tree(tree: ast.Module, path: str = "<source>") -> FileScan:
+    """Collect per-class port traffic from a parsed file."""
     scan = FileScan(path=path)
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -236,10 +240,15 @@ def scan_source(text: str, path: str = "<source>") -> FileScan:
 def analyze_source(text: str, path: str = "<source>") -> list[Finding]:
     """Run the lifecycle lint over one Python source text."""
     try:
-        scan = scan_source(text, path)
+        tree = ast.parse(text, filename=path)
     except SyntaxError as exc:
-        return [finding("RA001", f"not parseable as Python: {exc.msg}",
-                        path=path, line=exc.lineno)]
+        return [unparseable(exc, path)]
+    return analyze_tree(tree, path)
+
+
+def analyze_tree(tree: ast.Module, path: str = "<source>") -> list[Finding]:
+    """Run the lifecycle lint over one parsed Python file."""
+    scan = scan_tree(tree, path)
     out: list[Finding] = []
     union_uses = scan.union_uses()
     fetched_names = {f.name for f in scan.union_fetches()}

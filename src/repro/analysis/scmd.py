@@ -1,9 +1,24 @@
-"""SCMD race detector, static layer (RA301–RA308).
+"""SCMD analysis: shared state and races across rank-threads.
 
-:mod:`repro.analysis.scmd_safety` lints for state that *aliases* across
-rank-threads; this pass goes one step further and reasons about the
-*ordering* of accesses with a happens-before approximation tuned to the
-SCMD execution model of :func:`repro.mpi.launcher.mpirun`:
+:func:`repro.mpi.launcher.mpirun` runs the P "processors" of an SCMD job
+as rank-threads inside one Python process.  Real MPI ranks get private
+address spaces for free; our rank-threads do **not** — any module-level
+mutable object or mutated class attribute is silently shared across
+ranks, the exact hazard the paper's per-process frameworks avoid.  This
+AST pass parses each file once, builds one model of its shared objects
+(:func:`shared_bindings`) and reports two families of findings from it
+without importing anything.
+
+Shared state — where the shared objects are bound:
+
+* ``RA201`` — module-level mutable bound to a non-constant-style name.
+* ``RA202`` — mutable class attribute (shared by every instance on every
+  rank-thread).
+* ``RA204`` — module-level mutable bound to a CONSTANT_STYLE name
+  (read-only by convention; reported as info so reviewers see it).
+
+Races — how rank-executed (``go``/``run``/``step``-style) methods touch
+them, with a happens-before approximation tuned to the SCMD model:
 
 * All P rank-threads execute the same component code, so a write that is
   **not** guarded by a rank test executes on every rank-thread.  Inside
@@ -19,13 +34,16 @@ SCMD execution model of :func:`repro.mpi.launcher.mpirun`:
   ranks — the others never arrive, and the rendezvous in
   ``repro.mpi.comm`` deadlocks (then times out).
 
-The per-component read/write sets come from the AST: module/class shared
-state reuses the RA2xx model (:func:`repro.analysis.scmd_safety.shared_bindings`),
-and patch arrays are tracked through the GrACE/Hierarchy accessor
-surface (``dobj.array(p)`` writes inside loops over ``.patches``).
+A write is caught in every spelling: direct assignment, subscript
+stores, augmented assignment (``Cls.cache += ...``, ``self.tallies[k] +=
+1`` on a class-level dict), global rebinding, and mutating method calls
+(``Cls.seen.add(...)``, ``self.history.append(...)``,
+``__class__.cfg.update(...)``).  Each is keyed by the object it writes:
+``Owner.attr`` for a class attribute (the class that holds it, not the
+class whose method writes it) and ``module:name`` for a module global.
+Patch arrays are tracked through the GrACE/Hierarchy accessor surface
+(``dobj.array(p)`` writes inside loops over ``.patches``).
 
-Findings
---------
 * ``RA301`` (error) — unguarded write to a shared object in rank code:
   every rank-thread races on one object; no collective orders it.
 * ``RA302`` (error) — reduction/accumulation (``+=``, ``.append``,
@@ -46,35 +64,65 @@ Findings
 * ``RA308`` (info) — rank code reads a shared mutable; benign until
   someone writes it, so it is surfaced for review only.
 
-The ``# scmd: shared`` pragma and the SCMD allowlist suppress RA30x on
-the same terms as the RA2xx pass.
+Allowlist: intentionally shared singletons — loggers, the tracing
+module, metric registries — are exempt by name
+(:data:`DEFAULT_ALLOWLIST`), and any flagged statement can carry the
+pragma comment ``# scmd: shared`` to opt in deliberately (document why
+next to it).  The pragma matches anywhere on any line the statement
+spans (so multi-line literals and lines with trailing commentary after
+the pragma opt out too), with flexible spacing (``#scmd:shared`` works).
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import pathlib
+import re
 from dataclasses import dataclass, field
 from typing import Sequence, Type
 
-from repro.analysis.findings import Finding, finding
-from repro.analysis.scmd_safety import (
-    DEFAULT_ALLOWLIST,
-    PRAGMA,
-    STEP_METHODS,
-    _CONSTANT_NAME,
-    _MUTATING_METHODS,
-    _Ctx,
-    shared_bindings,
-)
+from repro.analysis.findings import Finding, finding, unparseable
 from repro.cca.component import Component
 from repro.cca.script import parse_script_tolerant
 
-#: rendezvous operations in :class:`repro.mpi.comm.Comm` — every rank
-#: must arrive, and arrival orders the participants' clocks.
-COLLECTIVES = frozenset({
-    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
-    "alltoall", "scatter",
+#: names whose module-level bindings are deliberately process-wide —
+#: the obs registry/tracer and logging singletons the subsystems share.
+DEFAULT_ALLOWLIST = frozenset({
+    "_log", "log", "logger", "_logger",
+    "_trace", "trace",
+    "registry", "_registry", "_REGISTRY", "REGISTRY",
+    "__all__", "__path__",
+})
+
+#: the pragma that marks a statement as intentionally shared (canonical
+#: spelling; matching is done by :data:`_PRAGMA_RE` so spacing varies).
+PRAGMA = "# scmd: shared"
+
+#: tolerant pragma matcher: optional space after ``#`` and around the
+#: colon, and anything may follow (a why-comment on the same line).
+_PRAGMA_RE = re.compile(r"#\s*scmd\s*:\s*shared\b")
+
+#: rank-executed entry points whose writes to shared state race.
+STEP_METHODS = frozenset({
+    "go", "run", "step", "advance", "integrate", "apply", "exchange",
+    "regrid", "initialize",
+})
+
+_CONSTANT_NAME = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
+
+#: constructor names producing mutable containers.
+_MUTABLE_CALLS = frozenset({
+    "dict", "list", "set", "bytearray", "defaultdict", "deque",
+    "Counter", "OrderedDict",
+    "zeros", "ones", "empty", "full", "array", "arange", "linspace",
+    "zeros_like", "ones_like", "empty_like", "full_like",
+})
+
+#: method calls that mutate their receiver.
+_MUTATING_METHODS = frozenset({
+    "append", "extend", "insert", "add", "update", "setdefault", "pop",
+    "popitem", "remove", "discard", "clear", "sort", "reverse", "fill",
 })
 
 #: accumulate-style mutators: their use on a shared object is a
@@ -83,9 +131,142 @@ _ACCUMULATORS = frozenset({
     "append", "extend", "insert", "add", "update", "setdefault",
 })
 
+#: rendezvous operations in :class:`repro.mpi.comm.Comm` — every rank
+#: must arrive, and arrival orders the participants' clocks.
+COLLECTIVES = frozenset({
+    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
+    "alltoall", "scatter",
+})
+
 #: accessor method names that hand back owner-filtered patch sequences —
 #: loops over these need no explicit owner guard.
 _OWNED_ITERATORS = frozenset({"owned_patches"})
+
+
+def _is_mutable_value(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                         ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        return name in _MUTABLE_CALLS
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        # [0] * n style preallocation
+        return _is_mutable_value(node.left) or _is_mutable_value(node.right)
+    return False
+
+
+def _assign_names(node: ast.stmt) -> list[tuple[str, ast.expr | None]]:
+    """(name, value) pairs for plain-name assignments in a statement."""
+    if isinstance(node, ast.Assign):
+        return [(t.id, node.value) for t in node.targets
+                if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [(node.target.id, node.value)]
+    return []
+
+
+def _is_self(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _targets(node: ast.stmt) -> list[ast.expr]:
+    """The store targets of an assignment statement (none otherwise)."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
+
+
+@dataclass
+class _Ctx:
+    path: str
+    lines: list[str]
+    allowlist: frozenset[str]
+
+    def pragma(self, node: ast.AST | int) -> bool:
+        """True when the pragma appears on *any* line the statement
+        spans — a multi-line literal can carry it on its closing brace
+        just as well as on the opening line."""
+        if isinstance(node, int):
+            first = last = node
+        else:
+            first = getattr(node, "lineno", 0)
+            last = getattr(node, "end_lineno", None) or first
+        for lineno in range(first, last + 1):
+            if 1 <= lineno <= len(self.lines) and \
+                    _PRAGMA_RE.search(self.lines[lineno - 1]):
+                return True
+        return False
+
+
+@dataclass
+class _SharedModel:
+    """Shared-object universe of one source file."""
+
+    #: names module globals in write keys (``module:name``)
+    module: str
+    #: every mutable binding as ``(class or None, name, statement)``, the
+    #: module's own first, then each class body's
+    bindings: list[tuple[str | None, str, ast.stmt]] = \
+        field(default_factory=list)
+    module_mutables: set[str] = field(default_factory=set)
+    #: class name -> its mutable class attributes (every class has a key)
+    class_mutables: dict[str, set[str]] = field(default_factory=dict)
+
+
+def shared_bindings(tree: ast.Module, module: str) -> _SharedModel:
+    """The file's shared objects: module-level mutables and mutable class
+    attributes, one walk over the tree."""
+    model = _SharedModel(module)
+    for node in tree.body:
+        for name, value in _assign_names(node):
+            if value is not None and _is_mutable_value(value):
+                model.bindings.append((None, name, node))
+                model.module_mutables.add(name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        attrs = model.class_mutables.setdefault(node.name, set())
+        for stmt in node.body:
+            for name, value in _assign_names(stmt):
+                if value is not None and _is_mutable_value(value):
+                    model.bindings.append((node.name, name, stmt))
+                    attrs.add(name)
+    return model
+
+
+def _binding_findings(ctx: _Ctx, model: _SharedModel) -> list[Finding]:
+    """RA201/RA202/RA204: where the shared objects are bound."""
+    out: list[Finding] = []
+    for owner, name, stmt in model.bindings:
+        if name in ctx.allowlist or ctx.pragma(stmt):
+            continue
+        if owner is not None:
+            out.append(finding(
+                "RA202",
+                f"{owner}.{name} is a mutable class attribute — one "
+                f"object shared by every instance on every rank-thread; "
+                f"initialise it in __init__ or set_services",
+                path=ctx.path, line=stmt.lineno, context=owner))
+        elif _CONSTANT_NAME.match(name):
+            out.append(finding(
+                "RA204",
+                f"module-level mutable {name!r} is shared across SCMD "
+                f"rank-threads (constant-style name: treated as "
+                f"read-only)",
+                path=ctx.path, line=stmt.lineno, context=name))
+        else:
+            out.append(finding(
+                "RA201",
+                f"module-level mutable {name!r} is shared across SCMD "
+                f"rank-threads; make it per-instance, rename it "
+                f"CONSTANT_STYLE, or mark it '{PRAGMA}'",
+                path=ctx.path, line=stmt.lineno, context=name))
+    return out
 
 
 def _mentions_rank(expr: ast.AST) -> bool:
@@ -105,91 +286,6 @@ def _is_owner_guard(test: ast.expr) -> bool:
                for n in ast.walk(test))
 
 
-@dataclass
-class _SharedModel:
-    """Shared-object universe of one source file."""
-
-    module_mutables: dict[str, int]
-    class_mutables: dict[str, dict[str, int]]
-    class_names: set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self.class_names = set(self.class_mutables)
-
-
-def _classify_write(node: ast.stmt, model: _SharedModel,
-                    class_name: str, globals_declared: set[str],
-                    shadowed: set[str]) -> list[tuple[str, bool]]:
-    """Shared-object targets written by one statement.
-
-    Returns ``(name, is_accumulation)`` pairs where ``name`` is the
-    shared binding (module global or class attribute) being written.
-    """
-    own = model.class_mutables.get(class_name, {})
-    out: list[tuple[str, bool]] = []
-    accum = isinstance(node, ast.AugAssign)
-    targets: list[ast.expr] = []
-    if isinstance(node, ast.Assign):
-        targets = node.targets
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        targets = [node.target]
-    for t in targets:
-        if isinstance(t, ast.Attribute):
-            base = t.value
-            if isinstance(base, ast.Name) and base.id in model.class_names:
-                out.append((t.attr, accum))
-            elif isinstance(base, ast.Attribute) and \
-                    base.attr == "__class__":
-                out.append((t.attr, accum))
-            elif accum and isinstance(base, ast.Name) and \
-                    base.id == "self" and t.attr in own and \
-                    t.attr not in shadowed:
-                out.append((t.attr, True))
-        elif isinstance(t, ast.Name) and t.id in globals_declared:
-            out.append((t.id, accum))
-        elif isinstance(t, ast.Subscript):
-            base = t.value
-            if isinstance(base, ast.Name) and \
-                    base.id in model.module_mutables:
-                out.append((base.id, accum))
-            elif isinstance(base, ast.Attribute):
-                owner = base.value
-                if isinstance(owner, ast.Name) and \
-                        owner.id in model.class_names:
-                    out.append((base.attr, accum))
-                elif isinstance(owner, ast.Attribute) and \
-                        owner.attr == "__class__":
-                    out.append((base.attr, accum))
-                elif isinstance(owner, ast.Name) and owner.id == "self" \
-                        and base.attr in own and base.attr not in shadowed:
-                    out.append((base.attr, accum))
-    return out
-
-
-def _classify_mutating_call(node: ast.Call, model: _SharedModel,
-                            class_name: str,
-                            shadowed: set[str]) -> tuple[str, str] | None:
-    """``(name, method)`` when the call mutates a shared object."""
-    if not isinstance(node.func, ast.Attribute) or \
-            node.func.attr not in _MUTATING_METHODS:
-        return None
-    own = model.class_mutables.get(class_name, {})
-    recv = node.func.value
-    meth = node.func.attr
-    if isinstance(recv, ast.Name) and recv.id in model.module_mutables:
-        return recv.id, meth
-    if isinstance(recv, ast.Attribute):
-        owner = recv.value
-        if isinstance(owner, ast.Name) and owner.id in model.class_names:
-            return recv.attr, meth
-        if isinstance(owner, ast.Attribute) and owner.attr == "__class__":
-            return recv.attr, meth
-        if isinstance(owner, ast.Name) and owner.id == "self" and \
-                recv.attr in own and recv.attr not in shadowed:
-            return recv.attr, meth
-    return None
-
-
 def _is_collective_call(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and \
         isinstance(node.func, ast.Attribute) and \
@@ -205,29 +301,73 @@ class _MethodScanner:
         self.model = model
         self.class_name = class_name
         self.method = method
+        self.own = model.class_mutables.get(class_name, set())
         self.out: list[Finding] = []
+        #: keys of every shared object the method writes (RA307)
+        self.writes: set[str] = set()
         self.globals_declared: set[str] = set()
+        # ``self.attr = ...`` plain stores shadow the class attribute with
+        # an instance attribute — after one, ``self.attr`` is private.
         self.shadowed: set[str] = set()
         #: linenos of collectives executed by *all* ranks (unguarded)
         self.uniform_collectives: list[int] = []
-        #: (lineno, name) of rank-guarded shared writes, for RA303
+        #: (lineno, key) of rank-guarded shared writes, for RA303
         self.guarded_writes: list[tuple[int, str]] = []
         for node in ast.walk(method):
             if isinstance(node, ast.Global):
                 self.globals_declared.update(node.names)
-            if isinstance(node, ast.Assign):
-                for t in node.targets:
-                    if isinstance(t, ast.Attribute) and \
-                            isinstance(t.value, ast.Name) and \
-                            t.value.id == "self":
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for t in _targets(node):
+                    if isinstance(t, ast.Attribute) and _is_self(t.value):
                         self.shadowed.add(t.attr)
 
+    # -- what a statement writes -------------------------------------------
+    def _shared(self, expr: ast.expr) -> tuple[str, str] | None:
+        """``(key, name)`` when ``expr`` denotes a shared object: a
+        module-level mutable, or a class attribute reached through its
+        class (``Cls.x``, ``self.__class__.x``, or ``self.x`` for an
+        unshadowed mutable of the method's own class)."""
+        if isinstance(expr, ast.Name):
+            if expr.id in self.model.module_mutables:
+                return f"{self.model.module}:{expr.id}", expr.id
+            return None
+        if not isinstance(expr, ast.Attribute):
+            return None
+        base = expr.value
+        if isinstance(base, ast.Name) and \
+                base.id in self.model.class_mutables:
+            owner = base.id
+        elif isinstance(base, ast.Attribute) and base.attr == "__class__":
+            owner = self.class_name
+        elif _is_self(base) and expr.attr in self.own and \
+                expr.attr not in self.shadowed:
+            owner = self.class_name
+        else:
+            return None
+        return f"{owner}.{expr.attr}", expr.attr
+
+    def _classify_write(self, node: ast.stmt
+                        ) -> list[tuple[str, str, bool]]:
+        """``(key, name, is_accumulation)`` for each shared object one
+        assignment statement writes."""
+        accum = isinstance(node, ast.AugAssign)
+        out = []
+        for t in _targets(node):
+            if isinstance(t, ast.Name):
+                hit = None
+                if t.id in self.globals_declared:
+                    hit = f"{self.model.module}:{t.id}", t.id
+            elif isinstance(t, ast.Subscript):
+                hit = self._shared(t.value)
+            else:
+                hit = self._shared(t)
+            if hit is not None:
+                out.append((*hit, accum))
+        return out
+
     # -- emit helpers ------------------------------------------------------
-    def flag(self, code: str, node: ast.AST, message: str,
-             target: str | None = None) -> None:
+    def flag(self, code: str, node: ast.AST, message: str) -> None:
         if self.ctx.pragma(node):
-            return
-        if target is not None and target in self.ctx.allowlist:
             return
         self.out.append(finding(
             code, message, path=self.ctx.path, line=node.lineno,
@@ -308,23 +448,23 @@ class _MethodScanner:
 
         # -- leaf statement: shared writes, patch writes, collectives ------
         written: set[str] = set()
-        for name, accum in _classify_write(
-                stmt, self.model, self.class_name, self.globals_declared,
-                self.shadowed):
+        for key, name, accum in self._classify_write(stmt):
             written.add(name)
-            self._record_write(stmt, name, accum, rank_guarded)
+            self._record_write(stmt, key, name, accum, rank_guarded)
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                hit = _classify_mutating_call(
-                    node, self.model, self.class_name, self.shadowed)
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in _MUTATING_METHODS:
+                hit = self._shared(node.func.value)
                 if hit is not None:
-                    name, meth = hit
+                    key, name = hit
+                    meth = node.func.attr
                     written.add(name)
                     self._record_write(
-                        node, name, meth in _ACCUMULATORS, rank_guarded,
-                        spelled=f".{meth}()")
-                if _is_collective_call(node) and not rank_guarded:
-                    self.uniform_collectives.append(node.lineno)
+                        node, key, name, meth in _ACCUMULATORS,
+                        rank_guarded, spelled=f".{meth}()")
+            if _is_collective_call(node) and not rank_guarded:
+                self.uniform_collectives.append(node.lineno)
         self._check_patch_write(stmt, patch_var, owner_ok)
         self._check_shared_reads(stmt, written)
 
@@ -336,30 +476,30 @@ class _MethodScanner:
                 self.uniform_collectives.append(node.lineno)
 
     # -- checks ------------------------------------------------------------
-    def _record_write(self, node: ast.AST, name: str, accum: bool,
-                      rank_guarded: bool, spelled: str = "") -> None:
+    def _record_write(self, node: ast.AST, key: str, name: str,
+                      accum: bool, rank_guarded: bool,
+                      spelled: str = "") -> None:
         if name in self.ctx.allowlist:
             return
+        self.writes.add(key)
         where = f"{self.class_name}.{self.method.name}"
         if rank_guarded:
-            self.guarded_writes.append((node.lineno, name))
+            self.guarded_writes.append((node.lineno, key))
             return
         if accum:
             self.flag(
                 "RA302", node,
-                f"{where} accumulates into shared {name!r}{spelled} on "
+                f"{where} accumulates into shared {key!r}{spelled} on "
                 f"every rank-thread — a hand-rolled reduction outside a "
                 f"collective; use comm.allreduce/comm.reduce, or guard "
-                f"with a rank test and publish via bcast",
-                target=name)
+                f"with a rank test and publish via bcast")
         else:
             self.flag(
                 "RA301", node,
-                f"{where} writes shared {name!r} from every rank-thread "
+                f"{where} writes shared {key!r} from every rank-thread "
                 f"with no ordering — barriers cannot serialize identical "
                 f"writes; guard with a rank test or make it per-rank "
-                f"state (or mark '{PRAGMA}')",
-                target=name)
+                f"state (or mark '{PRAGMA}')")
 
     def _flag_collectives_in_branch(self, stmt: ast.If) -> None:
         for block in (stmt.body, stmt.orelse):
@@ -378,7 +518,7 @@ class _MethodScanner:
                             f"collective out of the rank test")
 
     def _check_unpublished(self) -> None:
-        for lineno, name in self.guarded_writes:
+        for lineno, key in self.guarded_writes:
             if any(c > lineno for c in self.uniform_collectives):
                 continue
             if self.ctx.pragma(lineno):
@@ -386,7 +526,7 @@ class _MethodScanner:
             self.out.append(finding(
                 "RA303",
                 f"{self.class_name}.{self.method.name} writes shared "
-                f"{name!r} under a rank guard but no collective follows "
+                f"{key!r} under a rank guard but no collective follows "
                 f"in this method — other ranks can read the stale value; "
                 f"publish with bcast/allreduce or a barrier",
                 path=self.ctx.path, line=lineno,
@@ -396,12 +536,7 @@ class _MethodScanner:
                            owner_ok: bool) -> None:
         if patch_var is None or owner_ok:
             return
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AugAssign):
-            targets = [stmt.target]
-        for t in targets:
+        for t in _targets(stmt):
             if not isinstance(t, ast.Subscript):
                 continue
             base = t.value
@@ -435,113 +570,76 @@ class _MethodScanner:
                 "RA308", node,
                 f"{self.class_name}.{self.method.name} reads shared "
                 f"module-level {name!r} in rank code — benign until "
-                f"some rank writes it; consider making it per-instance",
-                target=name)
+                f"some rank writes it; consider making it per-instance")
             return  # one note per statement is enough
 
 
-def analyze_source_races(text: str, path: str = "<source>",
-                         allowlist: frozenset[str] = DEFAULT_ALLOWLIST,
-                         ) -> list[Finding]:
-    """Run the static race pass over one Python source text."""
-    try:
-        tree = ast.parse(text, filename=path)
-    except SyntaxError:
-        return []  # scmd_safety already reports RA001 for this file
-    ctx = _Ctx(path=path, lines=text.splitlines(), allowlist=allowlist)
-    module_mutables, class_mutables = shared_bindings(tree)
-    model = _SharedModel(module_mutables, class_mutables)
-    out: list[Finding] = []
+def _scanners(tree: ast.Module, ctx: _Ctx, model: _SharedModel):
+    """One :class:`_MethodScanner` per rank-executed method, scanned."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
         for method in node.body:
-            if not isinstance(method, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                continue
-            if method.name not in STEP_METHODS:
-                continue
-            out.extend(_MethodScanner(ctx, model, node.name,
-                                      method).scan())
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and method.name in STEP_METHODS:
+                scanner = _MethodScanner(ctx, model, node.name, method)
+                scanner.scan()
+                yield scanner
+
+
+def analyze_tree(tree: ast.Module, text: str, path: str = "<source>",
+                 allowlist: frozenset[str] = DEFAULT_ALLOWLIST,
+                 ) -> list[Finding]:
+    """Both SCMD families over one parsed Python file."""
+    ctx = _Ctx(path=path, lines=text.splitlines(), allowlist=allowlist)
+    model = shared_bindings(tree, pathlib.Path(path).stem)
+    out = _binding_findings(ctx, model)
+    for scanner in _scanners(tree, ctx, model):
+        out.extend(scanner.out)
     return out
 
 
-def analyze_file_races(path: str,
-                       allowlist: frozenset[str] = DEFAULT_ALLOWLIST,
-                       ) -> list[Finding]:
+def analyze_source(text: str, path: str = "<source>",
+                   allowlist: frozenset[str] = DEFAULT_ALLOWLIST,
+                   ) -> list[Finding]:
+    """Run the SCMD pass over one Python source text."""
+    try:
+        tree = ast.parse(text, filename=path)
+    except SyntaxError as exc:
+        return [unparseable(exc, path)]
+    return analyze_tree(tree, text, path, allowlist)
+
+
+def analyze_file(path: str,
+                 allowlist: frozenset[str] = DEFAULT_ALLOWLIST,
+                 ) -> list[Finding]:
     with open(path, encoding="utf-8") as fh:
-        return analyze_source_races(fh.read(), path, allowlist)
+        return analyze_source(fh.read(), path, allowlist)
 
 
 # ---------------------------------------------------------------- rc-scripts
 def _class_write_keys(cls: Type[Component]) -> set[str]:
-    """Shared-object keys written by ``cls``'s rank-executed methods.
-
-    Keys are ``module:global`` for module-level mutables and
-    ``Class.attr`` for class attributes, so two instances of different
-    classes in one module still collide on the module global.
-    """
+    """Keys of the shared objects ``cls``'s rank-executed methods write,
+    as the race scan records them (``Owner.attr`` / ``module:name``)."""
+    module = inspect.getmodule(cls)
     try:
-        source = inspect.getsource(inspect.getmodule(cls))
-    except (OSError, TypeError):
+        text = inspect.getsource(module)
+        tree = ast.parse(text)
+    except (OSError, TypeError, SyntaxError):
         return set()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return set()
-    module_mutables, class_mutables = shared_bindings(tree)
-    model = _SharedModel(module_mutables, class_mutables)
-    modname = getattr(inspect.getmodule(cls), "__name__", "?")
+    ctx = _Ctx(path="<class>", lines=text.splitlines(),
+               allowlist=DEFAULT_ALLOWLIST)
+    model = shared_bindings(tree, module.__name__)
     keys: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef) or node.name != cls.__name__:
-            continue
-        own = class_mutables.get(node.name, {})
-        for method in node.body:
-            if not isinstance(method, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                continue
-            if method.name not in STEP_METHODS:
-                continue
-            globals_declared: set[str] = set()
-            shadowed: set[str] = set()
-            for inner in ast.walk(method):
-                if isinstance(inner, ast.Global):
-                    globals_declared.update(inner.names)
-                if isinstance(inner, ast.Assign):
-                    for t in inner.targets:
-                        if isinstance(t, ast.Attribute) and \
-                                isinstance(t.value, ast.Name) and \
-                                t.value.id == "self":
-                            shadowed.add(t.attr)
-            for inner in ast.walk(method):
-                if isinstance(inner, ast.stmt):
-                    for name, _accum in _classify_write(
-                            inner, model, node.name, globals_declared,
-                            shadowed):
-                        if name in DEFAULT_ALLOWLIST:
-                            continue
-                        if name in own or name in \
-                                {a for attrs in class_mutables.values()
-                                 for a in attrs}:
-                            keys.add(f"{node.name}.{name}")
-                        else:
-                            keys.add(f"{modname}:{name}")
-                if isinstance(inner, ast.Call):
-                    hit = _classify_mutating_call(
-                        inner, model, node.name, shadowed)
-                    if hit is not None and hit[0] not in DEFAULT_ALLOWLIST:
-                        name = hit[0]
-                        if name in own:
-                            keys.add(f"{node.name}.{name}")
-                        elif name in module_mutables:
-                            keys.add(f"{modname}:{name}")
+    for scanner in _scanners(tree, ctx, model):
+        if scanner.class_name == cls.__name__:
+            keys |= scanner.writes
     return keys
 
 
-def analyze_script_races(text: str,
-                         classes: Sequence[Type[Component]] | None = None,
-                         path: str = "<script>") -> list[Finding]:
+def analyze_script(text: str,
+                   classes: Sequence[Type[Component]] | None = None,
+                   path: str = "<script>") -> list[Finding]:
     """Happens-before checks over the rc-script wiring graph.
 
     ``RA306``: ``parameter`` after the first ``go`` mutates connect-time
@@ -606,11 +704,3 @@ def analyze_script_races(text: str,
             f"ordering between their step methods",
             path=path, context=insts[0]))
     return out
-
-
-def analyze_script_file_races(
-        path: str,
-        classes: Sequence[Type[Component]] | None = None,
-        ) -> list[Finding]:
-    with open(path, encoding="utf-8") as fh:
-        return analyze_script_races(fh.read(), classes, path)

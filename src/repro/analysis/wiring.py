@@ -358,13 +358,6 @@ def analyze_script(text: str,
     return out
 
 
-def analyze_script_file(path: str,
-                        classes: Sequence[Type[Component]] | None = None,
-                        ) -> list[Finding]:
-    with open(path, encoding="utf-8") as fh:
-        return analyze_script(fh.read(), classes, path)
-
-
 def analyze_framework(fw: Framework,
                       path: str = "<assembly>") -> list[Finding]:
     """End-state checks over an already-built (not yet run) framework."""

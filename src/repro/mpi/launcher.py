@@ -15,8 +15,8 @@ processors is a transport choice made at launch time through the
 Shared-state hazard (``threads`` backend only): real MPI ranks get
 private address spaces; rank-threads do **not**.  Module-level mutable
 objects and mutated class attributes alias across ranks — run ``python
--m repro.analysis`` (the RA2xx findings in
-:mod:`repro.analysis.scmd_safety`) to flag such state before launching,
+-m repro.analysis`` (the RA2xx/RA3xx findings of
+:mod:`repro.analysis.scmd`) to flag such state before launching,
 and mark deliberate singletons ``# scmd: shared``.  The ``mp`` backend
 gives every rank a private address space, which is why the runtime race
 sanitizer only arms under ``threads``.

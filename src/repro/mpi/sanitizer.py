@@ -2,7 +2,7 @@
 
 :func:`repro.mpi.launcher.mpirun` runs P rank "processors" as threads in
 one address space, so an unsynchronized write to a shared object is a
-real data race the static RA3xx pass (:mod:`repro.analysis.races`) can
+real data race the static RA3xx pass (:mod:`repro.analysis.scmd`) can
 only approximate.  This module is the dynamic half: armed via
 ``REPRO_TSAN=1`` (or :func:`configure`), it attaches a vector clock to
 every rank-thread, propagates the clocks through the message and

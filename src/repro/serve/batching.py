@@ -28,7 +28,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.apps.ignition0d import Ignition0DDriver
+from repro.cca.component import declared_params
 from repro.cca.script import _parse_value, parse_script
+from repro.components.cvode_component import CvodeComponent
+from repro.components.thermochem import ThermoChemistry
 from repro.errors import ScriptError
 from repro.serve.jobs import apply_overrides
 
@@ -72,15 +76,12 @@ _SETTING_KEYS = {
     ("Ignition0DDriver", "n_output"): ("n_output", int),
 }
 
-#: shared-setting defaults (= the component parameter defaults)
+#: shared-setting defaults: each parameter's default as its class declares it
 DEFAULT_SETTINGS = {
-    "mechanism": "h2-air",
-    "rtol": 1e-8,
-    "atol": 1e-12,
-    "method": "bdf",
-    "t_end": 1e-3,
-    "n_output": 20,
-}
+    name: conv(declared_params(cls)[key].default)
+    for cls in (ThermoChemistry, CvodeComponent, Ignition0DDriver)
+    for (owner, key), (name, conv) in _SETTING_KEYS.items()
+    if owner == cls.__name__}
 
 
 @dataclass(frozen=True)

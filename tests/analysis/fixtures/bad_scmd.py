@@ -1,4 +1,4 @@
-"""Known-bad SCMD source: exercises the RA2xx shared-state findings.
+"""Known-bad SCMD source: exercises the RA2xx and RA301/RA302 findings.
 
 Never imported by the tests — only parsed by the analyzer.
 """
@@ -23,11 +23,11 @@ class RacyComponent(Component):
 
     def go(self):
         global cache
-        RacyComponent.history = []            # RA203 (class attr write)
-        self.__class__._counts["go"] = 1      # RA203 (__class__ write)
-        cache["result"] = 42                  # RA203 (module dict write)
-        results.append("x")                   # RA203 (module list mutation)
-        cache = {}                            # RA203 (global rebind)
+        RacyComponent.history = []            # RA301 (class attr write)
+        self.__class__._counts["go"] = 1      # RA301 (__class__ write)
+        cache["result"] = 42                  # RA301 (module dict write)
+        results.append("x")                   # RA302 (module list mutation)
+        cache = {}                            # RA301 (global rebind)
 
     def step(self):
         shared_ok["tick"] = 1  # scmd: shared -- pragma: no finding

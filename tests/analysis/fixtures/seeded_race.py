@@ -5,8 +5,8 @@ shared by every instance on every SCMD rank-thread — and writes it from
 ``go()`` with no rank guard and no collective.  Both race-detector
 layers must catch this:
 
-* statically, ``repro.analysis.races`` flags the ``go`` writes
-  (RA301/RA302 on top of the RA202/RA203 shared-state lint);
+* statically, ``repro.analysis.scmd`` flags the ``run`` write
+  (RA301, on top of the RA202 shared-state lint);
 * dynamically, an armed ``repro.mpi.sanitizer`` sees unordered writes
   from two rank-threads through the shadowed class dict and raises
   ``DataRaceError``.

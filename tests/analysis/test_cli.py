@@ -12,7 +12,8 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 def test_codes_flag(capsys):
     assert main(["--codes"]) == 0
     out = capsys.readouterr().out
-    assert "RA001" in out and "RA203" in out
+    assert "RA001" in out and "RA301" in out
+    assert "RA203" not in out  # retired, not reused
 
 
 def test_bad_script_exits_1_with_line_numbered_findings(capsys):
@@ -30,10 +31,11 @@ def test_json_format(capsys):
     assert any(f["code"] == "RA104" for f in doc["findings"])
 
 
-def test_strict_gates_warnings(capsys):
-    target = str(FIXTURES / "bad_scmd.py")
-    assert main([target]) == 0          # warnings only: passes default gate
-    assert main(["--strict", target]) == 1
+def test_strict_gates_warnings(tmp_path, capsys):
+    target = tmp_path / "warn_only.py"
+    target.write_text("cache = {}\n")  # RA201, a warning
+    assert main([str(target)]) == 0     # warnings only: passes default gate
+    assert main(["--strict", str(target)]) == 1
 
 
 def test_allow_extends_scmd_allowlist(capsys):
@@ -60,6 +62,15 @@ def test_unresolvable_target_exits_2(capsys):
     assert "cannot resolve target" in capsys.readouterr().err
 
 
+def test_unparseable_file_is_reported_once(tmp_path, capsys):
+    target = tmp_path / "broken.py"
+    target.write_text("def broken(:\n")
+    assert main([str(target)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("RA001") == 1
+    assert "1 error(s)" in out
+
+
 def test_min_severity_filters_text(capsys):
     main(["--min-severity", "error", str(FIXTURES / "bad_component.py")])
     out = capsys.readouterr().out
@@ -71,20 +82,16 @@ def test_default_surface_is_clean(capsys):
     assert main([]) == 0
 
 
-# --------------------------------------------------------------- --races
+# ------------------------------------------------------------------ races
 def test_races_flag_gates_seeded_fixture(capsys):
     target = str(FIXTURES / "seeded_race.py")
-    assert main(["--races", target]) == 1
+    assert main([target]) == 1
     out = capsys.readouterr().out
     assert "RA301" in out
-    # without --races only the RA2xx warnings remain: the default gate
-    # passes and the RA3xx codes must not appear
-    assert main([target]) == 0
-    assert "RA301" not in capsys.readouterr().out
 
 
 def test_races_json_format(capsys):
-    assert main(["--races", "--format", "json",
+    assert main(["--format", "json",
                  str(FIXTURES / "seeded_race.py")]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"]["error"] >= 1
@@ -92,38 +99,34 @@ def test_races_json_format(capsys):
 
 
 def test_races_default_surface_is_clean(capsys):
-    assert main(["--races", "--strict"]) == 0
+    assert main(["--strict"]) == 0
 
 
 def test_races_unresolvable_target_exits_2(capsys):
-    assert main(["--races", "no/such/thing.rc"]) == 2
+    assert main(["no/such/thing.py"]) == 2
     assert "cannot resolve target" in capsys.readouterr().err
 
 
 def test_clean_target_exits_0_in_both_formats(capsys):
     target = str(REPO / "examples")
-    assert main(["--races", target]) == 0
+    assert main([target]) == 0
     assert "0 error(s)" in capsys.readouterr().out
-    assert main(["--races", "--format", "json", target]) == 0
+    assert main(["--format", "json", target]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"]["error"] == 0
 
 
-# ----------------------------------------------------------- --contracts
+# -------------------------------------------------------------- contracts
 def test_contracts_flag_gates_seeded_fixture(capsys):
     target = str(FIXTURES / "bad_contracts.rc")
-    assert main(["--contracts", target]) == 1
+    assert main([target]) == 1
     out = capsys.readouterr().out
     assert "RA412" in out and "RA411" in out and "RA413" in out
-    # without --contracts the same script passes the wiring-only gate
-    assert main([target]) == 0
-    assert "RA412" not in capsys.readouterr().out
 
 
 def test_contracts_with_races_json(capsys):
     target = str(FIXTURES / "bad_contracts.rc")
-    assert main(["--contracts", "--races", "--format", "json",
-                 target]) == 1
+    assert main(["--format", "json", target]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"]["error"] == 3
     found = {f["code"] for f in doc["findings"]}
@@ -141,16 +144,17 @@ def test_contracts_strict_gates_the_ra416_warning(capsys):
     with tempfile.TemporaryDirectory() as td:
         rc = pathlib.Path(td) / "warn_only.rc"
         rc.write_text("\n".join(kept) + "\n")
-        assert main(["--contracts", str(rc)]) == 0
-        assert main(["--contracts", "--strict", str(rc)]) == 1
+        assert main([str(rc)]) == 0
+        assert main(["--strict", str(rc)]) == 1
 
 
 def test_contracts_default_surface_is_clean(capsys):
-    assert main(["--contracts", "--races", "--strict"]) == 0
+    assert main(["--strict", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["warning"] == 0
 
 
 def test_contracts_unresolvable_target_exits_2(capsys):
-    assert main(["--contracts", "no/such/thing.rc"]) == 2
+    assert main(["--format", "json", "no/such/thing.rc"]) == 2
     assert "cannot resolve target" in capsys.readouterr().err
 
 
@@ -172,7 +176,7 @@ def test_script_selecting_the_deleted_chemistry_fork_is_a_finding(
         tmp_path, capsys):
     target = tmp_path / "stale.rc"
     target.write_text(stale_flame_rc())
-    assert main(["--contracts", str(target)]) == 1
+    assert main([str(target)]) == 1
     out = capsys.readouterr().out
     assert "RA411 error: ImplicitIntegrator (ImplicitIntegrator) has " \
         "no parameter 'mode'" in out

