@@ -3,20 +3,20 @@
 The paper's argument is that a component assembly is a *checkable
 artifact*: ports are typed, wiring is declared in an rc-script, and the
 framework refuses bad compositions before the simulation runs.  This
-package is that pre-flight check for our reproduction, four passes
+package is that pre-flight check for our reproduction, three passes
 sharing one findings model (:mod:`repro.analysis.findings`), all of
 them run on every call:
 
-* :mod:`repro.analysis.wiring` — rc-scripts and built frameworks,
-  validated without executing ``go``.
+* :mod:`repro.analysis.contracts` — the assembly pass: rc-scripts,
+  built frameworks and serve jobs, reduced to one model and checked
+  without executing ``go`` against each component class's declared
+  contract (its ``PARAMS`` and the ports its ``set_services``
+  registers): wiring (RA0xx) and parameters (RA41x).
 * :mod:`repro.analysis.lifecycle` — AST lint of component source for
   port registration/fetch/release discipline.
 * :mod:`repro.analysis.scmd` — AST pass for state that aliases across
   SCMD rank-threads (RA2xx) and the races on it (RA3xx), in source
-  files and over an rc-script's wiring graph.
-* :mod:`repro.analysis.contracts` — RA41x validates assemblies and
-  serve jobs against each component class's declared contract: its
-  ``PARAMS`` and the ports its ``set_services`` registers.
+  files and over an rc-script's assembly model.
 
 CLI::
 
@@ -36,7 +36,7 @@ import importlib.util
 import os
 from typing import Sequence, Type
 
-from repro.analysis import contracts, lifecycle, scmd, wiring
+from repro.analysis import contracts, lifecycle, scmd
 from repro.analysis.findings import (
     CODES,
     Finding,
@@ -64,7 +64,6 @@ __all__ = [
     "contracts",
     "lifecycle",
     "scmd",
-    "wiring",
 ]
 
 
@@ -84,15 +83,15 @@ def analyze_python_file(path: str,
 
 def _analyze_rc_text(text: str, classes: Sequence[Type[Component]] | None,
                      path: str) -> list[Finding]:
-    return (wiring.analyze_script(text, classes, path)
-            + scmd.analyze_script(text, classes, path)
-            + contracts.analyze_script_contracts(text, path))
+    model = contracts.model_from_script(text, path)
+    return (contracts.check_model(model, contracts.manifests_of(classes))
+            + scmd.analyze_script(model, classes))
 
 
 def analyze_rc_file(path: str,
                     classes: Sequence[Type[Component]] | None = None,
                     ) -> list[Finding]:
-    """Wiring, SCMD happens-before and contract passes over an
+    """The assembly pass and the SCMD happens-before checks over an
     rc-script file."""
     with open(path, encoding="utf-8") as fh:
         return _analyze_rc_text(fh.read(), classes, path)
@@ -122,9 +121,8 @@ def analyze_target(target: str,
     lifecycle+SCMD, directory → recurse, anything else → rc-script),
     importable module/package name.
     """
-    if target in wiring.assembly_names():
-        return (wiring.analyze_assembly(target)
-                + contracts.analyze_assembly_contracts(target))
+    if target in contracts.assembly_names():
+        return contracts.analyze_assembly(target)
     if os.path.isdir(target):
         out = []
         for dirpath, dirnames, filenames in os.walk(target):
@@ -146,13 +144,13 @@ def analyze_target(target: str,
         return analyze_target(resolved, classes, allowlist)
     raise AnalysisError(
         f"cannot resolve target {target!r}: not an assembly name "
-        f"({', '.join(wiring.assembly_names())}), file, directory, or "
+        f"({', '.join(contracts.assembly_names())}), file, directory, or "
         f"importable module")
 
 
 def default_targets() -> list[str]:
     """The stock analysis surface used when the CLI gets no targets."""
-    return wiring.assembly_names() + ["repro.components", "repro.apps"]
+    return contracts.assembly_names() + ["repro.components", "repro.apps"]
 
 
 def analyze_targets(targets: Sequence[str] | None = None,

@@ -1,13 +1,26 @@
-"""The RA41x assembly contract pass: declared contracts vs assemblies.
+"""The assembly pass: wiring and contract checks over one model.
 
-A component class declares its rc-script parameters once, in ``PARAMS``
-(:class:`repro.cca.component.Param`), and its ports in ``set_services``
-(``register_uses_port(..., optional=True)`` marks a port it runs
-without).  As in the Cactus Configuration Language, the declaration is
-the source: this pass reads it and validates *assemblies* — rc-scripts,
-built frameworks, and ``repro.serve`` job submissions — before a single
-step runs:
+The paper's framework refuses bad compositions before the simulation
+runs.  A component class declares its rc-script parameters once, in
+``PARAMS`` (:class:`repro.cca.component.Param`), and its ports in
+``set_services`` (``register_uses_port(..., optional=True)`` marks a
+port it runs without).  As in the Cactus Configuration Language, the
+declaration is the source: this pass reads it and validates
+*assemblies* — rc-scripts, built frameworks, and ``repro.serve`` job
+submissions — without ever calling ``go``.
 
+An rc-script or a built framework is reduced to one
+:class:`AssemblyModel`; each class to one :class:`ComponentManifest`,
+its ``PARAMS`` plus the port tables one sandbox ``set_services``
+registered (harvested once per class per process, no source parsed).
+:func:`check_model` walks the model against the contracts:
+
+* ``RA001``–``RA014`` — wiring: syntax errors, unknown classes,
+  instances and ports, ``port_type`` mismatches, duplicate connections,
+  use-before-instantiate and go-before-connect ordering, ``go`` targets
+  without a go port, uses ports left unconnected (an error unless
+  registered ``optional``), port-graph cycles, classes whose sandbox
+  ``set_services`` raised.  Findings carry the rc-script line number.
 * ``RA411`` — parameter name the instance's class never declared
   (with a did-you-mean suggestion when one is close).
 * ``RA412`` — value outside the declared ``min``/``max`` range.
@@ -16,21 +29,15 @@ step runs:
 * ``RA415`` — a ``required`` parameter never set.
 * ``RA416`` — (warning) parameter set on an instance whose class never
   reads it, while another instance in the same assembly would.
-* ``RA417`` — a required (not ``optional``) uses port left unconnected
-  on an instance the ``go`` directive reaches.
-* ``RA418`` — a connection pairing incompatible declared port types
-  (catches what RA006 cannot when sandbox introspection fails).
 * ``RA419`` — a serve job requesting an execution backend the
   :mod:`repro.exec` registry does not know (with a did-you-mean
   suggestion from the registry itself).
 
-A class's :class:`ComponentManifest` is its ``PARAMS`` plus one cached
-sandbox ``set_services`` harvest of its port tables; no source is
-parsed, so the pass is cheap enough to run inline on every ``serve``
-submission (:func:`check_job` / :func:`coerce_job_params` are the
-admission-control entry points used by
+The pass is cheap enough to run inline on every ``serve`` submission
+(:func:`check_job` / :func:`coerce_job_params` are the admission-control
+entry points used by
 :meth:`repro.serve.service.SimulationService.submit`).  Classes without
-``PARAMS`` (ad-hoc components) are not checked.
+``PARAMS`` (ad-hoc components) get the wiring checks only.
 """
 
 from __future__ import annotations
@@ -38,12 +45,13 @@ from __future__ import annotations
 import difflib
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence, Type
 
-from repro.analysis.findings import Finding, finding
-from repro.analysis.wiring import _builders, default_classes, sandbox_services
-from repro.cca.component import Param
+from repro.analysis.findings import Finding, Severity, finding
+from repro.cca.component import Component, Param, declared_params
+from repro.cca.framework import Framework
 from repro.cca.script import _parse_value, parse_script_tolerant
+from repro.cca.services import Services
 
 _TRUE_STRINGS = frozenset({"1", "true", "yes", "on"})
 _FALSE_STRINGS = frozenset({"0", "false", "no", "off"})
@@ -52,88 +60,96 @@ _FALSE_STRINGS = frozenset({"0", "false", "no", "off"})
 # --------------------------------------------------------------------------
 # the declared contract of one component class
 # --------------------------------------------------------------------------
-@dataclass
-class PortSpec:
-    """One declared provides/uses port."""
-
-    name: str
-    type: str
-    #: uses ports only: not registered ``optional``, so an assembly that
-    #: ``go``-reaches the component must connect it.
-    required: bool = False
-
-
-@dataclass
+@dataclass(frozen=True)
 class ComponentManifest:
-    """The declared contract of one component class."""
+    """The declared contract of one component class (shared through the
+    per-class cache: never mutated)."""
 
     class_name: str
-    module: str = ""
-    provides: list[PortSpec] = field(default_factory=list)
-    uses: list[PortSpec] = field(default_factory=list)
-    parameters: list[Param] = field(default_factory=list)
+    provides: dict[str, str] = field(default_factory=dict)  # name -> type
+    uses: dict[str, str] = field(default_factory=dict)      # name -> type
+    #: uses ports registered ``optional=True`` (run without a connection)
+    optional: frozenset[str] = frozenset()
+    #: provides ports whose object has a ``go()`` method
+    go_ports: frozenset[str] = frozenset()
+    #: ``PARAMS`` by name; None = undeclared, no parameter is checked
+    parameters: dict[str, Param] | None = None
     #: reads parameters under computed keys (``OPEN_PARAMETERS``) — the
     #: contract pass accepts any parameter name.
     open_parameters: bool = False
+    #: why the sandbox ``set_services`` raised (RA014); ports unknown
+    error: str | None = None
 
     def param(self, name: str) -> Param | None:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        return None
-
-    def uses_port(self, name: str) -> PortSpec | None:
-        for p in self.uses:
-            if p.name == name:
-                return p
-        return None
-
-    def provides_port(self, name: str) -> PortSpec | None:
-        for p in self.provides:
-            if p.name == name:
-                return p
-        return None
-
-    def param_names(self) -> list[str]:
-        return [p.name for p in self.parameters]
+        return (self.parameters or {}).get(name)
 
 
-def manifest_from(cls: type, services) -> ComponentManifest | None:
+def default_classes() -> list[Type[Component]]:
+    """The stock registry: every shipped component plus the three
+    application drivers (what a default CCAFFEINE repository would hold).
+    """
+    from repro.apps.ignition0d import Ignition0DDriver
+    from repro.apps.reaction_diffusion import ReactionDiffusionDriver
+    from repro.apps.shock_interface import ShockInterfaceDriver
+    from repro.components import ALL_COMPONENTS
+
+    return list(ALL_COMPONENTS) + [
+        Ignition0DDriver, ReactionDiffusionDriver, ShockInterfaceDriver]
+
+
+def sandbox_services(cls: Type[Component]) -> Services:
+    """The :class:`~repro.cca.services.Services` an instance of ``cls``
+    registered its ports on, in a throwaway framework.
+
+    Raises whatever the component's ``__init__``/``set_services`` raises.
+    """
+    fw = Framework()
+    fw.registry.register(cls)
+    fw.instantiate(cls.__name__, "__sandbox__")
+    return fw.services_of("__sandbox__")
+
+
+def manifest_from(cls: type, services: Services) -> ComponentManifest:
     """``cls``'s contract from its ``PARAMS`` and the port tables one of
-    its instances registered on ``services``; None when undeclared."""
-    if cls.PARAMS is None:
-        return None
+    its instances registered on ``services``."""
     return ComponentManifest(
         class_name=cls.__name__,
-        module=cls.__module__,
-        provides=[PortSpec(name, ptype) for name, ptype
-                  in sorted(services.provides_table().items())],
-        uses=[PortSpec(name, ptype, required=name not in services.optional)
-              for name, ptype in sorted(services.uses_table().items())],
-        parameters=sorted(cls.PARAMS, key=lambda p: p.name),
+        provides=services.provides_table(),
+        uses=services.uses_table(),
+        optional=frozenset(services.optional),
+        go_ports=frozenset(
+            name for name, (port, _ptype) in services.provides.items()
+            if callable(getattr(port, "go", None))),
+        parameters=declared_params(cls),
         open_parameters=cls.OPEN_PARAMETERS)
 
 
 @functools.cache
-def class_manifest(cls: type) -> ComponentManifest | None:
+def class_manifest(cls: type) -> ComponentManifest:
     """``cls``'s contract, its ports harvested by one sandbox
-    ``set_services`` (cached per class)."""
-    if cls.PARAMS is None:
-        return None
-    return manifest_from(cls, sandbox_services(cls))
+    ``set_services`` (cached per class, a failed harvest too: by the CCA
+    contract ``set_services`` registers ports and starts no work)."""
+    try:
+        return manifest_from(cls, sandbox_services(cls))
+    except Exception as exc:  # noqa: BLE001 - reported as RA014
+        return ComponentManifest(
+            class_name=cls.__name__,
+            error=f"{type(exc).__name__}: {exc}")
 
 
 @functools.cache
 def load_manifests() -> dict[str, ComponentManifest]:
-    """The contracts of the stock repository
-    (:func:`repro.analysis.wiring.default_classes`), keyed by the class
-    names rc-scripts use.  Cached: do not mutate."""
-    out: dict[str, ComponentManifest] = {}
-    for cls in default_classes():
-        m = class_manifest(cls)
-        if m is not None:
-            out[cls.__name__] = m
-    return out
+    """The contracts of the stock repository (:func:`default_classes`),
+    keyed by the class names rc-scripts use.  Cached: do not mutate."""
+    return manifests_of(default_classes())
+
+
+def manifests_of(classes: Sequence[type] | None
+                 ) -> Mapping[str, ComponentManifest]:
+    """The contracts of a class repository (None = the stock one)."""
+    if classes is None:
+        return load_manifests()
+    return {cls.__name__: class_manifest(cls) for cls in classes}
 
 
 # --------------------------------------------------------------------------
@@ -187,42 +203,48 @@ def coerce_value(ptype: str, value: Any) -> Any:
 
 
 # --------------------------------------------------------------------------
-# the assembly model both entry points reduce to
+# the assembly model every entry point reduces to
 # --------------------------------------------------------------------------
 @dataclass
 class AssemblyModel:
-    """The contract-relevant facts of one assembly."""
+    """The directives of one assembly, each with its rc-script line
+    (None for built frameworks and serve overrides)."""
 
     path: str = "<assembly>"
-    #: instance -> class name (first instantiate wins, as in RA003)
-    instances: dict[str, str] = field(default_factory=dict)
-    #: (instance, key, parsed value, line or None)
+    #: (class name, instance, line) per instantiate, in script order
+    instantiations: list[tuple[str, str, int | None]] = \
+        field(default_factory=list)
+    #: (class name, line) per ``repository get-global``
+    repositories: list[tuple[str, int]] = field(default_factory=list)
+    #: (instance, key, parsed value, line)
     parameters: list[tuple[str, str, Any, int | None]] = \
         field(default_factory=list)
-    #: (user, uses_port, provider, provides_port, line or None)
+    #: (user, uses_port, provider, provides_port, line)
     connections: list[tuple[str, str, str, str, int | None]] = \
         field(default_factory=list)
-    #: go targets; empty = library assembly, RA417 is skipped
-    go_targets: list[str] = field(default_factory=list)
-    #: instances to treat as go-reachable even without a go directive
-    #: (built frameworks carry no schedule, so everything counts)
-    assume_reachable: bool = False
-    #: rc syntax errors, surfaced only by :func:`check_job`
+    #: (instance, port, line) per ``go`` directive
+    gos: list[tuple[str, str, int]] = field(default_factory=list)
     syntax_errors: list[tuple[int, str]] = field(default_factory=list)
-    #: built frameworks: each instance's own class contract (None =
-    #: undeclared); without it instances are looked up by class name
-    contracts: dict[str, ComponentManifest | None] | None = None
+    #: built frameworks: each instance's own class contract; without it
+    #: instances are looked up by class name
+    contracts: dict[str, ComponentManifest] | None = None
+
+    @property
+    def instances(self) -> dict[str, str]:
+        """instance -> class name (first instantiate wins, as in RA003)"""
+        out: dict[str, str] = {}
+        for class_name, inst, _line in self.instantiations:
+            out.setdefault(inst, class_name)
+        return out
 
     def reachable(self) -> set[str]:
         """Instances the schedule can touch: BFS over uses->provider
         edges from every ``go`` target."""
-        if self.assume_reachable:
-            return set(self.instances)
         edges: dict[str, set[str]] = {}
         for user, _up, provider, _pp, _line in self.connections:
             edges.setdefault(user, set()).add(provider)
         seen: set[str] = set()
-        frontier = [t for t in self.go_targets if t in self.instances]
+        frontier = [inst for inst, _port, _line in self.gos]
         while frontier:
             inst = frontier.pop()
             if inst in seen:
@@ -238,33 +260,32 @@ def model_from_script(text: str, path: str = "<script>") -> AssemblyModel:
     directives, errors = parse_script_tolerant(text)
     model = AssemblyModel(path=path, syntax_errors=list(errors))
     for d in directives:
-        if d.verb == "instantiate":
-            model.instances.setdefault(d.args[1], d.args[0])
+        if d.verb == "repository":
+            model.repositories.append((d.args[1], d.line_no))
+        elif d.verb == "instantiate":
+            model.instantiations.append((d.args[0], d.args[1], d.line_no))
         elif d.verb == "parameter":
             model.parameters.append(
                 (d.args[0], d.args[1], _parse_value(list(d.args[2:])),
                  d.line_no))
         elif d.verb == "connect":
-            model.connections.append(
-                (d.args[0], d.args[1], d.args[2], d.args[3], d.line_no))
+            model.connections.append((*d.args, d.line_no))
         elif d.verb == "go":
-            model.go_targets.append(d.args[0])
+            port = d.args[1] if len(d.args) == 2 else "go"
+            model.gos.append((d.args[0], port, d.line_no))
     return model
 
 
-def model_from_framework(fw, path: str = "<assembly>") -> AssemblyModel:
-    """Reduce a built :class:`~repro.cca.framework.Framework`.
-
-    Built assemblies carry no ``go`` schedule (the builder returns
-    before running), so every instance is treated as reachable — the
-    shipped builders wire everything they instantiate.  Each instance is
-    checked against its own class's declaration, whatever its name.
-    """
-    model = AssemblyModel(path=path, assume_reachable=True, contracts={})
+def model_from_framework(fw: Framework,
+                         path: str = "<assembly>") -> AssemblyModel:
+    """Reduce a built (not yet run) :class:`Framework`.  Each instance
+    is checked against its own class's declaration, whatever its name,
+    with the ports its live ``set_services`` registered."""
+    model = AssemblyModel(path=path, contracts={})
     for name in fw.instance_names():
         cls = type(fw.get_component(name))
         services = fw.services_of(name)
-        model.instances[name] = cls.__name__
+        model.instantiations.append((cls.__name__, name, None))
         model.contracts[name] = manifest_from(cls, services)
         for key, value in sorted(services.parameters.items()):
             model.parameters.append((name, key, value, None))
@@ -276,6 +297,39 @@ def model_from_framework(fw, path: str = "<assembly>") -> AssemblyModel:
 # --------------------------------------------------------------------------
 # the checks
 # --------------------------------------------------------------------------
+def _find_cycles(edges: dict[str, set[str]]) -> list[list[str]]:
+    """Cycles in the user -> provider digraph (one per SCC, plus
+    self-loops), via iterative DFS back-edge detection."""
+    cycles: list[list[str]] = []
+    color: dict[str, int] = {}
+    stack_path: list[str] = []
+
+    def dfs(start: str) -> None:
+        stack = [(start, iter(sorted(edges.get(start, ()))))]
+        color[start] = 1
+        stack_path.append(start)
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if color.get(nxt, 0) == 0:
+                    color[nxt] = 1
+                    stack_path.append(nxt)
+                    stack.append((nxt, iter(sorted(edges.get(nxt, ())))))
+                    break
+                if color.get(nxt) == 1:  # back edge: a cycle
+                    i = stack_path.index(nxt)
+                    cycles.append(stack_path[i:] + [nxt])
+            else:
+                color[node] = 2
+                stack_path.pop()
+                stack.pop()
+
+    for node in sorted(edges):
+        if color.get(node, 0) == 0:
+            dfs(node)
+    return cycles
+
+
 def _check_value(manifest: ComponentManifest, instance: str, key: str,
                  value: Any, *, path: str, line: int | None,
                  declared_elsewhere: Mapping[str, list[tuple[str, str]]],
@@ -286,8 +340,8 @@ def _check_value(manifest: ComponentManifest, instance: str, key: str,
     if spec is None:
         if manifest.open_parameters:
             return []
-        near = difflib.get_close_matches(key, manifest.param_names(),
-                                         n=1, cutoff=0.6)
+        names = sorted(manifest.parameters or ())
+        near = difflib.get_close_matches(key, names, n=1, cutoff=0.6)
         if near:
             return [finding(
                 "RA411",
@@ -307,7 +361,7 @@ def _check_value(manifest: ComponentManifest, instance: str, key: str,
         return [finding(
             "RA411",
             f"{instance} ({cname}) has no parameter {key!r} (declares: "
-            f"{', '.join(manifest.param_names()) or '<none>'})",
+            f"{', '.join(names) or '<none>'})",
             path=path, line=line, context=f"{instance}.{key}")]
     if not value_type_ok(spec.type, value):
         return [finding(
@@ -342,146 +396,205 @@ def _check_value(manifest: ComponentManifest, instance: str, key: str,
 
 def check_model(model: AssemblyModel,
                 manifests: Mapping[str, ComponentManifest] | None = None,
-                *, standalone: bool = False) -> list[Finding]:
-    """Run RA411-RA418 over one :class:`AssemblyModel`.
+                ) -> list[Finding]:
+    """Run RA001-RA014 and RA411-RA416 over one :class:`AssemblyModel`.
 
-    Instances whose class declares no ``PARAMS`` are skipped: ad-hoc
-    test components opt out of contract checking.  ``standalone`` (no
-    wiring pass runs alongside) adds what that pass would report:
-    syntax errors (RA001) and connections to ports no class declares
-    (RA005).
+    ``manifests`` is the class repository by name (default: the stock
+    one); a built framework's model carries its own contracts.  Instances
+    whose class declares no ``PARAMS`` get no parameter checks.
     """
-    out: list[Finding] = []
-    if standalone:
-        for line_no, message in model.syntax_errors:
-            out.append(finding("RA001", message, path=model.path,
-                               line=line_no))
+    if manifests is None:
+        manifests = load_manifests()
+    path = model.path
+    out = [finding("RA001", message, path=path, line=line_no)
+           for line_no, message in model.syntax_errors]
 
-    if model.contracts is not None:
-        manifest_of = model.contracts.get
-    else:
-        if manifests is None:
-            manifests = load_manifests()
+    def report(code: str, message: str, line: int | None = None,
+               context: str | None = None) -> None:
+        out.append(finding(code, message, path=path, line=line,
+                           context=context))
 
-        def manifest_of(instance: str) -> ComponentManifest | None:
-            cls = model.instances.get(instance)
-            return manifests.get(cls) if cls is not None else None
+    instances = model.instances
+    first: dict[str, int | None] = {}  # instance -> first instantiate line
+    for class_name, line in model.repositories:
+        if class_name not in manifests:
+            report("RA002", f"repository get-global {class_name}: class "
+                   f"not in the repository", line, class_name)
+    for class_name, inst, line in model.instantiations:
+        if model.contracts is None and class_name not in manifests:
+            report("RA002", f"instantiate {class_name}: class not in the "
+                   f"repository", line, class_name)
+        if inst in first:
+            report("RA003", f"instance name {inst!r} already used on "
+                   f"line {first[inst]}", line, inst)
+        else:
+            first[inst] = line
 
-    # which instances' classes declare each parameter name (for RA416)
+    def contract(inst: str) -> ComponentManifest | None:
+        if model.contracts is not None:
+            m = model.contracts.get(inst)
+        else:
+            m = manifests.get(instances.get(inst, ""))
+        return None if m is None or m.error else m
+
+    def before(at: int | None, line: int | None) -> bool:
+        return at is None or line is None or at < line
+
+    def known(name: str, verb: str, line: int | None) -> bool:
+        """Instantiated before ``line``?  Reports RA004/RA007 if not."""
+        if name in first and before(first[name], line):
+            return True
+        if name in first:
+            report("RA007", f"{verb} references {name!r} before its "
+                   f"instantiate on line {first[name]}", line, name)
+        else:
+            so_far = sorted(i for i, at in first.items() if before(at, line))
+            report("RA004", f"{verb} references unknown instance "
+                   f"{name!r} (instantiated so far: {so_far or '-'})",
+                   line, name)
+        return False
+
+    failed: set[str] = set()
+    for inst, class_name in instances.items():
+        m = manifests.get(class_name) if model.contracts is None else None
+        if m is not None and m.error and class_name not in failed:
+            failed.add(class_name)
+            report("RA014", f"could not introspect {class_name}: sandbox "
+                   f"set_services raised {m.error}", first[inst],
+                   class_name)
+
+    # RA411-RA416: parameter settings against the declarations
+    def declared(inst: str) -> dict[str, Param] | None:
+        m = contract(inst)
+        return m.parameters if m is not None else None
+
     declared_elsewhere: dict[str, list[tuple[str, str]]] = {}
-    for instance, cls in model.instances.items():
-        m = manifest_of(instance)
-        if m is None:
-            continue
-        for p in m.parameters:
-            declared_elsewhere.setdefault(p.name, []).append(
-                (instance, cls))
+    for inst, class_name in instances.items():
+        for name in sorted(declared(inst) or ()):
+            declared_elsewhere.setdefault(name, []).append(
+                (inst, class_name))
+    set_keys: dict[str, set[str]] = {}
+    for inst, key, value, line in model.parameters:
+        known(inst, "parameter", line)
+        set_keys.setdefault(inst, set()).add(key)
+        if declared(inst) is not None:
+            out.extend(_check_value(contract(inst), inst, key, value,
+                                    path=path, line=line,
+                                    declared_elsewhere=declared_elsewhere))
+    for inst, class_name in instances.items():
+        params = declared(inst) or {}
+        for name in sorted(params):
+            if params[name].required and name not in set_keys.get(inst, ()):
+                report("RA415", f"{inst} ({class_name}) requires parameter "
+                       f"{name!r} but the assembly never sets it",
+                       context=f"{inst}.{name}")
 
-    set_keys: dict[str, set[str]] = {i: set() for i in model.instances}
-    for instance, key, value, line in model.parameters:
-        set_keys.setdefault(instance, set()).add(key)
-        m = manifest_of(instance)
-        if m is None:
-            continue
-        out.extend(_check_value(m, instance, key, value, path=model.path,
-                                line=line,
-                                declared_elsewhere=declared_elsewhere))
-
-    # RA415: required parameters never set
-    for instance, cls in model.instances.items():
-        m = manifest_of(instance)
-        if m is None:
-            continue
-        for p in m.parameters:
-            if p.required and p.name not in set_keys.get(instance, ()):
-                out.append(finding(
-                    "RA415",
-                    f"{instance} ({cls}) requires parameter "
-                    f"{p.name!r} but the assembly never sets it",
-                    path=model.path, context=f"{instance}.{p.name}"))
-
-    # RA418: manifest port-type pairing on every connection
-    connected: set[tuple[str, str]] = set()
+    # RA005/RA006/RA008: each connection, in script order
+    connected: dict[tuple[str, str], tuple[str, str]] = {}
     for user, uport, provider, pport, line in model.connections:
-        connected.add((user, uport))
-        um, pm = manifest_of(user), manifest_of(provider)
-        uspec = um.uses_port(uport) if um is not None else None
-        pspec = pm.provides_port(pport) if pm is not None else None
-        if standalone:
-            for m, inst, port, spec, kind in (
-                    (um, user, uport, uspec, "uses"),
-                    (pm, provider, pport, pspec, "provides")):
-                if m is not None and spec is None:
-                    out.append(finding(
-                        "RA005",
-                        f"{inst} ({m.class_name}) has no {kind} port "
-                        f"{port!r}",
-                        path=model.path, line=line,
-                        context=f"{inst}.{port}"))
-        if uspec is not None and pspec is not None and \
-                uspec.type != pspec.type:
-            out.append(finding(
-                "RA418",
-                f"connect {user}.{uport} [{uspec.type}] -> "
-                f"{provider}.{pport} [{pspec.type}]: manifest port "
-                f"types are incompatible",
-                path=model.path, line=line,
-                context=f"{user}.{uport}"))
+        ok_user = known(user, "connect", line)
+        ok_prov = known(provider, "connect", line)
+        um = contract(user) if ok_user else None
+        pm = contract(provider) if ok_prov else None
+        if um is not None and uport not in um.uses:
+            report("RA005", f"{user} ({um.class_name}) has no uses port "
+                   f"{uport!r} (declares: {sorted(um.uses) or '-'})",
+                   line, user)
+        if pm is not None and pport not in pm.provides:
+            report("RA005", f"{provider} ({pm.class_name}) has no provides "
+                   f"port {pport!r} (exports: "
+                   f"{sorted(pm.provides) or '-'})", line, provider)
+        utype = um.uses.get(uport) if um is not None else None
+        ptype = pm.provides.get(pport) if pm is not None else None
+        if utype is not None and ptype is not None and utype != ptype:
+            report("RA006", f"type mismatch connecting {user}.{uport} "
+                   f"[{utype}] to {provider}.{pport} [{ptype}]", line, user)
+        if not ok_user:
+            continue
+        if (user, uport) in connected:
+            prev_provider, prev_pport = connected[(user, uport)]
+            report("RA008", f"{user}.{uport} is already connected to "
+                   f"{prev_provider}.{prev_pport}", line, user)
+        else:
+            connected[(user, uport)] = (provider, pport)
 
-    # RA417: required uses ports of go-reachable instances
-    if model.go_targets or model.assume_reachable:
-        for instance in sorted(model.reachable()):
-            m = manifest_of(instance)
-            if m is None:
+    # RA009/RA010: the go schedule
+    for inst, port, line in model.gos:
+        m = contract(inst) if known(inst, "go", line) else None
+        if m is None:
+            continue
+        if port not in m.provides:
+            report("RA010", f"go {inst}: {m.class_name} provides no "
+                   f"{port!r} port", line, inst)
+        elif port not in m.go_ports:
+            report("RA010", f"go {inst}: {inst}.{port} "
+                   f"[{m.provides[port]}] has no go() method", line, inst)
+    if model.gos:
+        first_go = min(line for _inst, _port, line in model.gos)
+        late = [c[4] for c in model.connections if c[4] > first_go]
+        if late:
+            report("RA009", f"go on line {first_go} runs before "
+                   f"{len(late)} connect directive(s) (first on line "
+                   f"{late[0]}) — wiring after go never took effect",
+                   first_go)
+
+    # RA011/RA012/RA013: the finished port graph
+    for inst in sorted(instances):
+        m = contract(inst)
+        if m is None:
+            continue
+        for port in sorted(m.uses):
+            if (inst, port) in connected:
                 continue
-            for p in m.uses:
-                if p.required and (instance, p.name) not in connected:
-                    out.append(finding(
-                        "RA417",
-                        f"{instance} ({m.class_name}) is go-reachable "
-                        f"but its required uses port {p.name!r} "
-                        f"[{p.type}] is unconnected",
-                        path=model.path,
-                        context=f"{instance}.{p.name}"))
+            ptype = m.uses[port]
+            if port in m.optional:
+                report("RA012", f"{inst}.{port} [{ptype}] is not connected "
+                       f"(fetched only behind a not-connected guard)",
+                       first[inst], inst)
+            else:
+                report("RA011", f"{inst}.{port} [{ptype}] is never "
+                       f"connected but {m.class_name} does not register "
+                       f"it optional — this assembly raises "
+                       f"PortNotConnectedError at run time",
+                       first[inst], inst)
+    edges: dict[str, set[str]] = {}
+    for (user, _uport), (provider, _pport) in connected.items():
+        edges.setdefault(user, set()).add(provider)
+    for cycle in _find_cycles(edges):
+        report("RA013", f"port graph cycle: {' -> '.join(cycle)} — call "
+               f"chains through these uses ports can recurse",
+               context=cycle[0])
     return out
 
 
-# --------------------------------------------------------------------------
-# public entry points
-# --------------------------------------------------------------------------
-def analyze_script_contracts(
-        text: str, path: str = "<script>",
-        manifests: Mapping[str, ComponentManifest] | None = None,
-        *, standalone: bool = False) -> list[Finding]:
-    """RA41x over an rc-script (``standalone`` only when asked — the
-    wiring pass already owns RA001 / RA005 in the combined CLI run)."""
-    return check_model(model_from_script(text, path), manifests,
-                       standalone=standalone)
+def analyze_script(text: str,
+                   classes: Sequence[Type[Component]] | None = None,
+                   path: str = "<script>") -> list[Finding]:
+    """Statically validate an rc-script against a class repository
+    (None = the stock one).  Never executes a ``go`` port."""
+    return check_model(model_from_script(text, path), manifests_of(classes))
 
 
-def analyze_script_file_contracts(
-        path: str,
-        manifests: Mapping[str, ComponentManifest] | None = None,
-        ) -> list[Finding]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return [finding("RA001", f"cannot read {path!r}: {exc}",
-                        path=path)]
-    return analyze_script_contracts(text, path, manifests)
+#: name -> zero-argument builder for the three paper assemblies.
+def _builders():
+    from repro.apps.ignition0d import build_ignition0d
+    from repro.apps.reaction_diffusion import build_reaction_diffusion
+    from repro.apps.shock_interface import build_shock_interface
+
+    return {
+        "ignition0d": build_ignition0d,
+        "reaction_diffusion": build_reaction_diffusion,
+        "shock_interface": build_shock_interface,
+    }
 
 
-def analyze_framework_contracts(fw, path: str = "<assembly>"
-                                ) -> list[Finding]:
-    """RA41x over a built framework (builder-produced assemblies)."""
-    return check_model(model_from_framework(fw, path))
+def assembly_names() -> list[str]:
+    return sorted(_builders())
 
 
-def analyze_assembly_contracts(name: str) -> list[Finding]:
-    """RA41x over a shipped builder assembly by name."""
-    from repro.cca.framework import Framework
-
+def analyze_assembly(name: str) -> list[Finding]:
+    """Build one of the paper assemblies (wiring only — ``go`` is never
+    invoked) and check it."""
     builders = _builders()
     if name not in builders:
         return [finding(
@@ -490,47 +603,12 @@ def analyze_assembly_contracts(name: str) -> list[Finding]:
             f"{', '.join(sorted(builders))})", path=name)]
     fw = Framework()
     builders[name](fw)
-    return analyze_framework_contracts(fw, path=f"<assembly:{name}>")
+    return check_model(model_from_framework(fw, path=f"<assembly:{name}>"))
 
 
 # --------------------------------------------------------------------------
 # serve admission control
 # --------------------------------------------------------------------------
-def _override_findings(model: AssemblyModel,
-                       manifests: Mapping[str, ComponentManifest],
-                       params: Mapping[str, Any],
-                       path: str) -> list[Finding]:
-    out: list[Finding] = []
-    declared_elsewhere: dict[str, list[tuple[str, str]]] = {}
-    for instance, cls in model.instances.items():
-        m = manifests.get(cls)
-        if m is None:
-            continue
-        for p in m.parameters:
-            declared_elsewhere.setdefault(p.name, []).append(
-                (instance, cls))
-    for dotted, value in sorted(params.items()):
-        instance, _, key = dotted.partition(".")
-        cls = model.instances.get(instance)
-        if cls is None:
-            near = difflib.get_close_matches(
-                instance, list(model.instances), n=1, cutoff=0.6)
-            hint = f" — did you mean {near[0]!r}?" if near else ""
-            out.append(finding(
-                "RA411",
-                f"override {dotted!r} targets an instance the script "
-                f"never instantiates{hint}",
-                path=path, context=dotted))
-            continue
-        m = manifests.get(cls)
-        if m is None:
-            continue
-        out.extend(_check_value(m, instance, key, value, path=path,
-                                line=None,
-                                declared_elsewhere=declared_elsewhere))
-    return out
-
-
 def check_backend(backend: str, path: str = "<job>") -> list[Finding]:
     """RA419: the job's execution backend must exist in the
     :mod:`repro.exec` registry.  The finding's message is the registry's
@@ -551,40 +629,34 @@ def check_backend(backend: str, path: str = "<job>") -> list[Finding]:
 def check_job(script: str, params: Mapping[str, Any] | None = None,
               *, manifests: Mapping[str, ComponentManifest] | None = None,
               path: str = "<job>", backend: str = "") -> list[Finding]:
-    """The serve admission gate: RA41x over (script + overrides).
+    """The serve admission gate: the whole model check over (script +
+    overrides), at warning severity and above.
 
-    Override keys count as "set" for the RA415 required-parameter check.
-    Syntax errors and unknown port names are included (such a script
-    must be rejected at submit, not discovered by a worker).  ``backend``
-    (the job's execution-backend request, "" = service default) is
-    validated against the :mod:`repro.exec` registry (RA419).
+    Each override is checked as one more ``parameter`` setting, so it
+    counts as "set" for RA415; one on an instance the script never
+    instantiates is an RA411.  ``backend`` (the job's execution-backend
+    request, "" = service default) is validated against the
+    :mod:`repro.exec` registry (RA419).
     """
-    manifests = manifests if manifests is not None else load_manifests()
     model = model_from_script(script, path)
-    out = _check_job_model(model, manifests, dict(params or {}), path)
-    out.extend(check_backend(backend, path))
-    return out
-
-
-def _check_job_model(model: AssemblyModel,
-                     manifests: Mapping[str, ComponentManifest],
-                     params: Mapping[str, Any],
-                     path: str) -> list[Finding]:
-    # script-side checks, with override keys satisfying RA415
-    override_keys: dict[str, set[str]] = {}
-    for dotted in params:
+    instances = model.instances
+    out: list[Finding] = []
+    for dotted, value in sorted((params or {}).items()):
         instance, _, key = dotted.partition(".")
-        override_keys.setdefault(instance, set()).add(key)
-    base = check_model(model, manifests, standalone=True)
-    kept: list[Finding] = []
-    for f in base:
-        if f.code == "RA415" and f.context:
-            instance, _, key = f.context.partition(".")
-            if key in override_keys.get(instance, ()):
-                continue  # satisfied by an override
-        kept.append(f)
-    kept.extend(_override_findings(model, manifests, params, path))
-    return kept
+        if instance in instances:
+            model.parameters.append((instance, key, value, None))
+            continue
+        near = difflib.get_close_matches(instance, list(instances),
+                                         n=1, cutoff=0.6)
+        hint = f" — did you mean {near[0]!r}?" if near else ""
+        out.append(finding(
+            "RA411",
+            f"override {dotted!r} targets an instance the script never "
+            f"instantiates{hint}",
+            path=path, context=dotted))
+    kept = [f for f in check_model(model, manifests)
+            if f.severity >= Severity.WARNING]
+    return kept + out + check_backend(backend, path)
 
 
 def coerce_job_params(script: str, params: Mapping[str, Any] | None,
@@ -599,11 +671,11 @@ def coerce_job_params(script: str, params: Mapping[str, Any] | None,
     unchanged; :func:`check_job` is where they are rejected.
     """
     manifests = manifests if manifests is not None else load_manifests()
-    model = model_from_script(script)
+    instances = model_from_script(script).instances
     out: dict[str, Any] = {}
     for dotted, value in (params or {}).items():
         instance, _, key = dotted.partition(".")
-        m = manifests.get(model.instances.get(instance, ""))
+        m = manifests.get(instances.get(instance, ""))
         spec = m.param(key) if m is not None else None
         if spec is not None and value_type_ok(spec.type, value):
             out[dotted] = coerce_value(spec.type, value)
@@ -613,10 +685,10 @@ def coerce_job_params(script: str, params: Mapping[str, Any] | None,
 
 
 __all__ = [
-    "ComponentManifest", "PortSpec", "load_manifests", "value_type_ok",
-    "coerce_value",
-    "AssemblyModel", "model_from_script", "model_from_framework",
-    "check_model", "analyze_script_contracts",
-    "analyze_script_file_contracts", "analyze_framework_contracts",
-    "analyze_assembly_contracts", "check_job", "coerce_job_params",
+    "ComponentManifest", "default_classes", "sandbox_services",
+    "class_manifest", "load_manifests", "manifests_of", "value_type_ok",
+    "coerce_value", "AssemblyModel", "model_from_script",
+    "model_from_framework", "check_model", "analyze_script",
+    "assembly_names", "analyze_assembly", "check_backend", "check_job",
+    "coerce_job_params",
 ]

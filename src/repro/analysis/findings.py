@@ -8,7 +8,7 @@ the contract: codes are never renumbered, only added.
 Code ranges
 -----------
 ``RA0xx``
-    Assembly/wiring analysis (rc-scripts and built frameworks).
+    Assembly wiring (rc-scripts, built frameworks and serve jobs).
 ``RA1xx``
     Component lifecycle linting (AST over component source).
 ``RA2xx``
@@ -24,8 +24,12 @@ Code ranges
     Retired with the JSON manifests they kept in sync with the source;
     a component's ``PARAMS`` is now its only declaration.  Not reused.
 ``RA41x``
-    Assembly contract checks (rc-script parameters/schedule and serve
-    job overrides validated against the classes' declarations).
+    Assembly contract checks (rc-script parameters and serve job
+    overrides validated against the classes' declarations).  RA0xx and
+    RA41x come from one pass, :mod:`repro.analysis.contracts`.
+    ``RA417`` (required uses port unconnected) and ``RA418`` (port types
+    of a connection disagree) are retired: the same defects are
+    ``RA011`` and ``RA006``.  Not reused.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "RA009": (Severity.ERROR, "go before connect (wiring after go)"),
     "RA010": (Severity.ERROR, "go target provides no go port"),
     "RA011": (Severity.ERROR,
-              "unconnected uses port fetched without a guard"),
+              "unconnected uses port not registered optional"),
     "RA012": (Severity.INFO, "unconnected uses port (optional or unused)"),
     "RA013": (Severity.WARNING, "cycle in the port graph"),
     "RA014": (Severity.WARNING, "component class could not be introspected"),
@@ -114,10 +118,6 @@ CODES: dict[str, tuple[Severity, str]] = {
     "RA415": (Severity.ERROR, "required parameter never set"),
     "RA416": (Severity.WARNING,
               "parameter set on an instance whose class never reads it"),
-    "RA417": (Severity.ERROR,
-              "required uses port of a go-reachable instance unconnected"),
-    "RA418": (Severity.ERROR,
-              "connection pairs incompatible manifest port types"),
     "RA419": (Severity.ERROR,
               "unknown execution backend for the job"),
 }

@@ -21,8 +21,8 @@ without one (the little port-implementation helpers that close over
 ``owner.services``) resolve against the union of the file's component
 registrations.  A fetch wrapped in ``try/except
 PortNotConnectedError`` (or guarded by ``is_connected``) is *guarded* —
-the port is optional by design and the wiring analyzer will not demand a
-connection for it.
+the port is optional by design, and its class registers it
+``optional=True``.
 """
 
 from __future__ import annotations
@@ -317,8 +317,8 @@ def analyze_file(path: str) -> list[Finding]:
 def class_fetch_profile(cls: type) -> dict[str, bool]:
     """``{port_name: all_fetches_guarded}`` for a component class.
 
-    Used by the wiring analyzer to decide whether an unconnected uses
-    port is an error (fetched unguarded somewhere) or merely optional.
+    The oracle that holds each class's ``optional=True`` registrations
+    to its source: a uses port fetched unguarded somewhere is required.
     Fetches in same-module helper classes (the port implementations that
     close over ``owner.services``) are attributed to the component too —
     conservative in the right direction.  Returns ``{}`` when the source

@@ -57,8 +57,9 @@ Patch arrays are tracked through the GrACE/Hierarchy accessor surface
 * ``RA305`` (error) — collective call inside a rank-dependent branch:
   only a subset of ranks arrives, so the rendezvous hangs.
 * ``RA306`` (error) — rc-script ``parameter`` directive after ``go``:
-  connect-time configuration mutated after the run started (the wiring
-  pass's RA009 covers late ``connect``; this covers late ``parameter``).
+  connect-time configuration mutated after the run started (the
+  assembly pass's RA009 covers late ``connect``; this covers late
+  ``parameter``).
 * ``RA307`` (warning) — the same shared object is written through two
   or more instances reachable from the script's ``go`` targets.
 * ``RA308`` (info) — rank code reads a shared mutable; benign until
@@ -82,9 +83,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence, Type
 
+from repro.analysis.contracts import AssemblyModel, default_classes
 from repro.analysis.findings import Finding, finding, unparseable
 from repro.cca.component import Component
-from repro.cca.script import parse_script_tolerant
 
 #: names whose module-level bindings are deliberately process-wide —
 #: the obs registry/tracer and logging singletons the subsystems share.
@@ -637,10 +638,10 @@ def _class_write_keys(cls: Type[Component]) -> set[str]:
     return keys
 
 
-def analyze_script(text: str,
+def analyze_script(model: AssemblyModel,
                    classes: Sequence[Type[Component]] | None = None,
-                   path: str = "<script>") -> list[Finding]:
-    """Happens-before checks over the rc-script wiring graph.
+                   ) -> list[Finding]:
+    """Happens-before checks over an rc-script's assembly model.
 
     ``RA306``: ``parameter`` after the first ``go`` mutates connect-time
     configuration the running assembly already consumed.  ``RA307``: the
@@ -648,46 +649,27 @@ def analyze_script(text: str,
     from the union of all ``go`` targets — in SCMD mode those instances
     run on every rank-thread, so the writes race through two proxies.
     """
-    from repro.analysis.wiring import default_classes
-
     out: list[Finding] = []
-    directives, _errors = parse_script_tolerant(text)
-    go_lines = [d.line_no for d in directives if d.verb == "go"]
-    first_go = min(go_lines) if go_lines else None
-
-    if first_go is not None:
-        for d in directives:
-            if d.verb == "parameter" and d.line_no > first_go:
+    path = model.path
+    if model.gos:
+        first_go = min(line for _inst, _port, line in model.gos)
+        for inst, key, value, line in model.parameters:
+            if line is not None and line > first_go:
                 out.append(finding(
                     "RA306",
-                    f"parameter {' '.join(d.args)} on line {d.line_no} "
+                    f"parameter {inst} {key} {value} on line {line} "
                     f"runs after go (line {first_go}) — connect-time "
                     f"configuration mutated once ranks are stepping",
-                    path=path, line=d.line_no, context=d.args[0]))
+                    path=path, line=line, context=inst))
 
     # -- RA307: shared write keys reachable through >= 2 instances --------
     registry = {cls.__name__: cls
                 for cls in (classes if classes is not None
                             else default_classes())}
-    instantiated = {d.args[1]: d.args[0] for d in directives
-                    if d.verb == "instantiate"}
-    edges: dict[str, set[str]] = {}
-    for d in directives:
-        if d.verb == "connect":
-            user, _uport, provider, _pport = d.args
-            edges.setdefault(user, set()).add(provider)
-    reachable: set[str] = set()
-    frontier = [d.args[0] for d in directives if d.verb == "go"]
-    while frontier:
-        inst = frontier.pop()
-        if inst in reachable:
-            continue
-        reachable.add(inst)
-        frontier.extend(edges.get(inst, ()))
-
+    instances = model.instances
     writers: dict[str, list[str]] = {}
-    for inst in sorted(reachable):
-        cls = registry.get(instantiated.get(inst, ""))
+    for inst in sorted(model.reachable()):
+        cls = registry.get(instances.get(inst, ""))
         if cls is None:
             continue
         for key in _class_write_keys(cls):

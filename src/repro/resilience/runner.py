@@ -173,7 +173,7 @@ def run_supervised(script: str, classes: Iterable | None = None,
     ceremony the CLI used to own.
 
     ``classes`` defaults to the stock component registry
-    (:func:`repro.analysis.wiring.default_classes`).  ``fault`` arms the
+    (:func:`repro.analysis.contracts.default_classes`).  ``fault`` arms the
     deterministic fault injector for the duration of the run — either a
     :class:`~repro.resilience.faults.FaultPlan` or a spec string for
     :func:`parse_fault_spec`; ``tsan`` arms the runtime race sanitizer.
@@ -187,7 +187,7 @@ def run_supervised(script: str, classes: Iterable | None = None,
     ``.metrics()``.
     """
     if classes is None:
-        from repro.analysis.wiring import default_classes
+        from repro.analysis.contracts import default_classes
         classes = default_classes()
     if isinstance(fault, str):
         fault = parse_fault_spec(fault) if fault.strip() else None

@@ -195,7 +195,7 @@ def _add_submit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the content-addressed result cache")
     p.add_argument("--no-admission", action="store_true",
-                   help="skip the RA41x static admission gate (contract "
+                   help="skip the static admission gate (assembly "
                         "pass over script + overrides at submit)")
     p.add_argument("--run", action="store_true",
                    help="execute immediately instead of only queueing")

@@ -207,7 +207,7 @@ class JobRecord:
     cache_key: str = ""
     #: batch-group key (jobs sharing it may coalesce); "" = not batchable
     signature: str = ""
-    #: failed static admission (RA41x contract errors) — never ran
+    #: failed static admission (assembly-pass errors) — never ran
     rejected: bool = False
     #: admission findings (Finding.to_dict() docs): all of them for a
     #: rejected job, warnings-only for an admitted one

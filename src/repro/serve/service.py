@@ -17,13 +17,15 @@ Everything is filesystem-backed under ``root`` — no sockets, no
 daemons — so separate CLI invocations (submit now, run later, query
 after) compose through the store, and tests stay hermetic.
 
-*Admission control*: before a job is enqueued, the RA41x contract pass
+*Admission control*: before a job is enqueued, the assembly pass
 (:func:`repro.analysis.contracts.check_job`) statically validates the
 script and the overrides against the component classes' declarations.
-Error findings (unknown parameter, out-of-range value, wrong type,
-missing required parameter, unconnected required port, unknown
-execution backend) fail the job instantly — the findings land on the job record, a per-tenant
-``serve.rejected`` counter ticks, and no worker ever sees it.
+Error findings (broken wiring such as an unknown class or a duplicate
+``connect``, unknown parameter, out-of-range value, wrong type, missing
+required parameter, unconnected required port, unknown execution
+backend) fail the job instantly — the findings land on the job record,
+a per-tenant ``serve.rejected`` counter ticks, and no worker ever sees
+it.
 Warning-severity findings are recorded on the job and it proceeds.
 Admitted override values are coerced to their declared parameter types,
 so ``"1100"`` and ``1100.0`` share one cache address.  Pass
@@ -69,7 +71,7 @@ class SimulationService:
                  fingerprint: Mapping[str, Any] | None = None,
                  autostart: bool = True, admission: bool = True) -> None:
         self.root = root
-        #: static admission control: run the RA41x contract pass over
+        #: static admission control: run the assembly pass over
         #: (script + overrides) at submit; error findings fail the job
         #: instantly with the findings on the record — no worker runs.
         self.admission = bool(admission)

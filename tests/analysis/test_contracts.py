@@ -1,43 +1,47 @@
-"""The RA41x assembly contract pass over synthetic contracts."""
+"""The assembly pass's RA41x contract checks over synthetic contracts."""
 
 import pytest
 
 from repro.analysis.contracts import (
     ComponentManifest,
-    PortSpec,
-    analyze_assembly_contracts,
-    analyze_script_contracts,
+    analyze_assembly,
     check_job,
+    check_model,
     coerce_job_params,
     coerce_value,
+    model_from_script,
     value_type_ok,
 )
 from repro.analysis.findings import Severity
 from repro.cca.component import Param as ParamSpec
 
 
+def params(*specs):
+    return {p.name: p for p in specs}
+
+
 def widget_manifest():
     return ComponentManifest(
         class_name="Widget",
-        provides=[PortSpec(name="out", type="OutPort")],
-        uses=[PortSpec(name="src", type="OutPort", required=True),
-              PortSpec(name="aux", type="AuxPort")],
-        parameters=[
+        provides={"go": "GoPort"},
+        uses={"src": "OutPort"},
+        go_ports=frozenset({"go"}),
+        parameters=params(
             ParamSpec(name="gain", type="float", default=1.0,
                       min=0.0, max=10.0),
             ParamSpec(name="mode", type="str", default="fast",
                       choices=["fast", "slow"]),
             ParamSpec(name="steps", type="int", default=4, min=1),
             ParamSpec(name="label", type="str", required=True),
-        ])
+        ))
 
 
 def source_manifest():
     return ComponentManifest(
         class_name="Source",
-        provides=[PortSpec(name="out", type="OutPort"),
-                  PortSpec(name="raw", type="RawPort")],
-        parameters=[ParamSpec(name="rate", type="float", default=2.0)])
+        provides={"out": "OutPort", "raw": "RawPort"},
+        parameters=params(ParamSpec(name="rate", type="float",
+                                    default=2.0)))
 
 
 @pytest.fixture
@@ -59,7 +63,7 @@ def codes(findings):
 
 
 def check(script, manifests):
-    return analyze_script_contracts(script, "<t>", manifests)
+    return check_model(model_from_script(script, "<t>"), manifests)
 
 
 def test_clean_script_has_no_findings(manifests):
@@ -113,37 +117,9 @@ def test_ra416_parameter_on_wrong_instance(manifests):
     assert "feed" in out[0].message  # points at the declaring instance
 
 
-def test_ra417_required_port_unconnected(manifests):
-    script = BASE.replace("connect w src feed out\n", "")
-    out = check(script, manifests)
-    assert codes(out) == ["RA417"]
-    assert "src" in out[0].message
-
-
-def test_ra417_skips_unreachable_and_library_scripts(manifests):
-    # no go directive: library assembly, schedule not checkable
-    script = "instantiate Widget w\nparameter w label x\n"
-    assert check(script, manifests) == []
-    # w is not reachable from the go target
-    script = ("instantiate Source feed\ninstantiate Widget w\n"
-              "parameter w label x\ngo feed\n")
-    assert check(script, manifests) == []
-
-
-def test_ra417_optional_port_never_flagged(manifests):
-    # aux (required=False) stays unconnected in BASE: no finding
-    assert check(BASE, manifests) == []
-
-
-def test_ra418_port_type_mismatch(manifests):
-    script = BASE.replace("connect w src feed out",
-                          "connect w src feed raw")
-    out = check(script, manifests)
-    assert codes(out) == ["RA418"]
-    assert "OutPort" in out[0].message and "RawPort" in out[0].message
-
-
 def test_unmanifested_classes_are_skipped(manifests):
+    # a class without PARAMS gets the wiring checks only
+    manifests["Mystery"] = ComponentManifest(class_name="Mystery")
     script = BASE + ("instantiate Mystery m\n"
                      "parameter m whatever 1\n")
     assert check(script, manifests) == []
@@ -209,9 +185,10 @@ def test_coerce_job_params(manifests):
 @pytest.mark.parametrize("name", ["ignition0d", "reaction_diffusion",
                                   "shock_interface"])
 def test_shipped_assemblies_pass_contracts(name):
-    findings = analyze_assembly_contracts(name)
+    findings = [f for f in analyze_assembly(name)
+                if f.code.startswith("RA41")]
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
 def test_unknown_assembly_reports_ra002():
-    assert codes(analyze_assembly_contracts("nope")) == ["RA002"]
+    assert codes(analyze_assembly("nope")) == ["RA002"]

@@ -11,9 +11,14 @@ import warnings
 
 import pytest
 
-from repro.analysis.contracts import analyze_framework_contracts
+from repro.analysis import analyze_rc_file
+from repro.analysis.contracts import (
+    check_model,
+    default_classes,
+    model_from_framework,
+    sandbox_services,
+)
 from repro.analysis.lifecycle import class_fetch_profile
-from repro.analysis.wiring import default_classes, sandbox_services
 from repro.cca.component import Component, Param
 from repro.cca.framework import Framework
 from repro.resilience import hooks
@@ -91,7 +96,22 @@ def test_a_class_is_judged_by_itself_not_by_its_name():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fw.set_parameter("ic", "gain", 2.0)
-    assert analyze_framework_contracts(fw) == []
+    assert check_model(model_from_framework(fw)) == []
+
+
+def test_an_rc_script_is_judged_by_the_callers_classes(tmp_path):
+    # one registry: the caller's Initializer, not the stock one, is the
+    # contract the script's parameters are checked against
+    class Initializer(Component):
+        PARAMS = (Param("gain", "float", 1.0),)
+
+        def set_services(self, services):
+            self.services = services
+
+    script = tmp_path / "custom.rc"
+    script.write_text("instantiate Initializer ic\n"
+                      "parameter ic gain 2.0\n")
+    assert analyze_rc_file(str(script), classes=[Initializer]) == []
 
 
 def test_a_built_instance_is_checked_against_its_own_declaration():
@@ -105,4 +125,4 @@ def test_a_built_instance_is_checked_against_its_own_declaration():
     fw.registry.register(Probe)
     fw.instantiate("Probe", "p")
     fw.set_parameter("p", "gain", 99.0)
-    assert [f.code for f in analyze_framework_contracts(fw)] == ["RA412"]
+    assert [f.code for f in check_model(model_from_framework(fw))] == ["RA412"]

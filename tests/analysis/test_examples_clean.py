@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis import analyze_target, wiring
+from repro.analysis import analyze_rc_file, analyze_target, contracts
 from repro.analysis.findings import Report, Severity
 from repro.apps.assemblies import IGNITION0D_SCRIPT
 
@@ -31,7 +31,7 @@ def test_every_example_analyzes_clean(path):
 @pytest.mark.parametrize("name", ["ignition0d", "reaction_diffusion",
                                   "shock_interface"])
 def test_every_paper_assembly_analyzes_clean(name):
-    report = Report(wiring.analyze_assembly(name))
+    report = Report(contracts.analyze_assembly(name))
     # nothing above info: the only notes are the guarded optional ports
     assert report.at_least(Severity.WARNING) == [], report.format_text()
     for f in report.findings:
@@ -41,7 +41,7 @@ def test_every_paper_assembly_analyzes_clean(name):
 def test_shipped_rc_script_text_analyzes_clean():
     # the one note: its constant-volume RHS has no analytic Jacobian, so
     # the solver's optional ``jacobian`` port stays unconnected
-    findings = wiring.analyze_script(IGNITION0D_SCRIPT)
+    findings = contracts.analyze_script(IGNITION0D_SCRIPT)
     assert [(f.code, f.context) for f in findings] == [
         ("RA012", "CvodeComponent")]
     assert "jacobian" in findings[0].message
@@ -68,29 +68,28 @@ def test_examples_rc_matches_shipped_script_semantics():
 
 
 # ----------------------------------------------------- RA41x contracts
+def contract_findings(findings):
+    return [f for f in findings if f.code.startswith("RA41")]
+
+
 @pytest.mark.parametrize(
     "path", [p for p in EXAMPLES if p.suffix == ".rc"],
     ids=lambda p: p.name)
 def test_every_example_rc_passes_contracts_clean(path):
-    from repro.analysis import contracts
-
-    findings = contracts.analyze_script_file_contracts(str(path))
+    findings = contract_findings(analyze_rc_file(str(path)))
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
 @pytest.mark.parametrize("name", ["ignition0d", "reaction_diffusion",
                                   "shock_interface"])
 def test_every_paper_assembly_passes_contracts_clean(name):
-    from repro.analysis import contracts
-
-    findings = contracts.analyze_assembly_contracts(name)
+    findings = contract_findings(contracts.analyze_assembly(name))
     assert findings == [], "\n".join(f.format() for f in findings)
 
 
 def test_shipped_script_text_passes_contracts_clean():
-    from repro.analysis import contracts
-
-    assert contracts.analyze_script_contracts(IGNITION0D_SCRIPT) == []
+    assert contract_findings(
+        contracts.analyze_script(IGNITION0D_SCRIPT)) == []
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ import textwrap
 import pytest
 
 from repro.analysis.findings import Severity
-from repro.analysis.scmd import analyze_file, analyze_script, analyze_source
+from repro.analysis import scmd
+from repro.analysis.contracts import model_from_script
+from repro.analysis.scmd import analyze_file, analyze_source
 from repro.cca.component import Component
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -294,6 +296,10 @@ def test_allowlist_suppresses_race_findings():
 
 
 # --------------------------------------------------------- rc-script layer
+def analyze_script(text, classes):
+    return scmd.analyze_script(model_from_script(text), classes)
+
+
 def test_parameter_after_go_ra306():
     findings = analyze_script(
         "instantiate Driver d\ngo d\nparameter d dt 0.1\n", classes=[])

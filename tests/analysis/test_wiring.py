@@ -1,24 +1,25 @@
-"""Wiring analyzer: every RA0xx code on a small test component set."""
+"""The assembly pass's wiring checks: every RA0xx code on a small test
+component set."""
 
 import pathlib
 
 import pytest
 
 from repro.analysis.findings import Severity
-from repro.analysis.wiring import (
+from repro.analysis.contracts import (
     analyze_assembly,
-    analyze_framework,
     analyze_script,
     assembly_names,
-    harvest_port_table,
+    check_model,
+    class_manifest,
+    model_from_framework,
 )
 from repro.cca import Component, Framework, Port
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
-# -- a tiny component set (classes at module level so inspect.getsource
-# -- feeds the fetch-profile harvest) ---------------------------------------
+# -- a tiny component set ---------------------------------------------------
 class HelloPort(Port):
     def hello(self):
         raise NotImplementedError
@@ -43,7 +44,7 @@ class _GoEager(Port):
 
 
 class EagerUser(Component):
-    """Fetches its uses port unguarded: unconnected -> RA011."""
+    """Requires its uses port: unconnected -> RA011."""
 
     def set_services(self, services):
         self.services = services
@@ -66,7 +67,7 @@ class CasualUser(Component):
 
     def set_services(self, services):
         self.services = services
-        services.register_uses_port("maybe", "HelloPort")
+        services.register_uses_port("maybe", "HelloPort", optional=True)
         services.add_provides_port(_GoCasual(self), "go")
 
 
@@ -110,14 +111,16 @@ go user
     assert analyze_script(script, CLASSES) == []
 
 
-def test_harvest_port_table():
-    table = harvest_port_table(EagerUser)
-    assert table.uses == {"words": "HelloPort"}
-    assert table.provides == {"go": "_GoEager"}
-    assert table.go_ports == {"go"}
-    assert table.fetch_guarded == {"words": False}
-    assert harvest_port_table(CasualUser).fetch_guarded \
-        == {"maybe": True}
+def test_class_manifest():
+    m = class_manifest(EagerUser)
+    assert m.uses == {"words": "HelloPort"}
+    assert m.provides == {"go": "_GoEager"}
+    assert m.go_ports == {"go"}
+    assert m.optional == frozenset()
+    assert m.parameters is None  # undeclared: wiring checks only
+    assert class_manifest(CasualUser).optional == {"maybe"}
+    assert class_manifest(WaveProvider).go_ports == frozenset()
+    assert class_manifest(EagerUser) is m  # harvested once per class
 
 
 def test_syntax_errors_accumulate_as_ra001():
@@ -164,9 +167,12 @@ instantiate EagerUser u
 connect u words greeter go
 go u
 """
-    (f,) = by_code(analyze_script(script, CLASSES), "RA006")
+    findings = analyze_script(script, CLASSES)
+    (f,) = by_code(findings, "RA006")
     assert "HelloPort" in f.message and "_GoEager" in f.message
     assert f.line == 3
+    # reported once: there is no second type check on the same line
+    assert [g.code for g in findings if g.line == 3] == ["RA006"]
 
 
 def test_use_before_instantiate_ra007():
@@ -215,6 +221,13 @@ def test_unconnected_unguarded_fetch_ra011():
     (f,) = by_code(findings, "RA011")
     assert f.severity is Severity.ERROR
     assert "PortNotConnectedError" in f.message
+    assert "u.words [HelloPort]" in f.message and f.line == 1
+    # every instance, whether a go reaches it or not (library scripts)
+    script = "instantiate WaveProvider g\ninstantiate EagerUser u\ngo g\n"
+    assert [f.context for f in by_code(analyze_script(script, CLASSES),
+                                       "RA011")] == ["u"]
+    assert codes(analyze_script("instantiate EagerUser u\n",
+                                CLASSES)) == {"RA011"}
 
 
 def test_unconnected_guarded_fetch_is_info_ra012():
@@ -241,6 +254,9 @@ def test_uninstantiable_class_ra014():
     findings = analyze_script("instantiate Unbuildable u\n", CLASSES)
     (f,) = by_code(findings, "RA014")
     assert "sandbox says no" in f.message
+    # the failed harvest is cached, the finding is not
+    again = analyze_script("instantiate Unbuildable v\n", CLASSES)
+    assert [f.context for f in by_code(again, "RA014")] == ["Unbuildable"]
 
 
 def test_bad_wiring_fixture_covers_the_codes():
@@ -256,16 +272,16 @@ def test_analyze_framework_flags_dangling_unguarded():
     fw.registry.register_many([WaveProvider, EagerUser, CasualUser])
     fw.instantiate("EagerUser", "eager")
     fw.instantiate("CasualUser", "casual")
-    findings = analyze_framework(fw)
+    findings = check_model(model_from_framework(fw))
     assert {f.code for f in findings} == {"RA011", "RA012"}
     fw.instantiate("WaveProvider", "greeter")
     fw.connect("eager", "words", "greeter", "greeting")
     fw.connect("casual", "maybe", "greeter", "greeting")
-    assert analyze_framework(fw) == []
+    assert check_model(model_from_framework(fw)) == []
 
 
 def test_assembly_names_and_unknown():
     assert assembly_names() == ["ignition0d", "reaction_diffusion",
                                 "shock_interface"]
-    with pytest.raises(KeyError, match="unknown assembly"):
-        analyze_assembly("nope")
+    (f,) = analyze_assembly("nope")
+    assert f.code == "RA002" and "unknown assembly 'nope'" in f.message

@@ -6,7 +6,7 @@ across backends without anyone losing sleep: equivalence is proven
 here, run by run, rather than assumed by the cache key.
 """
 
-from repro.analysis.wiring import default_classes
+from repro.analysis.contracts import default_classes
 from repro.apps import run_reaction_diffusion, run_shock_interface
 from repro.mpi import ZERO_COST, mpirun
 from repro.resilience import faults

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.wiring import default_classes
+from repro.analysis.contracts import default_classes
 from repro.resilience import faults
 from repro.resilience.runner import supervise, with_resume
 

@@ -8,6 +8,9 @@ record metadata).
 
 import warnings
 
+import pytest
+
+from repro.apps.assemblies import IGNITION0D_SCRIPT
 from repro.cca.framework import Framework
 from repro.components import ALL_COMPONENTS
 from repro.serve import jobs as J
@@ -136,6 +139,38 @@ def test_rejection_needs_no_workers(tmp_path, registry):
                             params={"Driver.t_end": -1.0})
         assert svc.status(job_id)["state"] == J.FAILED
         assert "RA412" in find_codes(svc.status(job_id))
+
+
+def rewire(old, new):
+    assert old in IGNITION0D_SCRIPT
+    return IGNITION0D_SCRIPT.replace(old, new)
+
+
+BROKEN_WIRING = {
+    "RA002": rewire("instantiate StatisticsComponent Statistics",
+                    "instantiate NoSuchComponent Statistics"),
+    "RA004": rewire("connect Driver stats Statistics stats",
+                    "connect Driver stats Nobody stats"),
+    "RA008": rewire("connect Driver ic Initializer ic",
+                    "connect Driver ic Initializer ic\n"
+                    "connect Driver ic Initializer ic"),
+    "RA009": rewire("connect Driver stats Statistics stats\n\ngo Driver",
+                    "go Driver\nconnect Driver stats Statistics stats"),
+    "RA010": rewire("go Driver", "go Statistics"),
+}
+
+
+@pytest.mark.parametrize("code", sorted(BROKEN_WIRING))
+def test_broken_wiring_rejected_at_submit(tmp_path, registry, code):
+    # the whole assembly pass runs at admission: a job the worker could
+    # only fail with RankFailure never reaches the queue
+    with SimulationService(str(tmp_path / "wiring"), registry=registry,
+                           autostart=False) as svc:
+        record = svc.status(svc.submit(BROKEN_WIRING[code]))
+        assert record["state"] == J.FAILED
+        assert record["rejected"] is True
+        assert code in find_codes(record)
+        assert svc.scheduler.queue_depth() == 0
 
 
 # -- Framework.set_parameter warning (runtime analog of RA411) ------------
