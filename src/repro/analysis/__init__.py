@@ -83,9 +83,9 @@ def analyze_python_file(path: str,
 
 def _analyze_rc_text(text: str, classes: Sequence[Type[Component]] | None,
                      path: str) -> list[Finding]:
-    model = contracts.model_from_script(text, path)
-    return (contracts.check_model(model, contracts.manifests_of(classes))
-            + scmd.analyze_script(model, classes))
+    model = contracts.model_from_script(text, path,
+                                        contracts.manifests_of(classes))
+    return contracts.check_model(model) + scmd.analyze_script(model, classes)
 
 
 def analyze_rc_file(path: str,

@@ -137,19 +137,41 @@ def class_manifest(cls: type) -> ComponentManifest:
             error=f"{type(exc).__name__}: {exc}")
 
 
+class _Repository(Mapping[str, ComponentManifest]):
+    """Class name -> contract; a class is harvested on its first lookup
+    (so an analysis only runs ``set_services`` of the classes its
+    assembly names)."""
+
+    def __init__(self, classes: Sequence[type]) -> None:
+        self._classes = {cls.__name__: cls for cls in classes}
+
+    def __getitem__(self, name: str) -> ComponentManifest:
+        return class_manifest(self._classes[name])
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._classes
+
+    def __iter__(self):
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+
 @functools.cache
-def load_manifests() -> dict[str, ComponentManifest]:
+def load_manifests() -> Mapping[str, ComponentManifest]:
     """The contracts of the stock repository (:func:`default_classes`),
-    keyed by the class names rc-scripts use.  Cached: do not mutate."""
-    return manifests_of(default_classes())
+    keyed by the class names rc-scripts use."""
+    return _Repository(default_classes())
 
 
 def manifests_of(classes: Sequence[type] | None
                  ) -> Mapping[str, ComponentManifest]:
-    """The contracts of a class repository (None = the stock one)."""
+    """The contracts of a class repository (None = the stock one), each
+    harvested on first lookup and then cached for the process."""
     if classes is None:
         return load_manifests()
-    return {cls.__name__: class_manifest(cls) for cls in classes}
+    return _Repository(classes)
 
 
 # --------------------------------------------------------------------------
@@ -225,9 +247,9 @@ class AssemblyModel:
     #: (instance, port, line) per ``go`` directive
     gos: list[tuple[str, str, int]] = field(default_factory=list)
     syntax_errors: list[tuple[int, str]] = field(default_factory=list)
-    #: built frameworks: each instance's own class contract; without it
-    #: instances are looked up by class name
-    contracts: dict[str, ComponentManifest] | None = None
+    #: class name -> contract: the repository a script is checked
+    #: against, or the classes a built framework instantiated
+    classes: Mapping[str, ComponentManifest] = field(default_factory=dict)
 
     @property
     def instances(self) -> dict[str, str]:
@@ -254,11 +276,16 @@ class AssemblyModel:
         return seen
 
 
-def model_from_script(text: str, path: str = "<script>") -> AssemblyModel:
-    """Reduce an rc-script to its :class:`AssemblyModel` (tolerant: bad
-    lines are recorded, good ones still contribute)."""
+def model_from_script(text: str, path: str = "<script>",
+                      manifests: Mapping[str, ComponentManifest] | None
+                      = None) -> AssemblyModel:
+    """Reduce an rc-script to its :class:`AssemblyModel`, checked against
+    the class repository ``manifests`` (None = the stock one).  Tolerant:
+    bad lines are recorded, good ones still contribute."""
     directives, errors = parse_script_tolerant(text)
-    model = AssemblyModel(path=path, syntax_errors=list(errors))
+    model = AssemblyModel(path=path, syntax_errors=list(errors),
+                          classes=manifests if manifests is not None
+                          else load_manifests())
     for d in directives:
         if d.verb == "repository":
             model.repositories.append((d.args[1], d.line_no))
@@ -281,12 +308,14 @@ def model_from_framework(fw: Framework,
     """Reduce a built (not yet run) :class:`Framework`.  Each instance
     is checked against its own class's declaration, whatever its name,
     with the ports its live ``set_services`` registered."""
-    model = AssemblyModel(path=path, contracts={})
+    classes: dict[str, ComponentManifest] = {}
+    model = AssemblyModel(path=path, classes=classes)
     for name in fw.instance_names():
         cls = type(fw.get_component(name))
         services = fw.services_of(name)
         model.instantiations.append((cls.__name__, name, None))
-        model.contracts[name] = manifest_from(cls, services)
+        if cls.__name__ not in classes:
+            classes[cls.__name__] = manifest_from(cls, services)
         for key, value in sorted(services.parameters.items()):
             model.parameters.append((name, key, value, None))
     for (user, uport), (provider, pport) in sorted(fw.connections().items()):
@@ -394,17 +423,12 @@ def _check_value(manifest: ComponentManifest, instance: str, key: str,
     return out
 
 
-def check_model(model: AssemblyModel,
-                manifests: Mapping[str, ComponentManifest] | None = None,
-                ) -> list[Finding]:
-    """Run RA001-RA014 and RA411-RA416 over one :class:`AssemblyModel`.
-
-    ``manifests`` is the class repository by name (default: the stock
-    one); a built framework's model carries its own contracts.  Instances
-    whose class declares no ``PARAMS`` get no parameter checks.
+def check_model(model: AssemblyModel) -> list[Finding]:
+    """Run RA001-RA014 and RA411-RA416 over one :class:`AssemblyModel`,
+    against the class contracts it carries.  Instances whose class
+    declares no ``PARAMS`` get no parameter checks.
     """
-    if manifests is None:
-        manifests = load_manifests()
+    classes = model.classes
     path = model.path
     out = [finding("RA001", message, path=path, line=line_no)
            for line_no, message in model.syntax_errors]
@@ -417,11 +441,11 @@ def check_model(model: AssemblyModel,
     instances = model.instances
     first: dict[str, int | None] = {}  # instance -> first instantiate line
     for class_name, line in model.repositories:
-        if class_name not in manifests:
+        if class_name not in classes:
             report("RA002", f"repository get-global {class_name}: class "
                    f"not in the repository", line, class_name)
     for class_name, inst, line in model.instantiations:
-        if model.contracts is None and class_name not in manifests:
+        if class_name not in classes:
             report("RA002", f"instantiate {class_name}: class not in the "
                    f"repository", line, class_name)
         if inst in first:
@@ -431,10 +455,7 @@ def check_model(model: AssemblyModel,
             first[inst] = line
 
     def contract(inst: str) -> ComponentManifest | None:
-        if model.contracts is not None:
-            m = model.contracts.get(inst)
-        else:
-            m = manifests.get(instances.get(inst, ""))
+        m = classes.get(instances.get(inst, ""))
         return None if m is None or m.error else m
 
     def before(at: int | None, line: int | None) -> bool:
@@ -456,7 +477,7 @@ def check_model(model: AssemblyModel,
 
     failed: set[str] = set()
     for inst, class_name in instances.items():
-        m = manifests.get(class_name) if model.contracts is None else None
+        m = classes.get(class_name)
         if m is not None and m.error and class_name not in failed:
             failed.add(class_name)
             report("RA014", f"could not introspect {class_name}: sandbox "
@@ -549,7 +570,7 @@ def check_model(model: AssemblyModel,
             ptype = m.uses[port]
             if port in m.optional:
                 report("RA012", f"{inst}.{port} [{ptype}] is not connected "
-                       f"(fetched only behind a not-connected guard)",
+                       "(registered optional=True)",
                        first[inst], inst)
             else:
                 report("RA011", f"{inst}.{port} [{ptype}] is never "
@@ -572,7 +593,7 @@ def analyze_script(text: str,
                    path: str = "<script>") -> list[Finding]:
     """Statically validate an rc-script against a class repository
     (None = the stock one).  Never executes a ``go`` port."""
-    return check_model(model_from_script(text, path), manifests_of(classes))
+    return check_model(model_from_script(text, path, manifests_of(classes)))
 
 
 #: name -> zero-argument builder for the three paper assemblies.
@@ -638,7 +659,7 @@ def check_job(script: str, params: Mapping[str, Any] | None = None,
     request, "" = service default) is validated against the
     :mod:`repro.exec` registry (RA419).
     """
-    model = model_from_script(script, path)
+    model = model_from_script(script, path, manifests)
     instances = model.instances
     out: list[Finding] = []
     for dotted, value in sorted((params or {}).items()):
@@ -654,7 +675,7 @@ def check_job(script: str, params: Mapping[str, Any] | None = None,
             f"override {dotted!r} targets an instance the script never "
             f"instantiates{hint}",
             path=path, context=dotted))
-    kept = [f for f in check_model(model, manifests)
+    kept = [f for f in check_model(model)
             if f.severity >= Severity.WARNING]
     return kept + out + check_backend(backend, path)
 
@@ -670,12 +691,12 @@ def coerce_job_params(script: str, params: Mapping[str, Any] | None,
     the declared type (or target undeclared parameters) pass through
     unchanged; :func:`check_job` is where they are rejected.
     """
-    manifests = manifests if manifests is not None else load_manifests()
-    instances = model_from_script(script).instances
+    model = model_from_script(script, manifests=manifests)
+    instances = model.instances
     out: dict[str, Any] = {}
     for dotted, value in (params or {}).items():
         instance, _, key = dotted.partition(".")
-        m = manifests.get(instances.get(instance, ""))
+        m = model.classes.get(instances.get(instance, ""))
         spec = m.param(key) if m is not None else None
         if spec is not None and value_type_ok(spec.type, value):
             out[dotted] = coerce_value(spec.type, value)

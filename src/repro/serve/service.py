@@ -19,7 +19,8 @@ after) compose through the store, and tests stay hermetic.
 
 *Admission control*: before a job is enqueued, the assembly pass
 (:func:`repro.analysis.contracts.check_job`) statically validates the
-script and the overrides against the component classes' declarations.
+script and the overrides against the declarations of the classes the
+service runs with (``classes``, default the stock repository).
 Error findings (broken wiring such as an unknown class or a duplicate
 ``connect``, unknown parameter, out-of-range value, wrong type, missing
 required parameter, unconnected required port, unknown execution
@@ -49,7 +50,8 @@ import os
 import time
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.analysis.contracts import check_job, coerce_job_params
+from repro.analysis.contracts import (check_job, coerce_job_params,
+                                     manifests_of)
 from repro.analysis.findings import Severity
 from repro.errors import ReproError, ServeError
 from repro.obs import trace as _trace
@@ -75,6 +77,10 @@ class SimulationService:
         #: (script + overrides) at submit; error findings fail the job
         #: instantly with the findings on the record — no worker runs.
         self.admission = bool(admission)
+        classes = list(classes) if classes is not None else None
+        #: the contracts admission checks against: those of the classes
+        #: the workers run with (the stock repository when None)
+        self.manifests = manifests_of(classes)
         os.makedirs(root, exist_ok=True)
         self.store = JobStore(os.path.join(root, "jobs"))
         self.cache = ResultCache(os.path.join(root, "cache"),
@@ -189,12 +195,14 @@ class SimulationService:
         errors: list = []
         if self.admission:
             findings = check_job(script, overrides,
+                                 manifests=self.manifests,
                                  backend=str(backend or ""))
             errors = [f for f in findings if f.severity >= Severity.ERROR]
             if not errors:
                 # coerce override values to their declared parameter
                 # types so "1100" and 1100.0 key the cache identically
-                overrides = coerce_job_params(script, overrides)
+                overrides = coerce_job_params(script, overrides,
+                                              self.manifests)
         try:
             backend = self._canonical_backend(backend)
         except ReproError:

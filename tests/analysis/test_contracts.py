@@ -63,7 +63,7 @@ def codes(findings):
 
 
 def check(script, manifests):
-    return check_model(model_from_script(script, "<t>"), manifests)
+    return check_model(model_from_script(script, "<t>", manifests))
 
 
 def test_clean_script_has_no_findings(manifests):

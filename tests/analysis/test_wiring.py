@@ -123,6 +123,21 @@ def test_class_manifest():
     assert class_manifest(EagerUser) is m  # harvested once per class
 
 
+def test_only_the_classes_a_script_names_are_harvested():
+    harvested = []
+
+    class Bystander(Component):
+        def set_services(self, services):
+            harvested.append(self)
+
+    assert analyze_script("instantiate WaveProvider g\n",
+                          CLASSES + [Bystander]) == []
+    assert harvested == []
+    assert "RA002" in codes(analyze_script("instantiate Nope n\n",
+                                           CLASSES + [Bystander]))
+    assert harvested == []
+
+
 def test_syntax_errors_accumulate_as_ra001():
     script = "bogus one\ninstantiate WaveProvider g\nconnect a b\n"
     findings = analyze_script(script, CLASSES)

@@ -10,7 +10,9 @@ import warnings
 
 import pytest
 
+from repro.analysis.contracts import default_classes
 from repro.apps.assemblies import IGNITION0D_SCRIPT
+from repro.cca.component import Component, Param
 from repro.cca.framework import Framework
 from repro.components import ALL_COMPONENTS
 from repro.serve import jobs as J
@@ -171,6 +173,28 @@ def test_broken_wiring_rejected_at_submit(tmp_path, registry, code):
         assert record["rejected"] is True
         assert code in find_codes(record)
         assert svc.scheduler.queue_depth() == 0
+
+
+def test_admission_checks_the_services_own_classes(tmp_path, registry):
+    # the classes the workers run with are the contracts admission
+    # checks: a custom component is admitted, its overrides coerced
+    class Custom(Component):
+        PARAMS = (Param("gain", "float", 1.0),)
+
+        def set_services(self, services):
+            self.services = services
+
+    script = IGNITION_RC.replace(
+        "go Driver", "instantiate Custom extra\n"
+                     "parameter extra gain 2.0\ngo Driver")
+    with SimulationService(str(tmp_path / "custom"), registry=registry,
+                           classes=default_classes() + [Custom],
+                           autostart=False) as svc:
+        job_id = svc.submit(script, params={"extra.gain": "3"})
+        record = svc.status(job_id)
+        assert record["rejected"] is False and record["findings"] == []
+        assert record["state"] == J.QUEUED
+        assert svc.store.get_spec(job_id).params == {"extra.gain": 3.0}
 
 
 # -- Framework.set_parameter warning (runtime analog of RA411) ------------
