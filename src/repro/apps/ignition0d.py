@@ -75,26 +75,30 @@ class Ignition0DDriver(Component):
         y = services.ports.ic.initial_state()  # [T, Y..., P]
         T0, P0 = float(y[0]), float(y[-1])
         rho = services.ports.model.configure(T0, P0, y[1:-1])
+        solver = services.ports.solver
         t = 0.0
-        nfe = 0
         start_k = 0
         # mesh-less assembly: the state vector rides in checkpoint extras
         hook = CheckpointHook(services, mesh_uses=None)
         resumed = hook.resume()
         if resumed is not None:
+            # the solver's kept trajectory came back with its checkpoint
             start_k, t = resumed.step, resumed.t
             y = np.asarray(resumed.extras["y"], dtype=float)
             nfe = int(resumed.extras["nfe"])
         else:
             services.ports.stats.record("T", 0.0, T0)
             services.ports.stats.record("P", 0.0, P0)
+            # one solver for the whole run: every output continues it
+            solver.start(t, y)
+            nfe = solver.last_nfe()
         for k in range(start_k + 1, n_out + 1):
             # driver.step spans are the flamegraph roots the sampling
             # profiler attributes component time under
             with _trace.span("driver.step", "driver", step=k):
                 t_next = t_end * k / n_out
-                y = services.ports.solver.integrate(t, y, t_next)
-                nfe += services.ports.solver.last_nfe()
+                y = solver.continue_to(t_next)
+                nfe += solver.last_nfe()
                 t = t_next
                 services.ports.stats.record("T", t, float(y[0]))
                 services.ports.stats.record("P", t, float(y[-1]))
@@ -192,17 +196,18 @@ def run_ignition0d_batch(conditions: list[dict[str, float]],
     Returns one result dict per condition, **bitwise identical** to what
     :func:`run_ignition0d` / the rc-script assembly produces for the
     same condition: the batch replays exactly the driver's arithmetic
-    (the ``Initializer`` fill, ``ProblemModeler.configure`` density, a
-    fresh CVODE per output interval) with the conditions as the columns
-    of one batched solve (:func:`repro.chemistry.zerod.advance_batch`),
-    and no column's arithmetic depends on its neighbours.  That
-    equivalence is what lets :mod:`repro.serve` answer per-job requests
-    from a coalesced solve — and cache the demultiplexed results under
-    the same keys a sequential run would produce.
+    (the ``Initializer`` fill, ``ProblemModeler.configure`` density, one
+    CVODE trajectory continued across the output times in ``CV_NORMAL``
+    mode) with the conditions as the columns of one batched solver per
+    rate scale, and no column's arithmetic depends on its neighbours.
+    That equivalence is what lets :mod:`repro.serve` answer per-job
+    requests from a coalesced solve — and cache the demultiplexed
+    results under the same keys a sequential run would produce.
     """
     from repro.chemistry.h2_air import h2_air_phi
-    from repro.chemistry.zerod import advance_batch
+    from repro.chemistry.zerod import constant_volume_dydt
     from repro.components.thermochem import _MECHS
+    from repro.integrators.cvode import CVode
 
     n_out = int(n_output)
     nbatch = len(conditions)
@@ -229,6 +234,10 @@ def run_ignition0d_batch(conditions: list[dict[str, float]],
         P0 = float(cond.get("P0", 101325.0))
         phi = float(cond.get("phi", 1.0))
         scale = float(cond.get("rate_scale", 1.0))
+        if not all(0.0 < v < np.inf for v in (T0, P0, phi, scale)):
+            raise CCAError(
+                f"batch condition values must be positive and finite, "
+                f"got {cond}")
         if scale not in mechs:
             mechs[scale] = base_mech.scaled(scale)
         mech = mechs[scale]
@@ -245,7 +254,6 @@ def run_ignition0d_batch(conditions: list[dict[str, float]],
 
     states = np.array(rows)
     rho_arr = np.asarray(rhos, dtype=float)
-    nfe = np.zeros(nbatch, dtype=int)
     hist_T: list[list[tuple[float, float]]] = [
         [(0.0, float(r[0]))] for r in rows]
     hist_P: list[list[tuple[float, float]]] = [
@@ -254,20 +262,26 @@ def run_ignition0d_batch(conditions: list[dict[str, float]],
     for i, scale in enumerate(scales):
         groups.setdefault(scale, []).append(i)
 
-    t = 0.0
+    def vessels(mech):
+        return lambda t, y, rho: constant_volume_dydt(mech, rho, y)
+
+    # one solver per rate scale, its columns that group's conditions
+    solvers = {scale: CVode(vessels(mechs[scale]), 0.0,
+                            np.ascontiguousarray(states[idx].T),
+                            args=(rho_arr[idx],), rtol=rtol, atol=atol,
+                            method=method)
+               for scale, idx in groups.items()}
     for k in range(1, n_out + 1):
         with _trace.span("driver.step", "driver", step=k, batch=nbatch):
-            t_next = t_end * k / n_out
+            t = t_end * k / n_out
             for scale, idx in groups.items():
-                res = advance_batch(mechs[scale], rho_arr[idx], states[idx],
-                                    t, t_next, rtol=rtol, atol=atol,
-                                    method=method)
-                states[idx] = res.states
-                nfe[idx] += res.nfe
-            t = t_next
+                states[idx] = solvers[scale].integrate_to(t, stop=False).T
             for i in range(nbatch):
                 hist_T[i].append((t, float(states[i][0])))
                 hist_P[i].append((t, float(states[i][-1])))
+    nfe = np.zeros(nbatch, dtype=int)
+    for scale, idx in groups.items():
+        nfe[idx] = solvers[scale].stats.nfe
 
     results: list[dict[str, Any]] = []
     for i in range(nbatch):

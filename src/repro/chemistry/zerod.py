@@ -257,55 +257,6 @@ def constant_volume_rhs(mech: Mechanism, rho: float):
     return rhs
 
 
-class BatchAdvanceResult:
-    """States and per-condition solver statistics of one batched advance."""
-
-    __slots__ = ("states", "nfe", "nsteps")
-
-    def __init__(self, states: np.ndarray, nfe: np.ndarray,
-                 nsteps: np.ndarray) -> None:
-        self.states = states    #: (B, n_state) advanced state rows
-        self.nfe = nfe          #: (B,) RHS evaluations per condition
-        self.nsteps = nsteps    #: (B,) solver steps per condition
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-
-def advance_batch(mech: Mechanism, rhos: np.ndarray, states: np.ndarray,
-                  t0: float, t1: float, *, rtol: float = 1e-8,
-                  atol: float = 1e-12,
-                  method: str = "bdf") -> BatchAdvanceResult:
-    """Advance a batch of independent constant-volume reactors from
-    ``t0`` to ``t1`` in one batched stiff solve.
-
-    ``states`` has shape ``(B, n_species + 2)`` — one ``[T, Y..., P]``
-    row per condition — and ``rhos`` the matching fixed vessel
-    densities.  The rows become the columns of one
-    :class:`~repro.integrators.cvode.CVode`; every condition keeps its
-    own adaptive step/order trajectory there, and column independence
-    makes each row bitwise identical to solving that condition alone
-    (as :class:`~repro.components.cvode_component.CvodeComponent` does
-    per ``integrate`` call).
-    """
-    states = np.asarray(states, dtype=float)
-    rhos = np.asarray(rhos, dtype=float)
-    if states.ndim != 2 or states.shape[1] != mech.n_species + 2:
-        raise ChemistryError(
-            f"states must be (B, {mech.n_species + 2}), got {states.shape}")
-    if rhos.shape != (states.shape[0],):
-        raise ChemistryError(
-            f"rhos must be ({states.shape[0]},), got {rhos.shape}")
-    from repro.integrators.cvode import CVode
-
-    cv = CVode(lambda t, y, rho: constant_volume_dydt(mech, rho, y),
-               float(t0), np.ascontiguousarray(states.T), args=(rhos,),
-               rtol=rtol, atol=atol, method=method)
-    out = cv.integrate_to(float(t1))
-    return BatchAdvanceResult(np.ascontiguousarray(out.T), cv.stats.nfe,
-                              cv.stats.nsteps)
-
-
 def _pack_state(mech: Mechanism, T0: float,
                 Y0: dict[str, float] | np.ndarray) -> np.ndarray:
     if isinstance(Y0, dict):

@@ -10,7 +10,9 @@ if it is connected, ``jacobian`` (JacobianPort) — the analytic Jacobian
 of ``rhs``, used for the Newton matrices instead of finite differences.
 One ``integrate`` call is one batched solve over the columns of ``y0`` — a
 single state, or every hot cell of a chemistry half-step — each column on
-its own adaptive trajectory.
+its own adaptive trajectory, started afresh and stopped at ``t1``.
+``start`` + ``continue_to`` keep one solver across output times instead
+(CVODE's ``CV_NORMAL``; see :class:`ODESolverPort`).
 Parameters: ``rtol``, ``atol``, ``method`` (see ``PARAMS``).
 """
 
@@ -20,39 +22,75 @@ import numpy as np
 
 from repro.cca.component import Component, Param
 from repro.cca.ports.integrator import ODESolverPort
+from repro.errors import CCAError
 from repro.integrators.cvode import CVode
+
+
+def _totals(cv: CVode) -> tuple[int, int, int]:
+    """``(nfe, nje, nsteps)`` of ``cv`` summed over its columns."""
+    stats = cv.stats
+    return (int(stats.nfe.sum()), int(stats.nje.sum()),
+            int(stats.nsteps.sum()))
 
 
 class _Solver(ODESolverPort):
     def __init__(self, owner: "CvodeComponent") -> None:
         self.owner = owner
+        #: the kept trajectory (``start`` / ``continue_to``) and the shape
+        #: its states are returned in
+        self.kept: CVode | None = None
+        self._shape: tuple[int, ...] = ()
         self._last_nfe = 0
         self.total_nfe = 0
         self.total_nje = 0
         self.total_steps = 0
 
-    def integrate(self, t0: float, y0: np.ndarray, t1: float) -> np.ndarray:
+    def _callables(self) -> dict:
         services = self.owner.services
-        y0 = np.asarray(y0, dtype=float)
         jac = None
         if services.is_connected("jacobian"):
             jac = services.ports.jacobian.jacobian
+        return {"rhs": services.ports.rhs.rhs, "jac": jac}
+
+    def _new_cvode(self, t0: float, y0: np.ndarray) -> CVode:
+        services = self.owner.services
         # a single state is a batch of one: the ports are batched
-        cv = CVode(
-            services.ports.rhs.rhs,
-            t0,
-            y0.reshape(len(y0), -1),
-            rtol=services.get_parameter("rtol"),
-            atol=services.get_parameter("atol"),
-            method=services.get_parameter("method"),
-            jac=jac,
-        )
+        return CVode(t0=t0, y0=y0.reshape(len(y0), -1),
+                     rtol=services.get_parameter("rtol"),
+                     atol=services.get_parameter("atol"),
+                     method=services.get_parameter("method"),
+                     **self._callables())
+
+    def _account(self, cv: CVode, before=(0, 0, 0)) -> None:
+        """Count what ``cv`` did since its totals were ``before``."""
+        nfe, nje, steps = (a - b for a, b in zip(_totals(cv), before))
+        self._last_nfe = nfe
+        self.total_nfe += nfe
+        self.total_nje += nje
+        self.total_steps += steps
+
+    def integrate(self, t0: float, y0: np.ndarray, t1: float) -> np.ndarray:
+        y0 = np.asarray(y0, dtype=float)
+        cv = self._new_cvode(t0, y0)
         y = cv.integrate_to(t1).reshape(y0.shape)
-        stats = cv.stats
-        self._last_nfe = int(stats.nfe.sum())
-        self.total_nfe += self._last_nfe
-        self.total_nje += int(stats.nje.sum())
-        self.total_steps += int(stats.nsteps.sum())
+        self._account(cv)
+        return y
+
+    def start(self, t0: float, y0: np.ndarray) -> None:
+        y0 = np.asarray(y0, dtype=float)
+        self._shape = y0.shape
+        self.kept = self._new_cvode(t0, y0)
+        # f0 and the first Jacobians are this call's
+        self._account(self.kept)
+
+    def continue_to(self, t1: float) -> np.ndarray:
+        if self.kept is None:
+            raise CCAError(
+                f"{self.owner.services.instance_name}: continue_to() "
+                f"without a kept trajectory; call start() first")
+        before = _totals(self.kept)
+        y = self.kept.integrate_to(t1, stop=False).reshape(self._shape)
+        self._account(self.kept, before)
         return y
 
     def last_nfe(self) -> int:
@@ -77,18 +115,29 @@ class CvodeComponent(Component):
         services.add_provides_port(self.solver, "solver")
 
     # -- Checkpointable (repro.resilience.protocol) -------------------------
-    # The CVode instance itself is created afresh inside every
-    # ``integrate()`` call, so the only state to carry across a restart is
-    # the cumulative call accounting.
+    # A one-shot ``integrate()`` keeps no solver, so apart from the
+    # cumulative call accounting the only state to carry across a restart
+    # is the kept trajectory of ``start`` / ``continue_to``, if any.
     def checkpoint_state(self) -> dict:
-        return {"last_nfe": self.solver._last_nfe,
-                "total_nfe": self.solver.total_nfe,
-                "total_nje": self.solver.total_nje,
-                "total_steps": self.solver.total_steps}
+        solver = self.solver
+        state = {"last_nfe": solver._last_nfe,
+                 "total_nfe": solver.total_nfe,
+                 "total_nje": solver.total_nje,
+                 "total_steps": solver.total_steps}
+        if solver.kept is not None:
+            state["trajectory"] = solver.kept.state()
+            state["shape"] = list(solver._shape)
+        return state
 
     def restore_state(self, state: dict) -> None:
-        self.solver._last_nfe = int(state["last_nfe"])
-        self.solver.total_nfe = int(state["total_nfe"])
+        solver = self.solver
+        solver._last_nfe = int(state["last_nfe"])
+        solver.total_nfe = int(state["total_nfe"])
         # absent from checkpoints written before the counter existed
-        self.solver.total_nje = int(state.get("total_nje", 0))
-        self.solver.total_steps = int(state["total_steps"])
+        solver.total_nje = int(state.get("total_nje", 0))
+        solver.total_steps = int(state["total_steps"])
+        solver.kept = None
+        if "trajectory" in state:
+            solver.kept = CVode.restore(state=state["trajectory"],
+                                        **solver._callables())
+            solver._shape = tuple(state["shape"])

@@ -77,6 +77,11 @@ _HIST = _MAX_ORDER + 2   # history entries kept per column, newest first
 _PUBLISHED = {"nsteps": "integrator.steps", "nfe": "integrator.rhs_evals",
               "nje": "integrator.jac_evals", "nerrfail": "integrator.err_fails",
               "nconvfail": "integrator.conv_fails"}
+#: the per-column arrays of a trajectory (:meth:`CVode.state`) and their
+#: types; ``_fs`` exists in Adams mode only
+_TRAJECTORY = {"_ts": float, "_ys": float, "_fs": float, "_t_start": float,
+               "_order": int, "_fails": int, "_jac_ok": bool,
+               "_jac_age": int, "_jac": float, "_h": float, "_nhist": int}
 
 
 @dataclass
@@ -240,42 +245,15 @@ class CVode:
                  max_step: float | None = None,
                  args: tuple[np.ndarray, ...] = (),
                  jac: RHS | None = None) -> None:
-        if method not in ("bdf", "adams"):
-            raise IntegratorError(f"unknown method {method!r}")
-        if not (0 < rtol < 1):
-            raise IntegratorError(f"rtol must be in (0, 1), got {rtol}")
-        if not 1 <= max_order <= _MAX_ORDER:
-            raise IntegratorError(
-                f"max_order must be in [1, {_MAX_ORDER}], got {max_order}")
-        self.method = method
-        self.rtol = float(rtol)
-        self.atol = np.asarray(atol, dtype=float)
-        if np.any(self.atol <= 0):
-            raise IntegratorError("atol must be positive")
-        self.max_order = max_order
         if h0 is not None and not 0 < h0 < np.inf:
             raise IntegratorError(
                 f"h0 must be positive and finite, got {h0}")
-        if max_step is not None and not max_step > 0:
-            raise IntegratorError(f"max_step must be positive, got {max_step}")
-        self.max_step = max_step
-
         y0 = np.array(y0, dtype=float)
-        self._single = y0.ndim == 1
-        if self._single:
-            if args:
-                raise IntegratorError(
-                    "args are the per-column constants of an (n, B) solve")
-            rhs = _per_column(rhs)
-            jac = None if jac is None else _per_column(jac)
-            y0 = y0[:, None]
-        elif y0.ndim != 2:
-            raise IntegratorError(
-                f"y0 must be (n,) or (n, B), got shape {y0.shape}")
-        self.rhs, self.jac = rhs, jac
-        self.n, self.B = n, B = y0.shape
-        self._args = tuple(np.asarray(a) for a in args)
-        self._atol_col = self.atol[:, None] if self.atol.ndim else self.atol
+        self._configure(rhs, jac, args, y0.shape, rtol=rtol, atol=atol,
+                        method=method, max_order=max_order,
+                        max_step=max_step)
+        n, B = self.n, self.B
+        y0 = y0.reshape(n, B)
         self._stats = CVodeStats(*(np.zeros(B, dtype=int) for _ in range(6)))
 
         # per-column history of (t, y[, f]), newest first; only Adams
@@ -309,6 +287,85 @@ class CVode:
             self._fs[:2] = f0
         # totals already sent to the metrics registry
         self._published = dict.fromkeys(_PUBLISHED, 0)
+
+    def _configure(self, rhs: RHS, jac: RHS | None,
+                   args: tuple[np.ndarray, ...], shape: tuple[int, ...], *,
+                   rtol: float, atol: float | np.ndarray, method: str,
+                   max_order: int, max_step: float | None) -> None:
+        """Check and store the settings and the callables of a solver of
+        state ``shape`` — everything but its trajectory."""
+        if method not in ("bdf", "adams"):
+            raise IntegratorError(f"unknown method {method!r}")
+        if not (0 < rtol < 1):
+            raise IntegratorError(f"rtol must be in (0, 1), got {rtol}")
+        if not 1 <= max_order <= _MAX_ORDER:
+            raise IntegratorError(
+                f"max_order must be in [1, {_MAX_ORDER}], got {max_order}")
+        self.method = method
+        self.rtol = float(rtol)
+        self.atol = np.asarray(atol, dtype=float)
+        if np.any(self.atol <= 0):
+            raise IntegratorError("atol must be positive")
+        self.max_order = max_order
+        if max_step is not None and not max_step > 0:
+            raise IntegratorError(f"max_step must be positive, got {max_step}")
+        self.max_step = max_step
+
+        self._single = len(shape) == 1
+        if self._single:
+            if args:
+                raise IntegratorError(
+                    "args are the per-column constants of an (n, B) solve")
+            rhs = _per_column(rhs)
+            jac = None if jac is None else _per_column(jac)
+            shape = (shape[0], 1)
+        elif len(shape) != 2:
+            raise IntegratorError(
+                f"y0 must be (n,) or (n, B), got shape {shape}")
+        self.rhs, self.jac = rhs, jac
+        self.n, self.B = shape
+        self._args = tuple(np.asarray(a) for a in args)
+        self._atol_col = self.atol[:, None] if self.atol.ndim else self.atol
+
+    # -- the trajectory as data --------------------------------------------------
+    def state(self) -> dict:
+        """Everything this solver carries from one call to the next —
+        settings, history, Jacobians, step sizes, orders, statistics —
+        as plain lists and numbers.  Floats survive ``json.dumps`` /
+        ``json.loads`` bit for bit, so :meth:`restore` of the loaded
+        document continues exactly where this solver would have."""
+        doc = {"shape": [self.n] if self._single else [self.n, self.B],
+               "rtol": self.rtol, "atol": self.atol.tolist(),
+               "method": self.method, "max_order": self.max_order,
+               "max_step": self.max_step,
+               "stats": {name: count.tolist()
+                         for name, count in vars(self._stats).items()},
+               "published": dict(self._published)}
+        for name in _TRAJECTORY:
+            if hasattr(self, name):
+                doc[name] = getattr(self, name).tolist()
+        return doc
+
+    @classmethod
+    def restore(cls, rhs: RHS, state: dict, *,
+                args: tuple[np.ndarray, ...] = (),
+                jac: RHS | None = None) -> "CVode":
+        """The solver :meth:`state` described, on the callables given
+        (the same ``rhs``, ``args`` and ``jac`` it was built with); no
+        RHS or Jacobian is evaluated."""
+        cv = cls.__new__(cls)
+        cv._configure(rhs, jac, args, tuple(state["shape"]),
+                      rtol=state["rtol"], atol=state["atol"],
+                      method=state["method"], max_order=state["max_order"],
+                      max_step=state["max_step"])
+        cv._stats = CVodeStats(**{name: np.array(count, dtype=int)
+                                  for name, count in state["stats"].items()})
+        cv._published = {name: int(state["published"][name])
+                         for name in _PUBLISHED}
+        for name, dtype in _TRAJECTORY.items():
+            if name in state:
+                setattr(cv, name, np.array(state[name], dtype=dtype))
+        return cv
 
     # -- public API ------------------------------------------------------------
     def _out(self, a: np.ndarray):
@@ -351,12 +408,21 @@ class CVode:
             pending = pending[~self._attempt(pending)]
         return self.t, self.y
 
-    def integrate_to(self, t_end: float | np.ndarray):
+    def integrate_to(self, t_end: float | np.ndarray, stop: bool = True):
         """Step every column to ``t_end`` (scalar or ``(B,)``) and return
-        the state there."""
+        the state there.
+
+        ``stop=True``: ``t_end`` is also a stop time (CVODE's
+        ``CVodeSetStopTime``): a column's last step is shortened to land
+        on it, and a ``t_end`` behind a column is an error.
+        ``stop=False``: CVODE's ``CV_NORMAL`` task: a column steps until
+        it reaches or passes ``t_end`` — its steps never see ``t_end`` —
+        and the dense output (:meth:`interpolate`) gives the state there,
+        also when an earlier call's step has passed it already.
+        """
         t_end = np.broadcast_to(np.asarray(t_end, dtype=float), (self.B,))
         behind = np.flatnonzero(t_end < self._ts[0])
-        if behind.size:
+        if stop and behind.size:
             j = behind[0]
             raise IntegratorError(
                 f"cannot integrate backwards ({t_end[j]} < {self._ts[0, j]})")
@@ -367,9 +433,10 @@ class CVode:
             idx = np.flatnonzero(self._ts[0] < t_end)
             if not idx.size:
                 break
-            # the last step is shortened to land on t_end
-            room = np.maximum(t_end[idx] - self._ts[0, idx], 1e-300)
-            self._h[idx] = np.minimum(self._h[idx], room)
+            if stop:
+                # the last step is shortened to land on t_end
+                room = np.maximum(t_end[idx] - self._ts[0, idx], 1e-300)
+                self._h[idx] = np.minimum(self._h[idx], room)
             self._attempt(idx)
             rounds += 1
         out = self.interpolate(t_end)

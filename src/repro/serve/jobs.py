@@ -232,11 +232,20 @@ class JobRecord:
 
 
 def _write_json(path: str, doc: Mapping[str, Any]) -> None:
+    # ``dumps`` without ``indent`` runs the C encoder; ``dump`` to a
+    # file, or any ``indent``, the pure-Python one
+    text = json.dumps(doc, sort_keys=True) + "\n"
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def _apply(record: JobRecord, changes: Mapping[str, Any]) -> None:
+    for key, value in changes.items():
+        if not hasattr(record, key):
+            raise ServeError(f"unknown record field {key!r}")
+        setattr(record, key, value)
 
 
 def _read_json(path: str) -> dict[str, Any]:
@@ -256,6 +265,10 @@ class JobStore:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self._lock = threading.RLock()
+        #: the last serial this store allocated or saw on disk at start;
+        #: ``mkdir`` settles a race with another store on the same root
+        self._serial = max((int(m.group(1)) for m in map(
+            _ID_RE.match, os.listdir(root)) if m), default=0)
 
     # -- paths ------------------------------------------------------------
     def job_dir(self, job_id: str) -> str:
@@ -265,31 +278,26 @@ class JobStore:
         return os.path.join(self.job_dir(job_id), name)
 
     # -- creation ---------------------------------------------------------
-    def new_job(self, spec: JobSpec) -> JobRecord:
-        """Allocate an id (atomic ``mkdir``), persist spec + record."""
+    def new_job(self, spec: JobSpec, **record_fields: Any) -> JobRecord:
+        """Allocate an id (atomic ``mkdir``) and persist the spec and the
+        complete record — a queued one, with ``record_fields`` set —
+        each in one write."""
+        record = JobRecord(job_id="", tenant=spec.tenant,
+                           priority=spec.priority, state=QUEUED,
+                           created=time.time())
+        _apply(record, record_fields)
         with self._lock:
-            serial = self._next_serial()
             while True:
-                job_id = f"j-{serial:06d}"
+                self._serial += 1
+                job_id = record.job_id = f"j-{self._serial:06d}"
                 try:
                     os.mkdir(self.job_dir(job_id))
                     break
                 except FileExistsError:
-                    serial += 1
-            record = JobRecord(job_id=job_id, tenant=spec.tenant,
-                               priority=spec.priority, state=QUEUED,
-                               created=time.time())
+                    pass
             _write_json(self._doc(job_id, "spec.json"), spec.to_json())
             _write_json(self._doc(job_id, "record.json"), record.to_json())
             return record
-
-    def _next_serial(self) -> int:
-        top = 0
-        for name in os.listdir(self.root):
-            m = _ID_RE.match(name)
-            if m:
-                top = max(top, int(m.group(1)))
-        return top + 1
 
     # -- reads ------------------------------------------------------------
     def job_ids(self) -> list[str]:
@@ -338,10 +346,7 @@ class JobStore:
             record = self.get_record(job_id)
             if record.state not in tuple(allowed_from):
                 return None
-            for key, value in changes.items():
-                if not hasattr(record, key):
-                    raise ServeError(f"unknown record field {key!r}")
-                setattr(record, key, value)
+            _apply(record, changes)
             self.save_record(record)
             return record
 

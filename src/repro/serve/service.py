@@ -218,13 +218,11 @@ class SimulationService:
                        use_cache=bool(use_cache),
                        backend=backend)
         if errors:
-            record = self.store.new_job(spec)
             now = time.time()
             first = errors[0]
-            self.store.transition(
-                record.job_id, (J.QUEUED,), state=J.FAILED, started=now,
-                finished=now, rejected=True, backend=spec.backend,
-                trace_id=trace_id,
+            record = self.store.new_job(
+                spec, state=J.FAILED, started=now, finished=now,
+                rejected=True, backend=spec.backend, trace_id=trace_id,
                 findings=[f.to_dict() for f in findings],
                 error=(f"admission: {len(errors)} contract error(s); "
                        f"first: {first.code} {first.message}"))
@@ -239,11 +237,10 @@ class SimulationService:
         key = self.cache.key(script, spec.params, nprocs=spec.nprocs,
                              backend=spec.backend) \
             if spec.use_cache and not spec.fault else ""
-        record = self.store.new_job(spec)
-        self.store.transition(record.job_id, (J.QUEUED,), cache_key=key,
-                              signature=plan.group_key if plan else "",
-                              backend=spec.backend, trace_id=trace_id,
-                              findings=[f.to_dict() for f in findings])
+        record = self.store.new_job(
+            spec, cache_key=key, signature=plan.group_key if plan else "",
+            backend=spec.backend, trace_id=trace_id,
+            findings=[f.to_dict() for f in findings])
         self.registry.counter("serve.jobs_submitted", tenant=spec.tenant).inc()
         if _trace.on:
             _trace.instant("serve.submit", "serve", trace_id=trace_id,

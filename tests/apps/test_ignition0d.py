@@ -73,6 +73,27 @@ def test_lite_mechanism_variant_runs():
     assert res["nfe"] > 0
 
 
+@pytest.mark.parametrize("config", [
+    {"mechanism": "h2-air", "T0": 1000.0, "t_end": 1e-3},
+    {"mechanism": "h2-lite", "T0": 1100.0, "t_end": 1e-5},   # serve's job
+], ids=["h2-air", "h2-lite"])
+def test_output_grid_does_not_change_the_run(config):
+    """One solver trajectory per run, continued across the output times:
+    the outputs only sample it, so the end state and the work done are
+    the same, bit for bit, however many outputs are asked for."""
+    runs = []
+    for n_output in (4, 20, 50):
+        fw = Framework()
+        build_ignition0d(fw, **config)
+        fw.set_parameter("Driver", "n_output", n_output)
+        runs.append(fw.go("Driver"))
+    first = runs[0]
+    for res in runs[1:]:
+        assert res["T_final"] == first["T_final"]
+        assert np.array_equal(res["Y_final"], first["Y_final"])
+        assert res["nfe"] == first["nfe"]
+
+
 def test_assembly_table_matches_paper_table1():
     table = assembly_table("ignition0d")
     assert table["Implicit Integration"] == ["CvodeComponent",

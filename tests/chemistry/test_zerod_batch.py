@@ -6,12 +6,8 @@ import pytest
 
 from repro.apps.ignition0d import run_ignition0d, run_ignition0d_batch
 from repro.chemistry.h2_lite import h2_lite_mechanism
-from repro.chemistry.zerod import (
-    ConstantVolumeReactor,
-    advance_batch,
-    constant_volume_rhs,
-)
-from repro.errors import CCAError, ChemistryError
+from repro.chemistry.zerod import ConstantVolumeReactor, constant_volume_rhs
+from repro.errors import CCAError
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +24,14 @@ def test_closure_matches_reactor_rhs_bitwise(mech):
     assert np.array_equal(rhs(0.0, y), reactor.rhs(0.0, y))
 
 
-def test_advance_batch_validates_shapes(mech):
-    ok = np.zeros((2, mech.n_species + 2))
-    with pytest.raises(ChemistryError, match="states must be"):
-        advance_batch(mech, np.ones(2), np.zeros((2, 3)), 0.0, 1e-6)
-    with pytest.raises(ChemistryError, match="rhos must be"):
-        advance_batch(mech, np.ones(3), ok, 0.0, 1e-6)
+def test_batch_validates_conditions():
+    """A condition the assembly's parameters could not hold is refused
+    before anything is solved."""
+    for bad in ({"T0": 0.0}, {"P0": -1.0}, {"phi": float("nan")},
+                {"rate_scale": float("inf")}):
+        with pytest.raises(CCAError, match="positive and finite"):
+            run_ignition0d_batch([{"T0": 1000.0}, bad],
+                                 mechanism="h2-lite", t_end=1e-6)
 
 
 def test_batch_rows_are_independent(mech):

@@ -92,6 +92,30 @@ class TestJobStore:
         assert store.get_record(b.job_id).tenant == "t2"
         assert store.get_spec(a.job_id).script == script
 
+    def test_two_stores_on_one_root_allocate_distinct_monotonic_ids(
+            self, tmp_path, script):
+        a, b = JobStore(str(tmp_path)), JobStore(str(tmp_path))
+        ids: dict = {a: [], b: []}
+        for store in (a, b, b, a, a, b):
+            ids[store].append(store.new_job(JobSpec(script=script)).job_id)
+        every = ids[a] + ids[b]
+        assert len(set(every)) == 6
+        assert all(seq == sorted(seq) for seq in ids.values())
+        assert a.job_ids() == sorted(every)
+        # a store opened later starts past everything on disk
+        late = JobStore(str(tmp_path)).new_job(JobSpec(script=script))
+        assert late.job_id > max(every)
+
+    def test_new_job_writes_the_complete_record(self, tmp_path, script):
+        store = JobStore(str(tmp_path))
+        rec = store.new_job(JobSpec(script=script), state=J.FAILED,
+                            rejected=True, error="admission: x")
+        assert store.get_record(rec.job_id) == rec
+        assert (rec.state, rec.rejected) == (J.FAILED, True)
+        with pytest.raises(ServeError, match="unknown record field"):
+            store.new_job(JobSpec(script=script), bogus=1)
+        assert store.job_ids() == [rec.job_id]
+
     def test_transition_guards_state(self, tmp_path, script):
         store = JobStore(str(tmp_path))
         rec = store.new_job(JobSpec(script=script))
