@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import difflib
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence, Type
 
 from repro.analysis.findings import Finding, Severity, finding
@@ -647,11 +647,21 @@ def check_backend(backend: str, path: str = "<job>") -> list[Finding]:
     return []
 
 
-def check_job(script: str, params: Mapping[str, Any] | None = None,
+def _job_model(script: str | AssemblyModel, path: str,
+               manifests: Mapping[str, ComponentManifest] | None
+               ) -> AssemblyModel:
+    if isinstance(script, AssemblyModel):
+        return script
+    return model_from_script(script, path, manifests)
+
+
+def check_job(script: str | AssemblyModel,
+              params: Mapping[str, Any] | None = None,
               *, manifests: Mapping[str, ComponentManifest] | None = None,
               path: str = "<job>", backend: str = "") -> list[Finding]:
     """The serve admission gate: the whole model check over (script +
-    overrides), at warning severity and above.
+    overrides), at warning severity and above.  ``script`` may be given
+    as its already-built model (which is not modified).
 
     Each override is checked as one more ``parameter`` setting, so it
     counts as "set" for RA415; one on an instance the script never
@@ -659,13 +669,15 @@ def check_job(script: str, params: Mapping[str, Any] | None = None,
     request, "" = service default) is validated against the
     :mod:`repro.exec` registry (RA419).
     """
-    model = model_from_script(script, path, manifests)
+    model = _job_model(script, path, manifests)
+    path = model.path
     instances = model.instances
+    settings = list(model.parameters)
     out: list[Finding] = []
     for dotted, value in sorted((params or {}).items()):
         instance, _, key = dotted.partition(".")
         if instance in instances:
-            model.parameters.append((instance, key, value, None))
+            settings.append((instance, key, value, None))
             continue
         near = difflib.get_close_matches(instance, list(instances),
                                          n=1, cutoff=0.6)
@@ -675,12 +687,13 @@ def check_job(script: str, params: Mapping[str, Any] | None = None,
             f"override {dotted!r} targets an instance the script never "
             f"instantiates{hint}",
             path=path, context=dotted))
-    kept = [f for f in check_model(model)
+    kept = [f for f in check_model(replace(model, parameters=settings))
             if f.severity >= Severity.WARNING]
     return kept + out + check_backend(backend, path)
 
 
-def coerce_job_params(script: str, params: Mapping[str, Any] | None,
+def coerce_job_params(script: str | AssemblyModel,
+                      params: Mapping[str, Any] | None,
                       manifests: Mapping[str, ComponentManifest] | None
                       = None) -> dict[str, Any]:
     """Override values coerced to their declared types.
@@ -691,7 +704,7 @@ def coerce_job_params(script: str, params: Mapping[str, Any] | None,
     the declared type (or target undeclared parameters) pass through
     unchanged; :func:`check_job` is where they are rejected.
     """
-    model = model_from_script(script, manifests=manifests)
+    model = _job_model(script, "<script>", manifests)
     instances = model.instances
     out: dict[str, Any] = {}
     for dotted, value in (params or {}).items():

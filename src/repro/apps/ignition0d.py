@@ -102,8 +102,10 @@ class Ignition0DDriver(Component):
                 t = t_next
                 services.ports.stats.record("T", t, float(y[0]))
                 services.ports.stats.record("P", t, float(y[-1]))
-                hook.after_step(k, t, extras={"y": [float(v) for v in y],
-                                              "nfe": nfe})
+                # the state rides in the checkpoint: built only for one
+                extras = ({"y": [float(v) for v in y], "nfe": nfe}
+                          if hook.saves(k) else None)
+                hook.after_step(k, t, extras=extras)
         T_final, Y_final, P_final = float(y[0]), y[1:-1], float(y[-1])
         i_h2o = mech.species_index("H2O")
         return {

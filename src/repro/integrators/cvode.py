@@ -103,25 +103,41 @@ class CVodeStats:
 
 # -- per-column polynomial weights ------------------------------------------
 # ``nodes`` is (M, b) and ``count`` holds, per column, how many of its
-# leading nodes to use.  Unused rows are skipped by ``np.where`` (never by
-# a shorter loop), so every column sees the same operations whatever its
-# neighbours.
+# leading nodes to use.  A column's unused rows are skipped by a mask, so
+# every column sees the same operations whatever its neighbours; rows no
+# column uses (past ``count.max()``) are not formed.
+
+def _lagrange_basis(nodes: np.ndarray, count: np.ndarray) -> tuple:
+    """What the Lagrange weights of ``(nodes, count)`` need that does not
+    depend on the evaluation point (see :func:`_lagrange_eval`)."""
+    nodes = nodes[:count.max()]
+    rows = np.arange(len(nodes))
+    used = rows[:, None, None] < count
+    # node m's factor multiplies every row but its own (that one is 1)
+    # of the columns using node m
+    factors = [used[m] & (rows != m)[:, None, None] for m in rows]
+    return nodes, nodes[:, None] - nodes, factors, ~used
+
+
+def _lagrange_eval(basis: tuple, t: np.ndarray) -> np.ndarray:
+    """``L[i, q, j]``: the i-th Lagrange basis polynomial through the
+    first ``count[q, j]`` nodes of column j, evaluated at ``t[j]`` (zero
+    on unused rows), for the ``count.max()`` rows any column uses."""
+    nodes, gaps, factors, unused = basis
+    L = np.ones(unused.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # ratio[i, m] = (t - x_m) / (x_i - x_m)
+        ratio = (t - nodes) / gaps
+        for m, where in enumerate(factors):
+            np.multiply(L, ratio[:, m, None], out=L, where=where)
+    L[unused] = 0.0
+    return L
+
 
 def _lagrange_weights(nodes: np.ndarray, count: np.ndarray,
                       t: np.ndarray) -> np.ndarray:
-    """``L[i, q, j]``: the i-th Lagrange basis polynomial through the
-    first ``count[q, j]`` nodes of column j, evaluated at ``t[j]`` (zero
-    on unused rows)."""
-    rows = np.arange(len(nodes))
-    used = rows[:, None, None] < count
-    L = np.ones(used.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # ratio[i, m] = (t - x_m) / (x_i - x_m)
-        ratio = (t - nodes) / (nodes[:, None] - nodes)
-        ratio[rows, rows] = 1.0
-        for m in rows:
-            L = np.where(used[m], L * ratio[:, m, None], L)
-    return np.where(used, L, 0.0)
+    """:func:`_lagrange_eval` of a basis used once."""
+    return _lagrange_eval(_lagrange_basis(nodes, count), t)
 
 
 def _integral_weights(nodes: np.ndarray, count: np.ndarray, a: np.ndarray,
@@ -161,7 +177,7 @@ def _integral_weights(nodes: np.ndarray, count: np.ndarray, a: np.ndarray,
 
 def _combine(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``out[q] = sum_i weights[i, q] * values[i]`` accumulated in index
-    order; ``weights`` is (M, Q, b), ``values`` (M, n, b)."""
+    order; ``weights`` is (m, Q, b), ``values`` (M >= m, n, b)."""
     out = weights[0][:, None] * values[0]
     for i in range(1, len(weights)):
         out += weights[i][:, None] * values[i]
@@ -294,6 +310,8 @@ class CVode:
                    max_order: int, max_step: float | None) -> None:
         """Check and store the settings and the callables of a solver of
         state ``shape`` — everything but its trajectory."""
+        #: what :meth:`interpolate` needs of the history, until it changes
+        self._dense: tuple | None = None
         if method not in ("bdf", "adams"):
             raise IntegratorError(f"unknown method {method!r}")
         if not (0 < rtol < 1):
@@ -368,6 +386,11 @@ class CVode:
         return cv
 
     # -- public API ------------------------------------------------------------
+    def _per_column(self, t: float | np.ndarray) -> np.ndarray:
+        """A time (scalar or ``(B,)``) as one float per column."""
+        t = np.asarray(t, dtype=float)
+        return t if t.shape == (self.B,) else np.broadcast_to(t, (self.B,))
+
     def _out(self, a: np.ndarray):
         """A per-column quantity as the caller sees it: ``(..., B)``
         arrays for a batch, the one column's value for a 1-D ``y0``."""
@@ -420,12 +443,13 @@ class CVode:
         and the dense output (:meth:`interpolate`) gives the state there,
         also when an earlier call's step has passed it already.
         """
-        t_end = np.broadcast_to(np.asarray(t_end, dtype=float), (self.B,))
-        behind = np.flatnonzero(t_end < self._ts[0])
-        if stop and behind.size:
-            j = behind[0]
-            raise IntegratorError(
-                f"cannot integrate backwards ({t_end[j]} < {self._ts[0, j]})")
+        t_end = self._per_column(t_end)
+        if stop:
+            behind = np.flatnonzero(t_end < self._ts[0])
+            if behind.size:
+                j = behind[0]
+                raise IntegratorError(f"cannot integrate backwards "
+                                      f"({t_end[j]} < {self._ts[0, j]})")
         t0 = time.perf_counter() if _obs.on else 0.0
         rounds = 0
         while True:
@@ -498,19 +522,23 @@ class CVode:
 
     def interpolate(self, t: float | np.ndarray):
         """Dense output via each column's current history polynomial."""
-        t = np.broadcast_to(np.asarray(t, dtype=float), (self.B,))
-        count = np.minimum(self._order + 1, self._nhist)
-        # the history runs newest first; the seeded node is not history
-        hi = self._ts[0]
-        lo = np.maximum(self._ts[count - 1, np.arange(self.B)], self._t_start)
+        t = self._per_column(t)
+        if self._dense is None:
+            # once per step, not per output: the range and the basis
+            count = np.minimum(self._order + 1, self._nhist)
+            # the history runs newest first; the seeded node is not history
+            lo = np.maximum(self._ts[count - 1, np.arange(self.B)],
+                            self._t_start)
+            self._dense = (lo, self._ts[0].copy(),
+                           _lagrange_basis(self._ts, count[None]))
+        lo, hi, basis = self._dense
         outside = np.flatnonzero(~((lo - 1e-12 <= t) & (t <= hi + 1e-12)))
         if outside.size:
             j = outside[0]
             raise IntegratorError(
                 f"column {j}: interpolation point {t[j]} outside history "
                 f"range [{lo[j]}, {hi[j]}]")
-        weights = _lagrange_weights(self._ts, count[None], t)
-        return self._out(_combine(weights, self._ys)[0])
+        return self._out(_combine(_lagrange_eval(basis, t), self._ys)[0])
 
     # -- internals --------------------------------------------------------------
     def _f(self, cols: np.ndarray, t: np.ndarray, y: np.ndarray,
@@ -566,6 +594,7 @@ class CVode:
         error test, shrinks the step (and perhaps the order) of those
         that fail it or fail to converge, and returns the mask (over
         ``idx``) of columns that advanced."""
+        self._dense = None
         h = self._h[idx]
         # invariant: order < history length (it only rises with history),
         # so an order-q predictor is never built from fewer than q + 1 nodes
@@ -664,7 +693,8 @@ class CVode:
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             c = np.where(lower_weights != 0.0,
-                         lower_weights / (ts - t_new), 0.0)
+                         lower_weights / (ts[:len(lower_weights)] - t_new),
+                         0.0)
         c_new = -c[0]
         for i in range(1, len(c)):
             c_new -= c[i]

@@ -2,7 +2,7 @@
 
 Every artifact this CLI reads is a Chrome/Perfetto trace written by
 :func:`repro.obs.export.export_chrome_trace` (a ``REPRO_TRACE=1`` run's
-at-exit export, a serve job's per-job ``trace.json``, or a merge of
+at-exit export, a serve job's ``<id>.trace.json``, or a merge of
 several).  Subcommands::
 
     python -m repro.obs merge out.json a.json b.json   # combine traces
@@ -128,11 +128,9 @@ def _cmd_job(args: argparse.Namespace) -> int:
     store = JobStore(os.path.join(root, "jobs"))
     record = store.get_record(args.job_id)
     artifact = record.trace_path
-    if artifact and not os.path.isabs(artifact) \
-            and not os.path.exists(artifact):
-        candidate = os.path.join(store.job_dir(args.job_id), "trace.json")
-        if os.path.exists(candidate):
-            artifact = candidate
+    if artifact and not os.path.exists(artifact):
+        # the root moved since the job ran: look beside its document
+        artifact = store.trace_path(args.job_id)
     events = load_chrome_trace(artifact) \
         if artifact and os.path.exists(artifact) else []
     if args.json:

@@ -142,6 +142,10 @@ class CheckpointHook:
         return ck
 
     # -- the per-step call -----------------------------------------------------
+    def saves(self, step: int) -> bool:
+        """Whether :meth:`after_step` checkpoints at ``step``."""
+        return self.enabled and step % self.interval == 0
+
     def after_step(self, step: int, t: float,
                    extras: dict | None = None) -> bool:
         """End-of-iteration hook: periodic save, then fault injection.
@@ -151,10 +155,9 @@ class CheckpointHook:
         at step k restarts from k (or the newest earlier multiple of the
         interval), never from a torn artifact.
         """
-        saved = False
-        if self.enabled and step % self.interval == 0:
+        saved = self.saves(step)
+        if saved:
             self.save(step, t, extras)
-            saved = True
         if _faults.on:
             _faults.step_hook(
                 0 if self.comm is None else self.comm.global_rank, step)

@@ -28,13 +28,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.analysis.contracts import AssemblyModel, model_from_script
 from repro.apps.ignition0d import Ignition0DDriver
 from repro.cca.component import declared_params
-from repro.cca.script import _parse_value, parse_script
 from repro.components.cvode_component import CvodeComponent
 from repro.components.thermochem import ThermoChemistry
-from repro.errors import ScriptError
-from repro.serve.jobs import apply_overrides
+from repro.errors import ServeError
+from repro.serve.jobs import canonical_params
 
 BATCH_SCHEMA = 1
 
@@ -96,35 +96,37 @@ class BatchPlan:
     condition: dict[str, float] = field(hash=False)
 
 
-def plan_for(script: str, params: Mapping[str, Any] | None = None
-             ) -> BatchPlan | None:
+def plan_for(script: str | AssemblyModel,
+             params: Mapping[str, Any] | None = None) -> BatchPlan | None:
     """A :class:`BatchPlan` when (script, params) is the canonical
-    0D-ignition assembly with only recognized parameters; else None."""
-    try:
-        text = apply_overrides(script, params)
-        directives = parse_script(text)
-    except Exception:
-        return None
+    0D-ignition assembly with only recognized parameters; else None.
+    ``script`` may be given as its already-built model.
 
+    The settings are those the run will see: parameter lines before the
+    ``go``, then the overrides (which :func:`apply_overrides` writes
+    there), then the inert lines after it, each replacing the last."""
+    model = script if isinstance(script, AssemblyModel) \
+        else model_from_script(script)
+    if model.syntax_errors or len(model.gos) != 1:
+        return None  # one go, and a script the runner can parse
+    try:
+        overrides = canonical_params(params)
+    except ServeError:
+        return None
     class_of: dict[str, str] = {}
-    connects: set[tuple[str, str, str, str]] = set()
-    parameters: dict[tuple[str, str], Any] = {}
-    gos: list[tuple[str, str]] = []
-    for d in directives:
-        if d.verb == "instantiate":
-            cls, instance = d.args
-            if instance in class_of:
-                return None  # duplicate instance name: not the template
-            class_of[instance] = cls
-        elif d.verb == "connect":
-            connects.add(d.args)
-        elif d.verb == "parameter":
-            parameters[(d.args[0], d.args[1])] = _parse_value(
-                list(d.args[2:]))
-        elif d.verb == "go":
-            gos.append((d.args[0],
-                        d.args[1] if len(d.args) == 2 else "go"))
-        # "repository" directives are existence assertions; ignore
+    for cls, instance, _line in model.instantiations:
+        if instance in class_of:
+            return None  # duplicate instance name: not the template
+        class_of[instance] = cls
+    connects = {c[:4] for c in model.connections}
+    go_instance, go_port, go_line = model.gos[0]
+    parameters = {(i, k): v for i, k, v, line in model.parameters
+                  if line < go_line}
+    for dotted, value in overrides.items():
+        instance, key = dotted.split(".", 1)
+        parameters[(instance, key)] = value
+    parameters.update({(i, k): v for i, k, v, line in model.parameters
+                       if line > go_line})
 
     # shape check: exactly the seven classes, once each
     if set(class_of.values()) != _CLASSES or len(class_of) != len(_CLASSES):
@@ -137,10 +139,7 @@ def plan_for(script: str, params: Mapping[str, Any] | None = None
         return None  # connect names an instance that was never created
     if lifted != _CONNECTS:
         return None
-    # exactly one go, on the driver's default go port
-    if len(gos) != 1:
-        return None
-    go_instance, go_port = gos[0]
+    # the go is on the driver's default go port
     if class_of.get(go_instance) != "Ignition0DDriver" or go_port != "go":
         return None
 

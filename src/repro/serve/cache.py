@@ -11,8 +11,10 @@ change to the code or environment changes the fingerprint and therefore
 the key, which makes stale hits structurally impossible rather than a
 TTL guess.
 
-Entries live under ``<root>/<key[:2]>/<key>.json`` and are written
-atomically.  ``get`` validates the envelope (schema + embedded key) and
+Entries live flat under ``<root>/<key>.json``, each written once with
+the C JSON encoder and landed by an atomic ``os.replace``; a root in the
+old sharded layout (``<root>/<key[:2]>/``) is refused, not migrated.
+``get`` validates the envelope (schema + embedded key) and
 *evicts* anything malformed — a corrupted entry degrades to a cache
 miss, never to a wrong answer.
 """
@@ -22,11 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from typing import Any, Mapping
 
 from repro.bench.trajectory import code_fingerprint
-from repro.serve.jobs import canonical_params, jsonable
+from repro.errors import ServeError
+from repro.serve.jobs import canonical_params, jsonable, write_tmp
 
 CACHE_SCHEMA = 1
 
@@ -42,6 +44,11 @@ class ResultCache:
                  fingerprint: Mapping[str, Any] | None = None) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
+        with os.scandir(root) as entries:
+            old = any(entry.is_dir() for entry in entries)
+        if old:
+            raise ServeError(f"{root} holds a result cache in the old "
+                             f"sharded layout, which is not migrated")
         self.fingerprint = dict(fingerprint) if fingerprint is not None \
             else code_fingerprint()
 
@@ -68,7 +75,7 @@ class ResultCache:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.json")
+        return os.path.join(self.root, f"{key}.json")
 
     # -- access -----------------------------------------------------------
     def get(self, key: str) -> dict[str, Any] | None:
@@ -91,9 +98,10 @@ class ResultCache:
         return entry
 
     def put(self, key: str, result: Any, **meta: Any) -> dict[str, Any]:
-        """Store ``result`` (made JSON-safe) under ``key``; concurrent
-        racers writing the same key both succeed — last ``os.replace``
-        wins with identical content, since the key *is* the content."""
+        """Store ``result`` (made JSON-safe) under ``key`` and return the
+        entry; concurrent racers writing the same key both succeed —
+        last ``os.replace`` wins with identical content, since the key
+        *is* the content."""
         entry = {
             "schema": CACHE_SCHEMA,
             "key": key,
@@ -102,12 +110,7 @@ class ResultCache:
             **{k: jsonable(v) for k, v in meta.items()},
         }
         path = self.path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        os.replace(write_tmp(path, entry), path)
         return entry
 
     @staticmethod
@@ -119,15 +122,8 @@ class ResultCache:
 
     # -- introspection ----------------------------------------------------
     def keys(self) -> list[str]:
-        out = []
-        for shard in sorted(os.listdir(self.root)):
-            sub = os.path.join(self.root, shard)
-            if not os.path.isdir(sub):
-                continue
-            for name in sorted(os.listdir(sub)):
-                if name.endswith(".json"):
-                    out.append(name[:-5])
-        return out
+        return sorted(name[:-5] for name in os.listdir(self.root)
+                      if name.endswith(".json"))
 
     def __len__(self) -> int:
         return len(self.keys())

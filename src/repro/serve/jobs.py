@@ -2,20 +2,21 @@
 
 A *job* is one request to run an assembly: an rc-script (inline text)
 plus a parameter-override dict, stamped with a tenant label and a
-priority.  The store keeps every job as a directory of small JSON
-documents under ``<root>/<job_id>/``::
+priority.  The store keeps each job as one JSON document,
+``<root>/<job_id>.json`` = ``{spec, record, result?}``: what was asked,
+where it is (state, timestamps, cache/batch markers) and, once ``done``,
+what came out.
 
-    spec.json      what was asked (script, params, tenant, knobs)
-    record.json    where it is (state, timestamps, cache/batch markers)
-    result.json    what came out (written once, on completion)
-
-All writes are atomic (tmp + ``os.replace``) and state transitions are
-guarded, so a crashed service leaves a store the next boot can recover:
-``queued`` records are re-enqueued, ``running`` ones are re-queued too
-(the run never finished — the supervised runner makes re-execution
-safe), terminal states are left alone.  No sockets, no daemons: the
-store *is* the service's interface with the disk, which keeps tests and
-CI hermetic.
+Every write replaces the whole document atomically (tmp +
+``os.replace``); ``new_job`` claims its id by ``os.link``-ing its tmp
+file, which fails if the id exists.  The result lands with ``done`` in
+one replace, so a job is never ``running`` with a result on disk.  The
+next boot recovers a crashed store: ``queued`` and ``running`` jobs are
+re-enqueued (the supervised runner makes a rerun safe, and a result that
+reached the cache first answers it without a solve); terminal ones are
+left alone.  A crash can also leave a stray tmp file (never read) and an
+unacknowledged submit.  No sockets, no daemons.  A root in the old
+directory-per-job layout is refused, not migrated.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -45,7 +46,11 @@ STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 #: States a job never leaves.
 TERMINAL = (DONE, FAILED, CANCELLED)
 
-_ID_RE = re.compile(r"^j-(\d{6,})$")
+_DOC_RE = re.compile(r"^j-(\d{6,})\.json$")
+#: a job directory of the old layout
+_OLD_RE = re.compile(r"^j-\d{6,}$")
+#: JSON leaves, by exact type (a numpy float subclasses ``float``)
+_PLAIN = (bool, int, float, str, type(None))
 
 
 def jsonable(value: Any) -> Any:
@@ -56,12 +61,14 @@ def jsonable(value: Any) -> Any:
     what lets cached and batched results be compared for exact equality
     with fresh sequential runs.
     """
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, (np.integer,)):
@@ -174,7 +181,7 @@ class JobSpec:
         return apply_overrides(self.script, self.params)
 
     def to_json(self) -> dict[str, Any]:
-        return {"schema": JOB_SCHEMA, **asdict(self)}
+        return {"schema": JOB_SCHEMA, **vars(self)}
 
     @staticmethod
     def from_json(doc: Mapping[str, Any]) -> "JobSpec":
@@ -219,7 +226,7 @@ class JobRecord:
     trace_path: str = ""
 
     def to_json(self) -> dict[str, Any]:
-        return {"schema": JOB_SCHEMA, **asdict(self)}
+        return {"schema": JOB_SCHEMA, **vars(self)}
 
     @staticmethod
     def from_json(doc: Mapping[str, Any]) -> "JobRecord":
@@ -231,73 +238,83 @@ class JobRecord:
         return JobRecord(**fields)
 
 
-def _write_json(path: str, doc: Mapping[str, Any]) -> None:
-    # ``dumps`` without ``indent`` runs the C encoder; ``dump`` to a
-    # file, or any ``indent``, the pure-Python one
-    text = json.dumps(doc, sort_keys=True) + "\n"
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def result_payload(job_id: str, result: Any, **flags: Any) -> dict[str, Any]:
+    """A done job's ``result`` document (``cache_hit`` and ``batched``
+    false unless ``flags`` set them)."""
+    return {"schema": JOB_SCHEMA, "job_id": job_id, "cache_hit": False,
+            "batched": False, **flags, "result": result}
 
 
 def _apply(record: JobRecord, changes: Mapping[str, Any]) -> None:
     for key, value in changes.items():
-        if not hasattr(record, key):
+        if key not in JobRecord.__dataclass_fields__:
             raise ServeError(f"unknown record field {key!r}")
         setattr(record, key, value)
 
 
-def _read_json(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def write_tmp(path: str, doc: Mapping[str, Any]) -> str:
+    """Write ``doc`` next to ``path`` under a private tmp name; returns
+    that name.  ``dumps`` without ``indent`` runs the C encoder."""
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+    return tmp
 
 
 class JobStore:
     """Filesystem job store (see the module docstring).
 
     One in-process lock guards id allocation and state transitions; the
-    individual document writes are atomic, so concurrent submitters and
-    worker threads never observe a torn record.
+    document writes are atomic, so concurrent submitters and worker
+    threads never observe a torn job.
     """
 
     def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self._lock = threading.RLock()
+        names = os.listdir(root)
+        if any(map(_OLD_RE.match, names)):
+            raise ServeError(f"{root} holds jobs in the old directory-"
+                             f"per-job layout, which is not migrated")
         #: the last serial this store allocated or saw on disk at start;
-        #: ``mkdir`` settles a race with another store on the same root
+        #: ``os.link`` settles a race with another store on the same root
         self._serial = max((int(m.group(1)) for m in map(
-            _ID_RE.match, os.listdir(root)) if m), default=0)
+            _DOC_RE.match, names) if m), default=0)
 
     # -- paths ------------------------------------------------------------
-    def job_dir(self, job_id: str) -> str:
-        return os.path.join(self.root, job_id)
+    def path(self, job_id: str) -> str:
+        """The job's document."""
+        return os.path.join(self.root, f"{job_id}.json")
 
-    def _doc(self, job_id: str, name: str) -> str:
-        return os.path.join(self.job_dir(job_id), name)
+    def trace_path(self, job_id: str) -> str:
+        """Where the job's Chrome trace artifact is written."""
+        return os.path.join(self.root, f"{job_id}.trace.json")
 
     # -- creation ---------------------------------------------------------
     def new_job(self, spec: JobSpec, **record_fields: Any) -> JobRecord:
-        """Allocate an id (atomic ``mkdir``) and persist the spec and the
-        complete record — a queued one, with ``record_fields`` set —
-        each in one write."""
+        """Allocate an id and persist the spec and the complete record —
+        a queued one, with ``record_fields`` set — in one document,
+        claimed by an exclusive ``os.link``."""
         record = JobRecord(job_id="", tenant=spec.tenant,
                            priority=spec.priority, state=QUEUED,
                            created=time.time())
         _apply(record, record_fields)
+        spec_doc = spec.to_json()
         with self._lock:
             while True:
                 self._serial += 1
                 job_id = record.job_id = f"j-{self._serial:06d}"
+                path = self.path(job_id)
+                tmp = write_tmp(path, {"spec": spec_doc,
+                                       "record": record.to_json()})
                 try:
-                    os.mkdir(self.job_dir(job_id))
-                    break
+                    os.link(tmp, path)
+                    return record
                 except FileExistsError:
                     pass
-            _write_json(self._doc(job_id, "spec.json"), spec.to_json())
-            _write_json(self._doc(job_id, "record.json"), record.to_json())
-            return record
+                finally:
+                    os.unlink(tmp)
 
     # -- reads ------------------------------------------------------------
     def job_ids(self) -> list[str]:
@@ -305,21 +322,23 @@ class JobStore:
             names = os.listdir(self.root)
         except OSError:
             return []
-        return sorted(n for n in names if _ID_RE.match(n))
+        return sorted(n[:-5] for n in names if _DOC_RE.match(n))
+
+    def _load(self, job_id: str, part: str | None = None
+              ) -> dict[str, Any]:
+        """The job's document, or its ``part``."""
+        try:
+            with open(self.path(job_id), encoding="utf-8") as fh:
+                doc = json.load(fh)
+            return doc if part is None else doc[part]
+        except (OSError, ValueError, KeyError) as exc:
+            raise ServeError(f"no job {job_id!r}: {exc}") from None
 
     def get_spec(self, job_id: str) -> JobSpec:
-        try:
-            return JobSpec.from_json(_read_json(self._doc(job_id,
-                                                          "spec.json")))
-        except (OSError, ValueError, KeyError) as exc:
-            raise ServeError(f"no job {job_id!r}: {exc}") from None
+        return JobSpec.from_json(self._load(job_id, "spec"))
 
     def get_record(self, job_id: str) -> JobRecord:
-        try:
-            return JobRecord.from_json(
-                _read_json(self._doc(job_id, "record.json")))
-        except (OSError, ValueError, KeyError) as exc:
-            raise ServeError(f"no job {job_id!r}: {exc}") from None
+        return JobRecord.from_json(self._load(job_id, "record"))
 
     def records(self) -> list[JobRecord]:
         out = []
@@ -330,32 +349,31 @@ class JobStore:
                 continue
         return out
 
-    # -- writes -----------------------------------------------------------
-    def save_record(self, record: JobRecord) -> None:
-        with self._lock:
-            _write_json(self._doc(record.job_id, "record.json"),
-                        record.to_json())
+    def read_result(self, job_id: str) -> dict[str, Any]:
+        try:
+            return self._load(job_id)["result"]
+        except (ServeError, KeyError) as exc:
+            raise ServeError(
+                f"no result for job {job_id!r}: {exc}") from None
 
+    # -- writes -----------------------------------------------------------
     def transition(self, job_id: str, allowed_from: Iterable[str],
+                   result: Mapping[str, Any] | None = None,
                    **changes: Any) -> JobRecord | None:
         """Guarded state change: load, check ``state in allowed_from``,
-        apply ``changes``, persist — all under the store lock.  Returns
-        the updated record, or None when the job is not in an allowed
-        state (e.g. it was cancelled while queued)."""
+        apply ``changes`` (and attach ``result``), persist in one atomic
+        replace — all under the store lock.  Returns the updated record,
+        or None when the job is not in an allowed state (e.g. it was
+        cancelled while queued)."""
         with self._lock:
-            record = self.get_record(job_id)
+            doc = self._load(job_id)
+            record = JobRecord.from_json(doc["record"])
             if record.state not in tuple(allowed_from):
                 return None
             _apply(record, changes)
-            self.save_record(record)
+            doc["record"] = record.to_json()
+            if result is not None:
+                doc["result"] = result
+            path = self.path(job_id)
+            os.replace(write_tmp(path, doc), path)
             return record
-
-    def write_result(self, job_id: str, payload: Mapping[str, Any]) -> None:
-        _write_json(self._doc(job_id, "result.json"), payload)
-
-    def read_result(self, job_id: str) -> dict[str, Any]:
-        try:
-            return _read_json(self._doc(job_id, "result.json"))
-        except (OSError, ValueError) as exc:
-            raise ServeError(
-                f"no result for job {job_id!r}: {exc}") from None

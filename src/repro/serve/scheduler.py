@@ -278,22 +278,16 @@ class Scheduler:
 
     def _finish_cached(self, job_id: str, record: Any,
                        entry: dict[str, Any]) -> None:
-        self.store.write_result(job_id, {
-            "schema": J.JOB_SCHEMA, "job_id": job_id,
-            "cache_hit": True, "batched": False,
-            "result": entry["result"],
-        })
-        self.store.transition(job_id, (J.RUNNING,), state=J.DONE,
-                              finished=time.time(), cache_hit=True)
-        self._plans.pop(job_id, None)
+        self._finish_done(job_id, record, J.result_payload(
+            job_id, entry["result"], cache_hit=True), cache_hit=True)
         self.registry.counter("serve.cache_hits",
                               tenant=record.tenant).inc()
-        self.registry.counter("serve.jobs_done", tenant=record.tenant).inc()
 
     # -- distributed-trace plumbing ---------------------------------------
     def _write_trace_artifact(self, job_id: str, record: Any,
                               extra_ids: tuple[str, ...] = ()) -> None:
-        """Export the job's slice of the session trace into its job dir.
+        """Export the job's slice of the session trace next to its
+        document.
 
         Every span the job caused carries its ``trace_id`` (the worker
         thread's trace context flows through the supervisor into the
@@ -311,7 +305,7 @@ class Scheduler:
                if e.args and e.args.get("trace_id") in ids]
         if not evs:
             return
-        path = os.path.join(self.store.job_dir(job_id), "trace.json")
+        path = self.store.trace_path(job_id)
         try:
             export_chrome_trace(path, evs)
         except OSError:  # a lost artifact must not fail a finished job
@@ -355,20 +349,10 @@ class Scheduler:
                                 restarts=run.restarts)
             return
         value = run.results[0] if spec.nprocs == 1 else run.results
-        payload = {
-            "schema": J.JOB_SCHEMA, "job_id": job_id,
-            "cache_hit": False, "batched": False,
-            "result": jsonable(value),
-            "supervisor": run.report.to_json(),
-        }
-        if record.cache_key:
-            self.cache.put(record.cache_key, value, job_id=job_id)
-        self.store.write_result(job_id, payload)
-        self.store.transition(job_id, (J.RUNNING,), state=J.DONE,
-                              finished=time.time(), attempts=run.attempts,
-                              restarts=run.restarts)
-        self._plans.pop(job_id, None)
-        self.registry.counter("serve.jobs_done", tenant=record.tenant).inc()
+        self._finish_done(job_id, record, J.result_payload(
+            job_id, self._encode(record, value),
+            supervisor=run.report.to_json()),
+            attempts=run.attempts, restarts=run.restarts)
 
     def _run_batch(self, misses: list[tuple[str, Any]]) -> None:
         from repro.apps.ignition0d import run_ignition0d_batch
@@ -419,19 +403,10 @@ class Scheduler:
         for (job_id, record), result in zip(misses, results):
             self.registry.histogram("serve.run_seconds",
                                     tenant=record.tenant).observe(share)
-            if record.cache_key:
-                self.cache.put(record.cache_key, result, job_id=job_id,
-                               batched=True)
-            self.store.write_result(job_id, {
-                "schema": J.JOB_SCHEMA, "job_id": job_id,
-                "cache_hit": False, "batched": True,
-                "batch_size": occupancy,
-                "result": jsonable(result),
-            })
-            self.store.transition(job_id, (J.RUNNING,), state=J.DONE,
-                                  finished=time.time(), batched=True,
-                                  batch_size=occupancy)
-            self._plans.pop(job_id, None)
+            self._finish_done(job_id, record, J.result_payload(
+                job_id, self._encode(record, result, batched=True),
+                batched=True, batch_size=occupancy), batched=True,
+                batch_size=occupancy)
             member_tid = getattr(record, "trace_id", "")
             if _trace.on and member_tid:
                 _trace.instant("serve.job_done", "serve",
@@ -440,10 +415,24 @@ class Scheduler:
                                batch_size=occupancy)
                 self._write_trace_artifact(job_id, record,
                                            extra_ids=(batch_tid,))
-            self.registry.counter("serve.jobs_done",
-                                  tenant=record.tenant).inc()
             self.registry.counter("serve.batched_jobs",
                                   tenant=record.tenant).inc()
+
+    def _encode(self, record: Any, value: Any, **meta: Any) -> Any:
+        """``value`` made JSON-safe once, for the cache entry (when the
+        job has a key) and the job's document alike."""
+        if not record.cache_key:
+            return jsonable(value)
+        return self.cache.put(record.cache_key, value,
+                              job_id=record.job_id, **meta)["result"]
+
+    def _finish_done(self, job_id: str, record: Any,
+                     payload: dict[str, Any], **changes: Any) -> None:
+        """Land ``payload`` and ``done`` in one write."""
+        self.store.transition(job_id, (J.RUNNING,), state=J.DONE,
+                              finished=time.time(), result=payload, **changes)
+        self._plans.pop(job_id, None)
+        self.registry.counter("serve.jobs_done", tenant=record.tenant).inc()
 
     def _finish_failed(self, job_id: str, record: Any, error: str,
                        attempts: int = 0, restarts: int = 0) -> None:

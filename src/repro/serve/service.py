@@ -50,8 +50,9 @@ import os
 import time
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.analysis.contracts import (check_job, coerce_job_params,
-                                     manifests_of)
+from repro.analysis.contracts import (AssemblyModel, check_job,
+                                     coerce_job_params, manifests_of,
+                                     model_from_script)
 from repro.analysis.findings import Severity
 from repro.errors import ReproError, ServeError
 from repro.obs import trace as _trace
@@ -142,7 +143,8 @@ class SimulationService:
 
     # -- submission -------------------------------------------------------
     @staticmethod
-    def _plan(spec: JobSpec) -> BatchPlan | None:
+    def _plan(spec: JobSpec, model: AssemblyModel | None = None
+              ) -> BatchPlan | None:
         """Fault-injected, multi-rank, or non-default-backend jobs never
         batch; the planner decides for the rest.  (A coalesced batch is
         solved once by the worker thread — routing it through another
@@ -150,7 +152,7 @@ class SimulationService:
         for.)"""
         if spec.fault or spec.nprocs != 1 or spec.backend:
             return None
-        return plan_for(spec.script, spec.params)
+        return plan_for(model or spec.script, spec.params)
 
     @staticmethod
     def _canonical_backend(backend: str) -> str:
@@ -185,24 +187,27 @@ class SimulationService:
         carried by every span the job causes)."""
         return f"tr-{os.urandom(6).hex()}"
 
-    def _submit_one(self, script: str, *, params, tenant, priority, nprocs,
-                    retries, backoff, fault, use_cache,
-                    backend="") -> tuple[
+    def _submit_one(self, script: str, *, params=None, tenant="default",
+                    priority=0, nprocs=1, retries=0, backoff=0.0, fault="",
+                    use_cache=True, backend="",
+                    model: AssemblyModel | None = None) -> tuple[
                         str, tuple[str, int, BatchPlan | None] | None]:
+        """Register one job.  Admission, coercion and the batch plan all
+        read ``model``, the script parsed once (here when None)."""
         trace_id = self._mint_trace_id()
         overrides = J.canonical_params(params)
+        if model is None:
+            model = model_from_script(script, "<job>", self.manifests)
         findings: list = []
         errors: list = []
         if self.admission:
-            findings = check_job(script, overrides,
-                                 manifests=self.manifests,
+            findings = check_job(model, overrides,
                                  backend=str(backend or ""))
             errors = [f for f in findings if f.severity >= Severity.ERROR]
             if not errors:
                 # coerce override values to their declared parameter
                 # types so "1100" and 1100.0 key the cache identically
-                overrides = coerce_job_params(script, overrides,
-                                              self.manifests)
+                overrides = coerce_job_params(model, overrides)
         try:
             backend = self._canonical_backend(backend)
         except ReproError:
@@ -231,7 +236,7 @@ class SimulationService:
             self.registry.counter("serve.rejected",
                                   tenant=spec.tenant).inc()
             return record.job_id, None
-        plan = self._plan(spec)
+        plan = self._plan(spec, model)
         # fault-injected runs are experiments on the failure path, not
         # reusable results: exclude them from the cache entirely
         key = self.cache.key(script, spec.params, nprocs=spec.nprocs,
@@ -248,13 +253,10 @@ class SimulationService:
         entry = self.cache.get(key) if key else None
         if entry is not None:
             now = time.time()
-            self.store.write_result(record.job_id, {
-                "schema": J.JOB_SCHEMA, "job_id": record.job_id,
-                "cache_hit": True, "batched": False,
-                "result": entry["result"],
-            })
-            self.store.transition(record.job_id, (J.QUEUED,), state=J.DONE,
-                                  started=now, finished=now, cache_hit=True)
+            self.store.transition(
+                record.job_id, (J.QUEUED,), state=J.DONE, started=now,
+                finished=now, cache_hit=True, result=J.result_payload(
+                    record.job_id, entry["result"], cache_hit=True))
             self.registry.counter("serve.cache_hits",
                                   tenant=spec.tenant).inc()
             self.registry.counter("serve.jobs_done",
@@ -268,28 +270,22 @@ class SimulationService:
         """Submit the cartesian product of ``grid`` as one job family.
 
         ``grid`` maps override keys (``"Initializer.T0"``) to value
-        lists; ``params`` holds overrides common to every point.  All
-        jobs are enqueued under one lock so the batching planner sees
-        the whole family before the first claim.
+        lists; ``params`` holds overrides common to every point;
+        ``submit_kwargs`` are :meth:`submit`'s.  The script is parsed
+        once, and all jobs are enqueued under one lock so the batching
+        planner sees the whole family before the first claim.
         """
         if not grid:
             raise ServeError("sweep needs a non-empty grid")
         keys = sorted(grid)
+        model = model_from_script(script, "<job>", self.manifests)
         job_ids: list[str] = []
         pending: list[tuple[str, int, BatchPlan | None]] = []
         for values in itertools.product(*(grid[k] for k in keys)):
             point = dict(params or {})
             point.update(dict(zip(keys, values)))
-            job_id, entry = self._submit_one(
-                script, params=point,
-                tenant=submit_kwargs.get("tenant", "default"),
-                priority=submit_kwargs.get("priority", 0),
-                nprocs=submit_kwargs.get("nprocs", 1),
-                retries=submit_kwargs.get("retries", 0),
-                backoff=submit_kwargs.get("backoff", 0.0),
-                fault=submit_kwargs.get("fault", ""),
-                use_cache=submit_kwargs.get("use_cache", True),
-                backend=submit_kwargs.get("backend", ""))
+            job_id, entry = self._submit_one(script, params=point,
+                                             model=model, **submit_kwargs)
             job_ids.append(job_id)
             if entry is not None:
                 pending.append(entry)
@@ -302,13 +298,14 @@ class SimulationService:
         return self.store.get_record(job_id).to_json()
 
     def result(self, job_id: str) -> dict[str, Any]:
-        """The stored result payload of a finished job."""
-        record = self.store.get_record(job_id)
+        """The stored result payload of a job (only a done job has one)."""
+        try:
+            return self.store.read_result(job_id)
+        except ServeError:
+            record = self.store.get_record(job_id)
         if record.state == J.FAILED:
             raise ServeError(f"job {job_id} failed: {record.error}")
-        if record.state != J.DONE:
-            raise ServeError(f"job {job_id} is {record.state}, not done")
-        return self.store.read_result(job_id)
+        raise ServeError(f"job {job_id} is {record.state}, not done")
 
     def cancel(self, job_id: str) -> bool:
         self.store.get_record(job_id)  # raise ServeError on unknown id

@@ -1,12 +1,15 @@
 """Job model, override rewriting, and the filesystem job store."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.errors import ServeError
 from repro.serve import jobs as J
+from repro.serve.cache import ResultCache
+from repro.serve.service import SimulationService
 from repro.serve.jobs import (
     JobSpec,
     JobStore,
@@ -135,15 +138,39 @@ class TestJobStore:
     def test_result_round_trip(self, tmp_path, script):
         store = JobStore(str(tmp_path))
         rec = store.new_job(JobSpec(script=script))
-        store.write_result(rec.job_id, {"schema": 1, "result": {"x": 1.5}})
+        done = store.transition(rec.job_id, (J.QUEUED,), state=J.DONE,
+                                result={"schema": 1, "result": {"x": 1.5}})
         assert store.read_result(rec.job_id)["result"] == {"x": 1.5}
+        # the result and the state it lands with are one document
+        assert store.get_record(rec.job_id) == done
 
-    def test_unknown_job_raises(self, tmp_path):
+    def test_unknown_job_raises(self, tmp_path, script):
         store = JobStore(str(tmp_path))
         with pytest.raises(ServeError, match="no job"):
             store.get_record("j-999999")
         with pytest.raises(ServeError, match="no result"):
             store.read_result("j-999999")
+        queued = store.new_job(JobSpec(script=script)).job_id
+        with pytest.raises(ServeError, match="no result"):
+            store.read_result(queued)
+
+    def test_one_document_per_job(self, tmp_path, script):
+        store = JobStore(str(tmp_path))
+        rec = store.new_job(JobSpec(script=script))
+        store.transition(rec.job_id, (J.QUEUED,), state=J.RUNNING)
+        assert sorted(os.listdir(tmp_path)) == [f"{rec.job_id}.json"]
+
+    def test_old_layout_root_is_refused(self, tmp_path):
+        root = tmp_path / "serve"
+        (root / "jobs" / "j-000001").mkdir(parents=True)
+        (root / "jobs" / "j-000001" / "record.json").write_text("{}")
+        with pytest.raises(ServeError, match="old directory-per-job"):
+            SimulationService(str(root), autostart=False)
+        with pytest.raises(ServeError, match="old directory-per-job"):
+            JobStore(str(root / "jobs"))
+        (tmp_path / "cache" / "ab").mkdir(parents=True)
+        with pytest.raises(ServeError, match="old sharded layout"):
+            ResultCache(str(tmp_path / "cache"))
 
     def test_spec_round_trips_all_fields(self, tmp_path, script):
         store = JobStore(str(tmp_path))
@@ -152,3 +179,42 @@ class TestJobStore:
                        backoff=0.5, fault="kill_rank=0", use_cache=False)
         rec = store.new_job(spec)
         assert store.get_spec(rec.job_id) == spec
+
+
+class TestFileSystemBudget:
+    """A job costs three writes of its document (submit, ``running``,
+    ``done`` with the result) and one cache entry, and no directory."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"replace": 0, "link": 0, "mkdir": 0}
+        for name in seen:
+            real = getattr(os, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                seen[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, counted)
+        return seen
+
+    def test_batched_jobs(self, tmp_path, registry, script, calls):
+        with SimulationService(str(tmp_path / "s"), workers=1,
+                               registry=registry) as svc:
+            before = dict(calls)
+            ids = svc.sweep(script, {"Initializer.T0": [1000.0, 1010.0]})
+            assert svc.drain(timeout=120)
+            spent = {k: calls[k] - before[k] for k in calls}
+            assert all(svc.status(j)["batched"] for j in ids)
+        # per job: 1 link + 2 document replaces + 1 cache replace
+        assert spent == {"link": 2, "replace": 6, "mkdir": 0}
+
+    def test_single_job(self, tmp_path, registry, script, calls):
+        with SimulationService(str(tmp_path / "s"), workers=1,
+                               registry=registry) as svc:
+            before = dict(calls)
+            job_id = svc.submit(script, backend="threads")
+            assert svc.drain(timeout=120)
+            spent = {k: calls[k] - before[k] for k in calls}
+            assert svc.status(job_id)["state"] == J.DONE
+        assert spent == {"link": 1, "replace": 3, "mkdir": 0}

@@ -3,6 +3,8 @@ minted at submit follows the job through scheduler -> supervised runner
 -> backend ranks, and the per-job artifact links them all."""
 
 import json
+import os
+import shutil
 
 import repro.obs as obs
 from repro.obs.__main__ import main as obs_main
@@ -18,7 +20,7 @@ class TestRecordSchema:
 
     def test_trace_fields_round_trip(self):
         rec = JobRecord(job_id="j-000001", trace_id="tr-abc123",
-                        trace_path="/tmp/jobs/j-000001/trace.json")
+                        trace_path="/tmp/jobs/j-000001.trace.json")
         doc = json.loads(json.dumps(rec.to_json()))
         back = JobRecord.from_json(doc)
         assert back.trace_id == "tr-abc123"
@@ -123,3 +125,28 @@ def test_stats_and_cli_surface_the_trace(tmp_path, registry, script,
     assert rc == 0
     assert record.trace_id in out
     assert "events" in out
+
+
+def test_obs_job_finds_the_artifact_of_a_moved_root(tmp_path, registry,
+                                                    script, capsys):
+    root = tmp_path / "serve_m"
+    with obs.tracing():
+        svc = SimulationService(str(root), workers=1, registry=registry)
+        try:
+            job_id = svc.submit(script, use_cache=False)
+            assert svc.drain(timeout=120)
+        finally:
+            svc.close()
+    record = svc.store.get_record(job_id)
+    # the artifact sits beside the job's document
+    assert record.trace_path == svc.store.trace_path(job_id)
+    moved = tmp_path / "moved"
+    shutil.copytree(root, moved)
+    shutil.rmtree(root)
+    assert not os.path.exists(record.trace_path)  # the recorded path is stale
+    rc = obs_main(["job", job_id, "--root", str(moved), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["trace_path"] == record.trace_path
+    assert report["events"] > 0
+    assert report["critical_path"] is not None
