@@ -16,13 +16,13 @@ paths run unchanged over any of:
     right substrate for tests and scaling-*shape* benches.  Wall-clock
     numbers are GIL-bound.
 ``mp``
-    Real ``multiprocessing`` worker processes
-    (:mod:`repro.exec.mp`): message traffic over OS pipes, bulk array
-    payloads through ``multiprocessing.shared_memory`` segments
-    (zero-copy receive, swept when the world ends),
-    per-rank tracebacks pickled back into
-    :class:`~repro.mpi.launcher.RankFailure`.  Escapes the GIL: real
-    cores, real wall-clock speedups.
+    Forked worker processes (:mod:`repro.exec.mp`): messages over one
+    OS pipe per pair of ranks, bulk array payloads through POSIX shared
+    segments (zero-copy receive, swept when the world ends or, after a
+    killed launcher, when the next one starts), per-rank tracebacks
+    pickled back into :class:`~repro.mpi.launcher.RankFailure`; no
+    helper thread or process.  Escapes the GIL: real cores, real
+    wall-clock speedups.
 
 A site with a real MPI adds its own transport through :func:`register`
 — the hook a mpi4py bridge would use; none ships, because no host or CI

@@ -6,13 +6,14 @@ real cores, real wall-clock speedups, real private address spaces (the
 property the paper's SCMD mode takes for granted and rank-threads
 violate).  The pieces:
 
-* **Transport** — each rank owns a ``multiprocessing.Queue`` inbox;
-  envelopes are produced by :func:`repro.exec.shm.encode_message`, so
-  halo- and reduction-sized messages ride the pipe in-band while bulk
-  array payloads move through shared-memory segments with a zero-copy
-  receive.  Segments are named by world and rank; what a killed or
-  aborted world leaves behind is unlinked when :meth:`MPBackend.run`
-  returns, not when the launching interpreter exits.
+* **Transport** — one non-blocking pipe per ordered pair of ranks,
+  made before the fork, each rank keeping its own ends; envelopes from
+  :func:`repro.exec.shm.encode_message` (halo- and reduction-sized
+  messages in-band, bulk arrays in shared segments with a zero-copy
+  receive) cross as length-prefixed frames, and no rank starts a
+  thread.  Segments are named by launcher pid, world and rank: those of
+  a killed or aborted world are unlinked when :meth:`MPBackend.run`
+  returns, those of a killed launcher when the next world starts.
 * **Communicator** — the same :class:`repro.mpi.comm.Comm` as on every
   backend; :class:`_Station` is the transport behind it (the calls are
   listed on ``Comm``), and its rendezvous is a gather-to-local-root /
@@ -20,11 +21,12 @@ violate).  The pieces:
   exactly once (on comm rank 0, in sorted rank order), collective
   results are bit-identical with the threads backend.
 * **Failure paths** — a crashed rank pickles its traceback *text* back
-  to the parent (:class:`~repro.mpi.launcher.RemoteRankError`) and trips
-  a shared abort event so its peers raise
-  :class:`~repro.errors.CommAbortedError` instead of deadlocking;
-  silently-dead processes (``os.kill``, segfault) are detected by the
-  parent's reaper and synthesized into the same
+  to the parent over its report pipe
+  (:class:`~repro.mpi.launcher.RemoteRankError`) and trips a shared
+  abort event so its peers raise :class:`~repro.errors.CommAbortedError`
+  instead of deadlocking, as does a write into the pipe of a peer that
+  has gone; silently-dead processes (``os.kill``, segfault) are found by
+  their process sentinel and synthesized into the same
   :class:`~repro.mpi.launcher.RankFailure`.
 * **Fault injection** — workers inherit the armed plan *and counters*
   at fork (so ``kill_max_fires`` survives a supervised restart) and
@@ -45,14 +47,16 @@ closures, which cannot cross a ``spawn`` boundary).  Platforms without
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import os
 import pickle
-import queue as _queue
-import time
+import select
+import struct
 import traceback
 import warnings
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Sequence
 
 from repro.errors import CommAbortedError, MPIError
@@ -69,21 +73,27 @@ from repro.resilience import faults as _faults
 from repro.util import logging as rlog
 from repro.util.options import env_flag
 
-#: grace period between "worker process is dead" and "synthesize its
-#: failure" — covers the window where its last record is still in flight.
+#: how long a finished or dead worker gets to be reaped before the
+#: launcher gives up on it (and, at teardown, terminates it).
 _DEATH_GRACE = 1.0
+#: a frame's length prefix
+_FRAME = struct.Struct("<Q")
 #: numbers the worlds this process launches (``next`` on a count is
 #: atomic): with the pid it makes a world's segment names its own.
 _WORLD_SERIALS = itertools.count()
 
 
 class _Station:
-    """One worker's post office — its inbox, its peers' inboxes, the
-    abort flag and the stash of not-yet-consumed envelopes — and the
-    ``mp`` backend's transport behind :class:`~repro.mpi.comm.Comm`.
+    """One worker's post office — its pipe ends with their outboxes and
+    read buffers, the abort flag and the stash of not-yet-consumed
+    envelopes — and the ``mp`` backend's transport behind
+    :class:`~repro.mpi.comm.Comm`.
 
-    Envelope kinds on an inbox (all payloads via
-    :func:`~repro.exec.shm.encode_message`):
+    An item crosses as one frame, a length prefix and one pickle, and a
+    send only appends it to an outbox and writes what the pipe takes;
+    every wait writes what is pending and reads every inbound pipe, so
+    ranks bursting at each other all progress.  Item kinds (all payloads
+    via :func:`~repro.exec.shm.encode_message`):
 
     * ``("p2p", comm_id, (source, tag, nbytes, avail_time), env)`` —
       env decodes to the payload;
@@ -96,13 +106,19 @@ class _Station:
     the stash; a matching wait never consumes someone else's envelope.
     """
 
-    def __init__(self, rank: int, inboxes: list, abort_evt,
+    def __init__(self, rank: int, inbound: list[Connection],
+                 outbound: dict[int, Connection], abort_evt,
                  machine: MachineModel, segment_prefix: str) -> None:
         self.rank = rank
-        self.inboxes = inboxes
         self.machine = machine
         self.segment_names = _shm.segment_names(segment_prefix)
         self._abort_evt = abort_evt
+        self._launcher = os.getppid()
+        self._peer_fd = {dst: w.fileno() for dst, w in outbound.items()}
+        self._outbox = {fd: bytearray() for fd in self._peer_fd.values()}
+        self._inbox = {r.fileno(): bytearray() for r in inbound}
+        for fd in [*self._inbox, *self._outbox]:
+            os.set_blocking(fd, False)
         self._p2p: dict[str, list[_Message]] = {}
         self._coll: dict[tuple[str, int], dict[int, tuple[Any, float]]] = {}
         self._collr: dict[tuple[str, int], tuple[Any, float]] = {}
@@ -122,24 +138,70 @@ class _Station:
     discard = staticmethod(_shm.discard_message)
 
     def post(self, comm_id: str, dest: int, msg: _Message) -> None:
-        self.inboxes[dest].put(
-            ("p2p", comm_id,
-             (msg.source, msg.tag, msg.nbytes, msg.avail_time), msg.payload))
+        self._send(dest, (
+            "p2p", comm_id,
+            (msg.source, msg.tag, msg.nbytes, msg.avail_time), msg.payload))
+
+    def _send(self, dest: int, item: tuple) -> None:
+        blob = pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
+        fd = self._peer_fd[dest]
+        self._outbox[fd] += _FRAME.pack(len(blob))
+        self._outbox[fd] += blob
+        self._flush(fd)
+
+    def _flush(self, fd: int) -> bool:
+        """Write what pipe ``fd`` takes of its outbox; True once empty."""
+        box = self._outbox[fd]
+        try:
+            while box:
+                del box[:os.write(fd, box)]
+        except BlockingIOError:
+            return False
+        except BrokenPipeError:  # the peer has gone
+            box.clear()
+            raise CommAbortedError("a peer rank has gone") from None
+        return True
 
     def _pump(self, timeout: float) -> None:
-        """File inbox envelopes into the stash; wait up to ``timeout``
-        for the first when none are ready."""
-        inbox = self.inboxes[self.rank]
+        """Write what is pending and file what has arrived, waiting up
+        to ``timeout`` for a pipe; an orphaned rank aborts the world."""
+        poll = select.poll()
+        for fd in self._inbox:
+            poll.register(fd, select.POLLIN)
+        for fd, box in self._outbox.items():
+            if box and not self._flush(fd):
+                poll.register(fd, select.POLLOUT)
+        ready = poll.poll(1e3 * timeout)
+        for fd, _ in ready:
+            if fd in self._inbox:
+                self._receive(fd)
+            else:
+                self._flush(fd)
+        if not ready and os.getppid() != self._launcher:
+            self._abort_evt.set()
+
+    def _receive(self, fd: int) -> None:
         try:
-            item = inbox.get(timeout=timeout)
-        except _queue.Empty:
+            chunk = os.read(fd, 1 << 16)  # what a pipe holds
+        except BlockingIOError:
             return
-        while True:
-            self._file(item)
-            try:
-                item = inbox.get_nowait()
-            except _queue.Empty:
-                return
+        buf = self._inbox[fd]
+        if not chunk:  # the peer has exited
+            del self._inbox[fd]
+        buf += chunk
+        while len(buf) >= _FRAME.size:
+            end = _FRAME.size + _FRAME.unpack_from(buf)[0]
+            if end > len(buf):
+                break
+            self._file(pickle.loads(buf[_FRAME.size:end]))
+            del buf[:end]
+
+    def drain(self) -> None:
+        """Deliver what is pending before reporting, reading all the while
+        (a peer may be flushing here); a peer that has exited loses it."""
+        while any(self._outbox.values()) and not self._abort_evt.is_set():
+            with contextlib.suppress(CommAbortedError):
+                self._pump(_POLL_INTERVAL)
 
     def _file(self, item: tuple) -> None:
         kind = item[0]
@@ -185,7 +247,7 @@ class _Station:
         key = (comm_id, seq)
         if rank != 0:
             wire, _ = self.pack((rank, contribution, clock))
-            self.inboxes[members[0]].put(("coll", comm_id, seq, wire))
+            self._send(members[0], ("coll", comm_id, seq, wire))
             while key not in self._collr:
                 self.check_alive()
                 self._pump(_POLL_INTERVAL)
@@ -198,7 +260,7 @@ class _Station:
         share, exit_clock = _run_finish(entries, finish)
         for member in range(1, len(members)):
             wire, _ = self.pack((share(member), exit_clock))
-            self.inboxes[members[member]].put(("collr", comm_id, seq, wire))
+            self._send(members[member], ("collr", comm_id, seq, wire))
         return share(0), exit_clock
 
 
@@ -287,15 +349,21 @@ def _fold_obs(records: dict[int, tuple]) -> None:
 
 
 def _worker(rank: int, nprocs: int, machine: MachineModel,
-            main: Callable[..., Any], args: Sequence[Any],
-            inboxes: list, result_q, abort_evt, segment_prefix: str,
+            main: Callable[..., Any], args: Sequence[Any], links: dict,
+            reports: list, abort_evt, segment_prefix: str,
             trace_ctx: dict | None = None) -> None:
-    """Worker-process body for one rank (post-fork)."""
+    """Worker-process body for one rank (post-fork).  It closes every
+    pipe end but its own, so that a peer's exit reads as EOF or EPIPE."""
     # The sanitizer's shadow state is meaningless here: this process IS
     # the private address space.  Disarm locally (fork-isolated write).
     _tsan.deactivate()
     _child_obs_setup(trace_ctx)
-    station = _Station(rank, inboxes, abort_evt, machine,
+    inbound = [r for (_, dst), (r, _) in links.items() if dst == rank]
+    outbound = {dst: w for (src, dst), (_, w) in links.items() if src == rank}
+    mine = {*inbound, *outbound.values(), reports[rank][1]}
+    for conn in set(itertools.chain(*links.values(), *reports)) - mine:
+        conn.close()
+    station = _Station(rank, inbound, outbound, abort_evt, machine,
                        f"{segment_prefix}{rank}-")
     comm = Comm(station, WORLD_ID, rank, list(range(nprocs)))
     record: tuple
@@ -312,12 +380,7 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
                       traceback.format_exc(), _counts())
         obs_env = _ship_obs(rank, station.segment_names)
     record = record + (obs_env,)
-    # Flush any still-buffered inter-rank messages before reporting:
-    # Queue.put hands items to a feeder thread, and a receiver may be
-    # blocked on something this rank sent just before finishing.
-    for q in inboxes:
-        q.close()
-        q.join_thread()
+    station.drain()
     try:
         blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # unpicklable per-rank result
@@ -326,9 +389,8 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
              f"rank result is not picklable: {exc}",
              traceback.format_exc(), _counts(), obs_env),
             protocol=pickle.HIGHEST_PROTOCOL)
-    result_q.put(blob)
-    result_q.close()
-    result_q.join_thread()
+    with contextlib.suppress(OSError):  # the launcher may have gone
+        reports[rank][1].send_bytes(blob)
     # Hard exit: skip the parent's inherited atexit handlers (obs
     # flushers, bench ledger writers) — this is a rank, not the session.
     os._exit(0)
@@ -336,6 +398,35 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
 
 def _counts() -> dict | None:
     return _faults.snapshot_counts() if _faults.on else None
+
+
+def _collect(procs: list, reports: list[Connection], abort_evt,
+             records: dict[int, tuple]) -> None:
+    """Read every rank's record off its report pipe into ``records``.  A
+    rank that dies without one (``os.kill``, a segfault) is a
+    ``WorkerDied`` failure and trips the abort flag for its peers."""
+    waiting = {p.sentinel: rank for rank, p in enumerate(procs)}
+    waiting.update((conn, rank) for rank, conn in enumerate(reports))
+    while len(records) < len(procs):
+        for ready in wait(list(waiting)):
+            rank = waiting.pop(ready)
+            if rank in records:
+                continue
+            conn = reports[rank]
+            try:
+                if ready is conn or conn.poll():
+                    records[rank] = pickle.loads(conn.recv_bytes())
+                    continue
+            except (EOFError, OSError):
+                pass
+            abort_evt.set()
+            procs[rank].join(timeout=_DEATH_GRACE)
+            reason = (f"rank {rank} worker process died with exit code "
+                      f"{procs[rank].exitcode} before reporting a result")
+            records[rank] = (
+                "err", rank, "WorkerDied", reason,
+                f"WorkerDied: {reason} (killed or segfaulted; no "
+                f"Python traceback exists)", None, None)
 
 
 class MPBackend(ExecBackend):
@@ -364,15 +455,10 @@ class MPBackend(ExecBackend):
                 RuntimeWarning, stacklevel=3)
 
         ctx = multiprocessing.get_context("fork")
-        # Spawn the resource tracker *before* forking so every worker
-        # shares one tracker process — a worker's early exit cannot
-        # unlink a sibling's in-flight segment, and segments stranded by
-        # a killed *parent* are reclaimed when the whole family exits.
-        from multiprocessing import resource_tracker
-        resource_tracker.ensure_running()
-
-        inboxes = [ctx.Queue() for _ in range(nprocs)]
-        result_q = ctx.Queue()
+        _shm.sweep_orphans()
+        links = {pair: ctx.Pipe(duplex=False)
+                 for pair in itertools.product(range(nprocs), repeat=2)}
+        reports = [ctx.Pipe(duplex=False) for _ in range(nprocs)]
         abort_evt = ctx.Event()
         fault_base = _counts()
         trace_ctx = _obs.current_context() if _obs.on else None
@@ -381,51 +467,28 @@ class MPBackend(ExecBackend):
         procs = [
             ctx.Process(target=_worker,
                         args=(rank, nprocs, machine, main, tuple(args),
-                              inboxes, result_q, abort_evt, segment_prefix,
+                              links, reports, abort_evt, segment_prefix,
                               trace_ctx),
                         name=f"rank-{rank}", daemon=True)
             for rank in range(nprocs)
         ]
         for p in procs:
             p.start()
-
+        for conn in itertools.chain(*links.values(), (w for _, w in reports)):
+            conn.close()  # the launcher keeps the reports' read ends only
+        readers = [r for r, _ in reports]
         records: dict[int, tuple] = {}
-        dead_since: dict[int, float] = {}
         try:
-            while len(records) < nprocs:
-                try:
-                    rec = pickle.loads(result_q.get(timeout=_POLL_INTERVAL))
-                    records[rec[1]] = rec
-                    continue
-                except _queue.Empty:
-                    pass
-                now = time.monotonic()
-                for rank, proc in enumerate(procs):
-                    if rank in records or proc.is_alive():
-                        continue
-                    # Dead without a record: grace-wait for a final blob
-                    # still in the pipe, then synthesize the failure.
-                    first_seen = dead_since.setdefault(rank, now)
-                    if now - first_seen < _DEATH_GRACE:
-                        continue
-                    abort_evt.set()
-                    reason = (f"rank {rank} worker process died with exit "
-                              f"code {proc.exitcode} before reporting a "
-                              f"result")
-                    records[rank] = (
-                        "err", rank, "WorkerDied", reason,
-                        f"WorkerDied: {reason} (killed or segfaulted; no "
-                        f"Python traceback exists)", None, None)
+            _collect(procs, readers, abort_evt, records)
         finally:
+            abort_evt.set()
+            for reader in readers:
+                reader.close()
             for p in procs:
-                p.join(timeout=5.0)
-            for p in procs:
+                p.join(timeout=_DEATH_GRACE)
                 if p.is_alive():
                     p.terminate()
                     p.join(timeout=1.0)
-            for q in inboxes + [result_q]:
-                q.cancel_join_thread()
-                q.close()
             # Fold worker obs payloads before anything can raise (failed
             # runs keep their partial traces), then unlink what nobody
             # consumed: messages in flight to a killed or aborted rank

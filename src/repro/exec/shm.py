@@ -7,51 +7,56 @@ is collected out-of-band and packed into *one* POSIX shared segment per
 message, which the receiver maps and reconstructs the arrays over as
 zero-copy views — the only copy is the sender's packing copy, the
 isolation copy the ``threads`` backend's ``_isolate`` makes anyway.  A
-segment costs a create, a map, two resource-tracker messages, an attach
-and an unlink whatever its size, so it pays only for bulk moves (patch
-migration, trace payloads): halo- and reduction-sized messages stay on
-the pipe.  Patch storage itself is private to its rank — no process ever
-attaches another's patches.
+segment costs a ``shm_open``, a map, an attach and an unlink whatever
+its size, so it pays only for bulk moves (patch migration, trace
+payloads): halo- and reduction-sized messages stay on the pipe.  Patch
+storage itself is private to its rank — no process ever attaches
+another's patches.
 
 Lifetime discipline (one creator, exactly one consumer per segment): the
-sender closes its mapping right after packing; the receiver unlinks the
-name immediately after attaching, so the kernel frees the pages as soon
-as the reconstructed arrays die.  The attached mapping itself is kept
-alive by the arrays' buffer chain (ndarray -> memoryview -> mmap); the
-now-redundant segment file descriptor is closed eagerly (mmap holds its
-own dup) so a long run cannot exhaust fds.
+sender unmaps right after packing; the receiver unlinks the name as soon
+as it has mapped it, so the kernel frees the pages when the
+reconstructed arrays die (they keep the mapping alive: ndarray ->
+memoryview -> mmap).  Descriptors are closed once mapped.  No segment is
+registered with ``multiprocessing``'s resource tracker, and none is
+started.
 
-A segment whose consumer never comes — the receiver was killed, the world
-aborted with the message in flight — is found by name: the ranks of one
-world name their segments under one prefix (the ``names`` iterator the
-encoders take) and :func:`sweep` unlinks whatever is left under it when
-the world is torn down, while the launching process is still alive.  The
-``multiprocessing`` resource tracker (started *before* the fork, so every
-worker shares it) remains the backstop for a killed parent.
+A segment whose consumer never comes is found by name: the ranks of one
+world name theirs under one prefix, ``repro-<launcher pid>-<world>-``
+(the ``names`` iterator the encoders take).  :func:`sweep` unlinks what
+is left under it when the world is torn down; :func:`sweep_orphans`,
+run before every world starts, unlinks the segments of launchers that
+no longer exist — the backstop for a killed launcher.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import mmap
 import os
 import pickle
-from multiprocessing import shared_memory
+import secrets
 from typing import Any, Iterator
 
+import _posixshmem
+
 #: In-band fallback threshold: messages whose out-of-band buffer payload
-#: totals fewer bytes than this ride the pipe as a plain pickle.  It is the
-#: measured crossover of the one-way hop between two forked processes
-#: (2-core host, in-band / segment, microseconds):
+#: totals fewer bytes than this ride the pipe as a plain pickle.  The
+#: one-way hop between two forked ranks (2-core host, microseconds):
 #:
-#: ======  =======  =======
-#: bytes   in-band  segment
-#: ======  =======  =======
-#: 16 KiB       87      241
-#: 64 KiB      121      285
-#: 256 KiB     587      496
-#: 1 MiB     2 063    1 147
-#: 4 MiB     9 808    3 580
-#: ======  =======  =======
+#: =======  =======  =======
+#: bytes    in-band  segment
+#: =======  =======  =======
+#: 64 KiB        84      124
+#: 128 KiB      135      185
+#: 192 KiB      693      245
+#: 256 KiB    1 035      432
+#: 1 MiB      3 838    1 129
+#: =======  =======  =======
+#:
+#: In-band loses once its copies outgrow the allocator's heap (fresh
+#: ``mmap`` pages), as under the earlier queue transport: it stays.
 DEFAULT_MIN_SHM_BYTES = 256 * 1024
 
 
@@ -70,57 +75,65 @@ def segment_names(prefix: str) -> Iterator[str]:
     return (f"{prefix}{n}" for n in itertools.count())
 
 
-def _create(size: int, names: Iterator[str] | None
-            ) -> shared_memory.SharedMemory:
-    return shared_memory.SharedMemory(
-        name=next(names) if names is not None else None, create=True,
-        size=size)
+def _create(size: int, names: Iterator[str] | None) -> tuple[str, mmap.mmap]:
+    """A new segment of ``size`` bytes: its name and a mapping of it."""
+    name = next(names) if names is not None else f"psm_{secrets.token_hex(8)}"
+    fd = _posixshmem.shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR,
+                              mode=0o600)
+    try:
+        os.ftruncate(fd, size)
+        return name, mmap.mmap(fd, size)
+    except BaseException:
+        _unlink(name)
+        raise
+    finally:
+        os.close(fd)  # the mapping holds its own reference
+
+
+def _attach(name: str) -> mmap.mmap:
+    """Map segment ``name`` and unlink it (the mapping keeps the pages)."""
+    fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+    try:
+        return mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+        _unlink(name)
 
 
 def _unlink(name: str) -> None:
     """Unlink segment ``name`` if it still exists."""
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError):
-        return
-    seg.close()
-    try:
-        seg.unlink()
-    except (FileNotFoundError, OSError):
-        pass
+    with contextlib.suppress(OSError):
+        _posixshmem.shm_unlink("/" + name)
+
+
+def _listing() -> list[str]:
+    """Segment names (none where shared memory is not a directory)."""
+    return os.listdir("/dev/shm") if os.path.isdir("/dev/shm") else []
 
 
 def sweep(prefix: str) -> None:
-    """Unlink every segment named under ``prefix`` (a no-op where shared
-    memory is not a directory to list)."""
+    """Unlink every segment named under ``prefix``."""
+    for name in _listing():
+        if name.startswith(prefix):
+            _unlink(name)
+
+
+def sweep_orphans() -> None:
+    """Unlink the segments (``repro-<pid>-...``) of launchers that no
+    longer exist, killed before their own :func:`sweep` ran."""
+    for name in _listing():
+        tag, _, rest = name.partition("-")
+        pid = rest.partition("-")[0]
+        if tag == "repro" and pid.isdigit() and not _alive(int(pid)):
+            _unlink(name)
+
+
+def _alive(pid: int) -> bool:
     try:
-        left = [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
-    except OSError:
-        return
-    for name in left:
-        _unlink(name)
-
-
-def _detach(seg: shared_memory.SharedMemory) -> None:
-    """Hand the segment's mapping over to its exported buffers.
-
-    After this the ``SharedMemory`` object is inert: its fd is closed
-    (``mmap`` dups the descriptor at map time, so the object's own fd is
-    pure overhead — and would otherwise leak per message) and its
-    ``close``/``__del__`` become no-ops, because a mapping exported to
-    NumPy views cannot be closed explicitly (BufferError) and the
-    attempt would print "Exception ignored" noise at gc time.  The mmap
-    itself stays alive exactly as long as the views' buffer chain does.
-    """
-    fd = getattr(seg, "_fd", -1)
-    if fd >= 0:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-        seg._fd = -1
-    seg._buf = None
-    seg._mmap = None
+        os.kill(pid, 0)
+        return True
+    except OSError as exc:  # EPERM: another user's process
+        return not isinstance(exc, ProcessLookupError)
 
 
 # ---------------------------------------------------------------- blobs
@@ -130,17 +143,15 @@ def encode_blob(data: bytes, min_bytes: int | None = None,
     ``("blob-shm", name, nbytes)`` with the bytes spooled into a shared
     segment.
 
-    Used for opaque payloads that must not clog the result queue — a
-    worker's drained trace/metrics/profile pickle can run to megabytes,
-    and a pipe-bound ``Queue`` would serialize the whole teardown on it.
+    Used for opaque payloads that must not clog a report pipe: a
+    worker's drained trace/metrics/profile pickle can run to megabytes.
     The receiver owns (and unlinks) the segment.
     """
     limit = min_shm_bytes() if min_bytes is None else min_bytes
     if len(data) < limit:
         return ("blob", data)
-    seg = _create(len(data), names)
-    seg.buf[:len(data)] = data
-    name = seg.name
+    name, seg = _create(len(data), names)
+    seg[:] = data
     seg.close()
     return ("blob-shm", name, len(data))
 
@@ -150,16 +161,8 @@ def decode_blob(envelope: Any) -> bytes:
     if envelope[0] == "blob":
         return envelope[1]
     _, name, nbytes = envelope
-    seg = shared_memory.SharedMemory(name=name)
-    try:
-        data = bytes(seg.buf[:nbytes])
-    finally:
-        try:
-            seg.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-        seg.close()
-    return data
+    with _attach(name) as seg:
+        return seg[:nbytes]
 
 
 # ---------------------------------------------------------------- messages
@@ -185,15 +188,14 @@ def encode_message(obj: Any, names: Iterator[str] | None = None
     if not views or total < min_shm_bytes():
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         return ("pickle", blob), len(blob)
-    seg = _create(total, names)
+    name, seg = _create(total, names)
     layout: list[tuple[int, int]] = []
     pos = 0
     for view in views:
         nb = view.nbytes
-        seg.buf[pos:pos + nb] = view
+        seg[pos:pos + nb] = view
         layout.append((pos, nb))
         pos += nb
-    name = seg.name
     for b in buffers:
         b.release()
     seg.close()  # the receiver owns (and unlinks) the segment from here
@@ -212,12 +214,6 @@ def decode_message(envelope: Any) -> Any:
     if kind == "pickle":
         return pickle.loads(envelope[1])
     _, data, name, layout = envelope
-    seg = shared_memory.SharedMemory(name=name)
-    try:
-        seg.unlink()  # pages live until the mapping (the arrays) dies
-    except (FileNotFoundError, OSError):
-        pass
-    base = seg.buf
-    _detach(seg)
+    base = memoryview(_attach(name))  # the arrays keep the mapping alive
     bufs = [base[pos:pos + nb] for pos, nb in layout]
     return pickle.loads(data, buffers=bufs)

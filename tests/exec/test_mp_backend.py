@@ -4,11 +4,15 @@ The communicator semantics both backends share are held to one suite,
 ``tests/mpi/test_comm.py`` and ``test_stress.py`` run per backend; here
 is what is the ``mp`` transport's own — distinct processes, the shared
 memory segment threshold and its clean-up, what rank 0 posts back from a
-collective, remote tracebacks, dead workers, the sanitizer's warning.
+collective, remote tracebacks, dead workers, a killed launcher, that no
+rank starts a thread, the sanitizer's warning.
 """
 
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 import warnings
 
@@ -17,6 +21,7 @@ import pytest
 
 from repro.mpi import Op, ZERO_COST, mpirun, sanitizer
 from repro.mpi.launcher import RankFailure
+from tests.mpi.test_comm import _within
 
 
 def run(n, fn, **kw):
@@ -248,6 +253,129 @@ def test_dropped_send_leaves_no_segment_behind():
     finally:
         faults.deactivate()
     assert during == [before, before]
+    assert _shm_listing() == before
+
+
+def test_peer_killed_with_output_pending_past_the_pipe(tmp_path):
+    """Ranks 0 and 2 hold more for rank 1 than its pipe takes — four
+    100 KiB in-band messages and a 1 MiB segment — when rank 1 is
+    SIGKILLed: the victim is the one failure, each survivor leaves as a
+    secondary ``CommAbortedError`` (not the ``BrokenPipeError`` of its
+    write into the dead rank's pipe) instead of waiting on the dead rank
+    for ever, and the segment is unlinked."""
+    def main(comm):
+        comm.barrier()
+        if comm.rank == 1:
+            time.sleep(0.2)              # the others fill its pipe
+            os.kill(os.getpid(), signal.SIGKILL)
+        try:
+            for i in range(4):
+                comm.isend(np.full(100 * 1024 // 8, float(i)), dest=1)
+            comm.isend(MIB, dest=1)
+            comm.recv(source=1)
+        except BaseException as exc:
+            (tmp_path / f"rank{comm.rank}").write_text(type(exc).__name__)
+            raise
+
+    before = _shm_listing()
+    with pytest.raises(RankFailure) as excinfo:
+        _within(60, run, 3, main)
+    assert set(excinfo.value.failures) == {1}
+    assert excinfo.value.failures[1].remote_type == "WorkerDied"
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+        "rank0": "CommAbortedError", "rank2": "CommAbortedError"}
+    assert _shm_listing() == before
+
+
+# ------------------------------------------------ a launcher killed mid-world
+LAUNCHER = """
+import os, sys, time
+import numpy as np
+from repro.mpi import ZERO_COST, mpirun
+
+def main(comm):
+    peer = 1 - comm.rank
+    if sys.argv[2] == "stranded":
+        comm.isend(np.ones(1 << 17), peer)   # a 1 MiB segment, never read
+    ready = f"{sys.argv[1]}.{comm.rank}"
+    with open(ready + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(ready + ".tmp", ready)
+    if sys.argv[2] == "stranded":
+        time.sleep(60)
+    comm.recv(peer, tag=99)                  # never sent
+
+mpirun(2, main, machine=ZERO_COST, backend="mp")
+"""
+
+
+def _launch(tmp_path, mode):
+    """A launcher process whose two ranks have reached ``main``'s wait,
+    and the pids of those ranks."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", LAUNCHER, str(tmp_path / "rank"), mode],
+        env=env, start_new_session=True)
+    ready = [tmp_path / f"rank.{r}" for r in (0, 1)]
+    deadline = time.monotonic() + 60.0
+    while not all(path.exists() for path in ready):
+        assert time.monotonic() < deadline and proc.poll() is None
+        time.sleep(0.05)
+    return proc, [int(path.read_text()) for path in ready]
+
+
+def _gone(pid):
+    """Exited (a zombie nobody has reaped yet counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_segments_of_a_killed_launcher_are_swept_by_the_next_world(tmp_path):
+    """A launcher and its ranks are SIGKILLed with a 1 MiB segment in
+    flight each way: nothing unlinks the segments named after the dead
+    launcher until the next ``mpirun`` here starts, which sweeps them."""
+    before = _shm_listing()
+    proc, _ = _launch(tmp_path, "stranded")
+    os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+    stranded = [n for n in _shm_listing()
+                if n.startswith(f"repro-{proc.pid}-")]
+    assert len(stranded) == 2
+    assert _shm_listing() == sorted(before + stranded)
+    run(2, lambda comm: None)
+    assert _shm_listing() == before
+
+
+def test_ranks_of_a_killed_launcher_leave_the_world(tmp_path):
+    """Ranks blocked in a receive notice that their launcher is gone and
+    exit instead of waiting forever."""
+    proc, pids = _launch(tmp_path, "blocked")
+    proc.kill()
+    proc.wait()
+    deadline = time.monotonic() + 10.0
+    while not all(_gone(pid) for pid in pids):
+        assert time.monotonic() < deadline, "orphaned ranks still running"
+        time.sleep(0.05)
+
+
+def test_a_rank_starts_no_helper_thread():
+    """In-band and segment sends start no thread in the sending rank,
+    and the world leaves no segment behind."""
+    def main(comm):
+        peer = 1 - comm.rank
+        comm.isend(np.ones(16), peer)
+        comm.isend(MIB, peer)
+        count = threading.active_count()
+        comm.recv(peer)
+        comm.recv(peer)
+        return count
+
+    before = _shm_listing()
+    assert run(2, main) == [1, 1]
     assert _shm_listing() == before
 
 

@@ -2,6 +2,8 @@
 ``run`` fixture): point-to-point semantics, collectives, communicator
 splitting, and failure propagation."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,58 @@ def test_split_of_split_agrees_on_ids_everywhere(run):
         [("w/1:1", 0, 2), ("w/1:1/1:0", 0, 1), ("w/1:1/2:0", 1, 2)],
         [("w/1:1", 1, 2), ("w/1:1/1:1", 0, 1), ("w/1:1/2:0", 0, 2)],
     ]
+
+
+# ---------------------------------------------------------------- bursts
+def _within(seconds, run, n, fn):
+    """``run(n, fn)``, or a test failure once ``seconds`` have passed: a
+    transport that deadlocks fails instead of hanging the suite."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, run(n, fn)))
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome.append((False, exc))
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert outcome, f"the world did not finish within {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+def test_symmetric_burst_of_large_messages_completes(run):
+    """Both ranks post four 100 KiB messages (in-band, more than a pipe
+    holds) before either receives: a send must never block on a peer
+    that is itself sending."""
+    kib100 = 100 * 1024 // 8
+
+    def main(comm):
+        peer = 1 - comm.rank
+        for i in range(4):
+            comm.isend(np.full(kib100, 10.0 * comm.rank + i), dest=peer, tag=i)
+        got = [comm.recv(source=peer, tag=i) for i in range(4)]
+        assert all(a.shape == (kib100,) for a in got)
+        return [float(a[0]) for a in got]
+
+    assert _within(60, run, 2, main) == [[10.0, 11.0, 12.0, 13.0],
+                                         [0.0, 1.0, 2.0, 3.0]]
+
+
+def test_two_thousand_small_sends_before_any_receive(run):
+    def main(comm):
+        peer = 1 - comm.rank
+        for i in range(2000):
+            comm.isend((comm.rank, i), dest=peer)
+        return [comm.recv(source=peer) for _ in range(2000)]
+
+    out = _within(60, run, 2, main)
+    assert out == [[(1, i) for i in range(2000)],
+                   [(0, i) for i in range(2000)]]
 
 
 # ---------------------------------------------------------------- failures
