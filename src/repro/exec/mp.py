@@ -7,11 +7,10 @@ property the paper's SCMD mode takes for granted and rank-threads
 violate).  The pieces:
 
 * **Transport** — one non-blocking pipe per ordered pair of ranks,
-  made before the fork, each rank keeping its own ends; envelopes from
-  :func:`repro.exec.shm.encode_message` (halo- and reduction-sized
-  messages in-band, bulk arrays in shared segments with a zero-copy
-  receive) cross as length-prefixed frames, and no rank starts a
-  thread.  Segments are named by launcher pid, world and rank: those of
+  made before the fork, carrying :func:`repro.exec.shm.encode_message`
+  envelopes (bulk arrays in shared segments) as length-prefixed frames;
+  no rank starts a thread, and what is sent to an exited rank is
+  dropped.  Segments are named by launcher pid, world and rank: those of
   a killed or aborted world are unlinked when :meth:`MPBackend.run`
   returns, those of a killed launcher when the next world starts.
 * **Communicator** — the same :class:`repro.mpi.comm.Comm` as on every
@@ -24,10 +23,9 @@ violate).  The pieces:
   to the parent over its report pipe
   (:class:`~repro.mpi.launcher.RemoteRankError`) and trips a shared
   abort event so its peers raise :class:`~repro.errors.CommAbortedError`
-  instead of deadlocking, as does a write into the pipe of a peer that
-  has gone; silently-dead processes (``os.kill``, segfault) are found by
-  their process sentinel and synthesized into the same
-  :class:`~repro.mpi.launcher.RankFailure`.
+  instead of deadlocking; silently-dead processes (``os.kill``,
+  segfault) are found by their process sentinel and synthesized into the
+  same :class:`~repro.mpi.launcher.RankFailure`.
 * **Fault injection** — workers inherit the armed plan *and counters*
   at fork (so ``kill_max_fires`` survives a supervised restart) and
   ship their final counters home; the parent folds the per-worker
@@ -52,6 +50,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import resource
 import select
 import struct
 import traceback
@@ -73,27 +72,24 @@ from repro.resilience import faults as _faults
 from repro.util import logging as rlog
 from repro.util.options import env_flag
 
-#: how long a finished or dead worker gets to be reaped before the
-#: launcher gives up on it (and, at teardown, terminates it).
+#: how long a finished or dead worker gets to exit before it is terminated
 _DEATH_GRACE = 1.0
-#: a frame's length prefix
-_FRAME = struct.Struct("<Q")
+_FRAME = struct.Struct("<Q")  # a frame's length prefix
 #: numbers the worlds this process launches (``next`` on a count is
 #: atomic): with the pid it makes a world's segment names its own.
 _WORLD_SERIALS = itertools.count()
 
 
 class _Station:
-    """One worker's post office — its pipe ends with their outboxes and
-    read buffers, the abort flag and the stash of not-yet-consumed
-    envelopes — and the ``mp`` backend's transport behind
-    :class:`~repro.mpi.comm.Comm`.
+    """One worker's post office — its pipe ends, the abort flag and the
+    stash of not-yet-consumed envelopes — and the ``mp`` backend's
+    transport behind :class:`~repro.mpi.comm.Comm`.
 
-    An item crosses as one frame, a length prefix and one pickle, and a
-    send only appends it to an outbox and writes what the pipe takes;
-    every wait writes what is pending and reads every inbound pipe, so
-    ranks bursting at each other all progress.  Item kinds (all payloads
-    via :func:`~repro.exec.shm.encode_message`):
+    A send appends its frame to the peer's outbox and writes what the
+    pipe takes (the rest waits for this rank's next call); every wait
+    writes what is pending and reads every inbound pipe, so ranks
+    bursting at each other all progress.  Item kinds (all payloads via
+    :func:`~repro.exec.shm.encode_message`):
 
     * ``("p2p", comm_id, (source, tag, nbytes, avail_time), env)`` —
       env decodes to the payload;
@@ -157,9 +153,8 @@ class _Station:
                 del box[:os.write(fd, box)]
         except BlockingIOError:
             return False
-        except BrokenPipeError:  # the peer has gone
+        except BrokenPipeError:  # the peer has exited: it never reads this
             box.clear()
-            raise CommAbortedError("a peer rank has gone") from None
         return True
 
     def _pump(self, timeout: float) -> None:
@@ -197,11 +192,10 @@ class _Station:
             del buf[:end]
 
     def drain(self) -> None:
-        """Deliver what is pending before reporting, reading all the while
-        (a peer may be flushing here); a peer that has exited loses it."""
+        """Flush before reporting, reading all the while (a peer may be
+        flushing here); what is left for an exited peer is dropped."""
         while any(self._outbox.values()) and not self._abort_evt.is_set():
-            with contextlib.suppress(CommAbortedError):
-                self._pump(_POLL_INTERVAL)
+            self._pump(_POLL_INTERVAL)
 
     def _file(self, item: tuple) -> None:
         kind = item[0]
@@ -352,8 +346,7 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
             main: Callable[..., Any], args: Sequence[Any], links: dict,
             reports: list, abort_evt, segment_prefix: str,
             trace_ctx: dict | None = None) -> None:
-    """Worker-process body for one rank (post-fork).  It closes every
-    pipe end but its own, so that a peer's exit reads as EOF or EPIPE."""
+    """One rank's worker-process body; it keeps only its own pipe ends."""
     # The sanitizer's shadow state is meaningless here: this process IS
     # the private address space.  Disarm locally (fork-isolated write).
     _tsan.deactivate()
@@ -402,9 +395,8 @@ def _counts() -> dict | None:
 
 def _collect(procs: list, reports: list[Connection], abort_evt,
              records: dict[int, tuple]) -> None:
-    """Read every rank's record off its report pipe into ``records``.  A
-    rank that dies without one (``os.kill``, a segfault) is a
-    ``WorkerDied`` failure and trips the abort flag for its peers."""
+    """Read every rank's record off its report pipe into ``records``; a
+    rank dead without one is a ``WorkerDied`` and aborts its peers."""
     waiting = {p.sentinel: rank for rank, p in enumerate(procs)}
     waiting.update((conn, rank) for rank, conn in enumerate(reports))
     while len(records) < len(procs):
@@ -413,12 +405,10 @@ def _collect(procs: list, reports: list[Connection], abort_evt,
             if rank in records:
                 continue
             conn = reports[rank]
-            try:
+            with contextlib.suppress(EOFError, OSError):
                 if ready is conn or conn.poll():
                     records[rank] = pickle.loads(conn.recv_bytes())
                     continue
-            except (EOFError, OSError):
-                pass
             abort_evt.set()
             procs[rank].join(timeout=_DEATH_GRACE)
             reason = (f"rank {rank} worker process died with exit code "
@@ -427,6 +417,22 @@ def _collect(procs: list, reports: list[Connection], abort_evt,
                 "err", rank, "WorkerDied", reason,
                 f"WorkerDied: {reason} (killed or segfaulted; no "
                 f"Python traceback exists)", None, None)
+
+
+def _open_pipes(ctx, nprocs: int) -> tuple[dict, list]:
+    """A pipe per ordered pair of ranks and a report pipe per rank.  With
+    a sentinel pair per rank the launcher holds 2·P·(P+2) descriptors
+    while it forks (4 800 at P = 48): a soft limit below that is raised."""
+    need = 2 * nprocs * (nprocs + 2) + len(os.listdir("/dev/fd")) + 2
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft < need:
+        if hard < need:
+            raise MPIError(f"an mp world of {nprocs} ranks needs {need} file "
+                           f"descriptors, over the hard limit of {hard}")
+        resource.setrlimit(resource.RLIMIT_NOFILE, (need, hard))
+    links = {pair: ctx.Pipe(duplex=False)
+             for pair in itertools.product(range(nprocs), repeat=2)}
+    return links, [ctx.Pipe(duplex=False) for _ in range(nprocs)]
 
 
 class MPBackend(ExecBackend):
@@ -456,9 +462,7 @@ class MPBackend(ExecBackend):
 
         ctx = multiprocessing.get_context("fork")
         _shm.sweep_orphans()
-        links = {pair: ctx.Pipe(duplex=False)
-                 for pair in itertools.product(range(nprocs), repeat=2)}
-        reports = [ctx.Pipe(duplex=False) for _ in range(nprocs)]
+        links, reports = _open_pipes(ctx, nprocs)
         abort_evt = ctx.Event()
         fault_base = _counts()
         trace_ctx = _obs.current_context() if _obs.on else None

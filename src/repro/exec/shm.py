@@ -18,15 +18,16 @@ sender unmaps right after packing; the receiver unlinks the name as soon
 as it has mapped it, so the kernel frees the pages when the
 reconstructed arrays die (they keep the mapping alive: ndarray ->
 memoryview -> mmap).  Descriptors are closed once mapped.  No segment is
-registered with ``multiprocessing``'s resource tracker, and none is
-started.
+registered with ``multiprocessing``'s resource tracker.
 
 A segment whose consumer never comes is found by name: the ranks of one
 world name theirs under one prefix, ``repro-<launcher pid>-<world>-``
 (the ``names`` iterator the encoders take).  :func:`sweep` unlinks what
 is left under it when the world is torn down; :func:`sweep_orphans`,
-run before every world starts, unlinks the segments of launchers that
-no longer exist — the backstop for a killed launcher.
+run before every world starts, unlinks the segments of launchers whose
+pid no longer exists — the backstop for a killed launcher.  Hence
+``/dev/shm`` must not be shared with another pid namespace (a container
+run with ``--ipc=host``): its live launchers would look dead.
 """
 
 from __future__ import annotations
@@ -122,18 +123,14 @@ def sweep_orphans() -> None:
     """Unlink the segments (``repro-<pid>-...``) of launchers that no
     longer exist, killed before their own :func:`sweep` ran."""
     for name in _listing():
-        tag, _, rest = name.partition("-")
-        pid = rest.partition("-")[0]
-        if tag == "repro" and pid.isdigit() and not _alive(int(pid)):
-            _unlink(name)
-
-
-def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-        return True
-    except OSError as exc:  # EPERM: another user's process
-        return not isinstance(exc, ProcessLookupError)
+        pid = name.split("-")[1] if name.startswith("repro-") else ""
+        if pid.isdigit():
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                _unlink(name)
+            except PermissionError:  # another user's live process
+                pass
 
 
 # ---------------------------------------------------------------- blobs

@@ -9,6 +9,7 @@ rank starts a thread, the sanitizer's warning.
 """
 
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -16,9 +17,12 @@ import threading
 import time
 import warnings
 
+from multiprocessing import resource_tracker
+
 import numpy as np
 import pytest
 
+from repro.errors import MPIError
 from repro.mpi import Op, ZERO_COST, mpirun, sanitizer
 from repro.mpi.launcher import RankFailure
 from tests.mpi.test_comm import _within
@@ -363,8 +367,9 @@ def test_ranks_of_a_killed_launcher_leave_the_world(tmp_path):
 
 
 def test_a_rank_starts_no_helper_thread():
-    """In-band and segment sends start no thread in the sending rank,
-    and the world leaves no segment behind."""
+    """In-band and segment sends start no thread in the sending rank, the
+    launcher starts no resource-tracker process, and the world leaves no
+    segment behind."""
     def main(comm):
         peer = 1 - comm.rank
         comm.isend(np.ones(16), peer)
@@ -376,7 +381,44 @@ def test_a_rank_starts_no_helper_thread():
 
     before = _shm_listing()
     assert run(2, main) == [1, 1]
+    assert resource_tracker._resource_tracker._pid is None
     assert _shm_listing() == before
+
+
+# ------------------------------------------------------------- wide worlds
+WIDE = """
+import resource
+from repro.mpi import Op, ZERO_COST, mpirun
+
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (1024, hard))
+
+def main(comm):
+    comm.isend(comm.rank, (comm.rank + 1) % comm.size)
+    return comm.allreduce(comm.recv((comm.rank - 1) % comm.size), Op.SUM)
+
+print(set(mpirun(48, main, machine=ZERO_COST, backend="mp")))
+"""
+
+
+def test_a_48_rank_world_runs_under_a_soft_limit_of_1024_descriptors():
+    """The launcher holds 2·48·50 descriptors while it forks the 48
+    ranks Figs 8 and 9 run: it raises a soft limit of 1 024 itself."""
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[1] < 8192:
+        pytest.skip("the hard descriptor limit is below a 48-rank world's")
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    out = subprocess.run(
+        [sys.executable, "-c", WIDE], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str({sum(range(48))})
+
+
+def test_a_world_over_the_hard_descriptor_limit_fails_before_forking(
+        monkeypatch):
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (64, 64))
+    with pytest.raises(MPIError, match="over the hard limit of 64"):
+        run(8, lambda comm: None)
 
 
 # ------------------------------------------------------------------ sanitizer

@@ -3,6 +3,7 @@
 splitting, and failure propagation."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -367,6 +368,22 @@ def test_two_thousand_small_sends_before_any_receive(run):
     out = _within(60, run, 2, main)
     assert out == [[(1, i) for i in range(2000)],
                    [(0, i) for i in range(2000)]]
+
+
+def test_sends_to_a_rank_that_has_returned_are_dropped(run):
+    """Rank 0 returns at once; rank 1 then sends it more than a pipe
+    holds, in-band and in a segment.  Rank 0 never receives any of it,
+    which is no failure: the world ends normally on every backend."""
+    def main(comm):
+        if comm.rank == 0:
+            return "returned"
+        time.sleep(0.2)                 # rank 0 has long returned
+        for i in range(4):
+            comm.isend(np.full(100 * 1024 // 8, float(i)), dest=0)
+        comm.isend(np.ones(1 << 17), dest=0)
+        return "sent"
+
+    assert _within(60, run, 2, main) == ["returned", "sent"]
 
 
 # ---------------------------------------------------------------- failures
