@@ -8,6 +8,7 @@ and the ratio-2 refinement hierarchy follows the thin structures (Fig 4).
 import time
 
 from repro.bench import run_fig3_fig4, save_json, save_report
+from repro.util.options import fast_mode
 
 
 def test_fig3_fig4_flame_evolution(benchmark):
@@ -40,3 +41,6 @@ def test_fig3_fig4_flame_evolution(benchmark):
     # the hierarchy refines the fronts throughout
     assert result["refined"]
     assert snaps[-1]["cells"] > snaps[-1]["census"][0][2]
+    if not fast_mode():
+        # 60 us: the hot spots have ignited (0-D delay at 1 400 K: ~20 us)
+        assert snaps[-1]["T_max"] > 2000.0

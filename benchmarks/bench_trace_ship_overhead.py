@@ -15,8 +15,8 @@ import time
 
 import repro.obs as obs
 from repro.bench import save_json, save_report
-from repro.bench.backends import _workload
 from repro.bench.reporting import format_table
+from repro.bench.scaling import scaling_case
 from repro.mpi import ZERO_COST, mpirun
 from repro.obs import trace
 from repro.util.options import fast_mode
@@ -42,7 +42,10 @@ def _traced_run(main, ship: bool) -> tuple[float, int]:
 def run_ship_overhead(fast: bool | None = None, rounds: int = 3):
     fast = fast_mode() if fast is None else fast
     nx, n_steps = (16, 2) if fast else (32, 4)
-    main = _workload(nx, n_steps)
+
+    def main(comm):
+        return scaling_case(comm, nx, nx, n_steps)["T_max"]
+
     _traced_run(main, ship=False)        # warm-up
     off: list[float] = []
     on: list[float] = []

@@ -16,6 +16,7 @@ import numpy as np
 from repro.cca.component import Component, Param
 from repro.cca.framework import Framework
 from repro.cca.ports.go import GoPort
+from repro.mpi.comm import Op
 from repro.obs import trace as _trace
 from repro.components import (
     CvodeComponent,
@@ -51,6 +52,14 @@ class ReactionDiffusionDriver(Component):
     budget), ``regrid_interval`` (0 = adaptivity off), ``chemistry_on``
     (default 1), ``initial_regrids``; plus the checkpoint/restart set
     read by :class:`repro.resilience.hooks.CheckpointHook`.
+
+    ``run`` records one *frame* through ``stats`` after set-up (t = 0,
+    after the initial regrids; not again on a resumed run, whose frames
+    come back with the Statistics checkpoint) and after every step.  A
+    frame is the series ``T_min``, ``T_max``, ``ncells``, ``nlevels``
+    and ``cells_L<k>`` / ``patches_L<k>`` for every ``k <
+    max_levels`` (0 for a level that does not exist), so every series
+    is indexed by the same frame number; frame ``n`` is step ``n``.
     """
 
     PARAMS = (
@@ -106,6 +115,8 @@ class ReactionDiffusionDriver(Component):
             # adopt() swapped the DataObjects
             dobj = services.ports.data.data("flow")
             h = services.ports.mesh.hierarchy()
+        else:
+            self._record_frame(t, dobj, h)
         for step in range(start_step + 1, n_steps + 1):
             # driver.step spans are the flamegraph roots the sampling
             # profiler attributes component time under
@@ -121,20 +132,39 @@ class ReactionDiffusionDriver(Component):
                 t += dt
                 if regrid_interval and step % regrid_interval == 0:
                     services.ports.regrid.regrid()
-                services.ports.stats.record("T_max", t, dobj.max_norm(
-                    comm=services.get_comm(), k=0))
-                services.ports.stats.record("ncells", t,
-                                            float(h.total_cells()))
+                self._record_frame(t, dobj, h)
                 hook.after_step(step, t)
 
+        history = services.ports.stats.series("T_max")
         return {
             "t_final": t,
             "n_steps": n_steps,
-            "T_max": dobj.max_norm(comm=services.get_comm(), k=0),
+            "T_max": history[-1][1],
             "nlevels": h.nlevels,
             "total_cells": h.total_cells(),
-            "history_T_max": services.ports.stats.series("T_max"),
+            "history_T_max": history[1:],
         }
+
+    def _record_frame(self, t: float, dobj, h) -> None:
+        """One frame: the T range in one ``Op.MAX`` reduction of
+        ``[T_max, -T_min]``, then the hierarchy census."""
+        lo, hi = np.inf, -np.inf
+        for patch in dobj.owned_patches():
+            T = dobj.interior(patch)[0]
+            lo, hi = min(lo, float(T.min())), max(hi, float(T.max()))
+        comm = self.services.get_comm()
+        if comm is not None:
+            hi, lo = comm.allreduce(np.array([hi, -lo]), op=Op.MAX)
+            lo = -lo
+        record = self.services.ports.stats.record
+        record("T_min", t, lo)
+        record("T_max", t, hi)
+        record("ncells", t, h.total_cells())
+        record("nlevels", t, h.nlevels)
+        for k in range(h.max_levels):
+            patches = h.levels[k].patches if k < h.nlevels else ()
+            record(f"cells_L{k}", t, sum(p.box.size for p in patches))
+            record(f"patches_L{k}", t, len(patches))
 
 
 RD_COMPONENTS = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import run_reaction_diffusion, run_shock_interface
+from repro.apps.reaction_diffusion import build_reaction_diffusion
 from repro.apps.shock_interface import build_shock_interface
 from repro.cca import Framework
 from repro.mpi import ZERO_COST, CPLANT, mpirun
@@ -85,17 +86,27 @@ def test_shock_amr_fields_do_not_depend_on_the_decomposition(nprocs, backend):
         assert np.array_equal(serial, parallel, equal_nan=True)
 
 
-def test_reaction_diffusion_four_ranks():
-    def main(comm):
-        res = run_reaction_diffusion(
-            comm=comm, nx=16, ny=16, max_levels=1, n_steps=2, dt=1e-7)
-        return res["T_max"]
+def _reaction_diffusion_frames(comm=None):
+    fw = Framework(comm=comm)
+    build_reaction_diffusion(fw, nx=16, ny=16, max_levels=1, n_steps=2,
+                             dt=1e-7)
+    res = fw.go("Driver")
+    stats = fw.get_component("Statistics").stats
+    return res["T_max"], {k: stats.series(k) for k in stats.summary()}
 
-    ser = run_reaction_diffusion(nx=16, ny=16, max_levels=1, n_steps=2,
-                                 dt=1e-7)
-    par = mpirun(4, main, machine=ZERO_COST)
-    for t in par:
-        assert t == pytest.approx(ser["T_max"], rel=1e-10)
+
+def test_reaction_diffusion_four_ranks():
+    """Every rank gets the serial run's T_max and frames: the T range is
+    reduced across ranks and the cell census is global (patch counts
+    follow the decomposition)."""
+    ser_T, ser_frames = _reaction_diffusion_frames()
+    par = mpirun(4, _reaction_diffusion_frames, machine=ZERO_COST)
+    for t, frames in par:
+        assert t == pytest.approx(ser_T, rel=1e-10)
+        assert frames.keys() == ser_frames.keys()
+        for key, pts in ser_frames.items():
+            if not key.startswith("patches_"):
+                np.testing.assert_allclose(frames[key], pts, rtol=1e-10)
 
 
 def test_virtual_time_sane_under_cplant_model():
