@@ -7,9 +7,20 @@ the tracer's flag check.  This bench measures both claims on the Table 4
 component-path serial workload (per-cell stiff CVode integrations
 through CCA ports) and writes its numbers into the ``BENCH_`` trajectory
 so the regression gate watches the profiler's own cost over time.
+
+The overhead is counted, not a difference of two wall clocks: what the
+armed profiler adds to a pass is its sampling rounds, each holding the
+interpreter while it snapshots the stacks.  The rounds of every armed
+pass are counted and each one is timed; the overhead is the count times
+the median round's cost over the median bare pass.  (A best-of-3
+wall-clock A/B of sub-second passes read anything from -8 % to +28 % on
+a shared 2-core host, whatever the code.)  The walls of the alternating
+bare and armed passes are still reported beside it.
 """
 
 import os
+import statistics
+import time
 
 import repro.obs.profiler as profiler
 from repro.bench import run_serial_workload, save_json, save_report
@@ -17,20 +28,39 @@ from repro.bench.reporting import format_table
 
 
 def run_overhead(repeats: int = 3):
-    """Interleave bare and profiled passes (so drift hits both equally);
-    compare best-of-N wall times."""
+    """Alternate bare and profiled passes (so drift hits both equally),
+    timing every sampling round of the profiled ones."""
     baseline: list[float] = []
     sampled: list[float] = []
+    rounds: list[float] = []
+    sample_once = profiler.SamplingProfiler._sample_once
+
+    def timed(self) -> None:
+        t0 = time.perf_counter()
+        try:
+            sample_once(self)
+        finally:
+            rounds.append(time.perf_counter() - t0)
+
     run_serial_workload()          # warm-up: imports, JIT-ish numpy paths
-    for _ in range(repeats):
-        baseline.append(run_serial_workload())
-        with profiler.profiling() as prof:
-            sampled.append(run_serial_workload())
-    overhead_pct = 100.0 * (min(sampled) / min(baseline) - 1.0)
+    profiler.SamplingProfiler._sample_once = timed
+    try:
+        ticks = 0
+        for _ in range(repeats):
+            baseline.append(run_serial_workload())
+            with profiler.profiling() as prof:
+                sampled.append(run_serial_workload())
+            ticks += prof.ticks
+    finally:
+        profiler.SamplingProfiler._sample_once = sample_once
+    round_cost = statistics.median(rounds) if rounds else 0.0
+    bare = statistics.median(baseline)
+    overhead_pct = 100.0 * ticks * round_cost / (repeats * bare)
     return {
         "baseline": baseline,
         "sampled": sampled,
         "overhead_pct": overhead_pct,
+        "round_cost": round_cost,
         "interval": prof.interval,
         "ticks": prof.ticks,
         "samples": prof.samples_taken,
@@ -41,14 +71,16 @@ def run_overhead(repeats: int = 3):
 def test_profiler_overhead_single_digit(benchmark):
     result = benchmark.pedantic(run_overhead, rounds=1, iterations=1)
     prof = result["profiler"]
-    rows = [["bare", min(result["baseline"])],
-            ["sampling armed", min(result["sampled"])]]
+    rows = [["bare", statistics.median(result["baseline"])],
+            ["sampling armed", statistics.median(result["sampled"])]]
     report = format_table(
-        ["variant", "best wall [s]"], rows,
+        ["variant", "median wall [s]"], rows,
         title=(f"Sampling-profiler overhead on the Table 4 serial "
                f"workload (interval {result['interval'] * 1e3:.1f} ms)"))
     report += (f"\noverhead: {result['overhead_pct']:+.2f}%  "
-               f"(claim: <= 5%)\n\n" + prof.report())
+               f"(sampling rounds x {result['round_cost'] * 1e6:.0f} us "
+               f"each over the bare pass; claim: <= 5%)\n\n"
+               + prof.report())
     path = save_report("profiler_overhead", report)
     bench_dir = os.environ.get(
         "REPRO_BENCH_DIR", os.path.join(os.getcwd(), "bench_results"))
@@ -59,6 +91,7 @@ def test_profiler_overhead_single_digit(benchmark):
         "baseline_best": min(result["baseline"]),
         "sampled_best": min(result["sampled"]),
         "overhead_pct": result["overhead_pct"],
+        "round_cost": result["round_cost"],
         "interval": result["interval"],
         "ticks": result["ticks"],
         "samples": result["samples"],
@@ -77,7 +110,8 @@ def test_profiler_overhead_single_digit(benchmark):
     assert result["samples"] > 0
     assert prof.folded("frames")
     # the headline claim: single-digit-percent overhead at the default
-    # interval on a CPU-bound serial workload
+    # interval on a CPU-bound serial workload (counted rounds x their
+    # measured cost)
     assert result["overhead_pct"] <= 5.0
     # off means off: no module-level sampler left running
     assert profiler.on is False

@@ -3,16 +3,29 @@
 ISSUE 10's tentpole makes a traced ``backend="mp"`` run ship every
 worker's span buffers, metrics snapshot and profiler samples back
 through the result queue.  The claim: folding a 4-rank trace home costs
-single-digit percent of the run.  This bench times the same traced
+single-digit percent of the run.  This bench runs the same traced
 reaction-diffusion run with shipping armed (the default) and with the
 ``REPRO_OBS_SHIP=0`` kill switch, interleaved so host drift hits both
-sides equally, and writes the ratio into the ``BENCH_`` trajectory so
+sides equally, and writes the overhead into the ``BENCH_`` trajectory so
 the regression gate watches shipping cost over time.
+
+The overhead is measured where shipping spends it, not as a difference
+of two wall clocks (a best-of-3 of a 0.15 s four-process run read -11 %
+… +11 % on a shared 2-core host, whatever the code): every armed run
+times each rank's drain of its buffers (``_ship_obs``, in the worker,
+written to a shared page by rank) and the parent's fold
+(``_fold_obs``).  A run's shipping cost is its slowest rank's drain plus
+the fold; the overhead is the median run's cost over the median wall of
+the unarmed runs.
 """
 
+import mmap
 import os
+import statistics
+import struct
 import time
 
+import repro.exec.mp as _mp
 import repro.obs as obs
 from repro.bench import save_json, save_report
 from repro.bench.reporting import format_table
@@ -46,15 +59,44 @@ def run_ship_overhead(fast: bool | None = None, rounds: int = 3):
     def main(comm):
         return scaling_case(comm, nx, nx, n_steps)["T_max"]
 
+    # each rank's drain seconds, in a page the forked workers share
+    drains = mmap.mmap(-1, 8 * NPROCS)
+    folds: list[float] = []
+    ship, fold = _mp._ship_obs, _mp._fold_obs
+
+    def timed_ship(rank, names):
+        t0 = time.perf_counter()
+        try:
+            return ship(rank, names)
+        finally:
+            struct.pack_into("d", drains, 8 * rank,
+                             time.perf_counter() - t0)
+
+    def timed_fold(records):
+        t0 = time.perf_counter()
+        try:
+            return fold(records)
+        finally:
+            folds.append(time.perf_counter() - t0)
+
     _traced_run(main, ship=False)        # warm-up
     off: list[float] = []
     on: list[float] = []
+    costs: list[float] = []
     ranks_on = 0
-    for _ in range(rounds):
-        off.append(_traced_run(main, ship=False)[0])
-        wall, ranks_on = _traced_run(main, ship=True)
-        on.append(wall)
-    overhead_pct = 100.0 * (min(on) / min(off) - 1.0)
+    _mp._ship_obs, _mp._fold_obs = timed_ship, timed_fold
+    try:
+        for _ in range(rounds):
+            off.append(_traced_run(main, ship=False)[0])
+            wall, ranks_on = _traced_run(main, ship=True)
+            on.append(wall)
+            costs.append(max(struct.unpack_from(f"{NPROCS}d", drains))
+                         + folds[-1])
+    finally:
+        _mp._ship_obs, _mp._fold_obs = ship, fold
+        drains.close()
+    ship_cost = statistics.median(costs)
+    overhead_pct = 100.0 * ship_cost / statistics.median(off)
     return {
         "workload": {"app": "reaction_diffusion", "nx": nx, "ny": nx,
                      "n_steps": n_steps, "nprocs": NPROCS,
@@ -62,6 +104,7 @@ def run_ship_overhead(fast: bool | None = None, rounds: int = 3):
         "ship_off": off,
         "ship_on": on,
         "ranks_shipped": ranks_on,
+        "ship_cost": ship_cost,
         "overhead_pct": overhead_pct,
     }
 
@@ -69,16 +112,18 @@ def run_ship_overhead(fast: bool | None = None, rounds: int = 3):
 def test_trace_ship_overhead_single_digit(benchmark):
     result = benchmark.pedantic(run_ship_overhead, rounds=1,
                                 iterations=1)
-    rows = [["ship off (REPRO_OBS_SHIP=0)", min(result["ship_off"])],
-            ["ship on  (default)", min(result["ship_on"])]]
+    rows = [["ship off (REPRO_OBS_SHIP=0)",
+             statistics.median(result["ship_off"])],
+            ["ship on  (default)", statistics.median(result["ship_on"])]]
     w = result["workload"]
     report = format_table(
-        ["variant", "best wall [s]"], rows,
+        ["variant", "median wall [s]"], rows,
         title=(f"worker trace shipping — reaction-diffusion "
                f"{w['nx']}x{w['ny']}, {w['n_steps']} steps, "
                f"{w['nprocs']} mp ranks"))
     report += (f"\noverhead: {result['overhead_pct']:+.2f}%  "
-               f"(claim: <= 5%)\n")
+               f"(slowest drain + fold, "
+               f"{result['ship_cost'] * 1e3:.2f} ms; claim: <= 5%)\n")
     path = save_report("trace_ship_overhead", report)
     json_path = save_json("trace_ship_overhead", {
         "bench": "trace_ship_overhead",
@@ -86,6 +131,7 @@ def test_trace_ship_overhead_single_digit(benchmark):
         "ship_off_best": min(result["ship_off"]),
         "ship_on_best": min(result["ship_on"]),
         "ranks_shipped": result["ranks_shipped"],
+        "ship_cost": result["ship_cost"],
         "overhead_pct": result["overhead_pct"],
     }, metrics={
         # trajectory KPIs (lower = better); overhead_pct shifted +100
@@ -97,5 +143,6 @@ def test_trace_ship_overhead_single_digit(benchmark):
     benchmark.extra_info["json"] = json_path
     # shipping actually happened on the armed side
     assert result["ranks_shipped"] == NPROCS
-    # the headline claim: folding 4 ranks home costs <= 5%
-    assert result["overhead_pct"] <= 5.0
+    # the headline claim: folding 4 ranks home costs <= 5% (the
+    # measured drain and fold over the unarmed run)
+    assert 0.0 < result["overhead_pct"] <= 5.0

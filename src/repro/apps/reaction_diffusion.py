@@ -53,13 +53,14 @@ class ReactionDiffusionDriver(Component):
     (default 1), ``initial_regrids``; plus the checkpoint/restart set
     read by :class:`repro.resilience.hooks.CheckpointHook`.
 
-    ``run`` records one *frame* through ``stats`` after set-up (t = 0,
-    after the initial regrids; not again on a resumed run, whose frames
-    come back with the Statistics checkpoint) and after every step.  A
-    frame is the series ``T_min``, ``T_max``, ``ncells``, ``nlevels``
-    and ``cells_L<k>`` / ``patches_L<k>`` for every ``k <
-    max_levels`` (0 for a level that does not exist), so every series
-    is indexed by the same frame number; frame ``n`` is step ``n``.
+    ``run`` takes one *frame* after set-up (t = 0, after the initial
+    regrids; not again on a resumed run, whose frames come back with the
+    Statistics checkpoint) and after every step.  A frame is the series
+    ``T_min``, ``T_max``, ``ncells``, ``nlevels`` and ``cells_L<k>`` /
+    ``patches_L<k>`` for every ``k < max_levels`` (0 for a level that
+    does not exist); frame ``n`` is step ``n``.  Frames are recorded
+    through ``stats`` before a checkpoint and at the end of the run, their
+    T ranges reduced in one ``Op.MAX`` allreduce of an ``(n, 2)`` array.
     """
 
     PARAMS = (
@@ -107,7 +108,7 @@ class ReactionDiffusionDriver(Component):
             for lev in range(h.nlevels):
                 services.ports.data.exchange_ghosts("flow", lev)
 
-        t, start_step = 0.0, 0
+        t, start_step, frames = 0.0, 0, []
         hook = CheckpointHook(services)
         resumed = hook.resume()
         if resumed is not None:
@@ -116,7 +117,7 @@ class ReactionDiffusionDriver(Component):
             dobj = services.ports.data.data("flow")
             h = services.ports.mesh.hierarchy()
         else:
-            self._record_frame(t, dobj, h)
+            frames.append(_frame(t, dobj, h))
         for step in range(start_step + 1, n_steps + 1):
             # driver.step spans are the flamegraph roots the sampling
             # profiler attributes component time under
@@ -132,8 +133,11 @@ class ReactionDiffusionDriver(Component):
                 t += dt
                 if regrid_interval and step % regrid_interval == 0:
                     services.ports.regrid.regrid()
-                self._record_frame(t, dobj, h)
+                frames.append(_frame(t, dobj, h))
+                if hook.saves(step):
+                    self._record_frames(frames)
                 hook.after_step(step, t)
+        self._record_frames(frames)
 
         history = services.ports.stats.series("T_max")
         return {
@@ -145,26 +149,35 @@ class ReactionDiffusionDriver(Component):
             "history_T_max": history[1:],
         }
 
-    def _record_frame(self, t: float, dobj, h) -> None:
-        """One frame: the T range in one ``Op.MAX`` reduction of
-        ``[T_max, -T_min]``, then the hierarchy census."""
-        lo, hi = np.inf, -np.inf
-        for patch in dobj.owned_patches():
-            T = dobj.interior(patch)[0]
-            lo, hi = min(lo, float(T.min())), max(hi, float(T.max()))
+    def _record_frames(self, frames: list) -> None:
+        """Reduce, record and drop the pending frames."""
+        if not frames:
+            return
+        ranges = np.array([frame[1] for frame in frames])
         comm = self.services.get_comm()
         if comm is not None:
-            hi, lo = comm.allreduce(np.array([hi, -lo]), op=Op.MAX)
-            lo = -lo
+            ranges = comm.allreduce(ranges, op=Op.MAX)
         record = self.services.ports.stats.record
-        record("T_min", t, lo)
-        record("T_max", t, hi)
-        record("ncells", t, h.total_cells())
-        record("nlevels", t, h.nlevels)
-        for k in range(h.max_levels):
-            patches = h.levels[k].patches if k < h.nlevels else ()
-            record(f"cells_L{k}", t, sum(p.box.size for p in patches))
-            record(f"patches_L{k}", t, len(patches))
+        for (t, _, census), (hi, neg_lo) in zip(frames, ranges):
+            record("T_min", t, -neg_lo)
+            record("T_max", t, hi)
+            for key, value in census:
+                record(key, t, value)
+        frames.clear()
+
+
+def _frame(t: float, dobj, h) -> tuple:
+    """``(t, this rank's [T_max, -T_min], [(series, value)] census)``."""
+    lo, hi = np.inf, -np.inf
+    for patch in dobj.owned_patches():
+        T = dobj.interior(patch)[0]
+        lo, hi = min(lo, float(T.min())), max(hi, float(T.max()))
+    census = [("ncells", h.total_cells()), ("nlevels", h.nlevels)]
+    for k in range(h.max_levels):
+        patches = h.levels[k].patches if k < h.nlevels else ()
+        census += [(f"cells_L{k}", sum(p.box.size for p in patches)),
+                   (f"patches_L{k}", len(patches))]
+    return t, [hi, -lo], census
 
 
 RD_COMPONENTS = [
@@ -246,8 +259,7 @@ def build_reaction_diffusion(
     fc("DiffusionPhysics", "mesh", "AMR_Mesh", "mesh")
     fc("MaxDiffCoeff", "mesh", "AMR_Mesh", "mesh")
     fc("MaxDiffCoeff", "data", "AMR_Mesh", "data")
-    fc("MaxDiffCoeff", "transport", "DRFM", "transport")
-    fc("MaxDiffCoeff", "chem", "ReactionTerms", "chemistry")
+    fc("MaxDiffCoeff", "diffusivity", "DiffusionPhysics", "diffusivity")
     fc("ExplicitIntegrator", "rhs", "DiffusionPhysics", "rhs")
     fc("ExplicitIntegrator", "bound", "MaxDiffCoeff", "bound")
     fc("ExplicitIntegrator", "mesh", "AMR_Mesh", "mesh")

@@ -14,6 +14,7 @@ from repro.cca.ports.mesh import MeshPort, RegridPort
 from repro.cca.ports.dataobject import DataObjectPort
 from repro.cca.ports.integrator import IntegratorPort, ODESolverPort
 from repro.cca.ports.rhs import (
+    DiffusivityPort,
     JacobianPort,
     PatchRHSPort,
     SpectralBoundPort,
@@ -43,6 +44,7 @@ __all__ = [
     "VectorRHSPort",
     "JacobianPort",
     "SpectralBoundPort",
+    "DiffusivityPort",
     "BoundaryConditionPort",
     "InitialConditionPort",
     "VectorICPort",

@@ -41,10 +41,10 @@ class TransportPort(Port):
     several callers): a caller that wants a call to allocate nothing
     passes the memory in.  ``out`` is NumPy's ``out`` — the array the
     result is computed into and returned; without it the result is a
-    fresh array (a scalar for scalar input).  ``work`` is float scratch
-    of shape ``(k, *T.shape)`` with at least the stated number of rows,
-    whose contents are garbage afterwards.  Neither may overlap the
-    inputs.
+    fresh array (a scalar for scalar input).  It may not overlap the
+    inputs.  The stability bound is not asked of the provider: the
+    operator that evaluates these properties also forms the largest
+    diffusivity from them (:class:`~repro.cca.ports.rhs.DiffusivityPort`).
     """
 
     def diffusion_coefficients(self, T: np.ndarray, P: np.ndarray | float,
@@ -55,13 +55,6 @@ class TransportPort(Port):
     def conductivity(self, T: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
         """lambda [W/(m K)], shape ``T.shape``."""
-        raise NotImplementedError
-
-    def max_diffusion_coefficient(self, T: np.ndarray,
-                                  P: np.ndarray | float, Y: np.ndarray,
-                                  work: np.ndarray | None = None) -> float:
-        """Largest of the D_i and the thermal diffusivity over the cells
-        given; ``work`` 2 nsp + 2 rows."""
         raise NotImplementedError
 
 

@@ -4,7 +4,7 @@ Family (d): "Ports that accept an array from a patch" — RHS evaluation is
 patch-at-a-time, or over a list of patches whose kernel work is batched.
 Family (e): vector RHS for implicit integration.  Plus the
 eigenvalue-estimation port the explicit subsystem uses for dynamic
-time-step sizing.
+time-step sizing, and the diffusivity port it is computed from.
 """
 
 from __future__ import annotations
@@ -97,4 +97,15 @@ class SpectralBoundPort(Port):
     (``MaxDiffCoeffEvaluator`` provides this)."""
 
     def spectral_bound(self, t: float) -> float:
+        raise NotImplementedError
+
+
+class DiffusivityPort(Port):
+    """The largest diffusivity of a patch's state (``DiffusionPhysics``
+    provides this; ``MaxDiffCoeffEvaluator`` reduces it to the bound)."""
+
+    def max_diffusivity(self, patch: "Patch", interior: np.ndarray) -> float:
+        """``max(max_i D_i, λ/(ρ cp))`` over the patch's ``(nvar, nx,
+        ny)`` ``interior`` (T floored at 50 K, Y clipped at zero), from
+        the last evaluation's properties if it was at this state."""
         raise NotImplementedError

@@ -6,17 +6,23 @@ Evaluates ``K ∇·(B ∇Φ)`` of the paper's Eq. 3, patch by patch:
 Fickian species diffusion.  Face coefficients are arithmetic means of the
 cell-centered values; the stencil needs one ghost ring.
 
-Provides ``rhs`` (PatchRHSPort); uses ``transport`` and ``chem``.
+The same property pass gives the interior's largest diffusivity,
+``max(max_i D_i, λ/(ρ cp))``, kept with the interior until the patch's
+next evaluation: the stability bound of that state is read, not redone.
+
+Provides ``rhs`` (PatchRHSPort) and ``diffusivity`` (DiffusivityPort);
+uses ``transport``, ``chem`` and ``mesh``.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
 from repro.cca.component import Component
-from repro.cca.ports.rhs import PatchRHSPort
+from repro.cca.ports.rhs import DiffusivityPort, PatchRHSPort
 from repro.errors import CCAError
 from repro.util.arena import Arena
 
@@ -54,10 +60,10 @@ def _sweep(phi: np.ndarray, B: np.ndarray, h: float, axis: int,
     faces = phi[lo].shape
     flux, dphi = (row[:math.prod(faces)].reshape(faces) for row in work)
     np.add(B[hi], B[lo], out=flux)
-    flux *= 0.5
     np.subtract(phi[hi], phi[lo], out=dphi)
     flux *= dphi
-    flux /= h
+    # the face mean's 0.5 is exact, so it joins the 1/h: same bits
+    flux /= 2.0 * h
     np.subtract(flux[hi], flux[lo], out=out)
     out /= h
 
@@ -73,6 +79,14 @@ class _DiffusionRHS(PatchRHSPort):
         return self.owner.evaluate(patch, ghosted, out)
 
 
+class _Diffusivity(DiffusivityPort):
+    def __init__(self, owner: "DiffusionPhysics") -> None:
+        self.owner = owner
+
+    def max_diffusivity(self, patch, interior: np.ndarray) -> float:
+        return self.owner.max_diffusivity(patch, interior)
+
+
 class DiffusionPhysics(Component):
     """Diffusive RHS of the reaction-diffusion system (see module doc).
 
@@ -86,10 +100,13 @@ class DiffusionPhysics(Component):
     def set_services(self, services) -> None:
         self.services = services
         self._arena = Arena()
+        #: per live patch: (pressure, interior, largest diffusivity)
+        self._last = weakref.WeakKeyDictionary()
         services.register_uses_port("transport", "TransportPort")
         services.register_uses_port("chem", "ChemistryPort")
         services.register_uses_port("mesh", "MeshPort")
         services.add_provides_port(_DiffusionRHS(self), "rhs")
+        services.add_provides_port(_Diffusivity(self), "diffusivity")
 
     def evaluate(self, patch, ghosted: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -117,25 +134,60 @@ class DiffusionPhysics(Component):
         cells, faces = self._arena.carve(
             (2 * nvar + 1, NX, NY),
             (2, nvar * max((nx + 1) * ny, nx * (ny + 1))))
-        T, rho, Y, B = cells[0], cells[1], cells[2:nvar + 1], cells[nvar + 1:]
-        np.maximum(core[0], 50.0, out=T)
-        np.clip(core[1:], 0.0, None, out=Y)
         P = services.ports.chem.pressure()
-        mech.density(T, P, Y, out=rho, work=B[1:])
-        services.ports.transport.conductivity(T, out=B[0])
-        services.ports.transport.diffusion_coefficients(T, P, out=B[1:])
+        T, rho, Y, B = self._properties(core, cells, mech, P)
+        interior = (slice(1, -1), slice(1, -1))
+        d_max = B[(slice(1, None),) + interior].max()
         B[1:] *= rho
         _div_flux(core, B, dx, dy, out=out, work=faces)
-        interior = (slice(1, -1), slice(1, -1))
         rho_in = rho[interior]
         cp_work = faces.reshape(-1)[:nvar * 2 * nx * ny].reshape(
             2 * nvar, nx, ny)
         rho_cp = mech.cp_mass(T[interior], Y[(slice(None),) + interior],
                               out=cp_work[-1], work=cp_work)
         rho_cp *= rho_in
+        alpha = np.divide(B[(0,) + interior], rho_cp, out=cp_work[0])
+        kept = self._last.get(patch, (P, None))[1]
+        if kept is None or kept.shape != (nvar, nx, ny):
+            kept = np.empty((nvar, nx, ny))
+        np.copyto(kept, core[(slice(None),) + interior])
+        self._last[patch] = (P, kept, float(max(d_max, alpha.max())))
         out[0] /= rho_cp
         out[1:] /= rho_in
         return out
+
+    def max_diffusivity(self, patch, interior: np.ndarray) -> float:
+        """The largest diffusivity over ``interior`` (see module doc)."""
+        chem = self.services.ports.chem
+        mech, P = chem.mechanism(), chem.pressure()
+        last = self._last.get(patch)
+        if last is not None and last[0] == P and \
+                np.array_equal(last[1], interior):
+            return last[2]
+        nvar, shape = len(interior), interior.shape[1:]
+        cells, work = self._arena.carve((2 * nvar + 1,) + shape,
+                                        (2 * nvar,) + shape)
+        T, rho, Y, B = self._properties(interior, cells, mech, P)
+        rho_cp = mech.cp_mass(T, Y, out=work[-1, ...], work=work)
+        rho_cp *= rho
+        alpha = np.divide(B[0, ...], rho_cp, out=work[0, ...])
+        return float(max(B[1:].max(), alpha.max()))
+
+    def _properties(self, phi: np.ndarray, cells: np.ndarray, mech,
+                    P: float) -> tuple[np.ndarray, ...]:
+        """T (floored at 50 K), ρ, Y (clipped at 0) and ``B = [λ, D_1..
+        D_N]`` (not yet times ρ) of ``phi``'s cells, in ``cells``' rows."""
+        nvar = len(phi)
+        # ``[k, ...]`` is a view even of 0-d cells
+        T, rho = cells[0, ...], cells[1, ...]
+        Y, B = cells[2:nvar + 1], cells[nvar + 1:]
+        np.maximum(phi[0], 50.0, out=T)
+        np.clip(phi[1:], 0.0, None, out=Y)
+        mech.density(T, P, Y, out=rho, work=B[1:])
+        transport = self.services.ports.transport
+        transport.conductivity(T, out=B[0, ...])
+        transport.diffusion_coefficients(T, P, out=B[1:])
+        return T, rho, Y, B
 
     def _spacing(self, patch) -> tuple[float, float]:
         hierarchy = self.services.ports.mesh.hierarchy()

@@ -24,10 +24,6 @@ class _Transport(TransportPort):
     def conductivity(self, T, out=None):
         return self.owner.transport.conductivity(T, out=out)
 
-    def max_diffusion_coefficient(self, T, P, Y, work=None):
-        return self.owner.transport.max_diffusion_coefficient(T, P, Y,
-                                                              work=work)
-
 
 class DRFMComponent(Component):
     """Transport-property provider; uses ThermoChemistry for the species

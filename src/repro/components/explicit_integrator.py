@@ -5,10 +5,11 @@ Chebyshev integrator (ExplicitIntegrator), a component to calculate the
 diffusion fluxes (DiffusionPhysics) ..."  (paper §4.2)
 
 The integrator packs all owned-patch interiors into one state vector,
-runs one RKC macro step (stage count from the connected
-SpectralBoundPort, reduced globally so every rank takes the same number of
-stages), exchanging ghosts before every stage RHS evaluation, and finally
-restricts fine levels onto coarse ones.
+evaluates the RHS at ``y_n`` (whose properties the bound's provider
+reuses), then takes one RKC macro step with the SpectralBoundPort's
+bound (reduced globally so every rank takes the same number of stages).
+Ghosts are exchanged before every stage, not after the step; fine
+levels are restricted onto coarse ones last.
 
 Provides ``integrator`` (IntegratorPort); uses ``rhs`` (PatchRHSPort),
 ``bound`` (SpectralBoundPort), ``mesh``, ``data``.
@@ -122,9 +123,6 @@ class ExplicitIntegrator(Component):
                 port: _RKCIntegrator) -> float:
         t0 = time.perf_counter() if _obs.on else 0.0
         nfe0 = port.nfe
-        rho = self.global_bound(t)
-        s = stages_for(dt, rho)
-        port.last_stages = s
         port.nsteps += 1
         services = self.services
         h = dobj.hierarchy
@@ -154,15 +152,18 @@ class ExplicitIntegrator(Component):
                                             out=f_part)
             return f
 
-        y1 = rkc_step(rhs_vec, t, y0, dt, rho, stages=s, work=stage_work)
+        rhs_vec(t, y0)  # into f0, before the bound that reads it
+        rho = self.global_bound(t)
+        s = stages_for(dt, rho)
+        port.last_stages = s
+        y1 = rkc_step(rhs_vec, t, y0, dt, rho, stages=s, work=stage_work,
+                      f0=f0)
         unpack_interiors(dobj, y1)
         comm = services.get_comm()
         if comm is not None:  # the step's compute, counted
             comm.charge("cell_stage", (port.nfe - nfe0) * (n // dobj.nvar))
         for lev in range(h.nlevels - 1, 0, -1):
             restrict_level(dobj, lev, comm=comm)
-            services.ports.data.exchange_ghosts(dobj.name, lev)
-        services.ports.data.exchange_ghosts(dobj.name, 0)
         if _obs.on:
             _obs.complete("rkc.advance", "integrator", t0,
                           dt=dt, stages=s, rho=rho, nfe=port.nfe - nfe0)

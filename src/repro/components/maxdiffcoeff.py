@@ -4,20 +4,19 @@
 evaluate the maximum diffusion coefficient over the domain to determine
 the maximum stable timestep."  (paper §4.2)
 
-Provides SpectralBoundPort; uses the mesh, the flame DataObject, the
-transport and chemistry ports.  The bound is
+Provides SpectralBoundPort; uses the mesh, the flame DataObject and the
+``diffusivity`` port of the operator (``DiffusionPhysics``), which
+answers for each owned patch from the properties of its last evaluation
+when the patch still holds that state.  The bound is
 ``4 * D_max * (1/dx^2 + 1/dy^2)`` on the finest level present, reduced
 globally over the cohort.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cca.component import Component, Param
 from repro.cca.ports.rhs import SpectralBoundPort
 from repro.integrators.spectral import gershgorin_diffusion
-from repro.util.arena import Arena
 
 
 class _Bound(SpectralBoundPort):
@@ -39,29 +38,20 @@ class MaxDiffCoeffEvaluator(Component):
 
     def set_services(self, services) -> None:
         self.services = services
-        self._arena = Arena()  # the property pass's scratch, all patches
         services.register_uses_port("mesh", "MeshPort")
         services.register_uses_port("data", "DataObjectPort")
-        services.register_uses_port("transport", "TransportPort")
-        services.register_uses_port("chem", "ChemistryPort")
+        services.register_uses_port("diffusivity", "DiffusivityPort")
         services.add_provides_port(_Bound(self), "bound")
 
     def evaluate(self) -> float:
         services = self.services
-        name = services.get_parameter("dataobject")
-        dobj = services.ports.data.data(name)
+        dobj = services.ports.data.data(services.get_parameter("dataobject"))
         h = services.ports.mesh.hierarchy()
-        P = services.ports.chem.pressure()
+        diffusivity = services.ports.diffusivity
         d_local = 0.0
         for patch in dobj.owned_patches():
-            arr = dobj.interior(patch)
-            nsp, cells = arr.shape[0] - 1, arr.shape[1:]
-            Y, work = self._arena.carve((nsp,) + cells,
-                                        (2 * nsp + 2,) + cells)
-            np.clip(arr[1:], 0.0, None, out=Y)
-            d_local = max(d_local,
-                          services.ports.transport.max_diffusion_coefficient(
-                              arr[0], P, Y, work=work))
+            d_local = max(d_local, diffusivity.max_diffusivity(
+                patch, dobj.interior(patch)))
         comm = services.get_comm()
         if comm is not None and comm.size > 1:
             from repro.mpi.comm import Op

@@ -73,17 +73,19 @@ def _cheb_row(s: int, w0: float) -> tuple[list[float], list[float], list[float]]
 
 def rkc_step(rhs: RHS, t: float, y: np.ndarray, dt: float, rho: float,
              stages: int | None = None,
-             work: np.ndarray | None = None) -> np.ndarray:
+             work: np.ndarray | None = None,
+             f0: np.ndarray | None = None) -> np.ndarray:
     """One second-order RKC step from ``t`` to ``t + dt``.
 
     ``rho`` is an upper bound on the spectral radius of df/dy; ``stages``
-    overrides the automatic stage-count selection.
+    overrides the automatic stage-count selection; ``f0`` is the RHS at
+    ``(t, y)`` if the caller has it (else ``rhs`` is called there).
 
     The step computes in ``work``, a float array of shape
     ``(4,) + y.shape`` (a fresh one if not given), and returns a view of
     it.  ``y`` and the arrays ``rhs`` returns are only read.  Every stage
-    uses the RHS at ``y`` again, so the array the first call returned
-    must outlive the step; each later one is done with before ``rhs`` is
+    uses the RHS at ``y`` again, so that array (``f0`` or what the first
+    call returned) must outlive the step; each later one is done with before ``rhs`` is
     called again, so ``rhs`` may hand those back in one reused buffer.
     """
     s = stages if stages is not None else stages_for(dt, rho)
@@ -103,7 +105,8 @@ def rkc_step(rhs: RHS, t: float, y: np.ndarray, dt: float, rho: float,
         work = np.empty((4,) + np.shape(y))
     # one product at a time, and the three stage vectors in rotation
     term, *ring = (work[k, ...] for k in range(4))
-    f0 = rhs(t, y)
+    if f0 is None:
+        f0 = rhs(t, y)
     y_jm2 = y
     mu1_t = b[1] * w1
     y_jm1 = ring[0]

@@ -2,8 +2,8 @@
 
 The paper's ``DRFMComponent`` is "a thin C++ wrapper around the Fortran77
 DRFM package" (Paul, SAND98-8203) supplying mixture-averaged diffusion
-coefficients; ``MaxDiffCoeffEvaluator`` reduces them to the stability
-bound the RKC integrator needs.  We implement the same functional role
+coefficients; their largest, reduced by ``MaxDiffCoeffEvaluator``, is
+the stability bound the RKC integrator needs.  We implement the same functional role
 with kinetic-theory power-law correlations (documented substitution, see
 DESIGN.md).
 """

@@ -92,34 +92,3 @@ class MixtureTransport:
         lam = np.divide(T, _T_REF, out=out)
         lam = np.power(lam, _LAMBDA_EXPONENT, out=out)
         return np.multiply(_LAMBDA_REF, lam, out=out)
-
-    def thermal_diffusivity(self, T: np.ndarray, P: np.ndarray | float,
-                            Y: np.ndarray, out: np.ndarray | None = None,
-                            work: np.ndarray | None = None) -> np.ndarray:
-        """alpha = lambda / (rho cp) [m^2/s]; ``work`` 2 nsp + 1 rows."""
-        rows = 2 * self.mech.n_species
-        rho = self.mech.density(T, P, Y, work=work,
-                                out=None if work is None else work[rows, ...])
-        cp = self.mech.cp_mass(T, Y, out=out, work=work)
-        rho_cp = np.multiply(rho, cp, out=None if work is None else rho)
-        return np.divide(self.conductivity(T, out=out), rho_cp, out=out)
-
-    def max_diffusion_coefficient(self, T: np.ndarray,
-                                  P: np.ndarray | float, Y: np.ndarray,
-                                  work: np.ndarray | None = None) -> float:
-        """The domain-wide bound the ``MaxDiffCoeffEvaluator`` component
-        hands the RKC integrator: max over species diffusivities and the
-        thermal diffusivity; ``work`` 2 nsp + 2 rows.
-
-        Rounding is monotone, so the largest ``D_i`` is the largest
-        reference value times the largest scale — the same float as the
-        maximum of the ``(nsp, cells)`` products, without forming them.
-        """
-        rows = 2 * self.mech.n_species
-        alpha = self.thermal_diffusivity(
-            T, P, Y, work=work,
-            out=None if work is None else work[rows + 1, ...])
-        a_max = np.asarray(alpha).max()
-        scale = self._scale(np.asarray(T, dtype=float), P,
-                            None if work is None else work[rows, ...])
-        return float(max(self._d_ref.max() * np.asarray(scale).max(), a_max))

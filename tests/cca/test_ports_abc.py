@@ -12,6 +12,7 @@ from repro.cca.ports import (
     CharacteristicsPort,
     ChemistryPort,
     DataObjectPort,
+    DiffusivityPort,
     DPDtPort,
     FluxPort,
     GoPort,
@@ -34,7 +35,8 @@ from repro.cca.ports import (
 
 ALL_PORTS = [
     BoundaryConditionPort, CharacteristicsPort, ChemistryPort,
-    DataObjectPort, DPDtPort, FluxPort, GoPort, InitialConditionPort,
+    DataObjectPort, DiffusivityPort, DPDtPort, FluxPort, GoPort,
+    InitialConditionPort,
     IntegratorPort, JacobianPort, MeshPort, ODESolverPort, ParameterPort,
     PatchRHSPort,
     ProlongRestrictPort, RegridPort, SpectralBoundPort, StatesPort,

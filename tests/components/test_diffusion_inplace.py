@@ -22,6 +22,7 @@ from repro.mpi import ZERO_COST, mpirun
 from repro.transport import MixtureTransport
 
 from tests.components import reference_diffusion as ref
+from tests.components.test_diffusivity_bound import diffusivity_port, new_patch
 from tests.resilience.test_determinism import _flame_framework, _flame_state
 
 P0 = 101325.0
@@ -100,8 +101,7 @@ def test_thermo_and_transport_equal_the_reference(state):
         ("density", (T, P0, Y)), ("cp_mass", (T, Y))]}
     want.update({name: transport_ref(getattr(ref, name), transport, *args)
                  for name, args in [
-        ("conductivity", (T,)), ("diffusion_coefficients", (T, P0)),
-        ("thermal_diffusivity", (T, P0, Y))]})
+        ("conductivity", (T,)), ("diffusion_coefficients", (T, P0))]})
     for name in ("cp_R", "h_RT", "s_R", "g_RT"):
         same(nasa(mech, name, T), want[name])
     same(mech.cp_mass_species(T), want["cp_mass_species"])
@@ -111,8 +111,6 @@ def test_thermo_and_transport_equal_the_reference(state):
     same(transport.conductivity(T), want["conductivity"])
     same(transport.diffusion_coefficients(T, P0),
          want["diffusion_coefficients"])
-    same(transport.thermal_diffusivity(T, P0, Y),
-         want["thermal_diffusivity"])
 
     # the same calls computing into the caller's arrays
     species = np.full((n,) + T.shape, np.nan)
@@ -131,20 +129,21 @@ def test_thermo_and_transport_equal_the_reference(state):
             ("density",
              lambda: mech.density(T, P0, Y, out=cells, work=work)),
             ("cp_mass", lambda: mech.cp_mass(T, Y, out=cells, work=work)),
-            ("conductivity", lambda: transport.conductivity(T, out=cells)),
-            ("thermal_diffusivity",
-             lambda: transport.thermal_diffusivity(T, P0, Y, out=cells,
-                                                   work=work))]:
+            ("conductivity", lambda: transport.conductivity(T, out=cells))]:
         assert call() is cells
         assert np.array_equal(cells, want[name])
 
     if T.size:
-        bound = transport_ref(ref.max_diffusion_coefficient, transport,
-                              np.asarray(T).reshape(-1), P0,
-                              Y.reshape(n, -1))
-        assert transport.max_diffusion_coefficient(T, P0, Y) == bound
-        assert transport.max_diffusion_coefficient(T, P0, Y,
-                                                   work=work) == bound
+        # the stability bound's diffusivity, through the operator's port
+        # (the thermal diffusivity binds once the D_i are scaled down)
+        cells_in = (np.asarray(T).reshape(-1), P0, Y.reshape(n, -1))
+        state = np.concatenate([np.asarray(T)[None], Y])
+        port, _ = diffusivity_port(mech)
+        assert port.max_diffusivity(new_patch(), state) == \
+            transport_ref(ref.max_diffusion_coefficient, transport, *cells_in)
+        port, slow = diffusivity_port(mech, d_scale=1e-3)
+        assert port.max_diffusivity(new_patch(), state) == \
+            transport_ref(ref.thermal_diffusivity, slow, *cells_in).max()
 
 
 def test_a_cell_does_not_depend_on_the_cells_it_shares_a_call_with():
@@ -204,14 +203,17 @@ def test_python_floats_in_numpy_scalars_out():
             (H2_AIR.mean_weight(Y0), ref.mean_weight(H2_AIR, Y0)),
             (H2_AIR.cp_mass(1000.0, Y0), ref.cp_mass(H2_AIR, 1000.0, Y0)),
             (transport.conductivity(1000.0),
-             ref.conductivity(transport, 1000.0)),
-            (transport.thermal_diffusivity(1000.0, P0, Y0),
-             ref.thermal_diffusivity(transport, 1000.0, P0, Y0))]:
+             ref.conductivity(transport, 1000.0))]:
         assert isinstance(got, np.float64) and isinstance(want, np.float64)
         assert got == want
         float(got)
-    assert transport.max_diffusion_coefficient(1000.0, P0, Y0) == \
+    state = np.concatenate([[1000.0], Y0])
+    port, _ = diffusivity_port(H2_AIR)
+    assert port.max_diffusivity(new_patch(), state) == \
         ref.max_diffusion_coefficient(transport, 1000.0, P0, Y0)
+    port, slow = diffusivity_port(H2_AIR, d_scale=1e-3)
+    assert port.max_diffusivity(new_patch(), state) == \
+        ref.thermal_diffusivity(slow, 1000.0, P0, Y0)
 
 
 # --------------------------------------------------------- (c) aliasing
@@ -298,7 +300,7 @@ def test_two_frameworks_do_not_share_scratch():
     before = arena1._buffer.copy()
     port2.evaluate(0.0, b2, dobj2.array(b2))
     assert np.array_equal(arena1._buffer, before, equal_nan=True)
-    for name in ("DiffusionPhysics", "MaxDiffCoeff", "ExplicitIntegrator"):
+    for name in ("DiffusionPhysics", "ExplicitIntegrator"):
         mine = fw1.get_component(name)._arena
         theirs = fw2.get_component(name)._arena
         assert mine.size > 0

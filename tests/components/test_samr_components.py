@@ -44,8 +44,7 @@ def diffusion_stack(nx=16, max_levels=1, mechanism="h2-lite"):
       .connect("diff", "mesh", "mesh", "mesh")
       .connect("mdc", "mesh", "mesh", "mesh")
       .connect("mdc", "data", "mesh", "data")
-      .connect("mdc", "transport", "drfm", "transport")
-      .connect("mdc", "chem", "tc", "chemistry")
+      .connect("mdc", "diffusivity", "diff", "diffusivity")
       .connect("rkc", "rhs", "diff", "rhs")
       .connect("rkc", "bound", "mdc", "bound")
       .connect("rkc", "mesh", "mesh", "mesh")

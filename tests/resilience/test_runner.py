@@ -40,8 +40,7 @@ connect DiffusionPhysics chem ReactionTerms chemistry
 connect DiffusionPhysics mesh AMR_Mesh mesh
 connect MaxDiffCoeff mesh AMR_Mesh mesh
 connect MaxDiffCoeff data AMR_Mesh data
-connect MaxDiffCoeff transport DRFM transport
-connect MaxDiffCoeff chem ReactionTerms chemistry
+connect MaxDiffCoeff diffusivity DiffusionPhysics diffusivity
 connect ExplicitIntegrator rhs DiffusionPhysics rhs
 connect ExplicitIntegrator bound MaxDiffCoeff bound
 connect ExplicitIntegrator mesh AMR_Mesh mesh

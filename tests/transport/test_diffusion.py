@@ -8,6 +8,8 @@ from repro.chemistry.h2_air import stoichiometric_h2_air
 from repro.errors import ChemistryError
 from repro.transport import MixtureTransport
 
+from tests.components.test_diffusivity_bound import diffusivity_port, new_patch
+
 
 @pytest.fixture(scope="module")
 def tr():
@@ -57,15 +59,21 @@ def test_conductivity_monotone(tr):
 
 
 def test_thermal_diffusivity_magnitude(tr):
-    """Air-like alpha at 300 K, 1 atm is ~2.2e-5 m^2/s."""
+    """Air-like alpha = lambda / (rho cp) at 300 K, 1 atm is ~2.2e-5
+    m^2/s."""
     Y = stoich(tr.mech)
-    alpha = tr.thermal_diffusivity(300.0, 101325.0, Y)
+    alpha = tr.conductivity(300.0) / (tr.mech.density(300.0, 101325.0, Y)
+                                      * tr.mech.cp_mass(300.0, Y))
     assert 1e-5 < float(alpha) < 5e-5
 
 
 def test_max_diffusion_coefficient_dominated_by_H(tr):
+    """The stability bound's diffusivity (the diffusion operator's
+    ``DiffusivityPort``) is H's D at 1 000 K."""
     Y = stoich(tr.mech)
-    dmax = tr.max_diffusion_coefficient(1000.0, 101325.0, Y)
+    port, _ = diffusivity_port(tr.mech)
+    state = np.concatenate([[1000.0], Y])
+    dmax = port.max_diffusivity(new_patch(), state)
     iH = tr.mech.species_index("H")
     D = tr.diffusion_coefficients(1000.0, 101325.0)
     assert dmax == pytest.approx(float(D[iH]))
