@@ -18,13 +18,7 @@ series the paper reports via :mod:`repro.bench.reporting`.  ``REPRO_FAST``
 shapes under comparison are preserved.
 """
 
-from repro.bench import trajectory
-from repro.bench.backends import run_backend_ab
-from repro.bench.reporting import format_table, save_json, save_report
-from repro.bench.overhead import run_table4, run_serial_workload
-from repro.bench.scaling import run_table5, run_fig8, run_fig9
-from repro.bench.shock import run_fig6, run_fig7
-from repro.bench.flame import run_fig3_fig4
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "format_table",
@@ -41,3 +35,19 @@ __all__ = [
     "run_fig7",
     "run_fig3_fig4",
 ]
+
+# one harness loads only what it runs
+__getattr__, __dir__ = lazy_exports(__name__, {
+    **dict.fromkeys(("format_table", "save_json", "save_report"),
+                    "reporting"),
+    "trajectory": "trajectory",
+    "run_backend_ab": "backends",
+    "run_table4": "overhead",
+    "run_serial_workload": "overhead",
+    "run_table5": "scaling",
+    "run_fig8": "scaling",
+    "run_fig9": "scaling",
+    "run_fig6": "shock",
+    "run_fig7": "shock",
+    "run_fig3_fig4": "flame",
+})

@@ -20,17 +20,13 @@ exactly as the paper describes (§2):
 * SCMD parallelism (:mod:`repro.cca.scmd`): identical frameworks on every
   rank; the framework "lends out a properly scoped MPI communicator to
   any component" and provides no other message-passing services.
+
+Every name below is re-exported lazily: importing this package loads
+none of its modules, and a name loads the one that defines it when it
+is first asked for.
 """
 
-from repro.cca.port import Port
-from repro.cca.component import Component, Param
-from repro.cca.services import Services
-from repro.cca.framework import Framework, ComponentRegistry
-from repro.cca.builder import BuilderService
-from repro.cca.script import run_script, parse_script, parse_script_tolerant
-from repro.cca.scmd import run_scmd
-from repro.cca.graph import assembly_graph, to_dot, wiring_summary
-from repro.cca.profiling import Profiler, instrument
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "assembly_graph",
@@ -50,3 +46,22 @@ __all__ = [
     "parse_script",
     "run_scmd",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Port": "port",
+    "Component": "component",
+    "Param": "component",
+    "Services": "services",
+    "Framework": "framework",
+    "ComponentRegistry": "framework",
+    "BuilderService": "builder",
+    "run_script": "script",
+    "parse_script": "script",
+    "parse_script_tolerant": "script",
+    "run_scmd": "scmd",
+    "assembly_graph": "graph",
+    "to_dot": "graph",
+    "wiring_summary": "graph",
+    "Profiler": "profiling",
+    "instrument": "profiling",
+})

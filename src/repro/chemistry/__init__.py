@@ -34,10 +34,8 @@ from repro.chemistry.zerod import (
     ConstantPressureReactor,
     ConstantVolumeReactor,
 )
-from repro.chemistry.parser import parse_mechanism
 
 __all__ = [
-    "parse_mechanism",
     "Nasa7",
     "R_UNIVERSAL",
     "Species",

@@ -35,7 +35,6 @@ environment variable, else ``threads``.
 
 from __future__ import annotations
 
-import difflib
 import os
 from typing import Callable
 
@@ -79,6 +78,8 @@ def resolve_name(name: str | None = None) -> str:
     name = str(name).strip()
     if name in _FACTORIES:
         return name
+    import difflib
+
     near = difflib.get_close_matches(name, list(_FACTORIES), n=1, cutoff=0.6)
     hint = f" — did you mean {near[0]!r}?" if near else ""
     raise MPIError(

@@ -53,6 +53,7 @@ import pickle
 import resource
 import select
 import struct
+import sys
 import traceback
 import warnings
 from multiprocessing.connection import Connection, wait
@@ -65,7 +66,6 @@ from repro.mpi.comm import (WORLD_ID, Comm, _Message, _match,
                             _POLL_INTERVAL, _run_finish)
 from repro.mpi.perfmodel import MachineModel, LOCALHOST
 from repro.mpi import sanitizer as _tsan
-from repro.obs import profiler as _profiler
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_registry as _obs_registry
 from repro.resilience import faults as _faults
@@ -265,6 +265,14 @@ def _obs_ship_enabled() -> bool:
     return env_flag("REPRO_OBS_SHIP", True)
 
 
+def _armed_profiler():
+    """:mod:`repro.obs.profiler` when its sampler runs in this process,
+    else None.  Whoever starts a sampler imports the module, so one that
+    was never imported has none running."""
+    profiler = sys.modules.get("repro.obs.profiler")
+    return profiler if profiler is not None and profiler.on else None
+
+
 def _child_obs_setup(trace_ctx: dict | None) -> None:
     """Post-fork observability bootstrap for a worker rank.
 
@@ -283,9 +291,10 @@ def _child_obs_setup(trace_ctx: dict | None) -> None:
         _obs_registry().reset()
         if trace_ctx:
             _obs._tls.ctx = dict(trace_ctx)
-    if _profiler.on and _obs_ship_enabled():
-        inherited = _profiler.get()
-        _profiler.start(
+    profiler = _armed_profiler()
+    if profiler is not None and _obs_ship_enabled():
+        inherited = profiler.get()
+        profiler.start(
             interval=inherited.interval if inherited is not None else None)
 
 
@@ -299,7 +308,8 @@ def _ship_obs(rank: int, names) -> Any:
     pipe; the segment takes the next of ``names``."""
     if not _obs_ship_enabled():
         return None
-    prof = _profiler.stop() if _profiler.on else None
+    profiler = _armed_profiler()
+    prof = profiler.stop() if profiler is not None else None
     if not _obs.on and prof is None:
         return None
     payload: dict[str, Any] = {"rank": rank}
@@ -337,7 +347,8 @@ def _fold_obs(records: dict[int, tuple]) -> None:
             _obs_registry().merge_snapshot(snap)
         samples = payload.get("profile")
         if samples:
-            prof = _profiler.get()
+            from repro.obs import profiler
+            prof = profiler.get()
             if prof is not None:
                 prof.absorb(samples)
 

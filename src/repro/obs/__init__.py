@@ -49,16 +49,7 @@ import atexit
 import os
 from contextlib import contextmanager
 
-from repro.obs import aggregate, profiler, trace
-from repro.obs.export import (
-    chrome_trace_events,
-    export_chrome_trace,
-    export_metrics,
-    load_chrome_trace,
-    metric_record,
-    metrics_payload,
-    wrap_metrics,
-)
+from repro.obs import trace
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -66,7 +57,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.trace import (
     Event,
     NULL_SPAN,
@@ -81,6 +71,7 @@ from repro.obs.trace import (
     instant,
     span,
 )
+from repro.util.lazy import lazy_exports
 from repro.util.options import env_flag
 from repro.util.timing import Stopwatch
 
@@ -95,6 +86,18 @@ __all__ = [
     "aggregate", "profiler", "SamplingProfiler",
 ]
 
+# the exporters, the cross-rank reducers and the sampling profiler load
+# on first use: every instrumented layer imports this package
+__getattr__, __dir__ = lazy_exports(__name__, {
+    **dict.fromkeys(
+        ("chrome_trace_events", "export_chrome_trace", "export_metrics",
+         "load_chrome_trace", "metrics_payload", "metric_record",
+         "wrap_metrics"), "export"),
+    "aggregate": "aggregate",
+    "profiler": "profiler",
+    "SamplingProfiler": "profiler",
+})
+
 
 @contextmanager
 def tracing(path: str | None = None, metrics_path: str | None = None,
@@ -107,6 +110,8 @@ def tracing(path: str | None = None, metrics_path: str | None = None,
     own spans.  ``reset_metrics`` starts the block from an empty default
     registry so the metrics JSON describes exactly this run.
     """
+    from repro.obs.export import export_chrome_trace, export_metrics
+
     if reset_metrics:
         get_registry().reset()
     sw = Stopwatch()
@@ -125,9 +130,15 @@ def tracing(path: str | None = None, metrics_path: str | None = None,
 
 def _activate_from_env() -> None:
     """``REPRO_TRACE=1`` turns tracing on for the whole process and
-    registers an at-exit export — zero application-code changes."""
+    registers an at-exit export — zero application-code changes.
+    ``REPRO_PROFILE=1`` is read by :mod:`repro.obs.profiler`, imported
+    here only when that flag is set."""
+    if env_flag("REPRO_PROFILE", False):
+        from repro.obs import profiler  # noqa: F401  (arms itself)
     if not env_flag("REPRO_TRACE", False):
         return
+    from repro.obs.export import export_chrome_trace, export_metrics
+
     trace.start()
     trace_path = os.environ.get("REPRO_TRACE_PATH", "trace.json")
     metrics_path = os.environ.get("REPRO_METRICS_PATH")

@@ -27,6 +27,7 @@ CLI.
 from repro.resilience import faults
 from repro.resilience.faults import DROP, FaultPlan
 from repro.resilience.protocol import Checkpointable, is_checkpointable
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "APP_FORMAT_VERSION",
@@ -45,10 +46,9 @@ __all__ = [
     "step_prefix",
 ]
 
-
-def __getattr__(name: str):
-    # the checkpoint names of __all__, resolved on first use (see above)
-    if name in __all__:
-        from repro.resilience import checkpoint
-        return getattr(checkpoint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the checkpoint names resolve on first use (see above)
+__getattr__, __dir__ = lazy_exports(__name__, dict.fromkeys(
+    ("APP_FORMAT_VERSION", "AppCheckpoint", "checkpoint_steps",
+     "is_valid_step", "latest_valid_step", "load_app_checkpoint",
+     "prune_old_steps", "save_app_checkpoint", "step_prefix"),
+    "checkpoint"))

@@ -41,8 +41,7 @@ from repro.samr.restrict import restrict_average
 from repro.samr.ghost import exchange_ghosts
 from repro.samr.loadbalance import balance_greedy, balance_sfc
 from repro.samr.regrid import regrid
-from repro.samr.time_interp import TimeInterpolant, time_interpolate
-from repro.samr.checkpoint import load_checkpoint, save_checkpoint
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "TimeInterpolant",
@@ -68,3 +67,11 @@ __all__ = [
     "balance_sfc",
     "regrid",
 ]
+
+# the time interpolant and the checkpoint files load on first use
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "TimeInterpolant": "time_interp",
+    "time_interpolate": "time_interp",
+    "load_checkpoint": "checkpoint",
+    "save_checkpoint": "checkpoint",
+})

@@ -17,24 +17,13 @@ Layers (each its own module):
 * :mod:`repro.serve.scheduler` — the bounded worker pool
 * :mod:`repro.serve.service` — the facade tying it together
 * :mod:`repro.serve.__main__` — ``python -m repro.serve`` CLI
+
+The names below are re-exported lazily: naming
+:class:`SimulationService` loads the service module and the job model,
+and the service's constructor imports the machinery it builds.
 """
 
-from repro.serve.batching import BatchPlan, plan_for
-from repro.serve.cache import ResultCache
-from repro.serve.jobs import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    STATES,
-    JobRecord,
-    JobSpec,
-    JobStore,
-    apply_overrides,
-)
-from repro.serve.scheduler import Scheduler
-from repro.serve.service import SimulationService, load_script
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "BatchPlan",
@@ -54,3 +43,15 @@ __all__ = [
     "SimulationService",
     "load_script",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BatchPlan": "batching",
+    "plan_for": "batching",
+    "ResultCache": "cache",
+    **dict.fromkeys(
+        ("QUEUED", "RUNNING", "DONE", "FAILED", "CANCELLED", "STATES",
+         "JobRecord", "JobSpec", "JobStore", "apply_overrides"), "jobs"),
+    "Scheduler": "scheduler",
+    "SimulationService": "service",
+    "load_script": "service",
+})

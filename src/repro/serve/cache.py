@@ -26,8 +26,8 @@ import json
 import os
 from typing import Any, Mapping
 
-from repro.bench.trajectory import code_fingerprint
 from repro.errors import ServeError
+from repro.exec import DEFAULT_BACKEND
 from repro.serve.jobs import canonical_params, jsonable, write_tmp
 
 CACHE_SCHEMA = 1
@@ -49,8 +49,10 @@ class ResultCache:
         if old:
             raise ServeError(f"{root} holds a result cache in the old "
                              f"sharded layout, which is not migrated")
-        self.fingerprint = dict(fingerprint) if fingerprint is not None \
-            else code_fingerprint()
+        if fingerprint is None:
+            from repro.bench.trajectory import code_fingerprint
+            fingerprint = code_fingerprint()
+        self.fingerprint = dict(fingerprint)
 
     # -- addressing -------------------------------------------------------
     def key(self, script: str, params: Mapping[str, Any] | None, *,
@@ -62,7 +64,6 @@ class ResultCache:
         default) because different transports are different execution
         substrates — equivalence between them is something the test
         suite *proves*, not something the cache may silently assume."""
-        from repro.exec import DEFAULT_BACKEND
         material = {
             "schema": CACHE_SCHEMA,
             "script_sha256": _sha256_text(script),

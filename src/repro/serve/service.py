@@ -48,21 +48,17 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from repro.analysis.contracts import (AssemblyModel, check_job,
-                                     coerce_job_params, manifests_of,
-                                     model_from_script)
-from repro.analysis.findings import Severity
 from repro.errors import ReproError, ServeError
 from repro.obs import trace as _trace
-from repro.obs.export import metrics_payload
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.serve import jobs as J
-from repro.serve.batching import BatchPlan, plan_for
-from repro.serve.cache import ResultCache
 from repro.serve.jobs import JobSpec, JobStore
-from repro.serve.scheduler import Scheduler
+
+if TYPE_CHECKING:
+    from repro.analysis.contracts import AssemblyModel
+    from repro.serve.batching import BatchPlan
 
 
 class SimulationService:
@@ -73,6 +69,15 @@ class SimulationService:
                  registry: MetricsRegistry | None = None,
                  fingerprint: Mapping[str, Any] | None = None,
                  autostart: bool = True, admission: bool = True) -> None:
+        # The constructor imports the machinery it builds: admission,
+        # the cache and the scheduler (which brings the batching planner
+        # and the exporters).  Naming this class loads none of it, and
+        # the imports inside the methods below only look up what this
+        # constructor loaded, so a submit imports nothing.
+        from repro.analysis.contracts import manifests_of
+        from repro.serve.cache import ResultCache
+        from repro.serve.scheduler import Scheduler
+
         self.root = root
         #: static admission control: run the assembly pass over
         #: (script + overrides) at submit; error findings fail the job
@@ -150,6 +155,8 @@ class SimulationService:
         solved once by the worker thread — routing it through another
         execution backend would silently change what the tenant asked
         for.)"""
+        from repro.serve.batching import plan_for
+
         if spec.fault or spec.nprocs != 1 or spec.backend:
             return None
         return plan_for(model or spec.script, spec.params)
@@ -194,6 +201,10 @@ class SimulationService:
                         str, tuple[str, int, BatchPlan | None] | None]:
         """Register one job.  Admission, coercion and the batch plan all
         read ``model``, the script parsed once (here when None)."""
+        from repro.analysis.contracts import (check_job, coerce_job_params,
+                                              model_from_script)
+        from repro.analysis.findings import Severity
+
         trace_id = self._mint_trace_id()
         overrides = J.canonical_params(params)
         if model is None:
@@ -275,6 +286,8 @@ class SimulationService:
         once, and all jobs are enqueued under one lock so the batching
         planner sees the whole family before the first claim.
         """
+        from repro.analysis.contracts import model_from_script
+
         if not grid:
             raise ServeError("sweep needs a non-empty grid")
         keys = sorted(grid)
@@ -319,6 +332,8 @@ class SimulationService:
         """Service-level statistics: a schema-1 metrics envelope (the
         registry's ``serve.*`` records) plus durable aggregates derived
         from the job store, per tenant and total."""
+        from repro.obs.export import metrics_payload
+
         records = self.store.records()
         by_state: dict[str, int] = {s: 0 for s in J.STATES}
         tenants: dict[str, dict[str, Any]] = {}

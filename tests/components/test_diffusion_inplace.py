@@ -257,8 +257,12 @@ def _flame(**kwargs):
 
 def _rhs_inputs(fw):
     """The RHS port, the flame field and two owned patches of different
-    shapes."""
+    shapes, ghosts filled as a step's first stage fills them (the last
+    RKC step leaves them stale)."""
     dobj = fw.get_component("AMR_Mesh").data("flow")
+    data = fw.services_of("Driver").get_port("data")
+    for lev in range(dobj.hierarchy.nlevels):
+        data.exchange_ghosts("flow", lev)
     by_shape = {dobj.array(p).shape: p for p in dobj.owned_patches()}
     assert len(by_shape) >= 2
     a, b = list(by_shape.values())[:2]

@@ -20,6 +20,8 @@ SUBPACKAGES = [
     "repro.util", "repro.mpi", "repro.samr", "repro.chemistry",
     "repro.transport", "repro.integrators", "repro.hydro", "repro.cca",
     "repro.cca.ports", "repro.components", "repro.apps", "repro.bench",
+    "repro.obs", "repro.serve", "repro.analysis", "repro.resilience",
+    "repro.exec",
 ]
 
 
@@ -34,6 +36,13 @@ def test_all_exports_resolve(name):
     mod = importlib.import_module(name)
     for symbol in getattr(mod, "__all__", []):
         assert hasattr(mod, symbol), f"{name}.{symbol} missing"
+
+
+@pytest.mark.parametrize("name", SUBPACKAGES)
+def test_dir_lists_every_export(name):
+    """A lazily re-exported name is listed before it is first used."""
+    mod = importlib.import_module(name)
+    assert set(getattr(mod, "__all__", [])) <= set(dir(mod))
 
 
 def _all_subpackages():
@@ -71,6 +80,81 @@ def test_entry_points_import_neither_scipy_nor_networkx():
         "import repro.apps, repro.serve, repro.mpi, sys; "
         "assert not {'scipy', 'networkx'} "
         "& {m.split('.')[0] for m in sys.modules}")
+    assert proc.returncode == 0, proc.stderr
+
+
+#: what a simulation process, or one that only names the service, never
+#: runs: the paper harnesses, the AST passes, the graph/builder/profiling
+#: views of an assembly, the trace reducers and sampler, the unused time
+#: interpolant, and what only those need from the standard library
+NOT_AT_START_UP = (
+    "repro.analysis.lifecycle", "repro.analysis.scmd", "repro.cca.graph",
+    "repro.cca.builder", "repro.cca.profiling", "repro.obs.aggregate",
+    "repro.obs.profiler", "repro.samr.time_interp", "socket",
+    "subprocess", "difflib",
+)
+
+
+def test_start_up_loads_only_what_a_run_uses():
+    """Start-up budget: importing the apps and the communicator and
+    naming the service loads none of the modules above."""
+    proc = _fresh_python(
+        "import sys; import repro.apps, repro.mpi; "
+        "from repro.serve import SimulationService; "
+        f"banned = set({NOT_AT_START_UP!r}); "
+        "loaded = sorted(m for m in sys.modules "
+        "if m in banned or m.split('.')[:2] == ['repro', 'bench']); "
+        "assert not loaded, loaded")
+    assert proc.returncode == 0, proc.stderr
+
+
+_RUN_IMPORTS_NOTHING = """
+import sys
+import tempfile
+
+import repro.apps as apps
+from repro.cca.framework import Framework
+from repro.serve import SimulationService
+
+
+def added(call):
+    before = set(sys.modules)
+    call()
+    return set(sys.modules) - before
+
+
+for build, config in (
+        (apps.build_reaction_diffusion,
+         dict(nx=16, ny=16, max_levels=1, n_steps=1, dt=1e-7)),
+        (apps.build_shock_interface,
+         dict(nx=64, ny=32, max_levels=2, t_end_over_tau=0.1)),
+        (apps.build_ignition0d, {})):
+    framework = Framework()
+    build(framework, **config)
+    new = added(lambda: framework.go("Driver"))
+    assert not new, (build.__name__, sorted(new))
+
+params = {"ThermoChemistry.mechanism": "h2-lite", "Driver.t_end": 1e-5}
+with tempfile.TemporaryDirectory() as root:
+    with SimulationService(root, workers=1, batch_size=8) as service:
+        def serve():
+            service.sweep(apps.IGNITION0D_SCRIPT,
+                          {"Initializer.T0": [1000.0, 1050.0, 1100.0]},
+                          params=params)
+            service.submit(apps.IGNITION0D_SCRIPT,
+                           params={**params, "Initializer.T0": 1125.0},
+                           backend="threads")
+            assert service.drain(60.0)
+        new = added(serve)
+assert new == {"repro.exec.threads"}, sorted(new)
+"""
+
+
+def test_a_run_imports_nothing():
+    """Import cost stays in set-up: a driver's ``go()`` loads no module,
+    and a built service loads only the threads backend a single job
+    names (the backend registry imports it on first use)."""
+    proc = _fresh_python(_RUN_IMPORTS_NOTHING)
     assert proc.returncode == 0, proc.stderr
 
 
