@@ -4,7 +4,8 @@ Where the ``threads`` backend emulates "P processors" with rank-threads
 and virtual clocks, this backend actually forks P worker processes —
 real cores, real wall-clock speedups, real private address spaces (the
 property the paper's SCMD mode takes for granted and rank-threads
-violate).  The pieces:
+violate).  A world is ``os.fork``, ``os.pipe`` and ``mmap`` only: no
+``multiprocessing``, no helper thread or process.  The pieces:
 
 * **Transport** — one non-blocking pipe per ordered pair of ranks,
   made before the fork, carrying :func:`repro.exec.shm.encode_message`
@@ -21,11 +22,13 @@ violate).  The pieces:
   results are bit-identical with the threads backend.
 * **Failure paths** — a crashed rank pickles its traceback *text* back
   to the parent over its report pipe
-  (:class:`~repro.mpi.launcher.RemoteRankError`) and trips a shared
-  abort event so its peers raise :class:`~repro.errors.CommAbortedError`
-  instead of deadlocking; silently-dead processes (``os.kill``,
-  segfault) are found by their process sentinel and synthesized into the
-  same :class:`~repro.mpi.launcher.RankFailure`.
+  (:class:`~repro.mpi.launcher.RemoteRankError`) and sets the world's
+  abort byte (one byte of a shared anonymous mapping) so its peers raise
+  :class:`~repro.errors.CommAbortedError` instead of deadlocking;
+  silently-dead processes (``os.kill``, segfault) are seen exiting on
+  their pidfd — or, where ``os.pidfd_open`` is missing, as EOF on their
+  report pipe — and synthesized into the same
+  :class:`~repro.mpi.launcher.RankFailure`.  Every rank is reaped.
 * **Fault injection** — workers inherit the armed plan *and counters*
   at fork (so ``kill_max_fires`` survives a supervised restart) and
   ship their final counters home; the parent folds the per-worker
@@ -38,25 +41,28 @@ vector-clock shadow table assumes a shared address space.  Selecting
 ``mp`` while ``REPRO_TSAN`` is armed degrades to a
 :class:`RuntimeWarning` and runs unsanitized.
 
-Start method: ``fork`` (required — SCMD ``main`` callables are
-closures, which cannot cross a ``spawn`` boundary).  Platforms without
-``fork`` report unavailable.
+Ranks are forked (SCMD ``main`` callables are closures, which cannot
+cross a ``spawn`` boundary); platforms without ``os.fork`` report
+unavailable.  The launcher flushes its std streams before forking and a
+rank flushes its own before its hard exit, so output is neither
+duplicated nor lost.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import multiprocessing
+import mmap
 import os
 import pickle
 import resource
 import select
+import signal
 import struct
 import sys
+import time
 import traceback
 import warnings
-from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Sequence
 
 from repro.errors import CommAbortedError, MPIError
@@ -78,6 +84,20 @@ _FRAME = struct.Struct("<Q")  # a frame's length prefix
 #: numbers the worlds this process launches (``next`` on a count is
 #: atomic): with the pid it makes a world's segment names its own.
 _WORLD_SERIALS = itertools.count()
+
+
+class _AbortFlag:
+    """A world's abort flag: one byte of an anonymous shared mapping made
+    before the fork, so the launcher and every rank read the same byte."""
+
+    def __init__(self) -> None:
+        self._byte = mmap.mmap(-1, 1)
+
+    def is_set(self) -> bool:
+        return self._byte[0] != 0
+
+    def set(self) -> None:
+        self._byte[0] = 1
 
 
 class _Station:
@@ -102,17 +122,17 @@ class _Station:
     the stash; a matching wait never consumes someone else's envelope.
     """
 
-    def __init__(self, rank: int, inbound: list[Connection],
-                 outbound: dict[int, Connection], abort_evt,
+    def __init__(self, rank: int, inbound: list[int],
+                 outbound: dict[int, int], abort_evt: _AbortFlag,
                  machine: MachineModel, segment_prefix: str) -> None:
         self.rank = rank
         self.machine = machine
         self.segment_names = _shm.segment_names(segment_prefix)
         self._abort_evt = abort_evt
         self._launcher = os.getppid()
-        self._peer_fd = {dst: w.fileno() for dst, w in outbound.items()}
-        self._outbox = {fd: bytearray() for fd in self._peer_fd.values()}
-        self._inbox = {r.fileno(): bytearray() for r in inbound}
+        self._peer_fd = outbound
+        self._outbox = {fd: bytearray() for fd in outbound.values()}
+        self._inbox = {fd: bytearray() for fd in inbound}
         for fd in [*self._inbox, *self._outbox]:
             os.set_blocking(fd, False)
         self._p2p: dict[str, list[_Message]] = {}
@@ -355,9 +375,10 @@ def _fold_obs(records: dict[int, tuple]) -> None:
 
 def _worker(rank: int, nprocs: int, machine: MachineModel,
             main: Callable[..., Any], args: Sequence[Any], links: dict,
-            reports: list, abort_evt, segment_prefix: str,
+            reports: list, abort_evt: _AbortFlag, segment_prefix: str,
             trace_ctx: dict | None = None) -> None:
-    """One rank's worker-process body; it keeps only its own pipe ends."""
+    """One rank's body in its forked process: it keeps only its own pipe
+    ends and ends by writing its framed record to its report pipe."""
     # The sanitizer's shadow state is meaningless here: this process IS
     # the private address space.  Disarm locally (fork-isolated write).
     _tsan.deactivate()
@@ -365,8 +386,8 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
     inbound = [r for (_, dst), (r, _) in links.items() if dst == rank]
     outbound = {dst: w for (src, dst), (_, w) in links.items() if src == rank}
     mine = {*inbound, *outbound.values(), reports[rank][1]}
-    for conn in set(itertools.chain(*links.values(), *reports)) - mine:
-        conn.close()
+    for fd in set(itertools.chain(*links.values(), *reports)) - mine:
+        os.close(fd)
     station = _Station(rank, inbound, outbound, abort_evt, machine,
                        f"{segment_prefix}{rank}-")
     comm = Comm(station, WORLD_ID, rank, list(range(nprocs)))
@@ -393,57 +414,138 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
              f"rank result is not picklable: {exc}",
              traceback.format_exc(), _counts(), obs_env),
             protocol=pickle.HIGHEST_PROTOCOL)
+    frame = memoryview(_FRAME.pack(len(blob)) + blob)
     with contextlib.suppress(OSError):  # the launcher may have gone
-        reports[rank][1].send_bytes(blob)
-    # Hard exit: skip the parent's inherited atexit handlers (obs
-    # flushers, bench ledger writers) — this is a rank, not the session.
-    os._exit(0)
+        while frame:
+            frame = frame[os.write(reports[rank][1], frame):]
+
+
+def _flush_std() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(Exception):  # None, closed or broken
+            stream.flush()
+
+
+def _fork(rank: int, worker_args: tuple) -> int:
+    """Fork rank ``rank``'s process and return its pid; the child runs
+    :func:`_worker` and exits without returning."""
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        if sys.stdin is not None:  # a rank reads no input
+            with contextlib.suppress(OSError, ValueError):
+                sys.stdin.close()
+                sys.stdin = open(os.devnull)
+        _worker(rank, *worker_args)
+        code = 0
+    finally:
+        # Hard exit: skip the parent's inherited atexit handlers (obs
+        # flushers, bench ledger writers) — this is a rank, not the
+        # session — but keep what the rank printed.
+        _flush_std()
+        os._exit(code)
 
 
 def _counts() -> dict | None:
     return _faults.snapshot_counts() if _faults.on else None
 
 
-def _collect(procs: list, reports: list[Connection], abort_evt,
-             records: dict[int, tuple]) -> None:
-    """Read every rank's record off its report pipe into ``records``; a
-    rank dead without one is a ``WorkerDied`` and aborts its peers."""
-    waiting = {p.sentinel: rank for rank, p in enumerate(procs)}
-    waiting.update((conn, rank) for rank, conn in enumerate(reports))
-    while len(records) < len(procs):
-        for ready in wait(list(waiting)):
-            rank = waiting.pop(ready)
+def _wait(pid: int, pidfd: int | None, timeout: float) -> int | None:
+    """The exit code of process ``pid`` (−N for signal N), reaped, if it
+    exits within ``timeout`` s — watched on its pidfd or, without one,
+    polled — else None."""
+    if pidfd is not None:
+        waiter = select.poll()
+        waiter.register(pidfd, select.POLLIN)
+        if not waiter.poll(1e3 * timeout):
+            return None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    deadline = time.monotonic() + timeout
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() >= deadline:
+            return None
+        time.sleep(_POLL_INTERVAL)
+    return os.waitstatus_to_exitcode(done[1])
+
+
+def _reap(pid: int, pidfd: int | None) -> int:
+    """Reap rank process ``pid`` and return its exit code.  It gets
+    ``_DEATH_GRACE`` to exit, as long again after a SIGTERM, and then a
+    SIGKILL: no zombie is left, and a rank that traps SIGTERM cannot
+    hang the launcher."""
+    for sig in (signal.SIGTERM, signal.SIGKILL):
+        code = _wait(pid, pidfd, _DEATH_GRACE)
+        if code is not None:
+            return code
+        os.kill(pid, sig)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _read_into(fd: int, buf: bytearray) -> bool:
+    """Append what non-blocking pipe ``fd`` holds to ``buf``; True at EOF."""
+    try:
+        while chunk := os.read(fd, 1 << 16):
+            buf += chunk
+    except BlockingIOError:
+        return False
+    return True
+
+
+def _collect(pids: list[int], pidfds: dict[int, int], readers: list[int],
+             abort_evt: _AbortFlag, records: dict[int, tuple],
+             reaped: set[int]) -> None:
+    """Read every rank's framed record off its report pipe into
+    ``records``.  A rank that exits without a complete one — seen on its
+    pidfd or, where ``os.pidfd_open`` is missing, as EOF on its pipe — is
+    a ``WorkerDied``, is reaped (into ``reaped``) and aborts its peers."""
+    owner = {fd: rank for rank, fd in [*enumerate(readers), *pidfds.items()]}
+    poll = select.poll()
+    for fd in owner:
+        poll.register(fd, select.POLLIN)
+    inbox = [bytearray() for _ in pids]
+    while len(records) < len(pids):
+        for fd, _ in poll.poll():
+            rank = owner[fd]
             if rank in records:
                 continue
-            conn = reports[rank]
-            with contextlib.suppress(EOFError, OSError):
-                if ready is conn or conn.poll():
-                    records[rank] = pickle.loads(conn.recv_bytes())
-                    continue
-            abort_evt.set()
-            procs[rank].join(timeout=_DEATH_GRACE)
-            reason = (f"rank {rank} worker process died with exit code "
-                      f"{procs[rank].exitcode} before reporting a result")
-            records[rank] = (
-                "err", rank, "WorkerDied", reason,
-                f"WorkerDied: {reason} (killed or segfaulted; no "
-                f"Python traceback exists)", None, None)
+            buf = inbox[rank]
+            eof = _read_into(readers[rank], buf)
+            if (len(buf) >= _FRAME.size
+                    and len(buf) == _FRAME.size + _FRAME.unpack_from(buf)[0]):
+                records[rank] = pickle.loads(buf[_FRAME.size:])
+            elif eof or fd != readers[rank]:
+                abort_evt.set()
+                code = _reap(pids[rank], pidfds.get(rank))
+                reaped.add(rank)
+                reason = (f"rank {rank} worker process died with exit code "
+                          f"{code} before reporting a result")
+                records[rank] = (
+                    "err", rank, "WorkerDied", reason,
+                    f"WorkerDied: {reason} (killed or segfaulted; no "
+                    f"Python traceback exists)", None, None)
+            else:
+                continue
+            for done in (readers[rank], pidfds.get(rank)):
+                if done is not None:
+                    poll.unregister(done)
 
 
-def _open_pipes(ctx, nprocs: int) -> tuple[dict, list]:
-    """A pipe per ordered pair of ranks and a report pipe per rank.  With
-    a sentinel pair per rank the launcher holds 2·P·(P+2) descriptors
-    while it forks (4 800 at P = 48): a soft limit below that is raised."""
-    need = 2 * nprocs * (nprocs + 2) + len(os.listdir("/dev/fd")) + 2
+def _open_pipes(nprocs: int) -> tuple[dict, list]:
+    """A pipe per ordered pair of ranks and a report pipe per rank: the
+    launcher holds 2·P·(P+1) descriptors while it forks (4 704 at
+    P = 48), and a soft limit below that is raised."""
+    need = 2 * nprocs * (nprocs + 1) + len(os.listdir("/dev/fd")) + 2
     soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
     if soft < need:
         if hard < need:
             raise MPIError(f"an mp world of {nprocs} ranks needs {need} file "
                            f"descriptors, over the hard limit of {hard}")
         resource.setrlimit(resource.RLIMIT_NOFILE, (need, hard))
-    links = {pair: ctx.Pipe(duplex=False)
+    links = {pair: os.pipe()
              for pair in itertools.product(range(nprocs), repeat=2)}
-    return links, [ctx.Pipe(duplex=False) for _ in range(nprocs)]
+    return links, [os.pipe() for _ in range(nprocs)]
 
 
 class MPBackend(ExecBackend):
@@ -452,9 +554,8 @@ class MPBackend(ExecBackend):
     name = "mp"
 
     def available(self) -> tuple[bool, str]:
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return False, ("requires the 'fork' start method, which this "
-                           "platform does not provide")
+        if not hasattr(os, "fork"):
+            return False, "requires os.fork, which this platform lacks"
         return True, ""
 
     def run(self, nprocs: int, main: Callable[..., Any],
@@ -471,39 +572,42 @@ class MPBackend(ExecBackend):
                 "backend='threads' to sanitize.",
                 RuntimeWarning, stacklevel=3)
 
-        ctx = multiprocessing.get_context("fork")
         _shm.sweep_orphans()
-        links, reports = _open_pipes(ctx, nprocs)
-        abort_evt = ctx.Event()
+        links, reports = _open_pipes(nprocs)
+        abort_evt = _AbortFlag()
         fault_base = _counts()
         trace_ctx = _obs.current_context() if _obs.on else None
         segment_prefix = f"repro-{os.getpid()}-{next(_WORLD_SERIALS)}-"
-
-        procs = [
-            ctx.Process(target=_worker,
-                        args=(rank, nprocs, machine, main, tuple(args),
-                              links, reports, abort_evt, segment_prefix,
-                              trace_ctx),
-                        name=f"rank-{rank}", daemon=True)
-            for rank in range(nprocs)
-        ]
-        for p in procs:
-            p.start()
-        for conn in itertools.chain(*links.values(), (w for _, w in reports)):
-            conn.close()  # the launcher keeps the reports' read ends only
+        worker_args = (nprocs, machine, main, tuple(args), links, reports,
+                       abort_evt, segment_prefix, trace_ctx)
+        # the launcher keeps the reports' read ends only
+        spare = [*itertools.chain(*links.values()), *(w for _, w in reports)]
         readers = [r for r, _ in reports]
+        pids: list[int] = []
+        pidfds: dict[int, int] = {}
         records: dict[int, tuple] = {}
+        reaped: set[int] = set()
         try:
-            _collect(procs, readers, abort_evt, records)
+            _flush_std()  # or each rank would print the buffer again
+            for rank in range(nprocs):
+                pids.append(_fork(rank, worker_args))
+            while spare:
+                os.close(spare.pop())
+            if hasattr(os, "pidfd_open"):
+                pidfds = {rank: os.pidfd_open(pid)
+                          for rank, pid in enumerate(pids)}
+            for reader in readers:
+                os.set_blocking(reader, False)
+            _collect(pids, pidfds, readers, abort_evt, records, reaped)
         finally:
             abort_evt.set()
-            for reader in readers:
-                reader.close()
-            for p in procs:
-                p.join(timeout=_DEATH_GRACE)
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=1.0)
+            for fd in spare + readers:
+                os.close(fd)
+            for rank, pid in enumerate(pids):
+                if rank not in reaped:
+                    _reap(pid, pidfds.get(rank))
+            for pidfd in pidfds.values():
+                os.close(pidfd)
             # Fold worker obs payloads before anything can raise (failed
             # runs keep their partial traces), then unlink what nobody
             # consumed: messages in flight to a killed or aborted rank

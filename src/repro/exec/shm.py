@@ -17,12 +17,13 @@ Lifetime discipline (one creator, exactly one consumer per segment): the
 sender unmaps right after packing; the receiver unlinks the name as soon
 as it has mapped it, so the kernel frees the pages when the
 reconstructed arrays die (they keep the mapping alive: ndarray ->
-memoryview -> mmap).  Descriptors are closed once mapped.  No segment is
-registered with ``multiprocessing``'s resource tracker.
+memoryview -> mmap).  Descriptors are closed once mapped.  No helper
+process tracks segments: their names do.
 
 A segment whose consumer never comes is found by name: the ranks of one
 world name theirs under one prefix, ``repro-<launcher pid>-<world>-``
-(the ``names`` iterator the encoders take).  :func:`sweep` unlinks what
+(the ``names`` iterator the encoders take), and a segment encoded
+without names is ``repro-<pid>-u<n>``.  :func:`sweep` unlinks what
 is left under it when the world is torn down; :func:`sweep_orphans`,
 run before every world starts, unlinks the segments of launchers whose
 pid no longer exists — the backstop for a killed launcher.  Hence
@@ -37,7 +38,6 @@ import itertools
 import mmap
 import os
 import pickle
-import secrets
 from typing import Any, Iterator
 
 import _posixshmem
@@ -76,9 +76,14 @@ def segment_names(prefix: str) -> Iterator[str]:
     return (f"{prefix}{n}" for n in itertools.count())
 
 
+#: numbers the segments this process creates without names
+_UNNAMED = itertools.count()
+
+
 def _create(size: int, names: Iterator[str] | None) -> tuple[str, mmap.mmap]:
     """A new segment of ``size`` bytes: its name and a mapping of it."""
-    name = next(names) if names is not None else f"psm_{secrets.token_hex(8)}"
+    name = (next(names) if names is not None
+            else f"repro-{os.getpid()}-u{next(_UNNAMED)}")
     fd = _posixshmem.shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR,
                               mode=0o600)
     try:
@@ -166,7 +171,8 @@ def decode_blob(envelope: Any) -> bytes:
 def encode_message(obj: Any, names: Iterator[str] | None = None
                    ) -> tuple[Any, int]:
     """``(envelope, nbytes)`` for one cross-process message; a segment, if
-    one is needed, takes the next of ``names`` (default: a random name).
+    one is needed, takes the next of ``names`` (default:
+    ``repro-<pid>-u<n>``).
 
     The envelope is either ``("pickle", blob)`` or ``("shm", pickle5,
     segment_name, [(offset, nbytes), ...])``.  ``nbytes`` counts the

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import os
 import time
+from typing import TYPE_CHECKING
 
 from repro.cca.component import Param
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_registry as _obs_registry
-from repro.resilience import checkpoint as app_ckpt
 from repro.resilience import faults as _faults
-from repro.resilience.checkpoint import AppCheckpoint
+
+if TYPE_CHECKING:
+    from repro.resilience.checkpoint import AppCheckpoint
 
 
 #: the checkpoint/restart knobs every step-loop driver declares
@@ -85,6 +87,8 @@ class CheckpointHook:
     # -- saving ---------------------------------------------------------------
     def save(self, step: int, t: float, extras: dict | None = None) -> str:
         """Write this rank's shard of an app checkpoint at ``step``."""
+        from repro.resilience import checkpoint as app_ckpt
+
         t0 = time.perf_counter()
         mesh_comp = self._mesh_component()
         hierarchy = dataobjs = None
@@ -124,6 +128,8 @@ class CheckpointHook:
         """
         if not (self.want_resume and self.path):
             return None
+        from repro.resilience import checkpoint as app_ckpt
+
         shards = None if self.rank is None else self.nranks
         step = app_ckpt.latest_valid_step(self.path, shards)
         if step is None:

@@ -1,11 +1,12 @@
-"""The multiprocessing backend: what only real worker processes have.
+"""The ``mp`` backend: what only real worker processes have.
 
 The communicator semantics both backends share are held to one suite,
 ``tests/mpi/test_comm.py`` and ``test_stress.py`` run per backend; here
 is what is the ``mp`` transport's own — distinct processes, the shared
 memory segment threshold and its clean-up, what rank 0 posts back from a
-collective, remote tracebacks, dead workers, a killed launcher, that no
-rank starts a thread, the sanitizer's warning.
+collective, remote tracebacks, dead workers and their reaping, a killed
+launcher, that no rank starts a thread, what ranks print, the
+sanitizer's warning.
 """
 
 import os
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MPIError
+from repro.exec import shm
 from repro.mpi import Op, ZERO_COST, mpirun, sanitizer
 from repro.mpi.launcher import RankFailure
 from tests.mpi.test_comm import _within
@@ -30,6 +32,12 @@ from tests.mpi.test_comm import _within
 
 def run(n, fn, **kw):
     return mpirun(n, fn, machine=ZERO_COST, backend="mp", **kw)
+
+
+def _python_env():
+    """This process's environment, with this checkout's sources first."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    return {**os.environ, "PYTHONPATH": os.path.abspath(src)}
 
 
 # -------------------------------------------------------------------- basics
@@ -167,6 +175,34 @@ def test_sigkill_surfaces_as_worker_death():
     with pytest.raises(RankFailure) as excinfo:
         run(2, main)
     assert "WorkerDied" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("pidfd", [True, False], ids=["pidfd", "no-pidfd"])
+def test_a_rank_dead_before_reporting_is_reaped_with_its_exit_code(
+        pidfd, monkeypatch):
+    """A rank that exits, or is SIGKILLed, before it reports is a
+    ``WorkerDied`` that names its exit code, and it leaves no zombie —
+    also where ``os.pidfd_open`` is missing and the launcher sees the
+    death as EOF on the rank's report pipe."""
+    if not pidfd:
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+
+    def exits(comm):
+        if comm.rank == 1:
+            os._exit(3)
+        comm.barrier()
+
+    def killed(comm):
+        if comm.rank == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        comm.barrier()
+
+    for main, code in ((exits, 3), (killed, -9)):
+        with pytest.raises(RankFailure,
+                           match=f"WorkerDied.*exit code {code} before"):
+            _within(60, run, 2, main)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ------------------------------------------------- segments outlive nobody
@@ -316,11 +352,9 @@ mpirun(2, main, machine=ZERO_COST, backend="mp")
 def _launch(tmp_path, mode):
     """A launcher process whose two ranks have reached ``main``'s wait,
     and the pids of those ranks."""
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     proc = subprocess.Popen(
         [sys.executable, "-c", LAUNCHER, str(tmp_path / "rank"), mode],
-        env=env, start_new_session=True)
+        env=_python_env(), start_new_session=True)
     ready = [tmp_path / f"rank.{r}" for r in (0, 1)]
     deadline = time.monotonic() + 60.0
     while not all(path.exists() for path in ready):
@@ -351,6 +385,38 @@ def test_segments_of_a_killed_launcher_are_swept_by_the_next_world(tmp_path):
     assert len(stranded) == 2
     assert _shm_listing() == sorted(before + stranded)
     run(2, lambda comm: None)
+    assert _shm_listing() == before
+
+
+ENCODER = """
+import time
+import numpy as np
+from repro.exec import shm
+
+print(shm.encode_message(np.ones(1 << 17))[0][2], flush=True)
+time.sleep(60)
+"""
+
+
+def test_an_unnamed_segment_is_swept_once_its_creator_is_killed():
+    """``encode_message`` without names names a segment after its
+    creator's pid, so the next world sweeps it once that pid is dead."""
+    env, _ = shm.encode_message(MIB)
+    assert env[2].startswith(f"repro-{os.getpid()}-")
+    shm.decode_message(env)
+    before = _shm_listing()
+    proc = subprocess.Popen([sys.executable, "-c", ENCODER], text=True,
+                            stdout=subprocess.PIPE, env=_python_env())
+    try:
+        name = proc.stdout.readline().strip()
+        assert name.startswith(f"repro-{proc.pid}-")
+        _within(60, run, 2, lambda comm: None)
+        assert _shm_listing() == sorted(before + [name])  # its creator lives
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    _within(60, run, 2, lambda comm: None)
     assert _shm_listing() == before
 
 
@@ -385,6 +451,28 @@ def test_a_rank_starts_no_helper_thread():
     assert _shm_listing() == before
 
 
+PRINTS = """
+from repro.mpi import ZERO_COST, mpirun
+
+print("launcher line")
+mpirun(2, lambda comm: print(f"rank {comm.rank} line"), machine=ZERO_COST,
+       backend="mp")
+"""
+
+
+def test_what_the_ranks_print_comes_through_once():
+    """Into a pipe, without ``PYTHONUNBUFFERED``: each rank's line is
+    flushed before its hard exit, and the launcher's line, buffered when
+    it forks, is printed by the launcher alone."""
+    env = _python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    out = subprocess.run([sys.executable, "-c", PRINTS], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert sorted(out.stdout.splitlines()) == [
+        "launcher line", "rank 0 line", "rank 1 line"]
+
+
 # ------------------------------------------------------------- wide worlds
 WIDE = """
 import resource
@@ -402,14 +490,13 @@ print(set(mpirun(48, main, machine=ZERO_COST, backend="mp")))
 
 
 def test_a_48_rank_world_runs_under_a_soft_limit_of_1024_descriptors():
-    """The launcher holds 2·48·50 descriptors while it forks the 48
+    """The launcher holds 2·48·49 descriptors while it forks the 48
     ranks Figs 8 and 9 run: it raises a soft limit of 1 024 itself."""
     if resource.getrlimit(resource.RLIMIT_NOFILE)[1] < 8192:
         pytest.skip("the hard descriptor limit is below a 48-rank world's")
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     out = subprocess.run(
         [sys.executable, "-c", WIDE], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.path.abspath(src)}, timeout=120)
+        env=_python_env(), timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == str({sum(range(48))})
 

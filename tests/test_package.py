@@ -86,11 +86,13 @@ def test_entry_points_import_neither_scipy_nor_networkx():
 #: what a simulation process, or one that only names the service, never
 #: runs: the paper harnesses, the AST passes, the graph/builder/profiling
 #: views of an assembly, the trace reducers and sampler, the unused time
-#: interpolant, and what only those need from the standard library
+#: interpolant, checkpoint files until a hook saves or resumes, and what
+#: only those need from the standard library
 NOT_AT_START_UP = (
     "repro.analysis.lifecycle", "repro.analysis.scmd", "repro.cca.graph",
     "repro.cca.builder", "repro.cca.profiling", "repro.obs.aggregate",
-    "repro.obs.profiler", "repro.samr.time_interp", "socket",
+    "repro.obs.profiler", "repro.samr.time_interp",
+    "repro.resilience.checkpoint", "repro.samr.checkpoint", "socket",
     "subprocess", "difflib",
 )
 
@@ -155,6 +157,35 @@ def test_a_run_imports_nothing():
     and a built service loads only the threads backend a single job
     names (the backend registry imports it on first use)."""
     proc = _fresh_python(_RUN_IMPORTS_NOTHING)
+    assert proc.returncode == 0, proc.stderr
+
+
+_MP_WORLD = """
+import sys
+
+import repro.apps
+from repro.mpi import Op, ZERO_COST, mpirun
+
+
+def main(comm):
+    comm.isend(comm.rank, (comm.rank + 1) % comm.size)
+    return comm.allreduce(comm.recv((comm.rank - 1) % comm.size), Op.SUM)
+
+
+assert mpirun(2, main, machine=ZERO_COST, backend="mp") == [1, 1]
+banned = {"secrets", "hashlib", "_hashlib", "socket", "subprocess",
+          "selectors"}
+loaded = sorted(m for m in sys.modules
+                if m in banned or m.split(".")[0] == "multiprocessing")
+assert not loaded, loaded
+"""
+
+
+def test_an_mp_world_imports_no_multiprocessing():
+    """The ``mp`` backend forks its ranks itself: its first world loads
+    neither ``multiprocessing`` nor what that and random segment names
+    would pull in."""
+    proc = _fresh_python(_MP_WORLD)
     assert proc.returncode == 0, proc.stderr
 
 
