@@ -21,8 +21,8 @@ paths run unchanged over any of:
     ranks, bulk array payloads through POSIX shared segments (zero-copy
     receive, swept when the world ends or, after a killed launcher,
     when the next one starts), per-rank tracebacks pickled back into
-    :class:`~repro.mpi.launcher.RankFailure`, dead ranks seen on their
-    pidfds and reaped; no helper thread or process.  Escapes the GIL:
+    :class:`~repro.mpi.launcher.RankFailure`, dead ranks seen as EOF
+    on their report pipes and reaped; no helper thread or process.  Escapes the GIL:
     real cores, real wall-clock speedups.
 
 A site with a real MPI adds its own transport through :func:`register`

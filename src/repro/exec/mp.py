@@ -24,11 +24,12 @@ violate).  A world is ``os.fork``, ``os.pipe`` and ``mmap`` only: no
   to the parent over its report pipe
   (:class:`~repro.mpi.launcher.RemoteRankError`) and sets the world's
   abort byte (one byte of a shared anonymous mapping) so its peers raise
-  :class:`~repro.errors.CommAbortedError` instead of deadlocking;
-  silently-dead processes (``os.kill``, segfault) are seen exiting on
-  their pidfd — or, where ``os.pidfd_open`` is missing, as EOF on their
-  report pipe — and synthesized into the same
-  :class:`~repro.mpi.launcher.RankFailure`.  Every rank is reaped.
+  :class:`~repro.errors.CommAbortedError` instead of deadlocking.  The
+  launcher reads each report pipe to EOF, which comes when the rank
+  exits: a silently-dead process (``os.kill``, segfault) leaves no whole
+  record and is synthesized into the same
+  :class:`~repro.mpi.launcher.RankFailure`.  Every rank is reaped, and
+  one still running a grace after a peer failed is stopped.
 * **Fault injection** — workers inherit the armed plan *and counters*
   at fork (so ``kill_max_fires`` survives a supervised restart) and
   ship their final counters home; the parent folds the per-worker
@@ -378,7 +379,7 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
             reports: list, abort_evt: _AbortFlag, segment_prefix: str,
             trace_ctx: dict | None = None) -> None:
     """One rank's body in its forked process: it keeps only its own pipe
-    ends and ends by writing its framed record to its report pipe."""
+    ends and ends by writing its pickled record to its report pipe."""
     # The sanitizer's shadow state is meaningless here: this process IS
     # the private address space.  Disarm locally (fork-isolated write).
     _tsan.deactivate()
@@ -414,10 +415,10 @@ def _worker(rank: int, nprocs: int, machine: MachineModel,
              f"rank result is not picklable: {exc}",
              traceback.format_exc(), _counts(), obs_env),
             protocol=pickle.HIGHEST_PROTOCOL)
-    frame = memoryview(_FRAME.pack(len(blob)) + blob)
+    report = memoryview(blob)
     with contextlib.suppress(OSError):  # the launcher may have gone
-        while frame:
-            frame = frame[os.write(reports[rank][1], frame):]
+        while report:
+            report = report[os.write(reports[rank][1], report):]
 
 
 def _flush_std() -> None:
@@ -452,35 +453,26 @@ def _counts() -> dict | None:
     return _faults.snapshot_counts() if _faults.on else None
 
 
-def _wait(pid: int, pidfd: int | None, timeout: float) -> int | None:
-    """The exit code of process ``pid`` (−N for signal N), reaped, if it
-    exits within ``timeout`` s — watched on its pidfd or, without one,
-    polled — else None."""
-    if pidfd is not None:
-        waiter = select.poll()
-        waiter.register(pidfd, select.POLLIN)
-        if not waiter.poll(1e3 * timeout):
-            return None
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+def _exited(pid: int, timeout: float) -> bool:
+    """Whether process ``pid`` exits, and is reaped, within ``timeout`` s."""
     deadline = time.monotonic() + timeout
-    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+    while not os.waitpid(pid, os.WNOHANG)[0]:
         if time.monotonic() >= deadline:
-            return None
+            return False
         time.sleep(_POLL_INTERVAL)
-    return os.waitstatus_to_exitcode(done[1])
+    return True
 
 
-def _reap(pid: int, pidfd: int | None) -> int:
-    """Reap rank process ``pid`` and return its exit code.  It gets
+def _reap(pid: int) -> None:
+    """Reap rank process ``pid``, which has not reported: it gets
     ``_DEATH_GRACE`` to exit, as long again after a SIGTERM, and then a
-    SIGKILL: no zombie is left, and a rank that traps SIGTERM cannot
+    SIGKILL, so no zombie is left and a rank that traps SIGTERM cannot
     hang the launcher."""
     for sig in (signal.SIGTERM, signal.SIGKILL):
-        code = _wait(pid, pidfd, _DEATH_GRACE)
-        if code is not None:
-            return code
+        if _exited(pid, _DEATH_GRACE):
+            return
         os.kill(pid, sig)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    os.waitpid(pid, 0)
 
 
 def _read_into(fd: int, buf: bytearray) -> bool:
@@ -493,43 +485,45 @@ def _read_into(fd: int, buf: bytearray) -> bool:
     return True
 
 
-def _collect(pids: list[int], pidfds: dict[int, int], readers: list[int],
-             abort_evt: _AbortFlag, records: dict[int, tuple],
-             reaped: set[int]) -> None:
-    """Read every rank's framed record off its report pipe into
-    ``records``.  A rank that exits without a complete one — seen on its
-    pidfd or, where ``os.pidfd_open`` is missing, as EOF on its pipe — is
-    a ``WorkerDied``, is reaped (into ``reaped``) and aborts its peers."""
-    owner = {fd: rank for rank, fd in [*enumerate(readers), *pidfds.items()]}
+def _collect(running: dict[int, int], readers: list[int],
+             abort_evt: _AbortFlag, records: dict[int, tuple]) -> None:
+    """Read each rank's pickled record off its report pipe into
+    ``records``, and reap the rank at the pipe's EOF — its exit (or, if
+    its ``main`` forked and the fork outlives it, that fork's).  A rank
+    whose pipe closes without a whole record is a ``WorkerDied`` with
+    its exit code, and aborts its peers.  Once a rank has failed, the
+    ranks still in ``running`` (rank → pid) have ``_DEATH_GRACE`` to
+    report; those left when it is over are the caller's to stop."""
+    rank_of = {fd: rank for rank, fd in enumerate(readers)}
+    inbox = {fd: bytearray() for fd in readers}
     poll = select.poll()
-    for fd in owner:
+    for fd in readers:
         poll.register(fd, select.POLLIN)
-    inbox = [bytearray() for _ in pids]
-    while len(records) < len(pids):
-        for fd, _ in poll.poll():
-            rank = owner[fd]
-            if rank in records:
+    deadline = None
+    while rank_of:
+        ready = poll.poll(None if deadline is None else
+                          max(0.0, 1e3 * (deadline - time.monotonic())))
+        if not ready:  # the grace is over
+            return
+        for fd, _ in ready:
+            if not _read_into(fd, inbox[fd]):
                 continue
-            buf = inbox[rank]
-            eof = _read_into(readers[rank], buf)
-            if (len(buf) >= _FRAME.size
-                    and len(buf) == _FRAME.size + _FRAME.unpack_from(buf)[0]):
-                records[rank] = pickle.loads(buf[_FRAME.size:])
-            elif eof or fd != readers[rank]:
+            poll.unregister(fd)
+            rank = rank_of.pop(fd)
+            status = os.waitpid(running.pop(rank), 0)[1]
+            try:
+                records[rank] = pickle.loads(inbox.pop(fd))
+            except Exception:  # empty or cut short: the rank died first
                 abort_evt.set()
-                code = _reap(pids[rank], pidfds.get(rank))
-                reaped.add(rank)
                 reason = (f"rank {rank} worker process died with exit code "
-                          f"{code} before reporting a result")
+                          f"{os.waitstatus_to_exitcode(status)} before "
+                          f"reporting a result")
                 records[rank] = (
                     "err", rank, "WorkerDied", reason,
                     f"WorkerDied: {reason} (killed or segfaulted; no "
                     f"Python traceback exists)", None, None)
-            else:
-                continue
-            for done in (readers[rank], pidfds.get(rank)):
-                if done is not None:
-                    poll.unregister(done)
+            if deadline is None and records[rank][0] == "err":
+                deadline = time.monotonic() + _DEATH_GRACE
 
 
 def _open_pipes(nprocs: int) -> tuple[dict, list]:
@@ -583,37 +577,32 @@ class MPBackend(ExecBackend):
         # the launcher keeps the reports' read ends only
         spare = [*itertools.chain(*links.values()), *(w for _, w in reports)]
         readers = [r for r, _ in reports]
-        pids: list[int] = []
-        pidfds: dict[int, int] = {}
+        running: dict[int, int] = {}  # rank → pid, until reaped
         records: dict[int, tuple] = {}
-        reaped: set[int] = set()
         try:
             _flush_std()  # or each rank would print the buffer again
             for rank in range(nprocs):
-                pids.append(_fork(rank, worker_args))
+                running[rank] = _fork(rank, worker_args)
             while spare:
                 os.close(spare.pop())
-            if hasattr(os, "pidfd_open"):
-                pidfds = {rank: os.pidfd_open(pid)
-                          for rank, pid in enumerate(pids)}
             for reader in readers:
                 os.set_blocking(reader, False)
-            _collect(pids, pidfds, readers, abort_evt, records, reaped)
+            _collect(running, readers, abort_evt, records)
         finally:
             abort_evt.set()
             for fd in spare + readers:
                 os.close(fd)
-            for rank, pid in enumerate(pids):
-                if rank not in reaped:
-                    _reap(pid, pidfds.get(rank))
-            for pidfd in pidfds.values():
-                os.close(pidfd)
+            for pid in running.values():
+                _reap(pid)
             # Fold worker obs payloads before anything can raise (failed
             # runs keep their partial traces), then unlink what nobody
             # consumed: messages in flight to a killed or aborted rank
             # would otherwise outlive the world by the parent's lifetime.
             _fold_obs(records)
             _shm.sweep(segment_prefix)
+        for rank in running:  # still running when the abort's grace ran out
+            records[rank] = ("aborted", rank, "world aborted by a peer rank; "
+                             "this rank was stopped", None, None)
 
         if _faults.on and fault_base is not None:
             _faults.merge_counts(

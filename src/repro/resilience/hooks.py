@@ -68,6 +68,12 @@ class CheckpointHook:
         self.rank = None if self.comm is None else self.comm.rank
         self.nranks = 1 if self.comm is None else self.comm.size
         self.mesh_uses = mesh_uses
+        #: the checkpoint files' module, imported only by a hook that
+        #: saves or resumes (a run without checkpoints never loads it)
+        self._ckpt = None
+        if self.path:
+            from repro.resilience import checkpoint
+            self._ckpt = checkpoint
 
     @property
     def enabled(self) -> bool:
@@ -87,8 +93,7 @@ class CheckpointHook:
     # -- saving ---------------------------------------------------------------
     def save(self, step: int, t: float, extras: dict | None = None) -> str:
         """Write this rank's shard of an app checkpoint at ``step``."""
-        from repro.resilience import checkpoint as app_ckpt
-
+        app_ckpt = self._ckpt
         t0 = time.perf_counter()
         mesh_comp = self._mesh_component()
         hierarchy = dataobjs = None
@@ -128,8 +133,7 @@ class CheckpointHook:
         """
         if not (self.want_resume and self.path):
             return None
-        from repro.resilience import checkpoint as app_ckpt
-
+        app_ckpt = self._ckpt
         shards = None if self.rank is None else self.nranks
         step = app_ckpt.latest_valid_step(self.path, shards)
         if step is None:

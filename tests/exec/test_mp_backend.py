@@ -25,6 +25,7 @@ import pytest
 
 from repro.errors import MPIError
 from repro.exec import shm
+from repro.exec.mp import _DEATH_GRACE
 from repro.mpi import Op, ZERO_COST, mpirun, sanitizer
 from repro.mpi.launcher import RankFailure
 from tests.mpi.test_comm import _within
@@ -177,16 +178,9 @@ def test_sigkill_surfaces_as_worker_death():
     assert "WorkerDied" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("pidfd", [True, False], ids=["pidfd", "no-pidfd"])
-def test_a_rank_dead_before_reporting_is_reaped_with_its_exit_code(
-        pidfd, monkeypatch):
+def test_a_rank_dead_before_reporting_is_reaped_with_its_exit_code():
     """A rank that exits, or is SIGKILLed, before it reports is a
-    ``WorkerDied`` that names its exit code, and it leaves no zombie —
-    also where ``os.pidfd_open`` is missing and the launcher sees the
-    death as EOF on the rank's report pipe."""
-    if not pidfd:
-        monkeypatch.delattr(os, "pidfd_open", raising=False)
-
+    ``WorkerDied`` that names its exit code, and it leaves no zombie."""
     def exits(comm):
         if comm.rank == 1:
             os._exit(3)
@@ -201,6 +195,27 @@ def test_a_rank_dead_before_reporting_is_reaped_with_its_exit_code(
         with pytest.raises(RankFailure,
                            match=f"WorkerDied.*exit code {code} before"):
             _within(60, run, 2, main)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_rank_that_traps_sigterm_is_killed_once_its_world_fails():
+    """Rank 0 ignores SIGTERM and sleeps outside any ``Comm`` call while
+    rank 1 fails: the launcher stops rank 0 (grace, SIGTERM, grace,
+    SIGKILL), so the world ends in rank 1's ``RankFailure`` within a few
+    graces, and no child is left."""
+    def main(comm):
+        if comm.rank == 0:
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            time.sleep(600)
+        raise RuntimeError("boom on rank 1")
+
+    start = time.monotonic()
+    with pytest.raises(RankFailure) as excinfo:
+        _within(60, run, 2, main)
+    assert time.monotonic() - start < 5 * _DEATH_GRACE
+    failures = excinfo.value.failures  # rank 0's abort is secondary
+    assert list(failures) == [1] and "boom on rank 1" in str(failures[1])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
