@@ -15,14 +15,15 @@ to local copies.
 
 This module only *moves data*.  What moves where is geometry, built once
 per regrid by :mod:`repro.samr.schedule` and looked up through
-:meth:`Hierarchy.transfer_schedule`; each call here replays it.
+:meth:`Hierarchy.transfer_schedule`; each call here replays it.  A
+coarse-fine fill — a level's ghost fill or a regrid's seeding of new
+patches — is one flat buffer, one :func:`prolong_gathered` call and one
+scatter per fine patch, however many ghost regions the level has.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import groupby
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -32,9 +33,9 @@ from repro.obs import trace as _obs
 from repro.obs.metrics import get_registry as _obs_registry
 from repro.samr.dataobject import DataObject
 from repro.samr.patch import Patch
-from repro.samr.prolong import prolong_bilinear
+from repro.samr.prolong import prolong_gathered
 from repro.samr.restrict import restrict_average
-from repro.samr.schedule import CoarseFineTask, Route
+from repro.samr.schedule import CoarseFinePlan, Route
 
 #: The tag every replayed transfer travels on, reserved on whatever
 #: communicator the replay is handed (user tags are >= 0).  One is enough:
@@ -142,27 +143,23 @@ def _move(dobj: DataObject, route: Route, comm,
     return shipped
 
 
-def fill_from_coarse(dobj: DataObject, tasks: list[CoarseFineTask],
-                     route: Route, comm=None) -> int:
+def fill_from_coarse(dobj: DataObject, plan: CoarseFinePlan, route: Route,
+                     comm=None) -> int:
     """Carry out a :func:`repro.samr.schedule.coarse_fine_plan`: assemble
-    each task's padded coarse buffer, interpolate it (monotone bilinear)
-    and store the selected region in the fine patch.  The plan lists its
-    tasks by buffer shape; each run of equal shapes is one
-    ``(k, nvar, *shape)`` stack and one ``prolong_bilinear`` call.
-    Returns the payload bytes this rank shipped."""
-    stacks = [np.empty((len(list(run)), dobj.nvar, *shape))
-              for shape, run in groupby(tasks, key=attrgetter("shape"))]
-    bufs = [buf for stack in stacks for buf in stack]
-    shipped = _move(dobj, route, comm, target=bufs.__getitem__)
-    for task, buf in zip(tasks, bufs):
-        if task.holes is not None:
-            holes, sources = task.holes
-            buf[holes] = buf[sources]
-    ratio = dobj.hierarchy.ratio
-    fine_blocks = (block for stack in stacks
-                   for block in prolong_bilinear(stack, ratio))
-    for task, block in zip(tasks, fine_blocks):
-        dobj.array(task.fine)[task.dest] = block[task.select]
+    every task's padded coarse buffer in one flat buffer, interpolate them
+    all (monotone bilinear) in one :func:`prolong_gathered` call and store
+    each owned fine patch's cells in one scatter.  Returns the payload
+    bytes this rank shipped."""
+    nvar = dobj.nvar
+    buf = np.empty((nvar, plan.size))
+    views = [buf[:, start:stop].reshape(nvar, *shape)
+             for start, stop, shape in plan.spans]
+    shipped = _move(dobj, route, comm, target=views.__getitem__)
+    fine = prolong_gathered(buf, plan.stencil, plan.ratio)
+    for patch, cells, values in plan.scatters:
+        # a patch's array is one C-contiguous allocation: this is a view
+        dobj.array(patch).reshape(nvar, -1)[:, cells] = np.take(
+            fine, values, axis=1)
     return shipped
 
 

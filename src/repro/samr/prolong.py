@@ -6,8 +6,12 @@
 Both operators act on the *last two* axes so they apply directly to
 ``(nvar, nx, ny)`` blocks.  ``prolong_constant`` is the conservative
 injection used to seed brand-new patches when smoothness is uncertain;
-``prolong_bilinear`` is the second-order limited-slope operator used for
-coarse-fine ghost filling (``ProlongRestrict`` component).
+``prolong_bilinear`` is the second-order limited-slope operator
+(``ProlongRestrict`` component).  ``prolong_gathered`` evaluates the same
+limited profile for coarse cells gathered from anywhere in a flat buffer:
+a coarse-fine fill lays every padded coarse buffer of a level end to end
+and interpolates them all in one call, each fine value the same float
+``prolong_bilinear`` gives it.
 """
 
 from __future__ import annotations
@@ -64,6 +68,37 @@ def prolong_bilinear(coarse: np.ndarray, ratio: int,
             + blocks(sy) * off)
     return fine.reshape(*c.shape[:-2], c.shape[-2] * ratio,
                         c.shape[-1] * ratio)
+
+
+#: coarse cells :func:`prolong_gathered` interpolates per pass: its
+#: temporaries stay a few ``(nvar, 1024)`` arrays when a regrid seeds a
+#: whole level in one fill
+_CELLS_PER_PASS = 1024
+
+
+def prolong_gathered(values: np.ndarray, stencil: np.ndarray,
+                     ratio: int) -> np.ndarray:
+    """``prolong_bilinear`` (limited) of the coarse cells ``stencil``
+    names in ``values``.
+
+    ``values`` is ``(nvar, n)``; ``stencil`` is ``(5, m)`` positions in it:
+    each coarse cell, then its +x, +y, -x and -y neighbour.  Returns
+    ``(nvar, ratio**2 * m)``: the fine cell at offset ``(a, b)`` inside
+    coarse cell ``k`` is column ``(a * ratio + b) * m + k``, so every
+    operation runs along the cells.  Slopes and the ``(c + sx*ξ) + sy*η``
+    evaluation order are those of ``prolong_bilinear``.
+    """
+    nvar, cells = len(values), stencil.shape[1]
+    off = (np.arange(ratio) + 0.5) / ratio - 0.5
+    fine = np.empty((nvar, ratio, ratio, cells))
+    for lo in range(0, cells, _CELLS_PER_PASS):
+        near = np.take(values, stencil[:, lo:lo + _CELLS_PER_PASS], axis=1)
+        slopes = _slope(near[:, 1:3], near[:, :1], near[:, 3:], True)
+        sx, sy = slopes[:, 0, None, None], slopes[:, 1, None, None]
+        fine[..., lo:lo + _CELLS_PER_PASS] = (
+            (near[:, 0, None, None] + sx * off[:, None, None])
+            + sy * off[:, None])
+    return fine.reshape(nvar, -1)
 
 
 def _slope(up: np.ndarray, mid: np.ndarray, dn: np.ndarray,

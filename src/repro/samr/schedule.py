@@ -8,7 +8,11 @@ bounds checks, the nearest-neighbour fill of pad cells no coarse patch
 covers — and kept as ready-made NumPy index tuples.
 :func:`repro.samr.ghost.exchange_ghosts` and
 :func:`repro.samr.ghost.restrict_level` replay it: nothing here knows a
-``DataObject`` or a variable count.
+``DataObject`` or a variable count.  The coarse-fine part is compiled
+further (:class:`CoarseFinePlan`): every padded coarse buffer a rank
+assembles is a stretch of one flat buffer, the interpolation stencil of
+every cell in it and every fine cell it feeds are ``intp`` vectors, so a
+fill is one prolongation and one scatter per fine patch.
 
 Patch metadata is replicated, so every rank derives the same global
 schedule and keeps its own view of it: the moves it makes alone, the
@@ -88,9 +92,92 @@ class CoarseFineTask(NamedTuple):
     dest: Index
 
 
+class CoarseFinePlan:
+    """This rank's coarse-fine tasks, compiled for one prolongation per
+    fill (:func:`repro.samr.ghost.fill_from_coarse`).
+
+    Iterating a plan yields its :class:`CoarseFineTask` s in order of
+    buffer shape.  The compiled form lays the tasks' padded coarse buffers
+    end to end in one ``(nvar, size)`` buffer:
+
+    ``spans``
+        ``(start, stop, shape)`` of each task's buffer, in task order —
+        the route's destinations are positions in this list;
+    ``stencil``
+        ``(5, cells)`` positions in the buffer of every buffer-interior
+        cell and of its +x, +y, -x and -y neighbours, an uncovered
+        neighbour already redirected to the cell :func:`_hole_gather`
+        fills it from — the input of
+        :func:`repro.samr.prolong.prolong_gathered`;
+    ``scatters``
+        ``(fine patch, cells, values)`` per owned fine patch: the patch's
+        flat per-variable cells that receive the ``values`` positions of
+        the prolonged buffer.
+
+    Every index is ``intp``; the plan holds nothing a ``DataObject``
+    decides (variable count, storage), so one plan serves them all.
+    """
+
+    def __init__(self, tasks: list[CoarseFineTask], ratio: int) -> None:
+        self.tasks = tasks
+        self.ratio = ratio
+        self.spans: list[tuple[int, int, tuple[int, ...]]] = []
+        # one row of geometry per task, sorted by fine patch id (then by
+        # buffer) so that each patch's cells lie together
+        fines: dict[int, Patch] = {}
+        rows = []
+        start = 0
+        for task in tasks:
+            nx, ny = task.shape
+            self.spans.append((start, start + nx * ny, task.shape))
+            _all, sel_x, sel_y = task.select
+            _all, dst_x, dst_y = task.dest
+            fines[task.fine.id] = task.fine
+            rows.append((
+                task.fine.id, start, ny, (nx - 2) * (ny - 2),
+                sel_x.start, sel_y.start, sel_x.stop - sel_x.start,
+                sel_y.stop - sel_y.start, dst_x.start, dst_y.start,
+                task.fine.array_shape[1]))
+            start += nx * ny
+        self.size = start
+        rows.sort()
+        (patch_id, starts, ny, inner, sel_x, sel_y, len_x, len_y, dst_x, dst_y,
+         row) = np.array(rows, dtype=np.intp).reshape(-1, 11).T
+        # every buffer-interior cell, then its +x, +y, -x and -y neighbour;
+        # an uncovered cell is read from its source instead
+        source = np.arange(self.size, dtype=np.intp)
+        for task, (start, stop, shape) in zip(tasks, self.spans):
+            if task.holes is not None:
+                holes, sources = task.holes
+                buf = source[start:stop].reshape(shape)
+                buf[holes[1:]] = buf[sources[1:]]
+        t, pos = _ragged(inner)
+        width = ny[t] - 2
+        centre = starts[t] + (pos // width + 1) * ny[t] + pos % width + 1
+        self.stencil = source[np.stack([centre, centre + ny[t], centre + 1,
+                                        centre - ny[t], centre - 1])]
+        # every fine cell a task stores: cell (x, y) of the refined buffer
+        # interior is sub-cell (x % ratio, y % ratio) of interior cell
+        # (x // ratio, y // ratio)
+        first = np.cumsum(inner) - inner
+        t, pos = _ragged(len_x * len_y)
+        dx, dy = np.divmod(pos, len_y[t])
+        x, y = sel_x[t] + dx, sel_y[t] + dy
+        cells = (dst_x[t] + dx) * row[t] + dst_y[t] + dy
+        values = ((x % ratio * ratio + y % ratio) * len(centre) + first[t]
+                  + x // ratio * (ny[t] - 2) + y // ratio)
+        ids = sorted(fines)
+        ends = np.searchsorted(patch_id[t], ids, side="right")
+        self.scatters = [(fines[pid], cells[lo:hi], values[lo:hi])
+                         for pid, lo, hi in zip(ids, [0, *ends], ends)]
+
+    def __iter__(self):
+        return iter(self.tasks)
+
+
 def coarse_fine_plan(targets: Sequence[tuple[Patch, Box]],
                      coarse: Sequence[Patch], ratio: int, rank: int
-                     ) -> tuple[list[CoarseFineTask], Route]:
+                     ) -> tuple[CoarseFinePlan, Route]:
     """Plan the interpolation of each ``(fine patch, region)`` target from
     the ``coarse`` patches.
 
@@ -98,12 +185,9 @@ def coarse_fine_plan(targets: Sequence[tuple[Patch, Box]],
     slopes.  Every coarse patch overlapping that box contributes a block —
     routed to the fine patch's owner under the header ``(t, lo, hi)``,
     ``t`` being the target's position in ``targets`` — and the owner gets
-    a :class:`CoarseFineTask`; the route's destinations are positions in
-    the returned task list.
-
-    The tasks are returned in order of buffer shape: a replay stacks each
-    run of equal shapes and interpolates it in one call
-    (:func:`repro.samr.ghost.fill_from_coarse`).
+    a :class:`CoarseFineTask`, listed in order of buffer shape and
+    compiled into a :class:`CoarseFinePlan`; the route's destinations are
+    positions in the plan.
     """
     needs = [region.coarsen(ratio).grow(1) for _fine, region in targets]
     mine = sorted((t for t, (fine, _region) in enumerate(targets)
@@ -131,7 +215,7 @@ def coarse_fine_plan(targets: Sequence[tuple[Patch, Box]],
                 fine, need.shape, _hole_gather(covered),
                 _index(region.slices(origin=fine_lo)),
                 _index(fine.slices_for(region)))
-    return tasks, route
+    return CoarseFinePlan(tasks, ratio), route
 
 
 def surviving_overlaps(old: Sequence[Patch], new: Sequence[Patch],
@@ -150,6 +234,14 @@ def surviving_overlaps(old: Sequence[Patch], new: Sequence[Patch],
                           dst, _index(dst.slices_for(overlap)),
                           (dst.id, overlap.lo, overlap.hi))
     return route
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of ``counts`` elements laid end to end: the run each
+    element belongs to and its position in that run."""
+    run = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    first = np.cumsum(counts) - counts
+    return run, np.arange(len(run), dtype=np.intp) - first[run]
 
 
 def _hole_gather(covered: np.ndarray) -> tuple[Index, Index] | None:

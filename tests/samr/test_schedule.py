@@ -3,6 +3,7 @@ algebra moved, and a changed hierarchy is never served a stale plan."""
 
 import dataclasses
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -140,6 +141,142 @@ def test_grouped_fill_equals_the_per_task_reference(nranks):
     assert any(holes for _shape, holes in ghost_plan)
 
 
+def corner_case(ratio, nranks=1):
+    """Unaligned fine patches in the four corners of a 12x12 base level
+    split between two coarse patches: every corner's ghost and seeding
+    buffers reach past the domain, so each has pad cells to fill."""
+    n, w = 12 * ratio, 2 * ratio + 1
+    return Case(base=(12, 12),
+                decomposition=(Box((0, 0), (5, 11)), Box((6, 0), (11, 11))),
+                fine=(tuple(Box((x, y), (x + w - 1, y + w - 1))
+                            for x in (0, n - w) for y in (0, n - w)),),
+                nranks=nranks, nvar=3, ratio=ratio)
+
+
+def lonely_rank_case(ratio, nranks):
+    """One fine patch under the first coarse patch whose ghost buffers
+    reach into the second: on two ranks, one rank owns no coarse-fine
+    task but still ships coarse blocks to the other."""
+    return Case(base=(8, 8),
+                decomposition=(Box((0, 0), (3, 7)), Box((4, 0), (7, 7))),
+                fine=((Box((2 * ratio, 2 * ratio),
+                           (4 * ratio - 1, 6 * ratio - 1)),),),
+                nranks=nranks, nvar=2, ratio=ratio)
+
+
+def whole_level_case(ratio, nranks):
+    """One fine patch over the whole domain: its seeding fill interpolates
+    1 296 coarse cells, more than one pass of ``prolong_gathered``."""
+    return Case(base=(36, 36), decomposition=(Box((0, 0), (35, 35)),),
+                fine=((Box((0, 0), (36 * ratio - 1, 36 * ratio - 1)),),),
+                nranks=nranks, ratio=ratio)
+
+
+def level_plans(h, rank):
+    """The ghost-fill and the regrid-seeding plan of every level above 0."""
+    plans = []
+    for lev in range(1, h.nlevels):
+        schedule = h.transfer_schedule(lev, rank)
+        plans += [(schedule.tasks, schedule.coarse_fine),
+                  coarse_fine_plan([(p, p.box) for p in h.level(lev).patches],
+                                   h.level(lev - 1).patches, h.ratio, rank)]
+    return plans
+
+
+def fill_with(fill, h, plans, nvar, comm=None, plant=None):
+    """``{patch id: array}`` after replaying ``plans`` with ``fill`` on
+    freshly filled interiors (``plant(dobj)`` edits them first)."""
+    dobj = DataObject("f", h, nvar, rank=comm.rank if comm else 0)
+    fill_interiors(dobj)
+    if plant is not None:
+        plant(dobj)
+    for plan, route in plans:
+        fill(dobj, plan, route, comm)
+    return {p.id: dobj.array(p).copy() for p in dobj.owned_patches()}
+
+
+@pytest.mark.parametrize("ratio", [2, 4])
+@pytest.mark.parametrize("nranks, backend", [(1, None), (2, "threads"),
+                                             (2, "mp")])
+@pytest.mark.parametrize("make", [corner_case, lonely_rank_case,
+                                  whole_level_case])
+def test_compiled_fill_equals_the_per_task_oracle(make, nranks, backend,
+                                                  ratio):
+    """One prolongation per fill moves the bits one ``prolong_bilinear``
+    call per task moved: ghost and seeding plans, pad cells filled at all
+    four domain corners, a rank that owns no task and a fill of more
+    cells than one pass interpolates."""
+    case = make(ratio=ratio, nranks=nranks)
+
+    def main(comm=None):
+        rank = comm.rank if comm else 0
+        h = case.build()
+        plans = level_plans(h, rank)
+        corners = {(task.fine.box.lo[0] > 0, task.fine.box.lo[1] > 0)
+                   for plan, _route in plans for task in plan
+                   if task.holes is not None}
+        return ([fill_with(fill, h, plans, case.nvar, comm)
+                 for fill in (fill_from_coarse, reference.fill_from_coarse)],
+                [len(plan.tasks) for plan, _route in plans],
+                any(route.sends for _plan, route in plans), corners)
+
+    per_rank = [main()] if nranks == 1 else mpirun(
+        nranks, main, machine=ZERO_COST, backend=backend)
+    for (compiled, per_task), _ntasks, _sends, _corners in per_rank:
+        assert_same_arrays(compiled, per_task)
+    if make is corner_case:
+        assert set().union(*(c for *_rest, c in per_rank)) == {
+            (False, False), (False, True), (True, False), (True, True)}
+    elif make is lonely_rank_case and nranks == 2:
+        idle = [sends for _filled, ntasks, sends, _c in per_rank
+                if not any(ntasks)]
+        assert idle == [True]  # it owns no task and ships blocks
+
+
+@pytest.mark.parametrize("ratio", [2, 4])
+def test_a_nan_reaches_only_the_fine_cells_whose_stencil_reads_it(ratio):
+    """Plant a NaN in one coarse cell that sits in several tasks' buffers
+    (the ghost strips beside a corner patch and its seeding buffer): it
+    must turn exactly the fine cells interpolated at that cell into NaN
+    and change no cell whose 5-point stencil does not read it — a
+    stencil index straying across a seam of the flat buffer would."""
+    case = corner_case(ratio)
+    h = case.build()
+    plans = level_plans(h, 0)
+    nan_at = (2, 2)  # under the low corner patch's edge, off the domain edge
+
+    def plant(dobj):
+        patch = next(p for p in h.level(0).patches
+                     if p.box.contains_point(nan_at))
+        dobj.array(patch)[(0, *(i - lo for i, lo in
+                                zip(nan_at, patch.ghost_box.lo)))] = np.nan
+
+    clean = fill_with(fill_from_coarse, h, plans, case.nvar)
+    planted = fill_with(fill_from_coarse, h, plans, case.nvar, plant=plant)
+    oracle = fill_with(reference.fill_from_coarse, h, plans, case.nvar,
+                       plant=plant)
+    for patch in h.level(1).patches:
+        before, after = clean[patch.id][0], planted[patch.id][0]
+        assert np.array_equal(after, oracle[patch.id][0], equal_nan=True)
+        assert (planted[patch.id][1:] == clean[patch.id][1:]).all()
+        written = before != -7.0  # fill_interiors' ghost value
+        x = np.arange(patch.ghost_box.lo[0], patch.ghost_box.hi[0] + 1)
+        y = np.arange(patch.ghost_box.lo[1], patch.ghost_box.hi[1] + 1)
+        dist = (abs(x // ratio - nan_at[0])[:, None]
+                + abs(y // ratio - nan_at[1])[None, :])
+        assert (np.isnan(after) == (written & (dist == 0))).all()
+        changed = ~((after == before) | (np.isnan(after) & np.isnan(before)))
+        assert not (changed & ~(written & (dist <= 1))).any()
+        if patch.box.lo == (0, 0):
+            # three tasks read the cell: the seed and two ghost regions (a
+            # ghost region is a box outside the patch, so no one region
+            # holds a cell past the x edge and one past the y edge only)
+            past_x, past_y = np.nonzero(np.isnan(after))
+            w = patch.box.hi[0] + 1
+            assert {(x[i] >= w, y[j] >= w) for i, j in zip(past_x, past_y)
+                    } >= {(False, False), (True, False), (False, True)}
+
+
 # ------------------------------------------------------ (b) invalidation
 def three_levels():
     case = FIXED_CASES["three_level_nvar5"]
@@ -225,6 +362,40 @@ def test_regrid_invalidates():
     assert h.transfer_schedule(0) is old[0]
     assert h.transfer_schedule(1) is not old[1]
     assert_matches_reference(h)
+
+
+def test_the_compiled_plan_lives_and_dies_with_its_schedule():
+    """The compiled coarse-fine plan is an attribute of its schedule, not
+    an entry of some cache: once a regrid replaces the schedule the old
+    plan is freed.  Its indices are flat ``intp`` vectors."""
+    h = Hierarchy((16, 16), extent=(1.0, 1.0), max_levels=2, nghost=2)
+    h.build_base_level()
+    d = DataObject("f", h, nvar=2)
+
+    def bump(x0):
+        for p in d.owned_patches():
+            x, y = h.level(p.level).cell_centers(p, h.origin, ghost=True)
+            d.array(p)[:] = np.exp(-((x[:, None] - x0) ** 2
+                                     + (y[None, :] - 0.5) ** 2) / 0.01)
+
+    def flag_fn(level):
+        exchange_ghosts(d, level)
+        return flag_gradient(d, level, 0.2)
+
+    bump(0.3)
+    regrid(h, [d], flag_fn, max_size=16)
+    exchange_ghosts(d, 1)
+    plan = h.transfer_schedule(1).tasks
+    assert plan.stencil.dtype == np.intp and plan.stencil.shape[0] == 5
+    assert all(cells.dtype == values.dtype == np.intp
+               and cells.ndim == values.ndim == 1
+               for _patch, cells, values in plan.scatters)
+    old = weakref.ref(plan)
+    del plan
+    bump(0.7)
+    regrid(h, [d], flag_fn, max_size=16)
+    exchange_ghosts(d, 1)
+    assert old() is None
 
 
 def test_checkpoint_round_trip_builds_its_own_schedule(tmp_path):
