@@ -122,6 +122,10 @@ class CoarseFinePlan:
         self.tasks = tasks
         self.ratio = ratio
         self.spans: list[tuple[int, int, tuple[int, ...]]] = []
+        if not tasks:  # level 0, or no fine patch here: nothing to compile
+            self.size, self.scatters = 0, []
+            self.stencil = np.empty((5, 0), dtype=np.intp)
+            return
         # one row of geometry per task, sorted by fine patch id (then by
         # buffer) so that each patch's cells lie together
         fines: dict[int, Patch] = {}
@@ -142,7 +146,7 @@ class CoarseFinePlan:
         self.size = start
         rows.sort()
         (patch_id, starts, ny, inner, sel_x, sel_y, len_x, len_y, dst_x, dst_y,
-         row) = np.array(rows, dtype=np.intp).reshape(-1, 11).T
+         row) = np.array(rows, dtype=np.intp).T
         # every buffer-interior cell, then its +x, +y, -x and -y neighbour;
         # an uncovered cell is read from its source instead
         source = np.arange(self.size, dtype=np.intp)
@@ -290,8 +294,9 @@ class TransferSchedule:
     Attributes
     ----------
     tasks, coarse_fine:
-        Ghost regions under no same-level patch, interpolated from the
-        level below (:func:`coarse_fine_plan`).
+        The compiled plan and the route of the ghost regions under no
+        same-level patch, interpolated from the level below
+        (:func:`coarse_fine_plan`).
     siblings:
         Ghost regions overlapping another patch's interior, copied;
         headers are ``(dst id, lo, hi)``.
